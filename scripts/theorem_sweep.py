@@ -8,7 +8,7 @@ instances and 2213 rules, with zero violations expected.
 
 Usage:
     python3 scripts/theorem_sweep.py [--m M] [--agents N] [--audit-sample K]
-                                     [--seed S] [--threads T]
+                                     [--seed S]
 
 Exit code is the CLI's: 0 verified, 2 size guard, 3 a counterexample was found.
 """
@@ -32,7 +32,6 @@ def main() -> int:
         help="additionally deep-audit this many sampled strategy-proof rules",
     )
     parser.add_argument("--seed", type=int, default=None, help="audit sampling seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads")
     args = parser.parse_args()
 
     argv = [
@@ -45,8 +44,6 @@ def main() -> int:
         str(args.agents),
         "--audit-sample",
         str(args.audit_sample),
-        "--threads",
-        str(args.threads),
     ]
     if args.seed is not None:
         argv += ["--seed", str(args.seed)]

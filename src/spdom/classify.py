@@ -8,21 +8,24 @@ A domain is *non-conditional* exactly when a map with no conditionals rebuilds
 it, i.e. when it is the closure of its own fixed pairs.
 
 ``classify`` recovers such a map from an explicit domain with a deterministic
-two-phase scan; ``rebuild`` inverts it; ``satisfied_antecedents``,
-``restrict_by_answers`` and ``partition_by_answers`` slice a domain by which
-condition pairs a member realizes.
+two-phase scan; ``rebuild`` inverts it; ``satisfied_antecedents`` and
+``partition_by_answers`` slice a domain by which condition pairs a member
+realizes, and ``ResponsePartition`` applies that split to every agent of a
+product domain at once.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .prefcore import (
     DomainError,
     OrderedPair,
     PreferenceDomain,
+    ProductDomain,
     Ranking,
     UnsatisfiableRestrictionError,
     _check_pair,
@@ -178,7 +181,7 @@ def answer_closure_pairs(map_: RestrictionMap, answers: Iterable[Sequence[int]])
     The block of answer set ``B`` is the closure of: the base, ``B`` itself,
     the reversals of the unanswered conditions, and every conclusion whose
     antecedent lies inside ``B``.  This is the second, closed-form route to
-    the same block that :func:`restrict_by_answers` computes by filtering.
+    the same block that :func:`partition_by_answers` computes by filtering.
     """
     checked = _check_answers(map_, answers)
     pairs: set[OrderedPair] = set(map_.base)
@@ -200,27 +203,8 @@ def answer_block_by_formula(
     return PreferenceDomain(map_.m, survivors)
 
 
-def restrict_by_answers(
-    d: PreferenceDomain, map_: RestrictionMap, answers: Iterable[Sequence[int]]
-) -> Optional[PreferenceDomain]:
-    """Members of ``d`` whose satisfied condition set is exactly ``answers``;
-    None when no member realizes it."""
-    checked = _check_answers(map_, answers)
-    survivors = tuple(r for r in d.rankings if satisfied_antecedents(r, map_) == checked)
-    if not survivors:
-        return None
-    return PreferenceDomain(d.m, survivors)
-
-
 def _answer_sort_key(answers: AnswerSet) -> tuple:
     return (len(answers), sorted(answers))
-
-
-def realizable_answer_sets(d: PreferenceDomain, map_: RestrictionMap) -> tuple[AnswerSet, ...]:
-    """Distinct answer sets realized by members of ``d``, canonically ordered
-    (by size, then lexicographically on the sorted pair list)."""
-    seen = {satisfied_antecedents(r, map_) for r in d.rankings}
-    return tuple(sorted(seen, key=_answer_sort_key))
 
 
 def partition_by_answers(
@@ -237,6 +221,70 @@ def partition_by_answers(
         (answers, PreferenceDomain(d.m, tuple(buckets[answers])))
         for answers in sorted(buckets, key=_answer_sort_key)
     )
+
+
+@dataclass(frozen=True)
+class ResponsePartition:
+    """A product domain split by every agent's answers to their map's conditions.
+
+    Per agent: the realizable answer sets in canonical order, the block of
+    each, and for each ranking its (answer index, index within that block).
+    A *response profile* is one answer set per agent; the response profiles
+    are ordered like profiles (agent 0 most significant), and each selects the
+    block product its second-step subrule runs on.  Build it with :meth:`of`,
+    which validates the maps once.
+    """
+
+    product: ProductDomain
+    maps: tuple[RestrictionMap, ...]
+    answers: tuple[tuple[AnswerSet, ...], ...]
+    blocks: tuple[tuple[PreferenceDomain, ...], ...]
+    positions: tuple[tuple[tuple[int, int], ...], ...]
+
+    @classmethod
+    def of(cls, pd: ProductDomain, maps: Sequence[RestrictionMap]) -> "ResponsePartition":
+        maps = tuple(maps)
+        if len(maps) != pd.n:
+            raise DomainError(f"need {pd.n} restriction maps, got {len(maps)}")
+        answers, blocks, positions = [], [], []
+        for i, (d, map_) in enumerate(zip(pd.agents, maps)):
+            if map_.m != pd.m:
+                raise DomainError(f"map for agent {i} is over a different alternative set")
+            if rebuild(map_) != d:
+                raise DomainError(f"map for agent {i} does not rebuild that agent's domain")
+            split = partition_by_answers(d, map_)
+            answers.append(tuple(a for a, _ in split))
+            blocks.append(tuple(block for _, block in split))
+            where = {
+                r: (k, j)
+                for k, (_, block) in enumerate(split)
+                for j, r in enumerate(block.rankings)
+            }
+            positions.append(tuple(where[r] for r in d.rankings))
+        return cls(pd, maps, tuple(answers), tuple(blocks), tuple(positions))
+
+    @cached_property
+    def responses(self) -> tuple[tuple[AnswerSet, ...], ...]:
+        """Every realizable response profile, canonical order."""
+        return tuple(itertools.product(*self.answers))
+
+    @cached_property
+    def block_products(self) -> tuple[ProductDomain, ...]:
+        """The block product of each response profile, parallel to ``responses``."""
+        return tuple(self.product.with_agents(c) for c in itertools.product(*self.blocks))
+
+    @cached_property
+    def gather(self) -> tuple[tuple[int, int], ...]:
+        """Per profile of the product: (response index, profile index within
+        that response's block product)."""
+        out = []
+        for combo in itertools.product(*self.positions):
+            response = sub = 0
+            for answers, blocks, (k, j) in zip(self.answers, self.blocks, combo):
+                response = response * len(answers) + k
+                sub = sub * len(blocks[k]) + j
+            out.append((response, sub))
+        return tuple(out)
 
 
 def _mirror_permutation(m: int) -> tuple[int, ...]:

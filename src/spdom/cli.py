@@ -25,9 +25,9 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
-from .classify import RestrictionMap, classify, partition_by_answers
+from .classify import ResponsePartition, classify, partition_by_answers
 from .counting import (
     decimal_digit_count,
     count_second_step,
@@ -57,11 +57,8 @@ from .rules import (
     serialize_rule,
 )
 from .twostep import (
-    ResponseProfile,
     TwoStepAssignment,
-    blocks_for,
     decompose,
-    response_profiles,
     search_sp_combinations,
     serialize_assignment,
 )
@@ -164,7 +161,7 @@ def _emit(options: dict[str, Any], payload: dict[str, Any], text: str) -> None:
         rendered = text if text.endswith("\n") else text + "\n"
     out = options.get("out")
     if out:
-        Path(out).write_text(rendered)
+        _write_text(Path(out), rendered)
     else:
         sys.stdout.write(rendered)
 
@@ -172,8 +169,24 @@ def _emit(options: dict[str, Any], payload: dict[str, Any], text: str) -> None:
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise DomainError(f"cannot read {path}: {err}") from err
+
+
+def _write_text(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as err:
+        raise DomainError(f"cannot write {path}: {err}") from err
+
+
+def _out_dir(path: str) -> Path:
+    directory = Path(path)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise DomainError(f"cannot write {directory}: {err}") from err
+    return directory
 
 
 def _load_spec(options: dict[str, Any]) -> DomainSpec:
@@ -298,13 +311,15 @@ def _cmd_partition(options: dict[str, Any]) -> int:
     return 0
 
 
-def _cmd_count_subrules(options: dict[str, Any]) -> int:
+def _load_partition(options: dict[str, Any]) -> ResponsePartition:
     spec = _load_spec(options)
-    scan = options["scan"]
-    pd = spec.product
-    maps = spec.resolved_maps(scan)
-    domains = [agent.domain for agent in spec.agents]
-    report = count_second_step(domains, maps)
+    return ResponsePartition.of(spec.product, spec.resolved_maps(options["scan"]))
+
+
+def _cmd_count_subrules(options: dict[str, Any]) -> int:
+    partition = _load_partition(options)
+    pd = partition.product
+    report = count_second_step(partition)
 
     lines = [
         f"alternatives: {report.m} ({' '.join(pd.labels)}); "
@@ -356,8 +371,7 @@ def _cmd_count_subrules(options: dict[str, Any]) -> int:
     if options.get("oracle"):
         catalog_sizes = []
         agrees = True
-        for block in report.blocks:
-            block_pd = blocks_for(pd, maps, ResponseProfile(block.answers))
+        for block, block_pd in zip(report.blocks, partition.block_products):
             size = len(second_step_catalog(block_pd))
             catalog_sizes.append(size)
             if size != block.subtotal:
@@ -431,10 +445,9 @@ def _cmd_enumerate_sp(options: dict[str, Any]) -> int:
 
     out_dir = options.get("out")
     if out_dir:
-        directory = Path(out_dir)
-        directory.mkdir(parents=True, exist_ok=True)
+        directory = _out_dir(out_dir)
         for i, rule in enumerate(rules):
-            (directory / f"rule_{i:04d}.rule").write_text(serialize_rule(rule))
+            _write_text(directory / f"rule_{i:04d}.rule", serialize_rule(rule))
         lines.append(f"wrote {len(rules)} rule file(s) to {directory}")
 
     oracle_payload = None
@@ -531,11 +544,10 @@ def _cmd_check_rule(options: dict[str, Any]) -> int:
 
 
 def _cmd_decompose(options: dict[str, Any]) -> int:
-    spec = _load_spec(options)
-    pd = spec.product
+    partition = _load_partition(options)
+    pd = partition.product
     rule = _load_rule(options, pd)
-    maps = spec.resolved_maps(options["scan"])
-    report = decompose(rule, maps)
+    report = decompose(rule, partition)
 
     kinds = {"dictatorial": 0, "sp_range_le_2": 0, "violation": 0}
     for block in report.blocks:
@@ -548,7 +560,7 @@ def _cmd_decompose(options: dict[str, Any]) -> int:
     ]
     blocks_payload = []
     for block in report.blocks:
-        label = "|".join(_answers_text(a, pd.labels) for a in block.response.answers)
+        label = "|".join(_answers_text(a, pd.labels) for a in block.answers)
         sizes = "x".join(str(len(d)) for d in block.subrule.domain.agents)
         dict_text = (
             ", ".join(pd.agent_names[i] for i in sorted(block.dictators))
@@ -561,7 +573,7 @@ def _cmd_decompose(options: dict[str, Any]) -> int:
         )
         blocks_payload.append(
             {
-                "answers": [_answers_json(a, pd.labels) for a in block.response.answers],
+                "answers": [_answers_json(a, pd.labels) for a in block.answers],
                 "block_sizes": [len(d) for d in block.subrule.domain.agents],
                 "classification": block.classification,
                 "dictators": [pd.agent_names[i] for i in sorted(block.dictators)],
@@ -608,7 +620,6 @@ def _cmd_verify_theorem(options: dict[str, Any]) -> int:
         max_profiles=options["max_profiles"],
         audit_sample=options["audit_sample"],
         seed=options.get("seed"),
-        threads=options["threads"],
     )
     lines = [
         f"instances: {report.instances}; rules checked: {report.rules_checked}; "
@@ -660,18 +671,13 @@ def _cmd_verify_theorem(options: dict[str, Any]) -> int:
 
 
 def _cmd_search_two_step(options: dict[str, Any]) -> int:
-    spec = _load_spec(options)
-    pd = spec.product
-    maps = spec.resolved_maps(options["scan"])
-    result = search_sp_combinations(
-        pd, maps, budget=options["budget"], threads=options["threads"]
-    )
-    responses = response_profiles(pd, maps)
-    catalogs = [second_step_catalog(blocks_for(pd, maps, r)) for r in responses]
+    partition = _load_partition(options)
+    result = search_sp_combinations(partition, budget=options["budget"])
+    catalogs = result.catalogs
     sizes = "x".join(str(len(c)) for c in catalogs)
 
     lines = [
-        f"response profiles: {len(responses)}; catalog sizes: {sizes}; "
+        f"response profiles: {len(catalogs)}; catalog sizes: {sizes}; "
         f"candidates: {result.candidates_total}; tried: {result.candidates_tried}; "
         f"complete: {'yes' if result.complete else 'no'}"
     ]
@@ -679,19 +685,18 @@ def _cmd_search_two_step(options: dict[str, Any]) -> int:
 
     out_dir = options.get("out")
     if out_dir:
-        directory = Path(out_dir)
-        directory.mkdir(parents=True, exist_ok=True)
+        directory = _out_dir(out_dir)
         for i, indices in enumerate(result.assignments):
             subrules = tuple(catalogs[j][k] for j, k in enumerate(indices))
-            assignment = TwoStepAssignment(pd, tuple(maps), subrules)
-            (directory / f"assignment_{i:04d}.assign").write_text(
-                serialize_assignment(assignment)
+            assignment = TwoStepAssignment(partition, subrules)
+            _write_text(
+                directory / f"assignment_{i:04d}.assign", serialize_assignment(assignment)
             )
         lines.append(f"wrote {len(result.assignments)} assignment file(s) to {directory}")
 
     payload = {
         "command": "search-two-step",
-        "response_profiles": len(responses),
+        "response_profiles": len(catalogs),
         "candidates_total": result.candidates_total,
         "candidates_tried": result.candidates_tried,
         "complete": result.complete,
@@ -721,6 +726,21 @@ def _add_common(parser: argparse.ArgumentParser, out_help: str) -> None:
         "--format", choices=("text", "json"), default="text", help="output format"
     )
     parser.add_argument("--out", metavar="PATH", help=out_help)
+
+
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse ``type=``: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def parse_args(argv: Optional[Sequence[str]] = None) -> CommandRequest:
@@ -776,7 +796,7 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> CommandRequest:
     )
     p.add_argument(
         "--max-profiles",
-        type=int,
+        type=_int_at_least(1),
         default=PROFILE_ENUMERATION_LIMIT,
         metavar="N",
         help="profile-count guard for enumeration",
@@ -798,7 +818,7 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> CommandRequest:
     p.add_argument("--rule", required=True, metavar="FILE", help="rule file to audit")
     p.add_argument(
         "--max-profiles",
-        type=int,
+        type=_int_at_least(1),
         default=PROFILE_ENUMERATION_LIMIT,
         metavar="N",
         help="profile-count guard for the manipulation scan",
@@ -839,20 +859,19 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> CommandRequest:
     )
     p.add_argument(
         "--max-profiles",
-        type=int,
+        type=_int_at_least(1),
         default=PROFILE_ENUMERATION_LIMIT,
         metavar="N",
         help="profile-count guard per instance",
     )
     p.add_argument(
         "--audit-sample",
-        type=int,
+        type=_int_at_least(0),
         default=0,
         metavar="N",
         help="additionally audit N sampled strategy-proof rules in depth",
     )
     p.add_argument("--seed", type=int, metavar="S", help="seed for --audit-sample")
-    p.add_argument("--threads", type=int, default=1, metavar="T", help="worker threads")
     _add_common(p, "write the report here instead of stdout")
 
     p = sub.add_parser(
@@ -862,12 +881,11 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> CommandRequest:
     scan_arg(p)
     p.add_argument(
         "--budget",
-        type=int,
+        type=_int_at_least(1),
         default=1_000_000,
         metavar="N",
         help="maximum candidate assignments to try",
     )
-    p.add_argument("--threads", type=int, default=1, metavar="T", help="worker threads")
     p.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )

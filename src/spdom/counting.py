@@ -25,7 +25,7 @@ from decimal import ROUND_FLOOR, Decimal, localcontext
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .classify import AnswerSet, RestrictionMap, partition_by_answers, rebuild
+from .classify import AnswerSet, ResponsePartition
 from .prefcore import (
     PROFILE_ENUMERATION_LIMIT,
     TABLE_CELL_LIMIT,
@@ -382,31 +382,19 @@ class SubruleCountReport:
     product: int
 
 
-def count_second_step(
-    domains: Sequence[PreferenceDomain], maps: Sequence[RestrictionMap]
-) -> SubruleCountReport:
-    """Count the strategy-proof second-step assignments for the given per-agent
-    domains and restriction maps: for every realizable response profile, the
-    number of constant, two-outcome, and steerable-dictatorship subrules on its
-    block product, and the grand product over response profiles (exact)."""
-    m = _check_same_m(domains)
-    if len(maps) != len(domains):
-        raise DomainError("need one restriction map per agent domain")
-    for i, (d, map_) in enumerate(zip(domains, maps)):
-        if map_.m != m:
-            raise DomainError(f"map for agent {i} is over a different alternative set")
-        if rebuild(map_) != d:
-            raise DomainError(f"map for agent {i} does not rebuild its domain")
-
-    per_agent: list[list[tuple[AnswerSet, PreferenceDomain]]] = [
-        list(partition_by_answers(d, map_)) for d, map_ in zip(domains, maps)
-    ]
-
+def count_second_step(partition: ResponsePartition) -> SubruleCountReport:
+    """Count the strategy-proof second-step assignments of a response
+    partition: for every realizable response profile, the number of constant,
+    two-outcome, and steerable-dictatorship subrules on its block product, and
+    the grand product over response profiles (exact)."""
+    m = partition.product.m
     blocks: list[BlockCount] = []
     product = 1
-    for combo in itertools.product(*per_agent):
-        answers = tuple(answer for answer, _ in combo)
-        block_domains = [block for _, block in combo]
+    # Lazily, block by block: the partition's cached block products would hold
+    # one ProductDomain per response profile for the whole count.
+    for answers, block_domains in zip(
+        itertools.product(*partition.answers), itertools.product(*partition.blocks)
+    ):
         pair_counts = []
         pair_total = 0
         for a in range(m):
@@ -436,9 +424,7 @@ def count_second_step(
         )
         product *= subtotal
 
-    profile_count = 1
-    for d in domains:
-        profile_count *= len(d)
+    profile_count = partition.product.profile_count
     return SubruleCountReport(
         m=m,
         profile_count=profile_count,
@@ -543,7 +529,6 @@ def verify_impossibility(
     max_profiles: int = PROFILE_ENUMERATION_LIMIT,
     audit_sample: int = 0,
     seed: Optional[int] = None,
-    threads: int = 1,
 ) -> ImpossibilityReport:
     """Check a family of product domains for counterexamples to the
     impossibility claim: a strategy-proof rule with no dictator must attain
@@ -557,27 +542,15 @@ def verify_impossibility(
     sub-product restrictions (exhaustively up to a cap, sampled beyond it).
     """
     instances = list(family)
-
-    def check(pd: ProductDomain) -> tuple[int, list[Rule], list[Rule]]:
-        rules = list(enumerate_sp_rules(pd, max_profiles=max_profiles))
-        bad = [r for r in rules if _violates_impossibility(r)]
-        return len(rules), bad, rules if audit_sample > 0 else []
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(check, instances))
-    else:
-        results = [check(pd) for pd in instances]
-
     rules_checked = 0
     violations: list[TheoremViolation] = []
     pool_for_audit: list[tuple[int, Rule]] = []
-    for idx, (count, bad, rules) in enumerate(results):
-        rules_checked += count
-        violations.extend(TheoremViolation(idx, r) for r in bad)
-        pool_for_audit.extend((idx, r) for r in rules)
+    for idx, pd in enumerate(instances):
+        rules = list(enumerate_sp_rules(pd, max_profiles=max_profiles))
+        rules_checked += len(rules)
+        violations.extend(TheoremViolation(idx, r) for r in rules if _violates_impossibility(r))
+        if audit_sample > 0:
+            pool_for_audit.extend((idx, r) for r in rules)
 
     audited = 0
     faults: list[AuditFault] = []

@@ -26,7 +26,6 @@ _WITNESS = {
         "deviation": _RANKING,
         "sincere_outcome": {"type": "string"},
         "deviating_outcome": {"type": "string"},
-        "answer_changing": {"type": ["boolean", "null"]},
     },
     "required": ["agent", "profile", "deviation", "sincere_outcome", "deviating_outcome"],
     "additionalProperties": False,

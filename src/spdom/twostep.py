@@ -14,22 +14,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .classify import (
-    AnswerSet,
-    RestrictionMap,
-    partition_by_answers,
-    rebuild,
-    satisfied_antecedents,
-)
+from .classify import AnswerSet, ResponsePartition
 from .counting import second_step_catalog
-from .prefcore import (
-    PROFILE_ENUMERATION_LIMIT,
-    DomainError,
-    PreferenceDomain,
-    ProductDomain,
-)
+from .prefcore import PROFILE_ENUMERATION_LIMIT, DomainError
 from .rules import (
     ManipulationWitness,
     Rule,
@@ -37,117 +26,42 @@ from .rules import (
     find_manipulation,
     iter_manipulations,
     range_of,
-    restrict_rule,
 )
 
 
-@dataclass(frozen=True)
-class ResponseProfile:
-    """One answer set per agent (each a subset of that agent's map conditions)."""
-
-    answers: tuple[AnswerSet, ...]
-
-
-def _check_maps(pd: ProductDomain, maps: Sequence[RestrictionMap]) -> None:
-    if len(maps) != pd.n:
-        raise DomainError(f"need {pd.n} restriction maps, got {len(maps)}")
-    for i, (d, map_) in enumerate(zip(pd.agents, maps)):
-        if map_.m != pd.m:
-            raise DomainError(f"map for agent {i} is over a different alternative set")
-        if rebuild(map_) != d:
-            raise DomainError(f"map for agent {i} does not rebuild that agent's domain")
+def _check_subrules(partition: ResponsePartition, subrules: Sequence[Rule]) -> None:
+    blocks = partition.block_products
+    if len(subrules) != len(blocks):
+        raise DomainError(
+            f"need {len(blocks)} subrules (one per response profile), got {len(subrules)}"
+        )
+    for answers, block, subrule in zip(partition.responses, blocks, subrules):
+        if subrule.domain.agents != block.agents:
+            raise DomainError(f"subrule for response profile {answers!r} is not over its block")
 
 
-def response_profiles(pd: ProductDomain, maps: Sequence[RestrictionMap]) -> tuple[ResponseProfile, ...]:
-    """All realizable response profiles, canonical order (per-agent answer
-    sets by size then pair list, agent 0 most significant)."""
-    _check_maps(pd, maps)
-    per_agent = [
-        [answers for answers, _ in partition_by_answers(d, map_)]
-        for d, map_ in zip(pd.agents, maps)
-    ]
-    return tuple(ResponseProfile(combo) for combo in itertools.product(*per_agent))
-
-
-def blocks_for(
-    pd: ProductDomain, maps: Sequence[RestrictionMap], response: ResponseProfile
-) -> ProductDomain:
-    """The block product a response profile selects."""
-    _check_maps(pd, maps)
-    blocks = []
-    for i, (d, map_, answers) in enumerate(zip(pd.agents, maps, response.answers)):
-        matching = [r for r in d.rankings if satisfied_antecedents(r, map_) == answers]
-        if not matching:
-            raise DomainError(f"agent {i}: answer set {sorted(answers)!r} is not realizable")
-        blocks.append(PreferenceDomain(d.m, tuple(matching)))
-    return pd.with_agents(blocks)
+def _check_rule(rule: Rule, partition: ResponsePartition) -> None:
+    if rule.domain != partition.product:
+        raise DomainError("rule is over a different product than the response partition")
 
 
 @dataclass(frozen=True)
 class TwoStepAssignment:
     """One subrule per realizable response profile, in canonical order."""
 
-    product: ProductDomain
-    maps: tuple[RestrictionMap, ...]
+    partition: ResponsePartition
     subrules: tuple[Rule, ...]
 
     def __post_init__(self) -> None:
-        profiles = response_profiles(self.product, self.maps)
-        if len(self.subrules) != len(profiles):
-            raise DomainError(
-                f"need {len(profiles)} subrules (one per response profile), "
-                f"got {len(self.subrules)}"
-            )
-        for response, subrule in zip(profiles, self.subrules):
-            expected = blocks_for(self.product, self.maps, response)
-            if subrule.domain.agents != expected.agents:
-                raise DomainError(
-                    f"subrule for response profile {response.answers!r} is not over its block"
-                )
-
-    @property
-    def responses(self) -> tuple[ResponseProfile, ...]:
-        return response_profiles(self.product, self.maps)
+        _check_subrules(self.partition, self.subrules)
 
 
-def assemble(
-    pd: ProductDomain,
-    maps: Sequence[RestrictionMap],
-    assignment: TwoStepAssignment | Sequence[Rule],
-) -> Rule:
-    """Glue block subrules into one full rule: each profile is answered by the
-    subrule of its response profile."""
-    _check_maps(pd, maps)
-    if isinstance(assignment, TwoStepAssignment):
-        if assignment.product != pd or tuple(assignment.maps) != tuple(maps):
-            raise DomainError("assignment was built for a different product or maps")
-        subrules: Sequence[Rule] = assignment.subrules
-    else:
-        subrules = tuple(assignment)
-        assignment = TwoStepAssignment(pd, tuple(maps), subrules)
-
-    responses = response_profiles(pd, maps)
-    response_index = {r.answers: i for i, r in enumerate(responses)}
-    # Per agent: each ranking's answer set, and its index within its block.
-    agent_answers: list[list[AnswerSet]] = []
-    agent_block_index: list[list[int]] = []
-    for d, map_ in zip(pd.agents, maps):
-        answers_per_ranking = [satisfied_antecedents(r, map_) for r in d.rankings]
-        counters: dict[AnswerSet, int] = {}
-        block_index = []
-        for answers in answers_per_ranking:
-            block_index.append(counters.get(answers, 0))
-            counters[answers] = block_index[-1] + 1
-        agent_answers.append(answers_per_ranking)
-        agent_block_index.append(block_index)
-
-    table = []
-    for profile in pd.iter_profiles():
-        key = tuple(agent_answers[i][digit] for i, digit in enumerate(profile))
-        subrule = subrules[response_index[key]]
-        sub_profile = tuple(agent_block_index[i][digit] for i, digit in enumerate(profile))
-        table.append(subrule.outcome(sub_profile))
-    return Rule(pd, tuple(table))
+def assemble(partition: ResponsePartition, subrules: Sequence[Rule]) -> Rule:
+    """Glue block subrules (one per response profile, canonical order) into one
+    full rule: each profile is answered by the subrule of its response profile."""
+    _check_subrules(partition, subrules)
+    tables = [subrule.table for subrule in subrules]
+    return Rule(partition.product, tuple(tables[r][s] for r, s in partition.gather))
 
 
 DECOMPOSITION_DICTATORIAL = "dictatorial"
@@ -159,7 +73,7 @@ DECOMPOSITION_VIOLATION = "violation"
 class BlockDecomposition:
     """One response profile's subrule and what kind of rule it is."""
 
-    response: ResponseProfile
+    answers: tuple[AnswerSet, ...]
     subrule: Rule
     classification: str
     dictators: frozenset[int]
@@ -179,15 +93,16 @@ class DecompositionReport:
         return not self.violations
 
 
-def decompose(rule: Rule, maps: Sequence[RestrictionMap]) -> DecompositionReport:
+def decompose(rule: Rule, partition: ResponsePartition) -> DecompositionReport:
     """Split a rule into its response-profile subrules and classify each as
     dictatorial, strategy-proof with at most two outcomes, or a violation."""
-    pd = rule.domain
-    _check_maps(pd, maps)
+    _check_rule(rule, partition)
+    tables = [[0] * block.profile_count for block in partition.block_products]
+    for outcome, (r, s) in zip(rule.table, partition.gather):
+        tables[r][s] = outcome
     blocks: list[BlockDecomposition] = []
-    for response in response_profiles(pd, maps):
-        block_pd = blocks_for(pd, maps, response)
-        subrule = restrict_rule(rule, block_pd.agents)
+    for answers, block, table in zip(partition.responses, partition.block_products, tables):
+        subrule = Rule(block, tuple(table))
         dictators = dictators_of(subrule)
         attained = range_of(subrule)
         if dictators:
@@ -198,7 +113,7 @@ def decompose(rule: Rule, maps: Sequence[RestrictionMap]) -> DecompositionReport
             kind = DECOMPOSITION_VIOLATION
         blocks.append(
             BlockDecomposition(
-                response=response,
+                answers=answers,
                 subrule=subrule,
                 classification=kind,
                 dictators=dictators,
@@ -219,24 +134,19 @@ class FirstStepWitness:
 
 def first_step_witnesses(
     rule: Rule,
-    maps: Sequence[RestrictionMap],
+    partition: ResponsePartition,
     max_profiles: int = PROFILE_ENUMERATION_LIMIT,
 ) -> tuple[FirstStepWitness, ...]:
     """Every manipulation of ``rule``, each annotated by whether the deviation
     crosses answer-set blocks.  When all block subrules are strategy-proof,
     every witness is answer-changing (a within-block deviation would manipulate
     a strategy-proof subrule)."""
-    pd = rule.domain
-    _check_maps(pd, maps)
-    agent_answers = [
-        [satisfied_antecedents(r, map_) for r in d.rankings]
-        for d, map_ in zip(pd.agents, maps)
-    ]
+    _check_rule(rule, partition)
     out = []
     for witness in iter_manipulations(rule, max_profiles):
-        answers = agent_answers[witness.agent]
-        sincere = answers[witness.profile[witness.agent]]
-        deviating = answers[witness.deviation]
+        positions = partition.positions[witness.agent]
+        sincere = positions[witness.profile[witness.agent]][0]
+        deviating = positions[witness.deviation][0]
         out.append(FirstStepWitness(witness, answer_changing=sincere != deviating))
     return tuple(out)
 
@@ -247,16 +157,14 @@ class SearchResult:
 
     rules: tuple[Rule, ...]
     assignments: tuple[tuple[int, ...], ...]  # catalog indices per found rule
+    catalogs: tuple[tuple[Rule, ...], ...]  # one per response profile
     candidates_total: int
     candidates_tried: int
     complete: bool
 
 
 def search_sp_combinations(
-    pd: ProductDomain,
-    maps: Sequence[RestrictionMap],
-    budget: int = 1_000_000,
-    threads: int = 1,
+    partition: ResponsePartition, budget: int = 1_000_000
 ) -> SearchResult:
     """Try every assignment of catalog subrules to response profiles (up to
     ``budget`` candidates, canonical order) and keep the assemblies that are
@@ -267,47 +175,30 @@ def search_sp_combinations(
     two-outcome vote rules, or steerable dictatorships — all in the catalog.
     So when the search completes within budget, the result is exhaustive.
     """
-    _check_maps(pd, maps)
     if budget < 1:
         raise DomainError(f"budget must be positive, got {budget}")
-    responses = response_profiles(pd, maps)
-    catalogs = [
-        second_step_catalog(blocks_for(pd, maps, response)) for response in responses
-    ]
+    catalogs = tuple(second_step_catalog(block) for block in partition.block_products)
     total = 1
     for catalog in catalogs:
         total *= len(catalog)
 
-    index_ranges = [range(len(c)) for c in catalogs]
-    candidates = itertools.islice(itertools.product(*index_ranges), budget)
-
-    def check(indices: tuple[int, ...]) -> Optional[tuple[tuple[int, ...], Rule]]:
-        subrules = [catalogs[i][j] for i, j in enumerate(indices)]
-        rule = assemble(pd, maps, subrules)
-        if find_manipulation(rule) is None:
-            return indices, rule
-        return None
-
-    found: list[tuple[tuple[int, ...], Rule]] = []
+    candidates = itertools.islice(
+        itertools.product(*(range(len(c)) for c in catalogs)), budget
+    )
+    rules: list[Rule] = []
+    assignments: list[tuple[int, ...]] = []
     tried = 0
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for result in pool.map(check, candidates, chunksize=64):
-                tried += 1
-                if result is not None:
-                    found.append(result)
-    else:
-        for indices in candidates:
-            tried += 1
-            result = check(indices)
-            if result is not None:
-                found.append(result)
+    for indices in candidates:
+        tried += 1
+        rule = assemble(partition, [catalogs[i][j] for i, j in enumerate(indices)])
+        if find_manipulation(rule) is None:
+            rules.append(rule)
+            assignments.append(indices)
 
     return SearchResult(
-        rules=tuple(rule for _, rule in found),
-        assignments=tuple(indices for indices, _ in found),
+        rules=tuple(rules),
+        assignments=tuple(assignments),
+        catalogs=catalogs,
         candidates_total=total,
         candidates_tried=tried,
         complete=tried == total,
@@ -325,10 +216,10 @@ def _format_answer_set(answers: AnswerSet, labels: Sequence[str]) -> str:
 
 def serialize_assignment(assignment: TwoStepAssignment) -> str:
     """Render an assignment as text, referencing subrules by catalog index."""
-    pd = assignment.product
+    pd = assignment.partition.product
     lines = ["alternatives: " + " ".join(pd.labels)]
     lines.append("agents: " + " ".join(pd.agent_names))
-    for response, subrule in zip(assignment.responses, assignment.subrules):
+    for answers, subrule in zip(assignment.partition.responses, assignment.subrules):
         catalog = second_step_catalog(subrule.domain)
         try:
             idx = next(i for i, entry in enumerate(catalog) if entry.table == subrule.table)
@@ -336,7 +227,7 @@ def serialize_assignment(assignment: TwoStepAssignment) -> str:
             raise DomainError(
                 "subrule is not in its block catalog; only catalog subrules serialize"
             ) from None
-        left = "|".join(_format_answer_set(a, pd.labels) for a in response.answers)
+        left = "|".join(_format_answer_set(a, pd.labels) for a in answers)
         lines.append(f"{left} -> catalog:{idx}")
     return "\n".join(lines) + "\n"
 
@@ -366,8 +257,7 @@ def _parse_answer_set(token: str, labels: dict[str, int], lineno: int) -> Answer
 
 def parse_assignment_file(
     text: str,
-    pd: ProductDomain,
-    maps: Sequence[RestrictionMap],
+    partition: ResponsePartition,
     base_dir: Optional[str] = None,
 ) -> TwoStepAssignment:
     """Parse an assignment document: one line per realizable response profile,
@@ -378,10 +268,10 @@ def parse_assignment_file(
     from .domfile import ParseError
     from .rules import parse_rule_file
 
-    _check_maps(pd, maps)
+    pd = partition.product
     labels = {label: i for i, label in enumerate(pd.labels)}
-    responses = response_profiles(pd, maps)
-    expected_iter = iter(responses)
+    responses = partition.responses
+    expected_iter = iter(zip(responses, partition.block_products))
     subrules: list[Rule] = []
     header = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -416,22 +306,20 @@ def parse_assignment_file(
         if "->" not in line:
             raise ParseError("expected 'answer sets -> subrule reference'", lineno, 1)
         left, _, right = line.partition("->")
-        response = next(expected_iter, None)
-        if response is None:
+        expected = next(expected_iter, None)
+        if expected is None:
             raise ParseError(f"more than {len(responses)} assignment lines", lineno, 1)
         declared_answers = tuple(
             _parse_answer_set(part, labels, lineno) for part in left.strip().split("|")
         )
-        if declared_answers != response.answers:
-            expected_text = "|".join(
-                _format_answer_set(a, pd.labels) for a in response.answers
-            )
+        answers, block_pd = expected
+        if declared_answers != answers:
+            expected_text = "|".join(_format_answer_set(a, pd.labels) for a in answers)
             raise ParseError(
                 f"response profile out of canonical order: expected {expected_text!r}",
                 lineno,
                 1,
             )
-        block_pd = blocks_for(pd, maps, response)
         ref = right.strip()
         if ref.startswith("catalog:"):
             catalog = second_step_catalog(block_pd)
@@ -465,4 +353,4 @@ def parse_assignment_file(
         raise DomainError(
             f"assignment file covers only {len(subrules)} of {len(responses)} response profiles"
         )
-    return TwoStepAssignment(pd, tuple(maps), tuple(subrules))
+    return TwoStepAssignment(partition, tuple(subrules))

@@ -16,6 +16,7 @@ from contextlib import contextmanager
 
 from conftest import ACCEPTANCE_LINES
 from spdom.classify import (
+    ResponsePartition,
     classify,
     partition_by_answers,
     rebuild,
@@ -36,13 +37,10 @@ from spdom.prefcore import (
 )
 from spdom.rules import Rule, dictators_of, find_manipulation, range_of
 from spdom.twostep import (
-    ResponseProfile,
     TwoStepAssignment,
     assemble,
-    blocks_for,
     decompose,
     first_step_witnesses,
-    response_profiles,
 )
 
 
@@ -70,8 +68,8 @@ def test_acceptance_01_two_agent_conditional_counts(ex1_spec):
     with record(1):
         start = time.perf_counter()
         domains = [a.domain for a in ex1_spec.agents]
-        maps = ex1_spec.resolved_maps("default")
-        report = count_second_step(domains, maps)
+        partition = ResponsePartition.of(ex1_spec.product, ex1_spec.resolved_maps("default"))
+        report = count_second_step(partition)
         elapsed = time.perf_counter() - start
 
         assert [len(d) for d in domains] == [80, 80]
@@ -94,8 +92,8 @@ def test_acceptance_02_chain_domain_counts(ex2_spec):
     with record(2):
         start = time.perf_counter()
         domains = [a.domain for a in ex2_spec.agents]
-        maps = ex2_spec.resolved_maps("default")
-        report = count_second_step(domains, maps)
+        partition = ResponsePartition.of(ex2_spec.product, ex2_spec.resolved_maps("default"))
+        report = count_second_step(partition)
         elapsed = time.perf_counter() - start
 
         assert [len(d) for d in domains] == [16, 16]
@@ -164,9 +162,8 @@ def test_acceptance_04_universal_pair_exact_catalog(uni3_spec):
         full_range = [r for r in rules if len(range_of(r)) == 3]
         assert all(dictators_of(r) for r in full_range)
 
-        domains = [a.domain for a in uni3_spec.agents]
         maps = uni3_spec.resolved_maps("default")
-        report = count_second_step(domains, maps)
+        report = count_second_step(ResponsePartition.of(pd, maps))
         assert len(report.blocks) == 1
         assert report.product == len(rules) == 17
 
@@ -185,7 +182,7 @@ def test_acceptance_05_leftmost_peak_rule_decomposes_cleanly(sp3_spec):
         assert len(range_of(rule)) == 3
 
         maps = sp3_spec.resolved_maps("default")
-        report = decompose(rule, maps)
+        report = decompose(rule, ResponsePartition.of(pd, maps))
         assert report.clean
         assert report.violations == ()
         kinds = {b.classification for b in report.blocks}
@@ -263,10 +260,9 @@ def test_acceptance_08_formula_equals_backtracking_everywhere():
         ):
             domains = [d for d, _ in choice]
             maps = tuple(m for _, m in choice)
-            pd = ProductDomain.of(domains)
-            report = count_second_step(domains, maps)
-            for block in report.blocks:
-                block_pd = blocks_for(pd, maps, ResponseProfile(block.answers))
+            partition = ResponsePartition.of(ProductDomain.of(domains), maps)
+            report = count_second_step(partition)
+            for block, block_pd in zip(report.blocks, partition.block_products):
                 assert block.subtotal == backtracking_count(block_pd)
                 checked_blocks += 1
         assert checked_blocks > 4032  # 63 + 63^2 products, >=1 block each
@@ -297,23 +293,20 @@ def test_acceptance_10_assembly_witnesses_change_answers(ex1_spec):
     # nevertheless manipulable: every manipulation must cross answer-set
     # blocks -- no witness can stay within a block.
     with record(10):
-        pd = ex1_spec.product
-        maps = tuple(ex1_spec.resolved_maps("default"))
-        responses = response_profiles(pd, maps)
-        assert len(responses) == 4
+        partition = ResponsePartition.of(ex1_spec.product, ex1_spec.resolved_maps("default"))
+        assert len(partition.responses) == 4
 
         xy = frozenset({OrderedPair(2, 3)})
         subrules = []
-        for response in responses:
-            block_pd = blocks_for(pd, maps, response)
-            outcome = 4 if response.answers == (xy, xy) else 1  # z vs w
+        for answers, block_pd in zip(partition.responses, partition.block_products):
+            outcome = 4 if answers == (xy, xy) else 1  # z vs w
             subrules.append(Rule(block_pd, (outcome,) * block_pd.profile_count))
-        assignment = TwoStepAssignment(pd, maps, tuple(subrules))
-        rule = assemble(pd, maps, assignment)
+        assignment = TwoStepAssignment(partition, tuple(subrules))
+        rule = assemble(partition, assignment.subrules)
 
-        assert decompose(rule, maps).clean  # every block is strategy-proof
+        assert decompose(rule, partition).clean  # every block is strategy-proof
         assert find_manipulation(rule) is not None  # but the whole is not
-        witnesses = first_step_witnesses(rule, maps)
+        witnesses = first_step_witnesses(rule, partition)
         assert witnesses
         assert all(w.answer_changing for w in witnesses)
         assert sum(1 for w in witnesses if not w.answer_changing) == 0

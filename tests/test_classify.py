@@ -23,11 +23,9 @@ from spdom import (
     generate_domain,
     is_non_conditional,
     partition_by_answers,
-    realizable_answer_sets,
     rebuild,
     relabel_domain,
     relabel_map,
-    restrict_by_answers,
     satisfied_antecedents,
 )
 
@@ -217,15 +215,14 @@ def test_satisfied_antecedents():
 def test_realizable_answer_sets_chain(ex2_spec):
     d = ex2_spec.agents[0].domain
     hint = ex2_spec.agents[0].map_hint
-    sets = realizable_answer_sets(d, hint)
-    assert sets == (
+    blocks = partition_by_answers(d, hint)
+    assert [answers for answers, _ in blocks] == [
         frozenset(),
         frozenset({OrderedPair(2, 3)}),
         frozenset({OrderedPair(1, 2), OrderedPair(2, 3)}),
         frozenset({OrderedPair(0, 1), OrderedPair(1, 2), OrderedPair(2, 3)}),
-    )
-    blocks = partition_by_answers(d, hint)
-    assert [answers for answers, _ in blocks] == list(sets)
+    ]
+    assert {satisfied_antecedents(r, hint) for r in d.rankings} == {a for a, _ in blocks}
     assert [len(block) for _, block in blocks] == [5, 6, 4, 1]
 
 
@@ -249,10 +246,8 @@ def test_restriction_and_formula_routes_agree(ex1_spec, ex2_spec):
     for spec in (ex1_spec, ex2_spec):
         d = spec.agents[0].domain
         hint = spec.agents[0].map_hint
-        for answers in realizable_answer_sets(d, hint):
-            by_filter = restrict_by_answers(d, hint, answers)
-            by_formula = answer_block_by_formula(hint, answers)
-            assert by_filter is not None and by_filter == by_formula
+        for answers, by_filter in partition_by_answers(d, hint):
+            assert by_filter == answer_block_by_formula(hint, answers)
 
 
 def test_unrealizable_answer_sets_return_none(ex2_spec):
@@ -260,7 +255,7 @@ def test_unrealizable_answer_sets_return_none(ex2_spec):
     hint = ex2_spec.agents[0].map_hint
     # Answering v>w but not w>x contradicts the first conditional's conclusion.
     answers = [(0, 1)]
-    assert restrict_by_answers(d, hint, answers) is None
+    assert frozenset({OrderedPair(0, 1)}) not in {a for a, _ in partition_by_answers(d, hint)}
     assert answer_block_by_formula(hint, answers) is None
 
 
@@ -270,9 +265,8 @@ def test_answer_validation(ex2_spec):
         answer_closure_pairs(hint, [(3, 4)])  # not a condition pair
     with pytest.raises(DomainError):
         answer_closure_pairs(hint, [(0, 1), (1, 0)])
-    d = ex2_spec.agents[0].domain
     with pytest.raises(DomainError):
-        restrict_by_answers(d, hint, [(4, 3)])
+        answer_block_by_formula(hint, [(4, 3)])
 
 
 # ---------------------------------------------------------------------------

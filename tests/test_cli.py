@@ -19,7 +19,7 @@ import pytest
 
 from conftest import FIXTURES
 from spdom.cli import CommandRequest, run_command
-from spdom.classify import classify
+from spdom.classify import ResponsePartition, classify
 from spdom.domfile import parse_domain_file
 from spdom.rules import Rule, dictatorship, find_manipulation, parse_rule_file, serialize_rule
 from spdom.schemas import COMMAND_SCHEMAS
@@ -628,10 +628,9 @@ def test_search_two_step_out_dir(cli, tmp_path, sp3_spec):
     assert f"wrote 24 assignment file(s) to {out_dir}" in out
     files = sorted(out_dir.glob("assignment_*.assign"))
     assert len(files) == 24
-    pd = sp3_spec.product
-    maps = sp3_spec.resolved_maps("default")
-    assignment = parse_assignment_file(files[0].read_text(), pd, maps)
-    rule = assemble(pd, maps, assignment)
+    partition = ResponsePartition.of(sp3_spec.product, sp3_spec.resolved_maps("default"))
+    assignment = parse_assignment_file(files[0].read_text(), partition)
+    rule = assemble(partition, assignment.subrules)
     assert find_manipulation(rule) is None
 
 
@@ -696,6 +695,72 @@ def test_module_entry_point():
         assert name in result.stdout
 
 
+def _not_utf8(tmp_path: Path) -> str:
+    path = tmp_path / "latin1.spdom"
+    path.write_bytes("alternatives x y \xe9\n\nagent 1 {\n  universal\n}\n".encode("latin-1"))
+    return str(path)
+
+
+def _through_file(tmp_path: Path) -> str:
+    (tmp_path / "plain").write_text("not a directory\n")
+    return str(tmp_path / "plain" / "sub")
+
+
+@pytest.mark.parametrize(
+    "argv, verb, path",
+    [
+        (lambda t: ["closure", "--domain", SP3, "--out", str(t / "missing" / "x.txt")],
+         "write", lambda t: t / "missing" / "x.txt"),
+        (lambda t: ["closure", "--domain", SP3, "--out", _through_file(t) + ".txt"],
+         "write", lambda t: t / "plain" / "sub.txt"),
+        (lambda t: ["enumerate-sp", "--domain", UNI3, "--out", _through_file(t)],
+         "write", lambda t: t / "plain" / "sub"),
+        (lambda t: ["search-two-step", "--domain", SP3, "--out", _through_file(t)],
+         "write", lambda t: t / "plain" / "sub"),
+        (lambda t: ["closure", "--domain", _not_utf8(t)],
+         "read", lambda t: t / "latin1.spdom"),
+        (lambda t: ["check-rule", "--domain", SP3, "--rule", _not_utf8(t)],
+         "read", lambda t: t / "latin1.spdom"),
+    ],
+    ids=["out-missing-parent", "out-through-file", "enumerate-out-dir",
+         "search-out-dir", "domain-not-utf8", "rule-not-utf8"],
+)
+def test_file_io_errors_exit_one(cli, tmp_path, argv, verb, path):
+    code, out, err = cli(*argv(tmp_path))
+    assert code == 1
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot {verb} {path(tmp_path)}: ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["search-two-step", "--domain", SP3, "--budget", "0"],
+         "argument --budget: must be at least 1, got 0"),
+        (["enumerate-sp", "--domain", UNI3, "--max-profiles", "-1"],
+         "argument --max-profiles: must be at least 1, got -1"),
+        (["check-rule", "--domain", SP3, "--rule", SP3, "--max-profiles", "0"],
+         "argument --max-profiles: must be at least 1, got 0"),
+        (["verify-theorem", "--family", "nonconditional-pairs", "--max-profiles", "-1"],
+         "argument --max-profiles: must be at least 1, got -1"),
+        (["verify-theorem", "--family", "nonconditional-pairs", "--audit-sample", "-5"],
+         "argument --audit-sample: must be at least 0, got -5"),
+        (["search-two-step", "--domain", SP3, "--budget", "many"],
+         "argument --budget: invalid int value: 'many'"),
+    ],
+    ids=["budget-0", "enumerate-max-profiles", "check-max-profiles",
+         "verify-max-profiles", "audit-sample", "budget-not-int"],
+)
+def test_numeric_flag_usage_errors_exit_two(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        run_command(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert err.endswith(f"error: {message}\n")
+
+
 def test_argparse_usage_errors_exit_two():
     result = subprocess.run(
         [sys.executable, "-m", "spdom"], capture_output=True, text=True
@@ -710,8 +775,7 @@ def test_argparse_usage_errors_exit_two():
 
 
 def test_reports_are_byte_identical_across_runs(cli):
-    # Determinism contract: the same invocation always produces the same
-    # bytes, and worker threads never change the report.
+    # Determinism contract: the same invocation always produces the same bytes.
     invocations = [
         ("classify", "--domain", EX1),
         ("count-subrules", "--domain", EX2, "--format", "json"),
@@ -722,9 +786,3 @@ def test_reports_are_byte_identical_across_runs(cli):
         first = cli(*args)
         second = cli(*args)
         assert first == second
-    single = cli("search-two-step", "--domain", SP3, "--threads", "1")
-    threaded = cli("search-two-step", "--domain", SP3, "--threads", "2")
-    assert single == threaded
-    family = ("verify-theorem", "--family", "nonconditional-pairs", "--m", "3",
-              "--agents", "1", "--format", "json")
-    assert cli(*family, "--threads", "2") == cli(*family)

@@ -10,6 +10,7 @@ from spdom import (
     DomainError,
     OrderedPair,
     ProductDomain,
+    ResponsePartition,
     RestrictionMap,
     SizeLimitError,
     classify,
@@ -205,9 +206,13 @@ def test_enumerate_profile_guard():
 # Closed-form second-step counting
 
 
+def _count(domains, maps):
+    return count_second_step(ResponsePartition.of(ProductDomain.of(domains), maps))
+
+
 def test_count_second_step_single_peaked3():
     maps = [classify(SP3), classify(SP3)]
-    report = count_second_step([SP3, SP3], maps)
+    report = _count([SP3, SP3], maps)
     assert report.m == 3
     assert report.profile_count == 16
     assert [b.subtotal for b in report.blocks] == [11, 5, 5, 3]
@@ -217,7 +222,7 @@ def test_count_second_step_single_peaked3():
 
 def test_count_second_step_two_agent_conditional(ex1_spec):
     domains = [a.domain for a in ex1_spec.agents]
-    report = count_second_step(domains, ex1_spec.map_hints)
+    report = _count(domains, ex1_spec.map_hints)
     assert report.m == 5
     assert report.profile_count == 6400
     assert report.naive_digits == 4474
@@ -249,7 +254,7 @@ def test_count_second_step_two_agent_conditional(ex1_spec):
 
 def test_count_second_step_chain(ex2_spec):
     domains = [a.domain for a in ex2_spec.agents]
-    report = count_second_step(domains, ex2_spec.map_hints)
+    report = _count(domains, ex2_spec.map_hints)
     assert report.m == 5
     assert report.profile_count == 256
     assert report.naive_digits == 179
@@ -275,7 +280,7 @@ def test_count_second_step_chain(ex2_spec):
 def test_count_second_step_blocks_agree_with_catalog_and_enumeration(ex2_spec):
     domains = [a.domain for a in ex2_spec.agents]
     maps = ex2_spec.map_hints
-    report = count_second_step(domains, maps)
+    report = _count(domains, maps)
     partitions = [partition_by_answers(d, map_) for d, map_ in zip(domains, maps)]
     for block, combo in zip(report.blocks, itertools.product(*partitions)):
         assert block.answers == tuple(answers for answers, _ in combo)
@@ -288,16 +293,17 @@ def test_count_second_step_blocks_agree_with_catalog_and_enumeration(ex2_spec):
 
 
 def test_count_second_step_validation(ex1_spec):
-    domains = [a.domain for a in ex1_spec.agents]
-    with pytest.raises(DomainError):
-        count_second_step(domains, ex1_spec.map_hints[:1])
-    with pytest.raises(DomainError):
-        count_second_step(domains, [RestrictionMap.of(3, []), RestrictionMap.of(3, [])])
+    # The maps are checked once, where the response partition is built.
+    pd = ex1_spec.product
+    with pytest.raises(DomainError, match="need 2 restriction maps"):
+        ResponsePartition.of(pd, ex1_spec.map_hints[:1])
+    with pytest.raises(DomainError, match="different alternative set"):
+        ResponsePartition.of(pd, [RestrictionMap.of(3, []), RestrictionMap.of(3, [])])
     wrong = RestrictionMap.of(5, [(0, 1)])
+    with pytest.raises(DomainError, match="does not rebuild"):
+        ResponsePartition.of(pd, [wrong, wrong])
     with pytest.raises(DomainError):
-        count_second_step(domains, [wrong, wrong])
-    with pytest.raises(DomainError):
-        count_second_step([], [])
+        ProductDomain.of([])
 
 
 # ---------------------------------------------------------------------------
@@ -381,5 +387,3 @@ def test_verify_impossibility_audit_and_determinism():
     assert first == second
     assert first.audited == 5
     assert first.audit_faults == ()
-    threaded = verify_impossibility(family, audit_sample=5, seed=7, threads=2)
-    assert threaded == first

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import itertools
 
 import pytest
@@ -12,11 +13,10 @@ from spdom import (
     OrderedPair,
     ParseError,
     ProductDomain,
-    ResponseProfile,
+    ResponsePartition,
     Rule,
     TwoStepAssignment,
     assemble,
-    blocks_for,
     classify,
     constant_rule,
     decompose,
@@ -28,7 +28,6 @@ from spdom import (
     is_strategy_proof,
     parse_assignment_file,
     range_of,
-    response_profiles,
     satisfied_antecedents,
     search_sp_combinations,
     second_step_catalog,
@@ -40,10 +39,9 @@ SP3 = generate_domain("single_peaked", axis=[0, 1, 2])
 XY = frozenset({OrderedPair(0, 1)})
 
 
-def _sp3_product() -> tuple[ProductDomain, tuple]:
+def _sp3_partition() -> ResponsePartition:
     pd = ProductDomain.of([SP3, SP3], labels=["x", "y", "z"])
-    maps = (classify(SP3), classify(SP3))
-    return pd, maps
+    return ResponsePartition.of(pd, (classify(SP3), classify(SP3)))
 
 
 def _leftmost_top_rule(pd: ProductDomain) -> Rule:
@@ -59,48 +57,79 @@ def _leftmost_top_rule(pd: ProductDomain) -> Rule:
 
 
 def test_response_profiles_canonical():
-    pd, maps = _sp3_product()
-    responses = response_profiles(pd, maps)
-    assert [r.answers for r in responses] == [
+    partition = _sp3_partition()
+    assert partition.responses == (
         (frozenset(), frozenset()),
         (frozenset(), XY),
         (XY, frozenset()),
         (XY, XY),
-    ]
+    )
 
 
 def test_response_profiles_chain(ex2_spec):
-    pd = ex2_spec.product
-    responses = response_profiles(pd, ex2_spec.map_hints)
+    responses = ResponsePartition.of(ex2_spec.product, ex2_spec.map_hints).responses
     assert len(responses) == 16
-    assert responses[0].answers == (frozenset(), frozenset())
+    assert responses[0] == (frozenset(), frozenset())
     full = frozenset({OrderedPair(0, 1), OrderedPair(1, 2), OrderedPair(2, 3)})
-    assert responses[-1].answers == (full, full)
+    assert responses[-1] == (full, full)
 
 
 def test_blocks_for():
-    pd, maps = _sp3_product()
-    sizes = [blocks_for(pd, maps, r).sizes for r in response_profiles(pd, maps)]
-    assert sizes == [(3, 3), (3, 1), (1, 3), (1, 1)]
-    block = blocks_for(pd, maps, ResponseProfile((XY, XY)))
+    partition = _sp3_partition()
+    pd = partition.product
+    assert [b.sizes for b in partition.block_products] == [(3, 3), (3, 1), (1, 3), (1, 1)]
+    block = partition.block_products[partition.responses.index((XY, XY))]
     assert block.labels == pd.labels and block.agent_names == pd.agent_names
     assert [r.order for r in block.agents[0].rankings] == [(0, 1, 2)]
 
 
-def test_blocks_for_unrealizable(ex2_spec):
-    pd = ex2_spec.product
-    vw_only = frozenset({OrderedPair(0, 1)})
-    with pytest.raises(DomainError, match="not realizable"):
-        blocks_for(pd, ex2_spec.map_hints, ResponseProfile((vw_only, vw_only)))
+def test_gather_locates_every_profile():
+    # Independent route: look each profile's rankings up in its block product.
+    partition = _sp3_partition()
+    pd = partition.product
+    assert len(partition.gather) == pd.profile_count
+    for profile, (r, s) in zip(pd.iter_profiles(), partition.gather):
+        rankings = pd.rankings_at(profile)
+        answers = tuple(
+            satisfied_antecedents(ranking, map_)
+            for ranking, map_ in zip(rankings, partition.maps)
+        )
+        assert partition.responses[r] == answers
+        block = partition.block_products[r]
+        assert block.profile_at(s) == tuple(
+            d.index(ranking) for d, ranking in zip(block.agents, rankings)
+        )
 
 
 def test_map_validation():
-    pd, maps = _sp3_product()
-    with pytest.raises(DomainError):
-        response_profiles(pd, maps[:1])
+    pd = _sp3_partition().product
+    maps = (classify(SP3), classify(SP3))
+    with pytest.raises(DomainError, match="need 2 restriction maps"):
+        ResponsePartition.of(pd, maps[:1])
+    other_m = classify(generate_domain("universal", m=4))
+    with pytest.raises(DomainError, match="different alternative set"):
+        ResponsePartition.of(pd, (other_m, other_m))
     wrong = classify(generate_domain("universal", m=3))
     with pytest.raises(DomainError, match="does not rebuild"):
-        response_profiles(pd, (wrong, wrong))
+        ResponsePartition.of(pd, (wrong, wrong))
+
+
+def test_partition_rebuilds_each_map_once(monkeypatch):
+    # Maps are validated at the boundary: a whole search rebuilds each agent's
+    # map exactly once, however many candidates it assembles.
+    module = importlib.import_module("spdom.classify")  # `spdom.classify` is the function
+    calls = []
+    original = module.rebuild
+
+    def counting_rebuild(map_):
+        calls.append(map_)
+        return original(map_)
+
+    monkeypatch.setattr(module, "rebuild", counting_rebuild)
+    pd = ProductDomain.of([SP3, SP3], labels=["x", "y", "z"])
+    result = search_sp_combinations(ResponsePartition.of(pd, (classify(SP3), classify(SP3))))
+    assert result.candidates_tried == 825
+    assert len(calls) == pd.n == 2
 
 
 # ---------------------------------------------------------------------------
@@ -108,29 +137,28 @@ def test_map_validation():
 
 
 def test_assemble_routes_agree():
-    pd, maps = _sp3_product()
-    responses = response_profiles(pd, maps)
+    partition = _sp3_partition()
+    pd = partition.product
+    outcomes = (0, 1, 2, 0)
     subrules = tuple(
-        constant_rule(blocks_for(pd, maps, r), outcome)
-        for r, outcome in zip(responses, (0, 1, 2, 0))
+        constant_rule(block, outcome)
+        for block, outcome in zip(partition.block_products, outcomes)
     )
-    via_sequence = assemble(pd, maps, subrules)
-    via_assignment = assemble(pd, maps, TwoStepAssignment(pd, maps, subrules))
-    assert via_sequence == via_assignment
+    rule = assemble(partition, subrules)
     # Independent check: each profile gets its response profile's outcome.
-    expected_outcome = {r.answers: o for r, o in zip(responses, (0, 1, 2, 0))}
+    expected_outcome = dict(zip(partition.responses, outcomes))
     for profile in pd.iter_profiles():
         answers = tuple(
             satisfied_antecedents(d.rankings[digit], map_)
-            for digit, d, map_ in zip(profile, pd.agents, maps)
+            for digit, d, map_ in zip(profile, pd.agents, partition.maps)
         )
-        assert via_sequence.outcome(profile) == expected_outcome[answers]
+        assert rule.outcome(profile) == expected_outcome[answers]
 
 
 def test_assemble_non_constant_subrule():
-    pd, maps = _sp3_product()
-    responses = response_profiles(pd, maps)
-    blocks = [blocks_for(pd, maps, r) for r in responses]
+    partition = _sp3_partition()
+    pd = partition.product
+    blocks = partition.block_products
     # On the (no-answer, no-answer) block, pick the monotone vote rule between
     # the two free-for-both outcomes y and z; constants elsewhere.
     vote = next(
@@ -139,7 +167,7 @@ def test_assemble_non_constant_subrule():
         if range_of(r) == frozenset({1, 2})
     )
     subrules = (vote, constant_rule(blocks[1], 1), constant_rule(blocks[2], 1), constant_rule(blocks[3], 1))
-    rule = assemble(pd, maps, subrules)
+    rule = assemble(partition, subrules)
     for profile in pd.iter_profiles():
         rankings = pd.rankings_at(profile)
         if all(r.prefers(1, 0) for r in rankings):  # both in the no-answer block
@@ -152,18 +180,27 @@ def test_assemble_non_constant_subrule():
 
 
 def test_assignment_validation():
-    pd, maps = _sp3_product()
-    responses = response_profiles(pd, maps)
-    blocks = [blocks_for(pd, maps, r) for r in responses]
-    good = tuple(constant_rule(b, 0) for b in blocks)
+    partition = _sp3_partition()
+    good = tuple(constant_rule(b, 0) for b in partition.block_products)
     with pytest.raises(DomainError, match="one per response profile"):
-        TwoStepAssignment(pd, maps, good[:3])
-    bad = (constant_rule(pd, 0),) + good[1:]
+        TwoStepAssignment(partition, good[:3])
+    with pytest.raises(DomainError, match="one per response profile"):
+        assemble(partition, good[:3])
+    bad = (constant_rule(partition.product, 0),) + good[1:]
     with pytest.raises(DomainError, match="not over its block"):
-        TwoStepAssignment(pd, maps, bad)
+        TwoStepAssignment(partition, bad)
+    with pytest.raises(DomainError, match="not over its block"):
+        assemble(partition, bad)
+
+
+def test_rule_over_other_product_rejected():
+    partition = _sp3_partition()
     other_pd = ProductDomain.of([SP3, SP3])  # default labels a, b, c
+    rule = _leftmost_top_rule(other_pd)
     with pytest.raises(DomainError, match="different product"):
-        assemble(other_pd, maps, TwoStepAssignment(pd, maps, good))
+        decompose(rule, partition)
+    with pytest.raises(DomainError, match="different product"):
+        first_step_witnesses(rule, partition)
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +208,12 @@ def test_assignment_validation():
 
 
 def test_decompose_leftmost_top_rule():
-    pd, maps = _sp3_product()
-    rule = _leftmost_top_rule(pd)
+    partition = _sp3_partition()
+    rule = _leftmost_top_rule(partition.product)
     assert is_strategy_proof(rule)
     assert dictators_of(rule) == frozenset()
     assert range_of(rule) == frozenset({0, 1, 2})
-    report = decompose(rule, maps)
+    report = decompose(rule, partition)
     kinds = [b.classification for b in report.blocks]
     assert kinds == [
         DECOMPOSITION_TWO_OUTCOME,
@@ -191,20 +228,22 @@ def test_decompose_leftmost_top_rule():
 
 
 def test_decompose_flags_manipulable_subrule():
-    pd, maps = _sp3_product()
+    partition = _sp3_partition()
+    pd = partition.product
     table = []
     for profile in pd.iter_profiles():
         table.append(pd.agents[0].rankings[profile[0]].bottom)
     rule = Rule(pd, tuple(table))
-    report = decompose(rule, maps)
+    report = decompose(rule, partition)
     assert not report.clean
     assert any(b.classification == DECOMPOSITION_VIOLATION for b in report.blocks)
 
 
 def test_decompose_subrules_restrict_the_rule():
-    pd, maps = _sp3_product()
+    partition = _sp3_partition()
+    pd = partition.product
     rule = _leftmost_top_rule(pd)
-    for block in decompose(rule, maps).blocks:
+    for block in decompose(rule, partition).blocks:
         sub_pd = block.subrule.domain
         for profile in sub_pd.iter_profiles():
             parent_profile = tuple(
@@ -219,36 +258,35 @@ def test_decompose_subrules_restrict_the_rule():
 
 
 def test_first_step_witnesses_empty_for_sp():
-    pd, maps = _sp3_product()
-    assert first_step_witnesses(_leftmost_top_rule(pd), maps) == ()
+    partition = _sp3_partition()
+    assert first_step_witnesses(_leftmost_top_rule(partition.product), partition) == ()
 
 
 def test_first_step_witnesses_all_answer_changing(ex1_spec):
     # Constant subrules everywhere except the both-answered block: within-block
     # deviations never change the outcome, so every manipulation must cross
     # blocks by changing the manipulator's own answers.
-    pd = ex1_spec.product
-    maps = ex1_spec.map_hints
-    responses = response_profiles(pd, maps)
+    partition = ResponsePartition.of(ex1_spec.product, ex1_spec.map_hints)
     xy = frozenset({OrderedPair(2, 3)})
     subrules = tuple(
-        constant_rule(blocks_for(pd, maps, r), 4 if r.answers == (xy, xy) else 1)
-        for r in responses
+        constant_rule(block, 4 if answers == (xy, xy) else 1)
+        for answers, block in zip(partition.responses, partition.block_products)
     )
-    rule = assemble(pd, maps, subrules)
+    rule = assemble(partition, subrules)
     assert find_manipulation(rule) is not None
-    witnesses = first_step_witnesses(rule, maps)
+    witnesses = first_step_witnesses(rule, partition)
     assert witnesses
     assert all(w.answer_changing for w in witnesses)
     # Every block subrule is (trivially) strategy-proof even though the
     # assembled rule is manipulable.
-    assert decompose(rule, maps).clean
+    assert decompose(rule, partition).clean
 
 
 def test_first_step_witnesses_within_block():
-    pd, maps = _sp3_product()
+    partition = _sp3_partition()
+    pd = partition.product
     table = tuple(pd.agents[0].rankings[p[0]].bottom for p in pd.iter_profiles())
-    witnesses = first_step_witnesses(Rule(pd, table), maps)
+    witnesses = first_step_witnesses(Rule(pd, table), partition)
     assert any(not w.answer_changing for w in witnesses)
 
 
@@ -257,8 +295,9 @@ def test_first_step_witnesses_within_block():
 
 
 def test_search_single_peaked_product_is_exhaustive():
-    pd, maps = _sp3_product()
-    result = search_sp_combinations(pd, maps)
+    partition = _sp3_partition()
+    pd = partition.product
+    result = search_sp_combinations(partition)
     assert result.candidates_total == 11 * 5 * 5 * 3 == 825
     assert result.candidates_tried == 825
     assert result.complete
@@ -267,28 +306,23 @@ def test_search_single_peaked_product_is_exhaustive():
         r.table for r in enumerate_sp_rules(pd)
     }
     # Each reported assignment reassembles into its rule.
-    responses = response_profiles(pd, maps)
-    catalogs = [second_step_catalog(blocks_for(pd, maps, r)) for r in responses]
+    catalogs = [second_step_catalog(block) for block in partition.block_products]
+    assert result.catalogs == tuple(catalogs)
     for indices, rule in zip(result.assignments, result.rules):
         subrules = [catalogs[i][j] for i, j in enumerate(indices)]
-        assert assemble(pd, maps, subrules) == rule
+        assert assemble(partition, subrules) == rule
 
 
 def test_search_budget_truncation():
-    pd, maps = _sp3_product()
-    result = search_sp_combinations(pd, maps, budget=100)
+    partition = _sp3_partition()
+    result = search_sp_combinations(partition, budget=100)
     assert result.candidates_tried == 100
     assert not result.complete
     assert result.candidates_total == 825
-    full = search_sp_combinations(pd, maps)
+    full = search_sp_combinations(partition)
     assert {r.table for r in result.rules} <= {r.table for r in full.rules}
     with pytest.raises(DomainError):
-        search_sp_combinations(pd, maps, budget=0)
-
-
-def test_search_threads_match():
-    pd, maps = _sp3_product()
-    assert search_sp_combinations(pd, maps, threads=2) == search_sp_combinations(pd, maps)
+        search_sp_combinations(partition, budget=0)
 
 
 # ---------------------------------------------------------------------------
@@ -296,28 +330,25 @@ def test_search_threads_match():
 
 
 def test_assignment_roundtrip():
-    pd, maps = _sp3_product()
-    result = search_sp_combinations(pd, maps)
-    responses = response_profiles(pd, maps)
-    catalogs = [second_step_catalog(blocks_for(pd, maps, r)) for r in responses]
+    partition = _sp3_partition()
+    result = search_sp_combinations(partition)
     indices = result.assignments[5]
     assignment = TwoStepAssignment(
-        pd, maps, tuple(catalogs[i][j] for i, j in enumerate(indices))
+        partition, tuple(result.catalogs[i][j] for i, j in enumerate(indices))
     )
     text = serialize_assignment(assignment)
     lines = text.splitlines()
     assert lines[0] == "alternatives: x y z"
     assert lines[1] == "agents: 1 2"
     assert lines[2].startswith("{}|{} -> catalog:")
-    again = parse_assignment_file(text, pd, maps)
+    again = parse_assignment_file(text, partition)
     assert again == assignment
-    assert assemble(pd, maps, again) == result.rules[5]
+    assert assemble(partition, again.subrules) == result.rules[5]
 
 
 def test_assignment_file_reference(tmp_path):
-    pd, maps = _sp3_product()
-    responses = response_profiles(pd, maps)
-    blocks = [blocks_for(pd, maps, r) for r in responses]
+    partition = _sp3_partition()
+    blocks = partition.block_products
     special = second_step_catalog(blocks[0])[4]
     (tmp_path / "sub.rule").write_text(serialize_rule(special))
     text = (
@@ -328,16 +359,16 @@ def test_assignment_file_reference(tmp_path):
         "{x>y}|{} -> catalog:1\n"
         "{x>y}|{x>y} -> catalog:1\n"
     )
-    assignment = parse_assignment_file(text, pd, maps, base_dir=str(tmp_path))
+    assignment = parse_assignment_file(text, partition, base_dir=str(tmp_path))
     assert assignment.subrules[0] == special
     assert assignment.subrules[1] == second_step_catalog(blocks[1])[1]
 
 
 def test_assignment_parse_errors(tmp_path):
-    pd, maps = _sp3_product()
+    partition = _sp3_partition()
 
     def parse(text: str):
-        return parse_assignment_file(text, pd, maps, base_dir=str(tmp_path))
+        return parse_assignment_file(text, partition, base_dir=str(tmp_path))
 
     good = (
         "alternatives: x y z\n"
@@ -380,13 +411,12 @@ def test_assignment_parse_errors(tmp_path):
 
 
 def test_serialize_rejects_non_catalog_subrule():
-    pd, maps = _sp3_product()
-    responses = response_profiles(pd, maps)
-    blocks = [blocks_for(pd, maps, r) for r in responses]
+    partition = _sp3_partition()
+    blocks = partition.block_products
     # A manipulable subrule on the first block is not in any catalog.
     weird = Rule(blocks[0], tuple(r.bottom for r in blocks[0].agents[0].rankings for _ in range(3)))
     subrules = (weird,) + tuple(constant_rule(b, 0) for b in blocks[1:])
-    assignment = TwoStepAssignment(pd, maps, subrules)
+    assignment = TwoStepAssignment(partition, subrules)
     with pytest.raises(DomainError, match="not in its block catalog"):
         serialize_assignment(assignment)
 
@@ -401,17 +431,17 @@ def test_assemble_inverts_decompose_on_every_sp_rule(setup):
     # gluing those subrules back together must reproduce the rule exactly; and
     # the decomposition of a strategy-proof rule never contains a violation.
     if setup == "single_peaked_pair":
-        pd, maps = _sp3_product()
+        partition = _sp3_partition()
         expected_rules = 24
     else:
         uni = generate_domain("universal", m=3)
         pd = ProductDomain.of([uni, uni], labels=["x", "y", "z"])
-        maps = (classify(uni), classify(uni))
+        partition = ResponsePartition.of(pd, (classify(uni), classify(uni)))
         expected_rules = 17
-    rules = list(enumerate_sp_rules(pd))
+    rules = list(enumerate_sp_rules(partition.product))
     assert len(rules) == expected_rules
     for rule in rules:
-        report = decompose(rule, maps)
+        report = decompose(rule, partition)
         assert report.clean
-        reassembled = assemble(pd, maps, tuple(b.subrule for b in report.blocks))
+        reassembled = assemble(partition, tuple(b.subrule for b in report.blocks))
         assert reassembled == rule
