@@ -56,12 +56,7 @@ from .rules import (
     range_of,
     serialize_rule,
 )
-from .twostep import (
-    TwoStepAssignment,
-    decompose,
-    search_sp_combinations,
-    serialize_assignment,
-)
+from .twostep import decompose, search_sp_combinations, serialize_assignment
 
 # Full decimal rendering of big counts is capped; beyond this only the digit
 # count is reported (also keeps JSON encoding well clear of int-to-str limits).
@@ -329,6 +324,7 @@ def _cmd_count_subrules(options: dict[str, Any]) -> int:
         f"naive table bound: {report.m}^{report.profile_count} "
         f"({report.naive_digits} digits)"
     )
+    as_json = options.get("format") == "json"
     blocks_payload = []
     for block in report.blocks:
         label = "|".join(_answers_text(a, pd.labels) for a in block.answers)
@@ -340,6 +336,8 @@ def _cmd_count_subrules(options: dict[str, Any]) -> int:
             f"= {block.constants} constant + {two_outcome} two-outcome "
             f"+ {dictatorial} dictatorial"
         )
+        if not as_json:
+            continue
         blocks_payload.append(
             {
                 "answers": [_answers_json(a, pd.labels) for a in block.answers],
@@ -687,10 +685,9 @@ def _cmd_search_two_step(options: dict[str, Any]) -> int:
     if out_dir:
         directory = _out_dir(out_dir)
         for i, indices in enumerate(result.assignments):
-            subrules = tuple(catalogs[j][k] for j, k in enumerate(indices))
-            assignment = TwoStepAssignment(partition, subrules)
             _write_text(
-                directory / f"assignment_{i:04d}.assign", serialize_assignment(assignment)
+                directory / f"assignment_{i:04d}.assign",
+                serialize_assignment(partition, indices),
             )
         lines.append(f"wrote {len(result.assignments)} assignment file(s) to {directory}")
 

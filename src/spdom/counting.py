@@ -10,6 +10,18 @@ Two independent routes to the same numbers live here on purpose:
   dictatorial-on-a-block or confined to two outcomes, which is every
   strategy-proof rule on non-conditional blocks.
 
+The dictatorial count needs no tables.  A dictatorial rule with range C picks
+its dictator's best of C, and C must be a set the dictator can fully steer:
+every member is the best of C in some ranking of the dictator's domain.  For
+k >= 2 two such rules coincide only if they have the same dictator and the
+same range (a table that depended on two agents' reports alone would be
+constant), so on domains D_1..D_n
+
+    dictatorial(k) = sum_i steerable(D_i, k)    (k >= 2),  = m  (k = 1),
+
+where steerable(D, k) (:func:`steerable_range_count`) counts the steerable
+size-k sets of D.
+
 :func:`second_step_catalog` materializes the closed-form families as explicit
 rules, and :func:`verify_impossibility` sweeps domain families checking that
 no strategy-proof, non-dictatorial rule attains a range of size other than two.
@@ -285,11 +297,45 @@ def dictatorial_rules(pd: ProductDomain, k: int) -> tuple[Rule, ...]:
     return tuple(out)
 
 
+def steerable_range_count(d: PreferenceDomain, k: int) -> int:
+    """How many size-``k`` sets C of alternatives an agent with domain ``d``
+    can fully steer: every member of C is the best of C in some ranking of
+    ``d``.  A domain with fewer than ``k`` rankings steers none."""
+    m = d.m
+    if not 1 <= k <= m:
+        raise DomainError(f"range size must be in 1..{m}, got {k}")
+    if len(d) < k:
+        return 0
+    # reach[c]: every set of alternatives that some ranking puts wholly below
+    # c, with its subsets (c stays the best when rivals are dropped).
+    reach: list[set[int]] = [set() for _ in range(m)]
+    for r in d.rankings:
+        below = 0
+        for alt in reversed(r.order):
+            reach[alt].add(below)
+            below |= 1 << alt
+    for sets in reach:
+        for below in tuple(sets):
+            sub = below
+            while sub:
+                sub = (sub - 1) & below
+                sets.add(sub)
+    count = 0
+    for combo in itertools.combinations(range(m), k):
+        chosen = sum(1 << alt for alt in combo)
+        if all(chosen ^ (1 << c) in reach[c] for c in combo):
+            count += 1
+    return count
+
+
 def count_dictatorial(domains: Sequence[PreferenceDomain], k: int) -> int:
     """How many distinct rules pick a fixed agent's best of a steerable
-    size-``k`` range (extensional identity: equal tables count once)."""
-    _check_same_m(domains)
-    return len(dictatorial_rules(ProductDomain.of(domains), k))
+    size-``k`` range (extensional identity: equal tables count once): the
+    ``m`` constants for ``k == 1``, else the agents' steerable ranges summed."""
+    m = _check_same_m(domains)
+    if k == 1:
+        return m
+    return sum(steerable_range_count(d, k) for d in domains)
 
 
 def second_step_catalog(pd: ProductDomain) -> tuple[Rule, ...]:
@@ -388,37 +434,36 @@ def count_second_step(partition: ResponsePartition) -> SubruleCountReport:
     two-outcome, and steerable-dictatorship subrules on its block product, and
     the grand product over response profiles (exact)."""
     m = partition.product.m
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    sizes = range(3, m + 1)
+    # Once per agent block: the pairs it leaves free and its steerable ranges.
+    free = [[pair_sets(block).free for block in blocks] for blocks in partition.blocks]
+    steerable = [
+        [[steerable_range_count(block, k) for k in sizes] for block in blocks]
+        for blocks in partition.blocks
+    ]
     blocks: list[BlockCount] = []
     product = 1
-    # Lazily, block by block: the partition's cached block products would hold
-    # one ProductDomain per response profile for the whole count.
-    for answers, block_domains in zip(
-        itertools.product(*partition.answers), itertools.product(*partition.blocks)
-    ):
+    for index in itertools.product(*(range(len(a)) for a in partition.answers)):
+        picked = tuple(enumerate(index))
         pair_counts = []
         pair_total = 0
-        for a in range(m):
-            for b in range(a + 1, m):
-                free_agents = tuple(
-                    i for i, d in enumerate(block_domains) if (a, b) in pair_sets(d).free
-                )
-                cnt = dedekind(len(free_agents)) - 2
-                pair_counts.append(PairVoteCount((a, b), free_agents, cnt))
-                pair_total += cnt
-        dict_counts = []
-        dict_total = 0
-        for k in range(3, m + 1):
-            cnt = count_dictatorial(block_domains, k)
-            dict_counts.append((k, cnt))
-            dict_total += cnt
-        subtotal = m + pair_total + dict_total
+        for pair in pairs:
+            free_agents = tuple(i for i, j in picked if pair in free[i][j])
+            cnt = dedekind(len(free_agents)) - 2
+            pair_counts.append(PairVoteCount(pair, free_agents, cnt))
+            pair_total += cnt
+        dict_counts = tuple(
+            (k, sum(steerable[i][j][col] for i, j in picked)) for col, k in enumerate(sizes)
+        )
+        subtotal = m + pair_total + sum(cnt for _, cnt in dict_counts)
         blocks.append(
             BlockCount(
-                answers=answers,
-                block_sizes=tuple(len(b) for b in block_domains),
+                answers=tuple(partition.answers[i][j] for i, j in picked),
+                block_sizes=tuple(len(partition.blocks[i][j]) for i, j in picked),
                 constants=m,
                 pair_counts=tuple(pair_counts),
-                dictatorial=tuple(dict_counts),
+                dictatorial=dict_counts,
                 subtotal=subtotal,
             )
         )

@@ -214,19 +214,19 @@ def _format_answer_set(answers: AnswerSet, labels: Sequence[str]) -> str:
     return "{" + inner + "}"
 
 
-def serialize_assignment(assignment: TwoStepAssignment) -> str:
-    """Render an assignment as text, referencing subrules by catalog index."""
-    pd = assignment.partition.product
+def serialize_assignment(partition: ResponsePartition, indices: Sequence[int]) -> str:
+    """Render an assignment of catalog subrules as text: one catalog index per
+    response profile, canonical order (as in ``SearchResult.assignments``)."""
+    responses = partition.responses
+    if len(indices) != len(responses):
+        raise DomainError(
+            f"need {len(responses)} catalog indices (one per response profile), "
+            f"got {len(indices)}"
+        )
+    pd = partition.product
     lines = ["alternatives: " + " ".join(pd.labels)]
     lines.append("agents: " + " ".join(pd.agent_names))
-    for answers, subrule in zip(assignment.partition.responses, assignment.subrules):
-        catalog = second_step_catalog(subrule.domain)
-        try:
-            idx = next(i for i, entry in enumerate(catalog) if entry.table == subrule.table)
-        except StopIteration:
-            raise DomainError(
-                "subrule is not in its block catalog; only catalog subrules serialize"
-            ) from None
+    for answers, idx in zip(responses, indices):
         left = "|".join(_format_answer_set(a, pd.labels) for a in answers)
         lines.append(f"{left} -> catalog:{idx}")
     return "\n".join(lines) + "\n"
@@ -337,7 +337,7 @@ def parse_assignment_file(
             path = Path(base_dir) / rel if base_dir else Path(rel)
             try:
                 content = path.read_text()
-            except OSError as err:
+            except (OSError, UnicodeDecodeError) as err:
                 raise DomainError(f"cannot read subrule file {path}: {err}") from err
             subrules.append(parse_rule_file(content, block_pd))
         else:

@@ -298,6 +298,23 @@ def test_count_subrules_digit_caps(cli, monkeypatch):
     assert payload["product_digits"] == 7
 
 
+def test_count_subrules_past_the_table_guard(cli, tmp_path):
+    # One 5040x5040 block is 25.4M cells, over the 10M table guard: the
+    # closed-form count materializes no table, the --oracle catalogs would.
+    path = tmp_path / "uu7.spdom"
+    path.write_text("alternatives a b c d e f g\nagent 1 { universal }\nagent 2 { universal }\n")
+    code, out, err = cli("count-subrules", "--domain", str(path))
+    assert code == 0, err
+    assert (
+        "response profile {}|{}: block sizes 5040x5040; subtotal 289 "
+        "= 7 constant + 84 two-outcome + 198 dictatorial"
+    ) in out.splitlines()
+    code, out, err = cli("count-subrules", "--domain", str(path), "--oracle")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("size limit:") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # enumerate-sp
 

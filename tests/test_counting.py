@@ -6,6 +6,7 @@ import math
 import pytest
 
 import oracles
+from conftest import FIXTURES
 from spdom import (
     DomainError,
     OrderedPair,
@@ -27,10 +28,12 @@ from spdom import (
     is_strategy_proof,
     nonconditional_domains,
     pair_vote_rules,
+    parse_domain_file,
     partition_by_answers,
     power_digit_count,
     range_of,
     second_step_catalog,
+    steerable_range_count,
     verify_impossibility,
 )
 
@@ -143,6 +146,45 @@ def test_dictatorial_rules_need_steerable_range():
     assert dictatorial_rules(pd, 3) == ()
     with pytest.raises(DomainError):
         dictatorial_rules(pd, 0)
+
+
+def test_steerable_range_count():
+    for m in (3, 4):
+        uni = generate_domain("universal", m=m)
+        assert [steerable_range_count(uni, k) for k in range(1, m + 1)] == [
+            math.comb(m, k) for k in range(1, m + 1)
+        ]
+    # Single-peaked on x < y < z: each peak is reachable, so every range is.
+    assert [steerable_range_count(SP3, k) for k in (1, 2, 3)] == [3, 3, 1]
+    # Both rankings put z last, so of the pairs only {x, y} is steerable.
+    two = generate_domain("explicit", rankings=[(0, 1, 2), (1, 0, 2)])
+    assert [steerable_range_count(two, k) for k in (1, 2, 3)] == [3, 1, 0]
+    chain = generate_domain("explicit", rankings=[(0, 1, 2)])
+    assert [steerable_range_count(chain, k) for k in (1, 2, 3)] == [3, 0, 0]
+    with pytest.raises(DomainError):
+        steerable_range_count(UNI3, 0)
+    with pytest.raises(DomainError):
+        steerable_range_count(UNI3, 4)
+
+
+def _fixture_block_products():
+    for name in ("ex1", "ex2", "single_peaked3", "universal3"):
+        spec = parse_domain_file((FIXTURES / f"{name}.spdom").read_text())
+        yield from ResponsePartition.of(spec.product, spec.resolved_maps()).block_products
+
+
+def test_count_dictatorial_matches_materialized_tables():
+    # The closed form against the deduplicated tables of dictatorial_rules,
+    # for every range size: every block product of the fixtures, every
+    # non-conditional domain alone (m <= 4), and every pair of them (m = 3).
+    cases = [pd.agents for pd in _fixture_block_products()]
+    for m in (1, 2, 3, 4):
+        cases.extend((d,) for d in nonconditional_domains(m))
+    cases.extend(itertools.product(nonconditional_domains(3), repeat=2))
+    for blocks in cases:
+        pd = ProductDomain.of(blocks)
+        for k in range(1, pd.m + 1):
+            assert count_dictatorial(blocks, k) == len(dictatorial_rules(pd, k)), (blocks, k)
 
 
 # ---------------------------------------------------------------------------

@@ -336,7 +336,7 @@ def test_assignment_roundtrip():
     assignment = TwoStepAssignment(
         partition, tuple(result.catalogs[i][j] for i, j in enumerate(indices))
     )
-    text = serialize_assignment(assignment)
+    text = serialize_assignment(partition, indices)
     lines = text.splitlines()
     assert lines[0] == "alternatives: x y z"
     assert lines[1] == "agents: 1 2"
@@ -406,19 +406,17 @@ def test_assignment_parse_errors(tmp_path):
         parse(good.replace("{}|{x>y} ", "{}|{q>y} "))
     with pytest.raises(DomainError, match="cannot read"):
         parse(good.replace("{}|{} -> catalog:0", "{}|{} -> file:missing.rule"))
+    (tmp_path / "latin1.rule").write_bytes(b"\xe9\xff")
+    with pytest.raises(DomainError, match="cannot read subrule file"):
+        parse(good.replace("{}|{} -> catalog:0", "{}|{} -> file:latin1.rule"))
     with pytest.raises(ParseError, match="incomplete assignment file header"):
         parse("alternatives: x y z\n")
 
 
-def test_serialize_rejects_non_catalog_subrule():
+def test_serialize_rejects_wrong_index_count():
     partition = _sp3_partition()
-    blocks = partition.block_products
-    # A manipulable subrule on the first block is not in any catalog.
-    weird = Rule(blocks[0], tuple(r.bottom for r in blocks[0].agents[0].rankings for _ in range(3)))
-    subrules = (weird,) + tuple(constant_rule(b, 0) for b in blocks[1:])
-    assignment = TwoStepAssignment(partition, subrules)
-    with pytest.raises(DomainError, match="not in its block catalog"):
-        serialize_assignment(assignment)
+    with pytest.raises(DomainError, match="need 4 catalog indices"):
+        serialize_assignment(partition, (0, 0, 0))
 
 
 # ---------------------------------------------------------------------------
