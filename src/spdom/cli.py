@@ -29,6 +29,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from .classify import ResponsePartition, classify, partition_by_answers
 from .counting import (
+    ProductFamily,
     decimal_digit_count,
     count_second_step,
     enumerate_sp_rules,
@@ -42,7 +43,6 @@ from .prefcore import (
     DomainError,
     ProductDomain,
     SizeLimitError,
-    default_labels,
     nonconditional_closure,
     pair_sets,
 )
@@ -588,7 +588,7 @@ def _cmd_decompose(options: dict[str, Any]) -> int:
     return 0 if kinds["violation"] == 0 else 3
 
 
-def _theorem_instances(options: dict[str, Any]) -> list[ProductDomain]:
+def _theorem_instances(options: dict[str, Any]) -> ProductFamily | list[ProductDomain]:
     domain_files = options.get("domain") or []
     family = options.get("family")
     if domain_files and family:
@@ -599,16 +599,10 @@ def _theorem_instances(options: dict[str, Any]) -> list[ProductDomain]:
         raise DomainError("verify-theorem needs --domain files or --family")
     if family != "nonconditional-pairs":
         raise DomainError(f"unknown family {family!r}")
-    m = options["m"]
     agents = options["agents"]
     if agents < 1:
         raise DomainError(f"--agents must be at least 1, got {agents}")
-    base = nonconditional_domains(m)
-    labels = default_labels(m)
-    return [
-        ProductDomain.of(list(combo), labels=labels)
-        for combo in itertools.product(base, repeat=agents)
-    ]
+    return ProductFamily(nonconditional_domains(options["m"]), agents)
 
 
 def _cmd_verify_theorem(options: dict[str, Any]) -> int:

@@ -2,24 +2,23 @@
 
 A rule is a dense outcome table over the canonical profile order of a product
 domain.  This module checks manipulability (one agent misreporting to obtain
-an outcome they sincerely prefer), identifies dictators, restricts rules to
-sub-products, audits the structural facts that characterize strategy-proof
-rules (outcome maximality over option sets; pairwise freeness of option-set
-members), and reads/writes the ``.rule`` text format.
+an outcome they sincerely prefer), also within sub-product restrictions,
+identifies dictators, audits the structural facts that characterize
+strategy-proof rules (outcome maximality over option sets; pairwise freeness
+of option-set members), and reads/writes the ``.rule`` text format.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .domfile import ParseError
 from .prefcore import (
     PROFILE_ENUMERATION_LIMIT,
     TABLE_CELL_LIMIT,
     DomainError,
-    PreferenceDomain,
     ProductDomain,
     SizeLimitError,
     pair_sets,
@@ -148,9 +147,10 @@ def find_manipulation_within(
     rule: Rule, index_subsets: Sequence[Sequence[int]]
 ) -> Optional[ManipulationWitness]:
     """First manipulation when every agent (sincerely and in deviation) is
-    confined to the given per-agent ranking-index subsets.  Equivalent to
-    ``find_manipulation(restrict_rule(...))`` but without rebuilding tables;
-    witness coordinates refer to the parent domain."""
+    confined to the given per-agent ranking-index subsets: the canonical
+    witness of the rule restricted to that sub-product, found without
+    building the restricted table; witness coordinates refer to the parent
+    domain."""
     pd = rule.domain
     if len(index_subsets) != pd.n:
         raise DomainError(f"need {pd.n} index subsets, got {len(index_subsets)}")
@@ -164,37 +164,74 @@ def find_manipulation_within(
         if not checked:
             raise DomainError(f"empty index subset for agent {agent}")
         subsets.append(checked)
+    return restriction_scanner(rule)(subsets)
+
+
+def restriction_scanner(
+    rule: Rule,
+) -> Callable[[Sequence[tuple[int, ...]]], Optional[ManipulationWitness]]:
+    """The scan behind :func:`find_manipulation_within`, prepared once for
+    many restrictions of one rule.  The returned function checks nothing: it
+    takes one nonempty tuple of in-range ranking indices per agent.
+
+    Restrictions of one rule share sub-profiles, so the first manipulation
+    among an agent's reports in ``own`` at one setting of the other agents
+    (``base``, a profile-index offset) is worked out once per (base, own).
+    """
+    pd = rule.domain
     table = rule.table
-    strides = pd.strides
+    n = pd.n
     positions = [[r.position for r in d.rankings] for d in pd.agents]
-    for agent in range(pd.n):
-        stride = strides[agent]
-        pos_list = positions[agent]
-        others = [subsets[i] for i in range(pd.n) if i != agent]
-        for rest in itertools.product(*others):
-            base = 0
-            it = iter(rest)
-            for i in range(pd.n):
-                if i != agent:
-                    base += next(it) * strides[i]
-            for digit in subsets[agent]:
-                index = base + digit * stride
-                pos = pos_list[digit]
-                sincere = table[index]
-                sincere_rank = pos[sincere]
-                for deviation in subsets[agent]:
-                    if deviation == digit:
-                        continue
-                    other = table[base + deviation * stride]
-                    if pos[other] < sincere_rank:
-                        return ManipulationWitness(
-                            agent=agent,
-                            profile=pd.profile_at(index),
-                            deviation=deviation,
-                            sincere_outcome=sincere,
-                            deviating_outcome=other,
-                        )
-    return None
+    offsets = [
+        [digit * stride for digit in range(size)] for stride, size in zip(pd.strides, pd.sizes)
+    ]
+    others = [[i for i in range(n) if i != agent] for agent in range(n)]
+    # memo[agent][(base, own)]: (sincere digit, deviation) of the first
+    # manipulation there, or None.
+    memo: list[dict[tuple[int, tuple[int, ...]], Optional[tuple[int, int]]]] = [
+        {} for _ in range(n)
+    ]
+
+    def first_at(agent: int, base: int, own: tuple[int, ...]) -> Optional[tuple[int, int]]:
+        off = offsets[agent]
+        outcomes = [table[base + off[digit]] for digit in own]
+        for digit, sincere in zip(own, outcomes):
+            pos = positions[agent][digit]
+            for deviation, other in zip(own, outcomes):
+                if deviation != digit and pos[other] < pos[sincere]:
+                    return digit, deviation
+        return None
+
+    def scan(subsets: Sequence[tuple[int, ...]]) -> Optional[ManipulationWitness]:
+        for agent in range(n):
+            own = subsets[agent]
+            if len(own) < 2:
+                continue  # no deviation to try
+            # Offsets of the other agents' sub-profiles, last agent fastest.
+            bases = [0]
+            for i in others[agent]:
+                off = offsets[i]
+                bases = [base + off[d] for base in bases for d in subsets[i]]
+            seen = memo[agent]
+            for base in bases:
+                key = (base, own)
+                if key in seen:
+                    found = seen[key]
+                else:
+                    found = seen[key] = first_at(agent, base, own)
+                if found is not None:
+                    digit, deviation = found
+                    index = base + offsets[agent][digit]
+                    return ManipulationWitness(
+                        agent=agent,
+                        profile=pd.profile_at(index),
+                        deviation=deviation,
+                        sincere_outcome=table[index],
+                        deviating_outcome=table[base + offsets[agent][deviation]],
+                    )
+        return None
+
+    return scan
 
 
 def option_set(rule: Rule, agent: int, others: Sequence[int]) -> frozenset[int]:
@@ -241,25 +278,6 @@ def dictators_of(rule: Rule) -> frozenset[int]:
         ):
             out.add(agent)
     return frozenset(out)
-
-
-def restrict_rule(rule: Rule, subdomains: Sequence[PreferenceDomain]) -> Rule:
-    """The same rule on a sub-product (each agent's domain shrunk to a subset)."""
-    pd = rule.domain
-    if len(subdomains) != pd.n:
-        raise DomainError(f"need {pd.n} subdomains, got {len(subdomains)}")
-    index_maps: list[list[int]] = []
-    for agent, sub in enumerate(subdomains):
-        parent = pd.agents[agent]
-        if not sub.is_subdomain_of(parent):
-            raise DomainError(f"agent {agent}: not a subdomain of the rule's domain")
-        index_maps.append([parent.index(r) for r in sub.rankings])
-    new_pd = pd.with_agents(subdomains)
-    strides = pd.strides
-    table = []
-    for profile in itertools.product(*index_maps):
-        table.append(rule.table[sum(d * s for d, s in zip(profile, strides))])
-    return Rule(new_pd, tuple(table))
 
 
 @dataclass(frozen=True)

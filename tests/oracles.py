@@ -8,9 +8,23 @@ brute-force scans.  Slow but obviously correct, and only run at tiny scale.
 from __future__ import annotations
 
 import itertools
+import random
 from typing import Iterable, Optional, Sequence
 
-from spdom import PreferenceDomain, ProductDomain, Ranking, Rule
+from spdom import (
+    PROFILE_ENUMERATION_LIMIT,
+    DomainError,
+    ImpossibilityReport,
+    PreferenceDomain,
+    ProductDomain,
+    Ranking,
+    Rule,
+    TheoremViolation,
+    dictators_of,
+    enumerate_sp_rules,
+    range_of,
+)
+from spdom.counting import AuditFault, _audit_rule
 
 
 # ---------------------------------------------------------------------------
@@ -181,3 +195,107 @@ def exactly_pair_sp_count(pd: ProductDomain, pair: tuple[int, int]) -> int:
     a, b = pair
     both = {a, b}
     return sum(1 for table in all_sp_tables(pd, outcomes=(a, b)) if set(table) == both)
+
+
+# ---------------------------------------------------------------------------
+# Restrictions and impossibility sweeps, one instance at a time
+
+
+def restrict_rule(rule: Rule, subdomains: Sequence[PreferenceDomain]) -> Rule:
+    """The same rule on a sub-product (each agent's domain shrunk to a subset)."""
+    pd = rule.domain
+    if len(subdomains) != pd.n:
+        raise DomainError(f"need {pd.n} subdomains, got {len(subdomains)}")
+    index_maps: list[list[int]] = []
+    for agent, sub in enumerate(subdomains):
+        parent = pd.agents[agent]
+        if not sub.is_subdomain_of(parent):
+            raise DomainError(f"agent {agent}: not a subdomain of the rule's domain")
+        index_maps.append([parent.index(r) for r in sub.rankings])
+    new_pd = pd.with_agents(subdomains)
+    strides = pd.strides
+    table = []
+    for profile in itertools.product(*index_maps):
+        table.append(rule.table[sum(d * s for d, s in zip(profile, strides))])
+    return Rule(new_pd, tuple(table))
+
+
+def first_manipulation_within(
+    rule: Rule, subsets: Sequence[Sequence[int]]
+) -> Optional[tuple[int, tuple[int, ...], int, int, int]]:
+    """(agent, profile, deviation, sincere, deviating) of the first
+    manipulation inside the per-agent index subsets: agents ascending, the
+    other agents' reports in subset-product order, then the sincere report
+    and the deviation in subset order — by dictionary lookups."""
+    pd = rule.domain
+    table = outcome_map(rule)
+    for agent in range(pd.n):
+        others = [subsets[i] for i in range(pd.n) if i != agent]
+        for rest in itertools.product(*others):
+            for own in subsets[agent]:
+                profile = list(rest)
+                profile.insert(agent, own)
+                sincere = table[tuple(profile)]
+                ranking = pd.agents[agent].rankings[own]
+                for deviation in subsets[agent]:
+                    if deviation == own:
+                        continue
+                    profile[agent] = deviation
+                    other = table[tuple(profile)]
+                    profile[agent] = own
+                    if ranking.prefers(other, sincere):
+                        return agent, tuple(profile), deviation, sincere, other
+    return None
+
+
+def sweep_rules(
+    instances: Sequence[ProductDomain], max_profiles: int = PROFILE_ENUMERATION_LIMIT
+) -> list[list[Rule]]:
+    """Every instance's strategy-proof rules, enumerated one instance at a time."""
+    return [list(enumerate_sp_rules(pd, max_profiles=max_profiles)) for pd in instances]
+
+
+def audit_per_instance(
+    rules: Sequence[Sequence[Rule]], audit_sample: int, seed: Optional[int]
+) -> tuple[int, tuple[AuditFault, ...]]:
+    """(audited, faults) of the audit sample drawn from one pool holding
+    every instance's rules in instance order."""
+    pool = [(idx, rule) for idx, found in enumerate(rules) for rule in found]
+    if audit_sample <= 0 or not pool:
+        return 0, ()
+    rng = random.Random(seed)
+    chosen = pool if len(pool) <= audit_sample else rng.sample(pool, audit_sample)
+    faults = []
+    for idx, rule in chosen:
+        reason = _audit_rule(rule, rng)
+        if reason is not None:
+            faults.append(AuditFault(idx, rule, reason))
+    return len(chosen), tuple(faults)
+
+
+def verify_impossibility_per_instance(
+    instances: Sequence[ProductDomain],
+    max_profiles: int = PROFILE_ENUMERATION_LIMIT,
+    audit_sample: int = 0,
+    seed: Optional[int] = None,
+    rules: Optional[Sequence[Sequence[Rule]]] = None,
+) -> ImpossibilityReport:
+    """The impossibility sweep without symmetry: every instance enumerated
+    and checked, the audit sample drawn from all rules at once.  ``rules``
+    may hold :func:`sweep_rules` of the same instances."""
+    if rules is None:
+        rules = sweep_rules(instances, max_profiles)
+    violations = tuple(
+        TheoremViolation(idx, rule)
+        for idx, found in enumerate(rules)
+        for rule in found
+        if len(range_of(rule)) != 2 and not dictators_of(rule)
+    )
+    audited, faults = audit_per_instance(rules, audit_sample, seed)
+    return ImpossibilityReport(
+        instances=len(instances),
+        rules_checked=sum(len(found) for found in rules),
+        violations=violations,
+        audited=audited,
+        audit_faults=faults,
+    )

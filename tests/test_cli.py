@@ -9,6 +9,7 @@ verification failure) is asserted on every path.
 
 from __future__ import annotations
 
+import itertools
 import json
 import subprocess
 import sys
@@ -17,7 +18,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import oracles
 from conftest import FIXTURES
+from spdom import ProductDomain, SizeLimitError, nonconditional_domains
 from spdom.cli import CommandRequest, run_command
 from spdom.classify import ResponsePartition, classify
 from spdom.domfile import parse_domain_file
@@ -608,6 +611,35 @@ def test_verify_theorem_family_size_guard(cli):
     )
     assert code == 2
     assert err.startswith("size limit:")
+
+
+def test_verify_theorem_guard_trips_before_the_family_is_built(cli):
+    # 19**100 instances: the first one over the guard is found digit by digit.
+    code, out, err = cli(
+        "verify-theorem", "--family", "nonconditional-pairs", "--m", "3",
+        "--agents", "100",
+    )
+    assert (code, out) == (2, "")
+    assert err == "size limit: 15552 profiles exceeds the enumeration guard of 10000\n"
+
+
+def test_verify_theorem_guard_matches_per_instance_sweep(cli):
+    instances = [
+        ProductDomain.of(list(combo))
+        for combo in itertools.product(nonconditional_domains(3), repeat=2)
+    ]
+    for guard in range(1, 41):
+        try:
+            oracles.sweep_rules(instances, max_profiles=guard)
+            expected = ""
+        except SizeLimitError as exc:
+            expected = f"size limit: {exc}\n"
+        code, out, err = cli(
+            "verify-theorem", "--family", "nonconditional-pairs", "--m", "3",
+            "--agents", "2", "--max-profiles", str(guard),
+        )
+        assert err == expected, guard
+        assert code == (2 if expected else 0)
 
 
 # ---------------------------------------------------------------------------

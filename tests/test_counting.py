@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
 import math
 
@@ -11,6 +13,7 @@ from spdom import (
     DomainError,
     OrderedPair,
     ProductDomain,
+    ProductFamily,
     ResponsePartition,
     RestrictionMap,
     SizeLimitError,
@@ -429,3 +432,110 @@ def test_verify_impossibility_audit_and_determinism():
     assert first == second
     assert first.audited == 5
     assert first.audit_faults == ()
+
+
+# ---------------------------------------------------------------------------
+# The orbit sweep against the per-instance sweep
+
+
+def _single_peaked_base() -> tuple:
+    """Single-peaked domains over every axis of 3 alternatives: conditional,
+    and closed under relabeling."""
+    domains = {
+        tuple(r.order for r in d.rankings): d
+        for d in (
+            generate_domain("single_peaked", axis=axis)
+            for axis in itertools.permutations(range(3))
+        )
+    }
+    return tuple(domains[key] for key in sorted(domains))
+
+
+@functools.lru_cache(maxsize=None)
+def _family_and_oracle(m, n: int):
+    """The family, and the per-instance oracle's rules and unaudited report."""
+    base = _single_peaked_base() if m == "sp" else nonconditional_domains(m)
+    instances = [ProductDomain.of(list(c)) for c in itertools.product(base, repeat=n)]
+    rules = oracles.sweep_rules(instances)
+    report = oracles.verify_impossibility_per_instance(instances, rules=rules)
+    return ProductFamily(base, n), instances, rules, report
+
+
+@pytest.mark.parametrize(
+    "m, n, audit_sample, seed",
+    [(2, n, 0, None) for n in range(1, 5)]
+    + [(3, n, 0, None) for n in range(1, 4)]
+    + [(3, n, k, seed) for n in range(1, 4) for k in (100, 200) for seed in (1, 2, 7)]
+    + [("sp", 2, 0, None), ("sp", 2, 10, 3)],
+)
+def test_orbit_sweep_matches_per_instance_sweep(m, n, audit_sample, seed):
+    family, instances, rules, unaudited = _family_and_oracle(m, n)
+    audited, faults = oracles.audit_per_instance(rules, audit_sample, seed)
+    expected = dataclasses.replace(unaudited, audited=audited, audit_faults=faults)
+    assert verify_impossibility(family, audit_sample=audit_sample, seed=seed) == expected
+    if audit_sample == 0:
+        assert list(family) == instances
+    if m == "sp":
+        # The violations run through orbits of 3 and 6 instances.
+        assert len(expected.violations) == 57
+        assert {v.instance for v in expected.violations} == set(range(9))
+
+
+def test_orbit_counts_and_members():
+    for m, n, orbits in ((2, 4, None), (3, 2, 39), (3, 3, 241), (4, 2, 1096)):
+        family = ProductFamily(nonconditional_domains(m), n)
+        found = family.orbits()
+        if orbits is not None:
+            assert len(found) == orbits
+        members = sorted(i for orbit in found for i in orbit)
+        assert members == list(range(len(family)))
+        assert [orbit[0] for orbit in found] == sorted(orbit[0] for orbit in found)
+        for orbit in found:
+            assert list(orbit) == sorted(orbit)
+            sizes = {tuple(sorted(family[i].sizes)) for i in orbit}
+            assert len(sizes) == 1
+
+
+def test_orbits_need_a_relabel_closed_base():
+    with pytest.raises(AssertionError):
+        ProductFamily((SP3,), 2).orbits()
+    with pytest.raises(DomainError):
+        ProductFamily(nonconditional_domains(2), 0)
+    with pytest.raises(DomainError):
+        ProductFamily((), 2)
+
+
+def test_first_over_matches_the_first_instance_over_the_guard():
+    for m, agents in ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)):
+        family = ProductFamily(nonconditional_domains(m), agents)
+        counts = [family[i].profile_count for i in range(len(family))]
+        for guard in sorted(set(counts) | {c - 1 for c in counts} | {max(counts) + 5}):
+            if guard < 1:
+                continue
+            expected = next((i for i, c in enumerate(counts) if c > guard), None)
+            assert family.first_over(guard) == expected, (m, agents, guard)
+
+
+def test_first_over_does_not_build_the_family():
+    family = ProductFamily(nonconditional_domains(3), 100)
+    index = family.first_over(10_000)
+    assert family[index].profile_count == 15552
+    assert family[index].sizes == (1,) * 94 + (2,) + (6,) * 5
+    with pytest.raises(IndexError):
+        family[19**100]
+
+
+def test_orbit_sweep_enumerates_each_orbit_once(monkeypatch):
+    import spdom.counting as counting
+
+    calls = []
+    original = counting.enumerate_sp_rules
+
+    def counted(pd, *args, **kwargs):
+        calls.append(pd)
+        return original(pd, *args, **kwargs)
+
+    monkeypatch.setattr(counting, "enumerate_sp_rules", counted)
+    report = verify_impossibility(ProductFamily(nonconditional_domains(3), 3))
+    assert (report.instances, report.rules_checked) == (6859, 70422)
+    assert len(calls) == 241

@@ -1,16 +1,18 @@
 """Property test of the CLI's failure contract over arbitrary input.
 
 Whatever the argv and the bytes of the domain file, ``count-subrules``,
-``partition`` and ``classify`` must exit with 0, 1, 2 or 3, must not let an
-exception escape, and on a nonzero exit must write exactly one stderr line,
-prefixed ``error:`` or ``size limit:``.  An argparse usage error is the one
-exception: argparse prints its usage text before its ``spdom …: error:`` line.
+``partition``, ``classify`` and ``verify-theorem`` must exit with 0, 1, 2 or
+3, must not let an exception escape, and on a nonzero exit must write exactly
+one stderr line, prefixed ``error:`` or ``size limit:``.  An argparse usage
+error is the one exception: argparse prints its usage text before its
+``spdom …: error:`` line.
 
 Domain files are drawn three ways: raw bytes, a token soup over the file
 format's vocabulary, and well-formed files that are then spliced with soup
 or raw bytes.  Well-formed files stay at up to four alternatives and two
 agents, so that one example (``--oracle`` included) runs in milliseconds;
-the alternative-count guard gets its own explicit example.
+the alternative-count guard gets its own explicit example.  A
+``verify-theorem`` sweep that could run longer gets a small ``--max-profiles``.
 """
 
 from __future__ import annotations
@@ -162,14 +164,68 @@ def test_cli_failure_contract(tmp_path, data, choices):
     else:
         argv_list = [_argv(choices.draw, str(domain), missing, outs)]
     for argv in argv_list:
-        code, err = _run(argv)
-        assert code in (0, 1, 2, 3), (argv, code, err)
-        assert "Traceback" not in err
-        if code in (0, 3):
-            assert err == "", (argv, code, err)
-            continue
-        lines = err.splitlines()
-        if code == 2 and lines and lines[-1].startswith("spdom") and ": error: " in lines[-1]:
-            continue  # argparse usage error: usage text, then "spdom ...: error: ..."
-        assert len(lines) == 1, (argv, err)
-        assert lines[0].startswith(("error:", "size limit:")), (argv, err)
+        _check_contract(argv)
+
+
+def _check_contract(argv: list[str]) -> None:
+    code, err = _run(argv)
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    assert "Traceback" not in err
+    if code in (0, 3):
+        assert err == "", (argv, code, err)
+        return
+    lines = err.splitlines()
+    if code == 2 and lines and lines[-1].startswith("spdom") and ": error: " in lines[-1]:
+        return  # argparse usage error: usage text, then "spdom ...: error: ..."
+    assert len(lines) == 1, (argv, err)
+    assert lines[0].startswith(("error:", "size limit:")), (argv, err)
+
+
+@st.composite
+def theorem_argv(draw, domain: str, missing: str) -> list[str]:
+    """``verify-theorem`` argv.  A sweep that could take more than
+    milliseconds (m >= 4, or m = 3 with two or more agents, or any domain
+    file) always gets a ``--max-profiles`` small enough to bound it."""
+    argv = ["verify-theorem"]
+    source = draw(st.sampled_from(("family", "family", "domain", "both", "neither")))
+    if source in ("domain", "both"):
+        paths = st.lists(st.sampled_from((domain, domain, missing)), min_size=1, max_size=2)
+        for path in draw(paths):
+            argv += ["--domain", path]
+    if source in ("family", "both"):
+        argv += ["--family", draw(st.sampled_from(("nonconditional-pairs", "pairs")))]
+    m = draw(st.integers(-1, 5))
+    agents = draw(st.integers(-1, 4))
+    if m != 3 or draw(st.booleans()):  # 3 and 2 are the defaults
+        argv += ["--m", str(m)]
+    if agents != 2 or draw(st.booleans()):
+        argv += ["--agents", str(agents)]
+    if source != "family" or m >= 4 or (m == 3 and agents >= 2):
+        argv += ["--max-profiles", str(draw(st.integers(-1, 8)))]
+    elif draw(st.booleans()):
+        argv += ["--max-profiles", str(draw(st.integers(-1, 50)))]
+    if draw(st.booleans()):
+        argv += ["--audit-sample", str(draw(st.integers(-1, 3)))]
+    if draw(st.booleans()):
+        argv += ["--seed", draw(st.sampled_from(("0", "7", "-3", "x")))]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(("text", "json", "xml")))]
+    return argv
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(data=domain_bytes(), choices=st.data())
+@example(data=b"", choices=None)
+def test_verify_theorem_failure_contract(tmp_path, data, choices):
+    domain = tmp_path / "fuzz.spdom"
+    domain.write_bytes(data)
+    missing = str(tmp_path / "missing.spdom")
+    if choices is None:
+        argv = ["verify-theorem", "--family", "nonconditional-pairs", "--agents", "100"]
+    else:
+        argv = choices.draw(theorem_argv(str(domain), missing))
+    _check_contract(argv)

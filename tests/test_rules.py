@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -20,12 +21,13 @@ from spdom import (
     generate_domain,
     is_strategy_proof,
     iter_manipulations,
+    nonconditional_domains,
     option_set,
     parse_rule_file,
     range_of,
-    restrict_rule,
     serialize_rule,
 )
+from spdom.rules import restriction_scanner
 
 UNI3 = generate_domain("universal", m=3)
 SP3 = generate_domain("single_peaked", axis=[0, 1, 2])
@@ -193,7 +195,7 @@ def test_restrict_rule_values():
     rule = Rule(pd, tuple((i * 5 + 1) % 3 for i in range(36)))
     sub0 = generate_domain("explicit", rankings=[(0, 1, 2), (2, 1, 0)])
     sub1 = generate_domain("explicit", rankings=[(1, 0, 2)])
-    small = restrict_rule(rule, [sub0, sub1])
+    small = oracles.restrict_rule(rule, [sub0, sub1])
     assert small.domain.sizes == (2, 1)
     for profile in small.domain.iter_profiles():
         parent_profile = (
@@ -207,10 +209,10 @@ def test_restrict_rule_errors():
     pd = ProductDomain.of([UNI3, UNI3])
     rule = dictatorship(pd, 0)
     with pytest.raises(DomainError):
-        restrict_rule(rule, [UNI3])
+        oracles.restrict_rule(rule, [UNI3])
     other = generate_domain("universal", m=4)
     with pytest.raises(DomainError):
-        restrict_rule(rule, [other, UNI3])
+        oracles.restrict_rule(rule, [other, UNI3])
 
 
 def test_find_manipulation_within_matches_restricted_rule():
@@ -223,7 +225,7 @@ def test_find_manipulation_within_matches_restricted_rule():
     for table in itertools.product(range(3), repeat=4):
         rule = Rule(pd, table)
         within = find_manipulation_within(rule, subsets)
-        restricted_sp = oracles.is_sp(restrict_rule(rule, subdomains))
+        restricted_sp = oracles.is_sp(oracles.restrict_rule(rule, subdomains))
         assert (within is None) == restricted_sp
         if within is not None:
             # The witness uses parent-domain coordinates and respects the cage.
@@ -233,6 +235,41 @@ def test_find_manipulation_within_matches_restricted_rule():
             shifted = list(within.profile)
             shifted[within.agent] = within.deviation
             assert sincere_ranking.prefers(rule.outcome(shifted), rule.outcome(within.profile))
+
+
+def test_restriction_scanner_finds_the_first_witness():
+    # One prepared scan per rule, reused across restrictions (subset orders
+    # included), must give the dictionary-lookup oracle's first witness.
+    rng = random.Random(11)
+    base = nonconditional_domains(3)
+    witnesses = 0
+    for _ in range(150):
+        pd = ProductDomain.of([rng.choice(base) for _ in range(rng.randint(1, 3))])
+        constant = rng.randrange(3)
+        table = tuple(
+            constant if rng.random() < 0.8 else rng.randrange(3) for _ in range(pd.profile_count)
+        )
+        rule = Rule(pd, table)
+        scan = restriction_scanner(rule)
+        for _ in range(12):
+            subsets = tuple(
+                tuple(rng.sample(range(size), rng.randint(1, size))) for size in pd.sizes
+            )
+            found = scan(subsets)
+            expected = oracles.first_manipulation_within(rule, subsets)
+            assert find_manipulation_within(rule, [list(s) for s in subsets]) == found
+            if expected is None:
+                assert found is None
+                continue
+            witnesses += 1
+            assert (
+                found.agent,
+                found.profile,
+                found.deviation,
+                found.sincere_outcome,
+                found.deviating_outcome,
+            ) == expected
+    assert witnesses > 100
 
 
 def test_find_manipulation_within_validation():
