@@ -8,17 +8,18 @@ A domain is *non-conditional* exactly when a map with no conditionals rebuilds
 it, i.e. when it is the closure of its own fixed pairs.
 
 ``classify`` recovers such a map from an explicit domain with a deterministic
-two-phase scan; ``rebuild`` inverts it; ``satisfied_antecedents`` and
-``partition_by_answers`` slice a domain by which condition pairs a member
-realizes, and ``ResponsePartition`` applies that split to every agent of a
-product domain at once.
+two-phase scan and ``rebuild`` inverts it, both over sets of rankings held as
+ints (bit i for the i-th ranking of ``all_rankings(m)``).
+``satisfied_antecedents`` and ``partition_by_answers`` slice a domain by which
+condition pairs a member realizes, and ``ResponsePartition`` applies that
+split to every agent of a product domain at once.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .prefcore import (
@@ -38,31 +39,6 @@ from .prefcore import (
 AnswerSet = frozenset  # of OrderedPair
 
 SCAN_MODES = ("default", "reversed")
-
-
-@dataclass(frozen=True)
-class DomainRestriction:
-    """One removal predicate: drop rankings satisfying ``antecedent`` whose
-    ``conclusion`` is reversed.  An empty antecedent makes it unconditional."""
-
-    antecedent: frozenset[OrderedPair]
-    conclusion: OrderedPair
-
-    def removes(self, r: Ranking) -> bool:
-        return r.satisfies(self.antecedent) and r.matrix[self.conclusion.bottom][
-            self.conclusion.top
-        ]
-
-
-def apply_restriction(d: PreferenceDomain, restriction: DomainRestriction) -> PreferenceDomain:
-    """Filter ``d`` by one restriction; error if nothing survives."""
-    for p in restriction.antecedent:
-        _check_pair(p, d.m)
-    _check_pair(restriction.conclusion, d.m)
-    survivors = [r for r in d.rankings if not restriction.removes(r)]
-    if not survivors:
-        raise UnsatisfiableRestrictionError("restriction removes every ranking of the domain")
-    return PreferenceDomain(d.m, tuple(survivors))
 
 
 @dataclass(frozen=True)
@@ -120,7 +96,7 @@ class RestrictionMap:
         )
         return cls(m, base_pairs, ordered)
 
-    @property
+    @cached_property
     def conditions(self) -> frozenset[OrderedPair]:
         """The union of all antecedent pairs."""
         out: set[OrderedPair] = set()
@@ -141,22 +117,42 @@ class RestrictionMap:
         return frozenset(out)
 
 
-def _keeps(map_: RestrictionMap, r: Ranking) -> bool:
-    if not r.satisfies(map_.base):
-        return False
-    for antecedent, conclusions in map_.conditionals:
-        if r.satisfies(antecedent) and not r.satisfies(conclusions):
-            return False
-    return True
+@lru_cache(maxsize=None)
+def _pair_masks(m: int) -> dict[OrderedPair, int]:
+    """Per ordered pair, the bitmask of the rankings of ``all_rankings(m)``
+    (bit i for the i-th) that rank ``top`` above ``bottom``."""
+    masks = {OrderedPair(a, b): 0 for a in range(m) for b in range(m) if a != b}
+    for i, r in enumerate(all_rankings(m)):
+        bit = 1 << i
+        for j, top in enumerate(r.order):
+            for bottom in r.order[j + 1 :]:
+                masks[top, bottom] |= bit
+    return masks
+
+
+@lru_cache(maxsize=None)
+def _universe_index(m: int) -> dict[tuple[int, ...], int]:
+    return {r.order: i for i, r in enumerate(all_rankings(m))}
+
+
+def _all_of(pairs: Iterable[OrderedPair], masks: Mapping[OrderedPair, int], start: int) -> int:
+    for p in pairs:
+        start &= masks[p]
+    return start
 
 
 def rebuild(map_: RestrictionMap) -> PreferenceDomain:
     """The domain a restriction map describes: universal filtered by base and
     conditionals.  Raises when nothing survives."""
-    survivors = tuple(r for r in all_rankings(map_.m) if _keeps(map_, r))
-    if not survivors:
+    universe = all_rankings(map_.m)
+    masks = _pair_masks(map_.m)
+    keep = _all_of(map_.base, masks, (1 << len(universe)) - 1)
+    for antecedent, conclusions in map_.conditionals:
+        keep &= ~(_all_of(antecedent, masks, keep) & ~_all_of(conclusions, masks, keep))
+    if not keep:
         raise UnsatisfiableRestrictionError("restriction map rebuilds to the empty domain")
-    return PreferenceDomain(map_.m, survivors)
+    bits = reversed(bin(keep))  # bit i first; the "b0" prefix comes last
+    return PreferenceDomain(map_.m, tuple(r for r, bit in zip(universe, bits) if bit == "1"))
 
 
 def satisfied_antecedents(r: Ranking, map_: RestrictionMap) -> AnswerSet:
@@ -309,20 +305,50 @@ def relabel_map(map_: RestrictionMap, perm: Sequence[int]) -> RestrictionMap:
     )
 
 
+def _first_admissible(
+    masks: Sequence[int],
+    checks: Sequence[tuple[OrderedPair, int]],
+    start: int,
+    left: int,
+    members: int,
+) -> Optional[tuple[tuple[int, ...], OrderedPair]]:
+    """Depth-first, in lexicographic order, over the ``left``-subsets of
+    ``masks[start:]``: the first subset, with the first of ``checks``, such
+    that no member left in ``members`` by the subset is in that check's mask."""
+    stop = len(masks) - left + 1
+    if left == 1:
+        for i in range(start, stop):
+            leaf = members & masks[i]
+            for conclusion, breaks in checks:
+                if not leaf & breaks:
+                    return (i,), conclusion
+        return None
+    for i in range(start, stop):
+        found = _first_admissible(masks, checks, i + 1, left - 1, members & masks[i])
+        if found:
+            return (i,) + found[0], found[1]
+    return None
+
+
 def classify(d: PreferenceDomain, scan: str = "default") -> RestrictionMap:
     """Recover a restriction map for ``d``: ``rebuild(classify(d)) == d``.
 
-    Phase one walks the unordered pairs in lexicographic order and records the
-    orientation of every pair ``d`` fixes, filtering the universal domain as it
-    goes.  If the filtered domain already equals ``d``, the domain is
-    non-conditional and the map has no conditionals.  Otherwise phase two
-    repeatedly removes the canonically smallest ranking not in ``d``: it picks,
-    among antecedents drawn from that ranking's own pair set and conclusions
-    that reverse one of ``d``'s free pairs on it, the candidate with the
-    smallest antecedent (ties: lexicographic antecedent, then conclusion) such
-    that every member of ``d`` satisfying the antecedent also satisfies the
-    conclusion.  Each chosen conditional is applied before the next step, and
-    the scan stops when exactly ``d`` remains.
+    Sets of rankings are ints over ``all_rankings(m)`` (bit i for the i-th
+    ranking), and a pair's mask holds the rankings that satisfy it.  Phase one
+    walks the unordered pairs in lexicographic order and records the
+    orientation of every pair ``d`` fixes, ANDing its mask into the universal
+    domain as it goes.  If the filtered domain already equals ``d``, the domain
+    is non-conditional and the map has no conditionals.  Otherwise phase two
+    repeatedly removes the canonically smallest ranking not in ``d`` (the
+    lowest bit outside ``d``): it picks, among antecedents drawn from that
+    ranking's own pair set and conclusions that reverse one of ``d``'s free
+    pairs on it, the candidate with the smallest antecedent (ties:
+    lexicographic antecedent, then conclusion) such that every member of ``d``
+    satisfying the antecedent also satisfies the conclusion.  For each size in
+    turn, a depth-first search over the sorted own pairs carries the members
+    satisfying the antecedent so far, one AND per step, and tests the
+    conclusions at the leaves.  Each chosen conditional is applied before the
+    next step, and the scan stops when exactly ``d`` remains.
 
     ``scan="reversed"`` runs the same policy on the id-mirrored domain
     (``i -> m-1-i``) and maps the result back, which generally exhibits a
@@ -336,79 +362,49 @@ def classify(d: PreferenceDomain, scan: str = "default") -> RestrictionMap:
         return relabel_map(mirrored, perm)
 
     m = d.m
-    target = set(d.rankings)
+    universe = all_rankings(m)
+    masks = _pair_masks(m)
+    index = _universe_index(m)
+    target = sum(1 << index[r.order] for r in d.rankings)
+    cur = (1 << len(universe)) - 1
     base: list[OrderedPair] = []
-    cur: list[Ranking] = list(all_rankings(m))
 
     fixed = pair_sets(d).fixed
-    for a in range(m):
-        if len(cur) == len(d):
+    for a, b in itertools.combinations(range(m), 2):
+        if cur == target:
             break
-        for b in range(a + 1, m):
-            if OrderedPair(a, b) in fixed:
-                pair = OrderedPair(a, b)
-            elif OrderedPair(b, a) in fixed:
-                pair = OrderedPair(b, a)
-            else:
-                continue
+        pair = OrderedPair(a, b) if (a, b) in fixed else OrderedPair(b, a)
+        if pair in fixed:
             base.append(pair)
-            cur = [r for r in cur if r.matrix[pair.top][pair.bottom]]
-            if len(cur) == len(d):
+            cur &= masks[pair]
+
+    conditionals: list[tuple[list[OrderedPair], OrderedPair]] = []
+    free_pairs = sorted(pair_sets(d).free)
+    while cur != target:
+        outside = cur & ~target
+        excluded = universe[(outside & -outside).bit_length() - 1]
+        own_pairs = excluded.ordered_pairs()
+        # Each conclusion reverses a free pair on the excluded ranking; it is
+        # admissible iff no member satisfying the antecedent keeps that pair
+        # the excluded ranking's way.
+        kept = [
+            OrderedPair(a, b) if excluded.matrix[a][b] else OrderedPair(b, a)
+            for a, b in free_pairs
+        ]
+        checks = sorted((p.swapped(), masks[p]) for p in kept)
+        own_masks = [masks[p] for p in own_pairs]
+        found = None
+        for size in range(1, len(own_pairs) + 1):
+            found = _first_admissible(own_masks, checks, 0, size, target)
+            if found:
                 break
-
-    conditionals: list[tuple[frozenset[OrderedPair], OrderedPair]] = []
-    if len(cur) != len(d):
-        # Bitmasks over the members of d: a candidate conditional is admissible
-        # iff it never removes a member, i.e. every member satisfying the
-        # antecedent also satisfies the conclusion.
-        members = d.rankings
-        full_mask = (1 << len(members)) - 1
-        sat_mask: dict[OrderedPair, int] = {}
-        for a in range(m):
-            for b in range(m):
-                if a == b:
-                    continue
-                mask = 0
-                for i, r in enumerate(members):
-                    if r.matrix[a][b]:
-                        mask |= 1 << i
-                sat_mask[OrderedPair(a, b)] = mask
-        free_pairs = sorted(pair_sets(d).free)
-
-        while len(cur) != len(d):
-            excluded = next(r for r in cur if r not in target)
-            own_pairs = excluded.ordered_pairs()
-            conclusions = sorted(
-                OrderedPair(b, a) if excluded.matrix[a][b] else OrderedPair(a, b)
-                for (a, b) in free_pairs
-            )
-            chosen: Optional[tuple[frozenset[OrderedPair], OrderedPair]] = None
-            for size in range(1, len(own_pairs) + 1):
-                for antecedent in itertools.combinations(own_pairs, size):
-                    mask = full_mask
-                    for p in antecedent:
-                        mask &= sat_mask[p]
-                        if not mask:
-                            break
-                    for c in conclusions:
-                        if mask & ~sat_mask[c] == 0:
-                            chosen = (frozenset(antecedent), c)
-                            break
-                    if chosen:
-                        break
-                if chosen:
-                    break
-            if chosen is None:  # cannot happen: the full pair set always works
-                raise AssertionError("no admissible conditional found")
-            antecedent, conclusion = chosen
-            conditionals.append(chosen)
-            before = len(cur)
-            cur = [
-                r
-                for r in cur
-                if not (r.satisfies(antecedent) and r.matrix[conclusion.bottom][conclusion.top])
-            ]
-            if len(cur) >= before:
-                raise AssertionError("scan made no progress")
+        if found is None:  # cannot happen: the full pair set always works
+            raise AssertionError("no admissible conditional found")
+        antecedent, conclusion = [own_pairs[i] for i in found[0]], found[1]
+        conditionals.append((antecedent, conclusion))
+        removed = _all_of(antecedent, masks, cur) & masks[conclusion.swapped()]
+        if not removed:
+            raise AssertionError("scan made no progress")
+        cur &= ~removed
 
     return RestrictionMap.of(m, base, ((a, (c,)) for a, c in conditionals))

@@ -242,6 +242,7 @@ def _parse_rankings_block(cursor: _Cursor, labels: dict[str, int]) -> Preference
     cursor.expect("{")
     cursor.skip_newlines()
     orders: list[tuple[int, ...]] = []
+    seen: set[tuple[int, ...]] = set()
     while True:
         tok = cursor.peek()
         if tok is None:
@@ -261,8 +262,9 @@ def _parse_rankings_block(cursor: _Cursor, labels: dict[str, int]) -> Preference
                 start.col,
             )
         order = tuple(row)
-        if order in orders:
+        if order in seen:
             raise ParseError("duplicate ranking line", start.line, start.col)
+        seen.add(order)
         orders.append(order)
         cursor.skip_newlines()
     if not orders:

@@ -9,22 +9,31 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from spdom import (
     PROFILE_ENUMERATION_LIMIT,
     DomainError,
     ImpossibilityReport,
+    OrderedPair,
     PreferenceDomain,
     ProductDomain,
     Ranking,
+    RestrictionMap,
     Rule,
     TheoremViolation,
+    UnsatisfiableRestrictionError,
+    all_rankings,
     dictators_of,
     enumerate_sp_rules,
+    pair_sets,
     range_of,
+    relabel_domain,
+    relabel_map,
 )
 from spdom.counting import AuditFault, _audit_rule
+from spdom.prefcore import _check_pair
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +114,105 @@ def keeps_ranking(
         if all(holds(p) for p in antecedent) and not all(holds(c) for c in conclusions):
             return False
     return True
+
+
+@dataclass(frozen=True)
+class DomainRestriction:
+    """One removal predicate: drop rankings satisfying ``antecedent`` whose
+    ``conclusion`` is reversed.  An empty antecedent makes it unconditional."""
+
+    antecedent: frozenset[OrderedPair]
+    conclusion: OrderedPair
+
+    def removes(self, r: Ranking) -> bool:
+        return r.satisfies(self.antecedent) and r.matrix[self.conclusion.bottom][
+            self.conclusion.top
+        ]
+
+
+def apply_restriction(d: PreferenceDomain, restriction: DomainRestriction) -> PreferenceDomain:
+    """Filter ``d`` by one restriction; error if nothing survives."""
+    for p in restriction.antecedent:
+        _check_pair(p, d.m)
+    _check_pair(restriction.conclusion, d.m)
+    survivors = [r for r in d.rankings if not restriction.removes(r)]
+    if not survivors:
+        raise UnsatisfiableRestrictionError("restriction removes every ranking of the domain")
+    return PreferenceDomain(d.m, tuple(survivors))
+
+
+def classify_by_scan(d: PreferenceDomain, scan: str = "default") -> RestrictionMap:
+    """``classify``'s choice rule on lists of rankings: every antecedent from
+    ``itertools.combinations`` of the excluded ranking's own pairs, with its
+    member mask recomputed from scratch, and ``cur`` filtered ranking by
+    ranking."""
+    if scan == "reversed":
+        perm = tuple(range(d.m - 1, -1, -1))
+        mirrored = classify_by_scan(relabel_domain(d, perm))
+        return relabel_map(mirrored, perm)
+
+    m = d.m
+    target = set(d.rankings)
+    base: list[OrderedPair] = []
+    cur: list[Ranking] = list(all_rankings(m))
+
+    fixed = pair_sets(d).fixed
+    for a in range(m):
+        if len(cur) == len(d):
+            break
+        for b in range(a + 1, m):
+            if OrderedPair(a, b) in fixed:
+                pair = OrderedPair(a, b)
+            elif OrderedPair(b, a) in fixed:
+                pair = OrderedPair(b, a)
+            else:
+                continue
+            base.append(pair)
+            cur = [r for r in cur if r.matrix[pair.top][pair.bottom]]
+            if len(cur) == len(d):
+                break
+
+    conditionals: list[tuple[frozenset[OrderedPair], OrderedPair]] = []
+    members = d.rankings
+    full_mask = (1 << len(members)) - 1
+    sat_mask = {
+        OrderedPair(a, b): sum(1 << i for i, r in enumerate(members) if r.matrix[a][b])
+        for a in range(m)
+        for b in range(m)
+        if a != b
+    }
+    free_pairs = sorted(pair_sets(d).free)
+    while len(cur) != len(d):
+        excluded = next(r for r in cur if r not in target)
+        own_pairs = excluded.ordered_pairs()
+        conclusions = sorted(
+            OrderedPair(b, a) if excluded.matrix[a][b] else OrderedPair(a, b)
+            for (a, b) in free_pairs
+        )
+        chosen: Optional[tuple[frozenset[OrderedPair], OrderedPair]] = None
+        for size in range(1, len(own_pairs) + 1):
+            for antecedent in itertools.combinations(own_pairs, size):
+                mask = full_mask
+                for p in antecedent:
+                    mask &= sat_mask[p]
+                for c in conclusions:
+                    if mask & ~sat_mask[c] == 0:
+                        chosen = (frozenset(antecedent), c)
+                        break
+                if chosen:
+                    break
+            if chosen:
+                break
+        assert chosen is not None
+        antecedent, conclusion = chosen
+        conditionals.append(chosen)
+        cur = [
+            r
+            for r in cur
+            if not (r.satisfies(antecedent) and r.matrix[conclusion.bottom][conclusion.top])
+        ]
+
+    return RestrictionMap.of(m, base, ((a, (c,)) for a, c in conditionals))
 
 
 # ---------------------------------------------------------------------------

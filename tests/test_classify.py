@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,6 @@ import oracles
 from spdom import (
     SCAN_MODES,
     DomainError,
-    DomainRestriction,
     OrderedPair,
     PreferenceDomain,
     RestrictionMap,
@@ -18,7 +18,6 @@ from spdom import (
     all_rankings,
     answer_block_by_formula,
     answer_closure_pairs,
-    apply_restriction,
     classify,
     generate_domain,
     is_non_conditional,
@@ -76,12 +75,12 @@ def test_conclusions_for():
 
 def test_apply_restriction():
     universal = generate_domain("universal", m=3)
-    r = DomainRestriction(frozenset({OrderedPair(0, 1)}), OrderedPair(1, 2))
-    assert apply_restriction(universal, r) == SP3
-    total = DomainRestriction(frozenset(), OrderedPair(0, 1))
+    r = oracles.DomainRestriction(frozenset({OrderedPair(0, 1)}), OrderedPair(1, 2))
+    assert oracles.apply_restriction(universal, r) == SP3
+    total = oracles.DomainRestriction(frozenset(), OrderedPair(0, 1))
     chain = generate_domain("explicit", rankings=[(1, 0, 2)])
     with pytest.raises(UnsatisfiableRestrictionError):
-        apply_restriction(chain, total)
+        oracles.apply_restriction(chain, total)
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +172,7 @@ def test_rebuild_classify_identity_all_m3_subsets(scan):
     for bits in range(1, 1 << 6):
         d = PreferenceDomain.of(rs[i] for i in range(6) if bits >> i & 1)
         m = classify(d, scan=scan)
+        assert m == oracles.classify_by_scan(d, scan=scan)
         assert rebuild(m) == d
         assert m.is_non_conditional == is_non_conditional(d)
 
@@ -188,16 +188,56 @@ def test_rebuild_classify_identity_m4_samples(ids, scan):
     assert rebuild(classify(d, scan=scan)) == d
 
 
-def test_rebuild_membership_matches_loop_oracle(ex2_spec):
-    hint = ex2_spec.agents[0].map_hint
-    base = [tuple(p) for p in hint.base]
+def _random_domains(m: int, count: int, seed: int) -> list[PreferenceDomain]:
+    rng = random.Random(seed)
+    rs = all_rankings(m)
+    return [
+        PreferenceDomain.of(rng.sample(rs, rng.randint(1, len(rs)))) for _ in range(count)
+    ]
+
+
+def _assert_rebuild_matches_loop_oracle(map_: RestrictionMap) -> None:
+    base = [tuple(p) for p in map_.base]
     conds = [
         ([tuple(p) for p in ante], [tuple(c) for c in concl])
-        for ante, concl in hint.conditionals
+        for ante, concl in map_.conditionals
     ]
-    domain_orders = {r.order for r in rebuild(hint).rankings}
-    for order in itertools.permutations(range(5)):
+    domain_orders = {r.order for r in rebuild(map_).rankings}
+    for order in itertools.permutations(range(map_.m)):
         assert oracles.keeps_ranking(order, base, conds) == (order in domain_orders)
+
+
+def test_rebuild_membership_matches_loop_oracle(ex2_spec):
+    _assert_rebuild_matches_loop_oracle(ex2_spec.agents[0].map_hint)
+    for d in _random_domains(4, 60, seed=4):
+        for scan in SCAN_MODES:
+            _assert_rebuild_matches_loop_oracle(classify(d, scan=scan))
+
+
+# ---------------------------------------------------------------------------
+# Classification: the bitset search against the list-and-combinations scan
+
+
+@pytest.mark.parametrize("scan", SCAN_MODES)
+@pytest.mark.parametrize("m", [4, 5])
+def test_classify_matches_scan_oracle_random_domains(m, scan):
+    for d in _random_domains(m, 60, seed=m):
+        assert classify(d, scan=scan) == oracles.classify_by_scan(d, scan=scan)
+
+
+def test_classify_matches_scan_oracle_fixture_agents(ex1_spec, ex2_spec, sp3_spec, uni3_spec):
+    for spec in (ex1_spec, ex2_spec, sp3_spec, uni3_spec):
+        for agent in spec.agents:
+            for scan in SCAN_MODES:
+                d = agent.domain
+                assert classify(d, scan=scan) == oracles.classify_by_scan(d, scan=scan)
+
+
+def test_classify_matches_scan_oracle_half_of_m6():
+    d = PreferenceDomain.of(random.Random(6).sample(all_rankings(6), 360))
+    map_ = classify(d)
+    assert len(map_.conditionals) > 100
+    assert map_ == oracles.classify_by_scan(d)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from textwrap import dedent
 
 import pytest
@@ -263,6 +264,17 @@ def test_parse_error_rankings():
     assert "unterminated rankings" in str(
         _err("alternatives x y z\nagent 1 { rankings {\n  x y z\n")
     )
+
+
+def test_duplicate_ranking_points_at_the_repeat():
+    # All 120 rankings of five alternatives, then the first one again.
+    rows = [" ".join(order) for order in itertools.permutations("vwxyz")]
+    lines = ["alternatives v w x y z", "agent 1 {", "  rankings {"]
+    lines += [f"    {row}" for row in rows + rows[:1]]
+    lines += ["  }", "}"]
+    err = _err("\n".join(lines) + "\n")
+    assert "duplicate ranking line" in str(err)
+    assert (err.line, err.col) == (3 + 121, 5)
 
 
 def test_unsatisfiable_statements_report_agent():

@@ -1,11 +1,11 @@
 """Property test of the CLI's failure contract over arbitrary input.
 
 Whatever the argv and the bytes of the domain file, ``count-subrules``,
-``partition``, ``classify`` and ``verify-theorem`` must exit with 0, 1, 2 or
-3, must not let an exception escape, and on a nonzero exit must write exactly
-one stderr line, prefixed ``error:`` or ``size limit:``.  An argparse usage
-error is the one exception: argparse prints its usage text before its
-``spdom …: error:`` line.
+``partition``, ``classify``, ``closure`` and ``verify-theorem`` must exit
+with 0, 1, 2 or 3, must not let an exception escape, and on a nonzero exit
+must write exactly one stderr line, prefixed ``error:`` or ``size limit:``.
+An argparse usage error is the one exception: argparse prints its usage text
+before its ``spdom …: error:`` line.
 
 Domain files are drawn three ways: raw bytes, a token soup over the file
 format's vocabulary, and well-formed files that are then spliced with soup
@@ -51,7 +51,7 @@ VOCABULARY = LABELS + (
     "é",
     "\x00",
 )
-COMMANDS = ("count-subrules", "partition", "classify")
+COMMANDS = ("count-subrules", "partition", "classify", "closure")
 
 
 def _soup(max_size: int = 12) -> st.SearchStrategy[str]:
@@ -119,17 +119,19 @@ def _argv(draw, domain: str, missing: str, outs: tuple[str, str]) -> list[str]:
     command = draw(st.sampled_from(COMMANDS))
     argv = [command, "--domain", draw(st.sampled_from((domain, domain, domain, missing)))]
     good = [
-        ["--scan", "reversed"],
-        ["--scan", "default"],
         ["--format", "json"],
         ["--format", "text"],
         ["--out", outs[0]],
         ["--out", outs[1]],
     ]
+    if command != "closure":
+        good += [["--scan", "reversed"], ["--scan", "default"]]
     if command == "count-subrules":
         good.append(["--oracle"])
-    # Usage errors; --oracle is one outside count-subrules.
+    # Usage errors; --oracle is one outside count-subrules, --scan in closure.
     bad = [["--scan", "sideways"], ["--format", "xml"], ["--oracle"], ["--domain"], ["-x"]]
+    if command == "closure":
+        bad.append(["--scan", "default"])
     flags = st.one_of(st.sampled_from(good), st.sampled_from(good), st.sampled_from(bad))
     for flag in draw(st.lists(flags, max_size=3)):
         argv.extend(flag)
