@@ -31,7 +31,6 @@ from .prefcore import (
     UnsatisfiableRestrictionError,
     _check_pair,
     all_rankings,
-    consistent_rankings,
     pair_sets,
 )
 
@@ -157,46 +156,7 @@ def rebuild(map_: RestrictionMap) -> PreferenceDomain:
 
 def satisfied_antecedents(r: Ranking, map_: RestrictionMap) -> AnswerSet:
     """The condition pairs of ``map_`` that ``r`` ranks top-over-bottom."""
-    return frozenset(p for p in map_.conditions if r.matrix[p.top][p.bottom])
-
-
-def _check_answers(map_: RestrictionMap, answers: Iterable[Sequence[int]]) -> frozenset[OrderedPair]:
-    conditions = map_.conditions
-    checked = frozenset(_check_pair(p, map_.m) for p in answers)
-    for p in checked:
-        if p not in conditions:
-            raise DomainError(f"answer pair {tuple(p)} is not one of the map's conditions")
-        if p.swapped() in checked:
-            raise DomainError(f"answer set contains {tuple(p)} and its reverse")
-    return checked
-
-
-def answer_closure_pairs(map_: RestrictionMap, answers: Iterable[Sequence[int]]) -> frozenset[OrderedPair]:
-    """Fixed pairs characterizing the block of an answer set, by formula.
-
-    The block of answer set ``B`` is the closure of: the base, ``B`` itself,
-    the reversals of the unanswered conditions, and every conclusion whose
-    antecedent lies inside ``B``.  This is the second, closed-form route to
-    the same block that :func:`partition_by_answers` computes by filtering.
-    """
-    checked = _check_answers(map_, answers)
-    pairs: set[OrderedPair] = set(map_.base)
-    pairs |= checked
-    pairs |= {p.swapped() for p in map_.conditions - checked}
-    pairs |= map_.conclusions_for(checked)
-    return frozenset(pairs)
-
-
-def answer_block_by_formula(
-    map_: RestrictionMap, answers: Iterable[Sequence[int]]
-) -> Optional[PreferenceDomain]:
-    """The block of an answer set rebuilt from :func:`answer_closure_pairs`;
-    None when the pairs are contradictory (unrealizable answer set)."""
-    pairs = answer_closure_pairs(map_, answers)
-    survivors = consistent_rankings(pairs, map_.m)
-    if not survivors:
-        return None
-    return PreferenceDomain(map_.m, survivors)
+    return frozenset(p for p in map_.conditions if r.prefers(p.top, p.bottom))
 
 
 def _answer_sort_key(answers: AnswerSet) -> tuple:
@@ -388,7 +348,7 @@ def classify(d: PreferenceDomain, scan: str = "default") -> RestrictionMap:
         # admissible iff no member satisfying the antecedent keeps that pair
         # the excluded ranking's way.
         kept = [
-            OrderedPair(a, b) if excluded.matrix[a][b] else OrderedPair(b, a)
+            OrderedPair(a, b) if excluded.prefers(a, b) else OrderedPair(b, a)
             for a, b in free_pairs
         ]
         checks = sorted((p.swapped(), masks[p]) for p in kept)

@@ -4,11 +4,10 @@ Two independent routes to the same numbers live here on purpose:
 
 - :func:`enumerate_sp_rules` walks outcome tables with backtracking and
   incremental adjacent-profile constraint checks — brute force, definitional;
-- :func:`count_second_step` (with :func:`count_sp_range2`,
-  :func:`count_dictatorial` and the monotone-function counts behind
-  :func:`dedekind`) computes the same totals in closed form for rules that are
-  dictatorial-on-a-block or confined to two outcomes, which is every
-  strategy-proof rule on non-conditional blocks.
+- :func:`count_second_step` (with :func:`count_dictatorial` and the
+  monotone-function counts behind :func:`dedekind`) computes the same totals
+  in closed form for rules that are dictatorial-on-a-block or confined to two
+  outcomes, which is every strategy-proof rule on non-conditional blocks.
 
 The dictatorial count needs no tables.  A dictatorial rule with range C picks
 its dictator's best of C, and C must be a set the dictator can fully steer:
@@ -227,28 +226,11 @@ def _check_same_m(domains: Sequence[PreferenceDomain]) -> int:
     return m
 
 
-def count_sp_range2(domains: Sequence[PreferenceDomain], pair: Sequence[int]) -> int:
-    """How many strategy-proof rules attain exactly the two given outcomes.
-
-    Such a rule is determined by a monotone function of the votes of the
-    agents whose domain leaves the pair free (everyone else's preference over
-    the pair never changes), minus the two constant functions, whose range is
-    a single outcome.
-    """
-    m = _check_same_m(domains)
-    a, b = pair
-    if not (0 <= a < m and 0 <= b < m) or a == b:
-        raise DomainError(f"invalid alternative pair {tuple(pair)!r}")
-    lo, hi = min(a, b), max(a, b)
-    free_count = sum(1 for d in domains if (lo, hi) in pair_sets(d).free)
-    return dedekind(free_count) - 2
-
-
 def pair_vote_rules(pd: ProductDomain, pair: Sequence[int]) -> tuple[Rule, ...]:
     """The strategy-proof rules with range inside ``pair`` that are not
     constant, materialized as explicit rules; canonical order (ascending
-    monotone-function truth table).  This is the explicit-route counterpart of
-    :func:`count_sp_range2`."""
+    monotone-function truth table): the explicit route to the two-outcome
+    counts of :func:`count_second_step`."""
     m = pd.m
     a, b = pair
     if not (0 <= a < m and 0 <= b < m) or a == b:
@@ -267,7 +249,7 @@ def pair_vote_rules(pd: ProductDomain, pair: Sequence[int]) -> tuple[Rule, ...]:
         shift = k - 1 - order
         stride = pd.strides[agent]
         size = pd.sizes[agent]
-        prefers_lo = [1 if r.matrix[lo][hi] else 0 for r in pd.agents[agent].rankings]
+        prefers_lo = [1 if r.prefers(lo, hi) else 0 for r in pd.agents[agent].rankings]
         for index in range(count):
             vote_index[index] |= prefers_lo[(index // stride) % size] << shift
     rules = []

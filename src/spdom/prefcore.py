@@ -1,9 +1,9 @@
 """Strict preference rankings, preference domains, and product domains.
 
 Alternatives are integers ``0..m-1``; human-readable labels are attached at the
-file-format and CLI layer, never here.  A ranking is a strict total order whose
-pairwise comparison matrix is the authoritative representation; the best-first
-order sequence and the position array are derived caches.  Domains are
+file-format and CLI layer, never here.  A ranking is stored as its best-first
+order, checked once to be a permutation; the position of each alternative is
+derived from it, and every pairwise comparison reads positions.  Domains are
 immutable, canonically sorted, and hashable, so they can key caches and be
 compared structurally.
 """
@@ -70,52 +70,30 @@ def _check_pair(pair: Sequence[int], m: int) -> OrderedPair:
 class Ranking:
     """A strict total order over alternatives ``0..m-1``.
 
-    ``matrix[a][b]`` is True iff ``a`` is strictly preferred to ``b``.  The
-    matrix is the authoritative representation; ``order`` (best first) and
-    ``position`` (rank of each alternative, 0 = best) are derived caches and
-    excluded from equality.
+    ``order`` lists the alternatives best first and is the only compared
+    field; ``position`` (rank of each alternative, 0 = best) is derived from
+    it and excluded from equality.
     """
 
-    matrix: tuple[tuple[bool, ...], ...]
-    order: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    order: tuple[int, ...]
     position: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        m = len(self.matrix)
+        m = len(self.order)
         _check_alternative_count(m)
-        if any(len(row) != m for row in self.matrix):
-            raise DomainError("pairwise matrix must be square")
-        wins = [sum(row) for row in self.matrix]
-        if sorted(wins) != list(range(m)):
-            raise DomainError("pairwise matrix is not a strict total order")
-        for a in range(m):
-            for b in range(m):
-                expected = wins[a] > wins[b]
-                if bool(self.matrix[a][b]) != expected:
-                    raise DomainError("pairwise matrix is not a strict total order")
-        order = tuple(sorted(range(m), key=lambda alt: -wins[alt]))
-        position = [0] * m
-        for rank, alt in enumerate(order):
-            position[alt] = rank
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "position", tuple(position))
+        if sorted(self.order) != list(range(m)):
+            raise DomainError(f"order {self.order!r} is not a permutation of 0..{m - 1}")
+        position = tuple(sorted(range(m), key=self.order.__getitem__))
+        object.__setattr__(self, "position", position)
 
     @classmethod
     def from_order(cls, order: Sequence[int]) -> "Ranking":
         """Build a ranking from a best-first sequence of alternative ids."""
-        m = len(order)
-        _check_alternative_count(m)
-        if sorted(order) != list(range(m)):
-            raise DomainError(f"order {tuple(order)!r} is not a permutation of 0..{m - 1}")
-        position = {alt: rank for rank, alt in enumerate(order)}
-        matrix = tuple(
-            tuple(position[a] < position[b] and a != b for b in range(m)) for a in range(m)
-        )
-        return cls(matrix)
+        return cls(tuple(order))
 
     @property
     def m(self) -> int:
-        return len(self.matrix)
+        return len(self.order)
 
     @property
     def top(self) -> int:
@@ -127,22 +105,21 @@ class Ranking:
 
     def prefers(self, a: int, b: int) -> bool:
         """True iff ``a`` is strictly preferred to ``b``."""
-        return self.matrix[a][b]
+        return self.position[a] < self.position[b]
 
     def satisfies(self, pairs: Iterable[Sequence[int]]) -> bool:
         """True iff every oriented pair in ``pairs`` holds (top above bottom)."""
-        return all(self.matrix[p[0]][p[1]] for p in pairs)
+        position = self.position
+        return all(position[p[0]] < position[p[1]] for p in pairs)
 
     def ordered_pairs(self) -> tuple[OrderedPair, ...]:
         """All m(m-1)/2 oriented pairs realized by this ranking, sorted."""
-        m = self.m
-        return tuple(
-            sorted(OrderedPair(a, b) for a in range(m) for b in range(m) if self.matrix[a][b])
-        )
+        pairs = itertools.combinations(self.order, 2)  # (earlier, later) = (top, bottom)
+        return tuple(sorted(OrderedPair(a, b) for a, b in pairs))
 
     def relabeled(self, perm: Sequence[int]) -> "Ranking":
         """Rename alternative ``i`` to ``perm[i]`` keeping relative order."""
-        return Ranking.from_order(tuple(perm[a] for a in self.order))
+        return Ranking(tuple(perm[a] for a in self.order))
 
 
 @lru_cache(maxsize=None)
@@ -175,15 +152,15 @@ class PreferenceDomain:
         _check_alternative_count(self.m)
         if not self.rankings:
             raise DomainError("a preference domain must contain at least one ranking")
-        seen: set[tuple[int, ...]] = set()
+        previous: tuple[int, ...] = ()  # sorts before every order
         for r in self.rankings:
             if r.m != self.m:
                 raise DomainError("all rankings in a domain must share the alternative set")
-            if r.order in seen:
-                raise DomainError(f"duplicate ranking {r.order!r} in domain")
-            seen.add(r.order)
-        if tuple(sorted(r.order for r in self.rankings)) != tuple(r.order for r in self.rankings):
-            raise DomainError("internal: domain rankings not canonically sorted; use .of()")
+            if r.order <= previous:
+                if r.order == previous:
+                    raise DomainError(f"duplicate ranking {r.order!r} in domain")
+                raise DomainError("internal: domain rankings not canonically sorted; use .of()")
+            previous = r.order
 
     @classmethod
     def of(cls, rankings: Iterable[Ranking]) -> "PreferenceDomain":
@@ -232,16 +209,15 @@ def pair_sets(d: PreferenceDomain) -> PairSets:
     """
     fixed: set[OrderedPair] = set()
     free: set[tuple[int, int]] = set()
-    for a in range(d.m):
-        for b in range(a + 1, d.m):
-            saw_ab = any(r.matrix[a][b] for r in d.rankings)
-            saw_ba = any(r.matrix[b][a] for r in d.rankings)
-            if saw_ab and saw_ba:
-                free.add((a, b))
-            elif saw_ab:
-                fixed.add(OrderedPair(a, b))
-            else:
-                fixed.add(OrderedPair(b, a))
+    positions = [r.position for r in d.rankings]
+    for a, b in itertools.combinations(range(d.m), 2):
+        ahead = sum(p[a] < p[b] for p in positions)
+        if 0 < ahead < len(positions):
+            free.add((a, b))
+        elif ahead:
+            fixed.add(OrderedPair(a, b))
+        else:
+            fixed.add(OrderedPair(b, a))
     return PairSets(frozenset(fixed), frozenset(free))
 
 
@@ -287,21 +263,7 @@ def _is_single_peaked(r: Ranking, axis_pos: Sequence[int]) -> bool:
                 continue
             between_left = axis_pos[peak] >= axis_pos[t] > axis_pos[u]
             between_right = axis_pos[u] > axis_pos[t] >= axis_pos[peak]
-            if (between_left or between_right) and not r.matrix[t][u]:
-                return False
-    return True
-
-
-def _is_single_dipped(r: Ranking, axis_pos: Sequence[int]) -> bool:
-    dip = r.bottom
-    m = r.m
-    for t in range(m):
-        for u in range(m):
-            if t == u:
-                continue
-            between_left = axis_pos[dip] >= axis_pos[t] > axis_pos[u]
-            between_right = axis_pos[u] > axis_pos[t] >= axis_pos[dip]
-            if (between_left or between_right) and not r.matrix[u][t]:
+            if (between_left or between_right) and not r.prefers(t, u):
                 return False
     return True
 
@@ -344,18 +306,15 @@ def generate_domain(kind: str, **params) -> PreferenceDomain:
         (m,) = _take("m")
         _check_alternative_count(m)
         return PreferenceDomain(m, all_rankings(m))
-    if kind == "single_peaked":
+    if kind in ("single_peaked", "single_dipped"):
         (axis,) = _take("axis")
         m = len(axis)
         _check_alternative_count(m)
         pos = _axis_positions(axis, m)
-        return PreferenceDomain.of(r for r in all_rankings(m) if _is_single_peaked(r, pos))
-    if kind == "single_dipped":
-        (axis,) = _take("axis")
-        m = len(axis)
-        _check_alternative_count(m)
-        pos = _axis_positions(axis, m)
-        return PreferenceDomain.of(r for r in all_rankings(m) if _is_single_dipped(r, pos))
+        peaked = [r for r in all_rankings(m) if _is_single_peaked(r, pos)]
+        if kind == "single_dipped":  # the reverses of the single-peaked rankings
+            return PreferenceDomain.of(Ranking(r.order[::-1]) for r in peaked)
+        return PreferenceDomain(m, tuple(peaked))
     if kind == "fixed_pairs":
         m, pairs = _take("m", "pairs")
         return nonconditional_closure(pairs, m)

@@ -58,19 +58,6 @@ def constant_rule(pd: ProductDomain, outcome: int) -> Rule:
     return Rule(pd, (outcome,) * pd.profile_count)
 
 
-def dictatorship(pd: ProductDomain, agent: int) -> Rule:
-    """The rule that always picks ``agent``'s top alternative."""
-    if not 0 <= agent < pd.n:
-        raise DomainError(f"agent index {agent} is outside 0..{pd.n - 1}")
-    tops = [r.top for r in pd.agents[agent].rankings]
-    stride = pd.strides[agent]
-    size = len(pd.agents[agent])
-    table = [0] * pd.profile_count
-    for index in range(pd.profile_count):
-        table[index] = tops[(index // stride) % size]
-    return Rule(pd, tuple(table))
-
-
 def range_of(rule: Rule) -> frozenset[int]:
     """The set of outcomes the rule actually attains."""
     return frozenset(rule.table)
@@ -137,10 +124,6 @@ def find_manipulation(
 ) -> Optional[ManipulationWitness]:
     """The canonical first manipulation, or None when the rule is strategy-proof."""
     return next(iter_manipulations(rule, max_profiles), None)
-
-
-def is_strategy_proof(rule: Rule, max_profiles: int = PROFILE_ENUMERATION_LIMIT) -> bool:
-    return find_manipulation(rule, max_profiles) is None
 
 
 def find_manipulation_within(
@@ -232,28 +215,6 @@ def restriction_scanner(
         return None
 
     return scan
-
-
-def option_set(rule: Rule, agent: int, others: Sequence[int]) -> frozenset[int]:
-    """Outcomes ``agent`` can reach by varying their report while the other
-    agents' reports stay at ``others`` (ranking indices, agent-ascending)."""
-    pd = rule.domain
-    if not 0 <= agent < pd.n:
-        raise DomainError(f"agent index {agent} is outside 0..{pd.n - 1}")
-    if len(others) != pd.n - 1:
-        raise DomainError(f"need {pd.n - 1} other-agent coordinates, got {len(others)}")
-    strides = pd.strides
-    base = 0
-    it = iter(others)
-    for i in range(pd.n):
-        if i == agent:
-            continue
-        digit = next(it)
-        if not 0 <= digit < pd.sizes[i]:
-            raise DomainError(f"coordinate {digit} out of range for agent {i}")
-        base += digit * strides[i]
-    stride = strides[agent]
-    return frozenset(rule.table[base + r * stride] for r in range(pd.sizes[agent]))
 
 
 def dictators_of(rule: Rule) -> frozenset[int]:

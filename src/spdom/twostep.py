@@ -14,19 +14,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .classify import AnswerSet, ResponsePartition
 from .counting import second_step_catalog
-from .prefcore import PROFILE_ENUMERATION_LIMIT, DomainError
-from .rules import (
-    ManipulationWitness,
-    Rule,
-    dictators_of,
-    find_manipulation,
-    iter_manipulations,
-    range_of,
-)
+from .prefcore import DomainError
+from .rules import Rule, dictators_of, find_manipulation, range_of
 
 
 def _check_subrules(partition: ResponsePartition, subrules: Sequence[Rule]) -> None:
@@ -38,22 +31,6 @@ def _check_subrules(partition: ResponsePartition, subrules: Sequence[Rule]) -> N
     for answers, block, subrule in zip(partition.responses, blocks, subrules):
         if subrule.domain.agents != block.agents:
             raise DomainError(f"subrule for response profile {answers!r} is not over its block")
-
-
-def _check_rule(rule: Rule, partition: ResponsePartition) -> None:
-    if rule.domain != partition.product:
-        raise DomainError("rule is over a different product than the response partition")
-
-
-@dataclass(frozen=True)
-class TwoStepAssignment:
-    """One subrule per realizable response profile, in canonical order."""
-
-    partition: ResponsePartition
-    subrules: tuple[Rule, ...]
-
-    def __post_init__(self) -> None:
-        _check_subrules(self.partition, self.subrules)
 
 
 def assemble(partition: ResponsePartition, subrules: Sequence[Rule]) -> Rule:
@@ -96,7 +73,8 @@ class DecompositionReport:
 def decompose(rule: Rule, partition: ResponsePartition) -> DecompositionReport:
     """Split a rule into its response-profile subrules and classify each as
     dictatorial, strategy-proof with at most two outcomes, or a violation."""
-    _check_rule(rule, partition)
+    if rule.domain != partition.product:
+        raise DomainError("rule is over a different product than the response partition")
     tables = [[0] * block.profile_count for block in partition.block_products]
     for outcome, (r, s) in zip(rule.table, partition.gather):
         tables[r][s] = outcome
@@ -121,34 +99,6 @@ def decompose(rule: Rule, partition: ResponsePartition) -> DecompositionReport:
             )
         )
     return DecompositionReport(tuple(blocks))
-
-
-@dataclass(frozen=True)
-class FirstStepWitness:
-    """A manipulation annotated with whether the misreport changed the
-    manipulator's elicited answers (their response-profile coordinate)."""
-
-    witness: ManipulationWitness
-    answer_changing: bool
-
-
-def first_step_witnesses(
-    rule: Rule,
-    partition: ResponsePartition,
-    max_profiles: int = PROFILE_ENUMERATION_LIMIT,
-) -> tuple[FirstStepWitness, ...]:
-    """Every manipulation of ``rule``, each annotated by whether the deviation
-    crosses answer-set blocks.  When all block subrules are strategy-proof,
-    every witness is answer-changing (a within-block deviation would manipulate
-    a strategy-proof subrule)."""
-    _check_rule(rule, partition)
-    out = []
-    for witness in iter_manipulations(rule, max_profiles):
-        positions = partition.positions[witness.agent]
-        sincere = positions[witness.profile[witness.agent]][0]
-        deviating = positions[witness.deviation][0]
-        out.append(FirstStepWitness(witness, answer_changing=sincere != deviating))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -182,13 +132,12 @@ def search_sp_combinations(
     for catalog in catalogs:
         total *= len(catalog)
 
-    candidates = itertools.islice(
-        itertools.product(*(range(len(c)) for c in catalogs)), budget
-    )
     rules: list[Rule] = []
     assignments: list[tuple[int, ...]] = []
     tried = 0
-    for indices in candidates:
+    for indices in itertools.product(*(range(len(c)) for c in catalogs)):
+        if tried == budget:
+            break
         tried += 1
         rule = assemble(partition, [catalogs[i][j] for i, j in enumerate(indices)])
         if find_manipulation(rule) is None:
@@ -230,127 +179,3 @@ def serialize_assignment(partition: ResponsePartition, indices: Sequence[int]) -
         left = "|".join(_format_answer_set(a, pd.labels) for a in answers)
         lines.append(f"{left} -> catalog:{idx}")
     return "\n".join(lines) + "\n"
-
-
-def _parse_answer_set(token: str, labels: dict[str, int], lineno: int) -> AnswerSet:
-    from .domfile import ParseError
-    from .prefcore import OrderedPair
-
-    token = token.strip()
-    if not (token.startswith("{") and token.endswith("}")):
-        raise ParseError(f"expected an answer set in braces, found {token!r}", lineno, 1)
-    inner = token[1:-1].strip()
-    if not inner:
-        return frozenset()
-    pairs = []
-    for part in inner.split(","):
-        part = part.strip()
-        if ">" not in part:
-            raise ParseError(f"expected 'a>b' inside answer set, found {part!r}", lineno, 1)
-        top, _, bottom = part.partition(">")
-        top, bottom = top.strip(), bottom.strip()
-        if top not in labels or bottom not in labels:
-            raise ParseError(f"unknown alternative in answer pair {part!r}", lineno, 1)
-        pairs.append(OrderedPair(labels[top], labels[bottom]))
-    return frozenset(pairs)
-
-
-def parse_assignment_file(
-    text: str,
-    partition: ResponsePartition,
-    base_dir: Optional[str] = None,
-) -> TwoStepAssignment:
-    """Parse an assignment document: one line per realizable response profile,
-    in canonical order, referencing subrules as ``catalog:N`` or
-    ``file:relative/path.rule`` (resolved against ``base_dir``)."""
-    from pathlib import Path
-
-    from .domfile import ParseError
-    from .rules import parse_rule_file
-
-    pd = partition.product
-    labels = {label: i for i, label in enumerate(pd.labels)}
-    responses = partition.responses
-    expected_iter = iter(zip(responses, partition.block_products))
-    subrules: list[Rule] = []
-    header = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if header == 0:
-            if not line.startswith("alternatives:"):
-                raise ParseError("an assignment file starts with 'alternatives:'", lineno, 1)
-            declared = tuple(line[len("alternatives:") :].split())
-            if declared != pd.labels:
-                raise ParseError(
-                    f"alternatives {declared!r} do not match the domain's {pd.labels!r}",
-                    lineno,
-                    1,
-                )
-            header = 1
-            continue
-        if header == 1:
-            if not line.startswith("agents:"):
-                raise ParseError("expected 'agents:' after the alternatives line", lineno, 1)
-            declared_agents = tuple(line[len("agents:") :].split())
-            if declared_agents != pd.agent_names:
-                raise ParseError(
-                    f"agents {declared_agents!r} do not match the domain's "
-                    f"{pd.agent_names!r}",
-                    lineno,
-                    1,
-                )
-            header = 2
-            continue
-        if "->" not in line:
-            raise ParseError("expected 'answer sets -> subrule reference'", lineno, 1)
-        left, _, right = line.partition("->")
-        expected = next(expected_iter, None)
-        if expected is None:
-            raise ParseError(f"more than {len(responses)} assignment lines", lineno, 1)
-        declared_answers = tuple(
-            _parse_answer_set(part, labels, lineno) for part in left.strip().split("|")
-        )
-        answers, block_pd = expected
-        if declared_answers != answers:
-            expected_text = "|".join(_format_answer_set(a, pd.labels) for a in answers)
-            raise ParseError(
-                f"response profile out of canonical order: expected {expected_text!r}",
-                lineno,
-                1,
-            )
-        ref = right.strip()
-        if ref.startswith("catalog:"):
-            catalog = second_step_catalog(block_pd)
-            try:
-                idx = int(ref[len("catalog:") :])
-            except ValueError:
-                raise ParseError(f"bad catalog index in {ref!r}", lineno, 1) from None
-            if not 0 <= idx < len(catalog):
-                raise ParseError(
-                    f"catalog index {idx} out of range 0..{len(catalog) - 1}", lineno, 1
-                )
-            subrules.append(catalog[idx])
-        elif ref.startswith("file:"):
-            rel = ref[len("file:") :].strip()
-            path = Path(base_dir) / rel if base_dir else Path(rel)
-            try:
-                content = path.read_text()
-            except (OSError, UnicodeDecodeError) as err:
-                raise DomainError(f"cannot read subrule file {path}: {err}") from err
-            subrules.append(parse_rule_file(content, block_pd))
-        else:
-            raise ParseError(
-                f"subrule reference must be 'catalog:N' or 'file:PATH', found {ref!r}",
-                lineno,
-                1,
-            )
-    if header < 2:
-        raise ParseError("incomplete assignment file header", 1, 1)
-    missing = next(expected_iter, None)
-    if missing is not None:
-        raise DomainError(
-            f"assignment file covers only {len(subrules)} of {len(responses)} response profiles"
-        )
-    return TwoStepAssignment(partition, tuple(subrules))

@@ -3,6 +3,9 @@
 Everything here is deliberately written by a different route than the library:
 plain permutation filters, dictionary-based profile lookups, and full
 brute-force scans.  Slow but obviously correct, and only run at tiny scale.
+The last sections hold routines no command uses but the tests still check
+the library against: closed-form answer blocks and two-outcome counts, the
+dictatorship and option-set helpers, and the ``.assign`` reader.
 """
 
 from __future__ import annotations
@@ -10,30 +13,42 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from spdom import (
     PROFILE_ENUMERATION_LIMIT,
+    AnswerSet,
     DomainError,
     ImpossibilityReport,
+    ManipulationWitness,
     OrderedPair,
+    ParseError,
     PreferenceDomain,
     ProductDomain,
     Ranking,
+    ResponsePartition,
     RestrictionMap,
     Rule,
     TheoremViolation,
     UnsatisfiableRestrictionError,
     all_rankings,
+    consistent_rankings,
+    dedekind,
     dictators_of,
     enumerate_sp_rules,
+    find_manipulation,
+    iter_manipulations,
     pair_sets,
+    parse_rule_file,
     range_of,
     relabel_domain,
     relabel_map,
+    second_step_catalog,
 )
-from spdom.counting import AuditFault, _audit_rule
+from spdom.counting import AuditFault, _audit_rule, _check_same_m
 from spdom.prefcore import _check_pair
+from spdom.twostep import _check_subrules, _format_answer_set
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +140,7 @@ class DomainRestriction:
     conclusion: OrderedPair
 
     def removes(self, r: Ranking) -> bool:
-        return r.satisfies(self.antecedent) and r.matrix[self.conclusion.bottom][
-            self.conclusion.top
-        ]
+        return r.satisfies(self.antecedent) and r.prefers(*self.conclusion.swapped())
 
 
 def apply_restriction(d: PreferenceDomain, restriction: DomainRestriction) -> PreferenceDomain:
@@ -168,7 +181,7 @@ def classify_by_scan(d: PreferenceDomain, scan: str = "default") -> RestrictionM
             else:
                 continue
             base.append(pair)
-            cur = [r for r in cur if r.matrix[pair.top][pair.bottom]]
+            cur = [r for r in cur if r.prefers(*pair)]
             if len(cur) == len(d):
                 break
 
@@ -176,7 +189,7 @@ def classify_by_scan(d: PreferenceDomain, scan: str = "default") -> RestrictionM
     members = d.rankings
     full_mask = (1 << len(members)) - 1
     sat_mask = {
-        OrderedPair(a, b): sum(1 << i for i, r in enumerate(members) if r.matrix[a][b])
+        OrderedPair(a, b): sum(1 << i for i, r in enumerate(members) if r.prefers(a, b))
         for a in range(m)
         for b in range(m)
         if a != b
@@ -186,7 +199,7 @@ def classify_by_scan(d: PreferenceDomain, scan: str = "default") -> RestrictionM
         excluded = next(r for r in cur if r not in target)
         own_pairs = excluded.ordered_pairs()
         conclusions = sorted(
-            OrderedPair(b, a) if excluded.matrix[a][b] else OrderedPair(a, b)
+            OrderedPair(b, a) if excluded.prefers(a, b) else OrderedPair(a, b)
             for (a, b) in free_pairs
         )
         chosen: Optional[tuple[frozenset[OrderedPair], OrderedPair]] = None
@@ -209,7 +222,7 @@ def classify_by_scan(d: PreferenceDomain, scan: str = "default") -> RestrictionM
         cur = [
             r
             for r in cur
-            if not (r.satisfies(antecedent) and r.matrix[conclusion.bottom][conclusion.top])
+            if not (r.satisfies(antecedent) and r.prefers(*conclusion.swapped()))
         ]
 
     return RestrictionMap.of(m, base, ((a, (c,)) for a, c in conditionals))
@@ -407,3 +420,263 @@ def verify_impossibility_per_instance(
         audited=audited,
         audit_faults=faults,
     )
+
+
+# ---------------------------------------------------------------------------
+# Library routines no command uses, kept as second routes for the tests
+
+
+def _check_answers(map_: RestrictionMap, answers: Iterable[Sequence[int]]) -> frozenset[OrderedPair]:
+    conditions = map_.conditions
+    checked = frozenset(_check_pair(p, map_.m) for p in answers)
+    for p in checked:
+        if p not in conditions:
+            raise DomainError(f"answer pair {tuple(p)} is not one of the map's conditions")
+        if p.swapped() in checked:
+            raise DomainError(f"answer set contains {tuple(p)} and its reverse")
+    return checked
+
+
+def answer_closure_pairs(map_: RestrictionMap, answers: Iterable[Sequence[int]]) -> frozenset[OrderedPair]:
+    """Fixed pairs characterizing the block of an answer set, by formula.
+
+    The block of answer set ``B`` is the closure of: the base, ``B`` itself,
+    the reversals of the unanswered conditions, and every conclusion whose
+    antecedent lies inside ``B``.  This is the second, closed-form route to
+    the same block that :func:`partition_by_answers` computes by filtering.
+    """
+    checked = _check_answers(map_, answers)
+    pairs: set[OrderedPair] = set(map_.base)
+    pairs |= checked
+    pairs |= {p.swapped() for p in map_.conditions - checked}
+    pairs |= map_.conclusions_for(checked)
+    return frozenset(pairs)
+
+
+def answer_block_by_formula(
+    map_: RestrictionMap, answers: Iterable[Sequence[int]]
+) -> Optional[PreferenceDomain]:
+    """The block of an answer set rebuilt from :func:`answer_closure_pairs`;
+    None when the pairs are contradictory (unrealizable answer set)."""
+    pairs = answer_closure_pairs(map_, answers)
+    survivors = consistent_rankings(pairs, map_.m)
+    if not survivors:
+        return None
+    return PreferenceDomain(map_.m, survivors)
+
+
+def count_sp_range2(domains: Sequence[PreferenceDomain], pair: Sequence[int]) -> int:
+    """How many strategy-proof rules attain exactly the two given outcomes.
+
+    Such a rule is determined by a monotone function of the votes of the
+    agents whose domain leaves the pair free (everyone else's preference over
+    the pair never changes), minus the two constant functions, whose range is
+    a single outcome.
+    """
+    m = _check_same_m(domains)
+    a, b = pair
+    if not (0 <= a < m and 0 <= b < m) or a == b:
+        raise DomainError(f"invalid alternative pair {tuple(pair)!r}")
+    lo, hi = min(a, b), max(a, b)
+    free_count = sum(1 for d in domains if (lo, hi) in pair_sets(d).free)
+    return dedekind(free_count) - 2
+
+
+def dictatorship(pd: ProductDomain, agent: int) -> Rule:
+    """The rule that always picks ``agent``'s top alternative."""
+    if not 0 <= agent < pd.n:
+        raise DomainError(f"agent index {agent} is outside 0..{pd.n - 1}")
+    tops = [r.top for r in pd.agents[agent].rankings]
+    stride = pd.strides[agent]
+    size = len(pd.agents[agent])
+    table = [0] * pd.profile_count
+    for index in range(pd.profile_count):
+        table[index] = tops[(index // stride) % size]
+    return Rule(pd, tuple(table))
+
+
+def is_strategy_proof(rule: Rule, max_profiles: int = PROFILE_ENUMERATION_LIMIT) -> bool:
+    return find_manipulation(rule, max_profiles) is None
+
+
+def option_set(rule: Rule, agent: int, others: Sequence[int]) -> frozenset[int]:
+    """Outcomes ``agent`` can reach by varying their report while the other
+    agents' reports stay at ``others`` (ranking indices, agent-ascending)."""
+    pd = rule.domain
+    if not 0 <= agent < pd.n:
+        raise DomainError(f"agent index {agent} is outside 0..{pd.n - 1}")
+    if len(others) != pd.n - 1:
+        raise DomainError(f"need {pd.n - 1} other-agent coordinates, got {len(others)}")
+    strides = pd.strides
+    base = 0
+    it = iter(others)
+    for i in range(pd.n):
+        if i == agent:
+            continue
+        digit = next(it)
+        if not 0 <= digit < pd.sizes[i]:
+            raise DomainError(f"coordinate {digit} out of range for agent {i}")
+        base += digit * strides[i]
+    stride = strides[agent]
+    return frozenset(rule.table[base + r * stride] for r in range(pd.sizes[agent]))
+
+
+# ---------------------------------------------------------------------------
+# Two-step assignments: the first-step witness annotation and the ``.assign``
+# reader, the round-trip partner of ``spdom.twostep.serialize_assignment``
+
+
+@dataclass(frozen=True)
+class TwoStepAssignment:
+    """One subrule per realizable response profile, in canonical order."""
+
+    partition: ResponsePartition
+    subrules: tuple[Rule, ...]
+
+    def __post_init__(self) -> None:
+        _check_subrules(self.partition, self.subrules)
+
+
+@dataclass(frozen=True)
+class FirstStepWitness:
+    """A manipulation annotated with whether the misreport changed the
+    manipulator's elicited answers (their response-profile coordinate)."""
+
+    witness: ManipulationWitness
+    answer_changing: bool
+
+
+def first_step_witnesses(
+    rule: Rule,
+    partition: ResponsePartition,
+    max_profiles: int = PROFILE_ENUMERATION_LIMIT,
+) -> tuple[FirstStepWitness, ...]:
+    """Every manipulation of ``rule``, each annotated by whether the deviation
+    crosses answer-set blocks.  When all block subrules are strategy-proof,
+    every witness is answer-changing (a within-block deviation would manipulate
+    a strategy-proof subrule)."""
+    if rule.domain != partition.product:
+        raise DomainError("rule is over a different product than the response partition")
+    out = []
+    for witness in iter_manipulations(rule, max_profiles):
+        positions = partition.positions[witness.agent]
+        sincere = positions[witness.profile[witness.agent]][0]
+        deviating = positions[witness.deviation][0]
+        out.append(FirstStepWitness(witness, answer_changing=sincere != deviating))
+    return tuple(out)
+
+
+def _parse_answer_set(token: str, labels: dict[str, int], lineno: int) -> AnswerSet:
+    token = token.strip()
+    if not (token.startswith("{") and token.endswith("}")):
+        raise ParseError(f"expected an answer set in braces, found {token!r}", lineno, 1)
+    inner = token[1:-1].strip()
+    if not inner:
+        return frozenset()
+    pairs = []
+    for part in inner.split(","):
+        part = part.strip()
+        if ">" not in part:
+            raise ParseError(f"expected 'a>b' inside answer set, found {part!r}", lineno, 1)
+        top, _, bottom = part.partition(">")
+        top, bottom = top.strip(), bottom.strip()
+        if top not in labels or bottom not in labels:
+            raise ParseError(f"unknown alternative in answer pair {part!r}", lineno, 1)
+        pairs.append(OrderedPair(labels[top], labels[bottom]))
+    return frozenset(pairs)
+
+
+def parse_assignment_file(
+    text: str,
+    partition: ResponsePartition,
+    base_dir: Optional[str] = None,
+) -> TwoStepAssignment:
+    """Parse an assignment document: one line per realizable response profile,
+    in canonical order, referencing subrules as ``catalog:N`` or
+    ``file:relative/path.rule`` (resolved against ``base_dir``)."""
+    pd = partition.product
+    labels = {label: i for i, label in enumerate(pd.labels)}
+    responses = partition.responses
+    expected_iter = iter(zip(responses, partition.block_products))
+    subrules: list[Rule] = []
+    header = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if header == 0:
+            if not line.startswith("alternatives:"):
+                raise ParseError("an assignment file starts with 'alternatives:'", lineno, 1)
+            declared = tuple(line[len("alternatives:") :].split())
+            if declared != pd.labels:
+                raise ParseError(
+                    f"alternatives {declared!r} do not match the domain's {pd.labels!r}",
+                    lineno,
+                    1,
+                )
+            header = 1
+            continue
+        if header == 1:
+            if not line.startswith("agents:"):
+                raise ParseError("expected 'agents:' after the alternatives line", lineno, 1)
+            declared_agents = tuple(line[len("agents:") :].split())
+            if declared_agents != pd.agent_names:
+                raise ParseError(
+                    f"agents {declared_agents!r} do not match the domain's "
+                    f"{pd.agent_names!r}",
+                    lineno,
+                    1,
+                )
+            header = 2
+            continue
+        if "->" not in line:
+            raise ParseError("expected 'answer sets -> subrule reference'", lineno, 1)
+        left, _, right = line.partition("->")
+        expected = next(expected_iter, None)
+        if expected is None:
+            raise ParseError(f"more than {len(responses)} assignment lines", lineno, 1)
+        declared_answers = tuple(
+            _parse_answer_set(part, labels, lineno) for part in left.strip().split("|")
+        )
+        answers, block_pd = expected
+        if declared_answers != answers:
+            expected_text = "|".join(_format_answer_set(a, pd.labels) for a in answers)
+            raise ParseError(
+                f"response profile out of canonical order: expected {expected_text!r}",
+                lineno,
+                1,
+            )
+        ref = right.strip()
+        if ref.startswith("catalog:"):
+            catalog = second_step_catalog(block_pd)
+            try:
+                idx = int(ref[len("catalog:") :])
+            except ValueError:
+                raise ParseError(f"bad catalog index in {ref!r}", lineno, 1) from None
+            if not 0 <= idx < len(catalog):
+                raise ParseError(
+                    f"catalog index {idx} out of range 0..{len(catalog) - 1}", lineno, 1
+                )
+            subrules.append(catalog[idx])
+        elif ref.startswith("file:"):
+            rel = ref[len("file:") :].strip()
+            path = Path(base_dir) / rel if base_dir else Path(rel)
+            try:
+                content = path.read_text()
+            except (OSError, UnicodeDecodeError) as err:
+                raise DomainError(f"cannot read subrule file {path}: {err}") from err
+            subrules.append(parse_rule_file(content, block_pd))
+        else:
+            raise ParseError(
+                f"subrule reference must be 'catalog:N' or 'file:PATH', found {ref!r}",
+                lineno,
+                1,
+            )
+    if header < 2:
+        raise ParseError("incomplete assignment file header", 1, 1)
+    missing = next(expected_iter, None)
+    if missing is not None:
+        raise DomainError(
+            f"assignment file covers only {len(subrules)} of {len(responses)} response profiles"
+        )
+    return TwoStepAssignment(partition, tuple(subrules))

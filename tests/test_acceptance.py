@@ -15,6 +15,7 @@ import time
 from contextlib import contextmanager
 
 from conftest import ACCEPTANCE_LINES
+from oracles import TwoStepAssignment, first_step_witnesses
 from spdom.classify import (
     ResponsePartition,
     classify,
@@ -36,12 +37,7 @@ from spdom.prefcore import (
     is_non_conditional,
 )
 from spdom.rules import Rule, dictators_of, find_manipulation, range_of
-from spdom.twostep import (
-    TwoStepAssignment,
-    assemble,
-    decompose,
-    first_step_witnesses,
-)
+from spdom.twostep import assemble, decompose
 
 
 @contextmanager

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import answer_block_by_formula, answer_closure_pairs
 from spdom import (
     SCAN_MODES,
     DomainError,
@@ -16,8 +17,6 @@ from spdom import (
     RestrictionMap,
     UnsatisfiableRestrictionError,
     all_rankings,
-    answer_block_by_formula,
-    answer_closure_pairs,
     classify,
     generate_domain,
     is_non_conditional,

@@ -20,13 +20,14 @@ import pytest
 
 import oracles
 from conftest import FIXTURES
+from oracles import dictatorship, parse_assignment_file
 from spdom import ProductDomain, SizeLimitError, nonconditional_domains
 from spdom.cli import CommandRequest, run_command
 from spdom.classify import ResponsePartition, classify
 from spdom.domfile import parse_domain_file
-from spdom.rules import Rule, dictatorship, find_manipulation, parse_rule_file, serialize_rule
+from spdom.rules import Rule, find_manipulation, parse_rule_file, serialize_rule
 from spdom.schemas import COMMAND_SCHEMAS
-from spdom.twostep import assemble, parse_assignment_file
+from spdom.twostep import assemble
 
 EX1 = str(FIXTURES / "ex1.spdom")
 EX2 = str(FIXTURES / "ex2.spdom")
@@ -689,6 +690,10 @@ def test_search_two_step_budget(cli):
     line = out.splitlines()[0]
     assert "tried: 10" in line
     assert "complete: no" in line
+    # A budget past sys.maxsize is still just "more than the candidates".
+    default = cli("search-two-step", "--domain", SP3)
+    assert cli("search-two-step", "--domain", SP3, "--budget", str(2**63)) == default
+    assert default[0] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 import oracles
 from conftest import FIXTURES
+from oracles import count_sp_range2, is_strategy_proof
 from spdom import (
     DomainError,
     OrderedPair,
@@ -20,7 +21,6 @@ from spdom import (
     classify,
     count_dictatorial,
     count_second_step,
-    count_sp_range2,
     decimal_digit_count,
     dedekind,
     dictatorial_rules,
@@ -28,7 +28,6 @@ from spdom import (
     enumerate_sp_rules,
     generate_domain,
     is_non_conditional,
-    is_strategy_proof,
     nonconditional_domains,
     pair_vote_rules,
     parse_domain_file,

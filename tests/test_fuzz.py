@@ -1,28 +1,34 @@
 """Property test of the CLI's failure contract over arbitrary input.
 
-Whatever the argv and the bytes of the domain file, ``count-subrules``,
-``partition``, ``classify``, ``closure`` and ``verify-theorem`` must exit
-with 0, 1, 2 or 3, must not let an exception escape, and on a nonzero exit
-must write exactly one stderr line, prefixed ``error:`` or ``size limit:``.
-An argparse usage error is the one exception: argparse prints its usage text
-before its ``spdom …: error:`` line.
+Whatever the argv and the bytes of the domain and rule files, every command
+must exit with 0, 1, 2 or 3, must not let an exception escape, and on a
+nonzero exit must write exactly one stderr line, prefixed ``error:`` or
+``size limit:``.  An argparse usage error is the one exception: argparse
+prints its usage text before its ``spdom …: error:`` line.
 
-Domain files are drawn three ways: raw bytes, a token soup over the file
-format's vocabulary, and well-formed files that are then spliced with soup
-or raw bytes.  Well-formed files stay at up to four alternatives and two
-agents, so that one example (``--oracle`` included) runs in milliseconds;
-the alternative-count guard gets its own explicit example.  A
-``verify-theorem`` sweep that could run longer gets a small ``--max-profiles``.
+Domain and ``.rule`` files are drawn three ways: raw bytes, a token soup over
+the file format's vocabulary, and well-formed files that are then spliced
+with soup or raw bytes.  Well-formed domain files stay at up to four
+alternatives and two agents, so that one example (``--oracle`` included)
+runs in milliseconds; the alternative-count guard gets its own explicit
+example.  A ``verify-theorem`` sweep or an ``enumerate-sp --oracle`` scan
+that could run longer gets a small ``--max-profiles``.  Numeric flags are
+also drawn past ``sys.maxsize``; such an example gets a domain of at most
+two alternatives, which no budget or guard can make slow.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import random
+import sys
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import FIXTURES
+from spdom import Rule, SpdomError, parse_domain_file, serialize_rule
 from spdom.cli import main
 
 LABELS = ("a", "b", "c", "d")
@@ -96,23 +102,83 @@ def _agent_body(draw, labels: list[str]) -> str:
 
 
 @st.composite
-def domain_bytes(draw) -> bytes:
-    shape = draw(st.sampled_from(("raw", "soup", "wellformed", "wellformed", "wellformed")))
-    if shape == "raw":
-        return draw(st.binary(max_size=64))
-    if shape == "soup":
-        return ("alternatives " + draw(_soup(40))).encode()
-    labels = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=4, unique=True))
-    lines = ["alternatives " + " ".join(labels)]
-    for n in range(draw(st.integers(1, 2))):
-        lines.append(f"agent {n + 1} {{\n{draw(_agent_body(labels))}\n}}")
-    data = ("\n".join(lines) + "\n").encode()
+def _valid_agent_body(draw, labels: list[str]) -> str:
+    kind = draw(st.sampled_from(("universal", "single-peaked", "self-preferring", "when")))
+    if kind == "single-peaked":
+        keyword = draw(st.sampled_from(("single-peaked", "single-dipped")))
+        return keyword + " " + " ".join(draw(st.permutations(labels)))
+    if kind == "self-preferring":
+        return f"self-preferring {draw(st.sampled_from(labels))}"
+    if kind == "when" and len(labels) > 1:
+        (a, b, *_), (c, d, *_) = draw(st.permutations(labels)), draw(st.permutations(labels))
+        return f"when {a} > {b} => {c} > {d}"
+    return "universal"
+
+
+def _splice(draw, data: bytes, soup: st.SearchStrategy[str]) -> bytes:
+    """``data`` as is, or with a little soup or a few raw bytes inserted."""
     splice = draw(st.sampled_from(("none", "none", "soup", "raw")))
     if splice == "none":
         return data
     at = draw(st.integers(0, len(data)))
-    inserted = draw(_soup(3)).encode() if splice == "soup" else draw(st.binary(max_size=4))
+    inserted = draw(soup).encode() if splice == "soup" else draw(st.binary(max_size=4))
     return data[:at] + inserted + data[at:]
+
+
+@st.composite
+def domain_bytes(draw, max_labels: int = 4, valid: bool = False) -> bytes:
+    """A domain file.  With ``max_labels`` below four, a well-formed file
+    stays over at most that many alternatives and is never spliced; with
+    ``valid``, the file is a valid domain."""
+    shapes = ("raw", "soup", "wellformed", "wellformed", "wellformed")
+    shape = "wellformed" if valid else draw(st.sampled_from(shapes))
+    if shape == "raw":
+        return draw(st.binary(max_size=64))
+    if shape == "soup":
+        return ("alternatives " + draw(_soup(40))).encode()
+    labels = draw(
+        st.lists(st.sampled_from(LABELS), min_size=1, max_size=max_labels, unique=True)
+    )
+    body = _valid_agent_body(labels) if valid else _agent_body(labels)
+    lines = ["alternatives " + " ".join(labels)]
+    for n in range(draw(st.integers(1, 2))):
+        lines.append(f"agent {n + 1} {{\n{draw(body)}\n}}")
+    data = ("\n".join(lines) + "\n").encode()
+    if valid or max_labels < len(LABELS):
+        return data
+    return _splice(draw, data, _soup(3))
+
+
+RULE_VOCABULARY = LABELS + ("alternatives:", "->", ",", "abcd", "ba", "\n", "#", "q", "é")
+
+
+def _rule_soup(max_size: int) -> st.SearchStrategy[str]:
+    return st.lists(st.sampled_from(RULE_VOCABULARY), max_size=max_size).map(" ".join)
+
+
+@st.composite
+def rule_bytes(draw, domain: bytes) -> bytes:
+    """A ``.rule`` file: raw bytes, soup, or (when ``domain`` parses) a
+    constant, dictatorial or random rule over it, maybe spliced."""
+    shape = draw(st.sampled_from(("raw", "soup") + ("wellformed",) * 4))
+    if shape == "raw":
+        return draw(st.binary(max_size=64))
+    try:
+        pd = parse_domain_file(domain.decode()).product
+    except (UnicodeDecodeError, SpdomError):
+        shape = "soup"
+    if shape == "soup":
+        return ("alternatives: " + draw(_rule_soup(40))).encode()
+    kind = draw(st.sampled_from(("constant", "dictator", "random")))
+    if kind == "constant":
+        table = [draw(st.integers(0, pd.m - 1))] * pd.profile_count
+    elif kind == "dictator":
+        agent = draw(st.integers(0, pd.n - 1))
+        table = [pd.rankings_at(p)[agent].top for p in pd.iter_profiles()]
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        table = [rng.randrange(pd.m) for _ in range(pd.profile_count)]
+    return _splice(draw, serialize_rule(Rule(pd, tuple(table))).encode(), _rule_soup(3))
 
 
 def _argv(draw, domain: str, missing: str, outs: tuple[str, str]) -> list[str]:
@@ -230,4 +296,88 @@ def test_verify_theorem_failure_contract(tmp_path, data, choices):
         argv = ["verify-theorem", "--family", "nonconditional-pairs", "--agents", "100"]
     else:
         argv = choices.draw(theorem_argv(str(domain), missing))
+    _check_contract(argv)
+
+
+RULE_COMMANDS = ("enumerate-sp", "check-rule", "decompose", "search-two-step")
+
+
+def _count(draw) -> str:
+    """A numeric flag value: mostly small, sometimes past ``sys.maxsize``,
+    and now and then not positive or not a number."""
+    kind = draw(st.sampled_from(("small",) * 5 + ("huge",) * 2 + ("bad",)))
+    if kind == "small":
+        return str(draw(st.integers(1, 4)))
+    if kind == "huge":
+        return str(draw(st.integers(sys.maxsize - 1, 2**64)))
+    return draw(st.sampled_from(("0", "-1", "x")))
+
+
+def _rule_argv(draw, domain: str, rule: str, missing: str, outs: tuple[str, str]) -> list[str]:
+    """argv for one of ``RULE_COMMANDS``.  ``search-two-step`` always ends
+    with a ``--budget``, and ``enumerate-sp --oracle`` with a
+    ``--max-profiles``: the last one counts, and it keeps the search or the
+    table scan small."""
+    command = draw(st.sampled_from(RULE_COMMANDS))
+    argv = [command, "--domain", draw(st.sampled_from((domain,) * 5 + (missing,)))]
+    if command in ("check-rule", "decompose"):
+        argv += ["--rule", draw(st.sampled_from((rule,) * 4 + (missing, domain)))]
+    good = [["--format", "json"], ["--format", "text"]]
+    bad = [["--format", "xml"], ["--domain"], ["-x"], ["--scan", "sideways"]]
+    if command in ("decompose", "search-two-step"):
+        good += [["--scan", "reversed"], ["--scan", "default"]]
+    else:
+        bad.append(["--scan", "default"])
+    if command == "search-two-step":
+        good += [["--out", outs[0]], ["--out", outs[1]], ["--budget", _count(draw)]]
+    else:
+        bad.append(["--budget", "3"])
+    if command in ("enumerate-sp", "check-rule"):
+        good.append(["--max-profiles", _count(draw)])
+    else:
+        bad.append(["--max-profiles", "3"])
+    if command == "enumerate-sp":
+        good += [["--out", outs[0]], ["--out", outs[1]]]
+        good.append(["--range", draw(st.sampled_from(("a,b", "a", "b,a,b", "x,q", "")))])
+    if command != "decompose":
+        good.append(["--oracle"])
+    else:
+        bad.append(["--oracle"])
+    for flag in draw(st.lists(st.sampled_from(good * 4 + bad), max_size=3)):
+        argv.extend(flag)
+    if command == "search-two-step":
+        argv += ["--budget", _count(draw)]
+    if command == "enumerate-sp" and "--oracle" in argv:
+        argv += ["--max-profiles", _count(draw)]
+    return argv
+
+
+def _is_huge(argv: list[str]) -> bool:
+    """True when a numeric flag is past the small range; such an example
+    gets a domain of at most two alternatives."""
+    return any(arg.isdigit() and int(arg) > 4 for arg in argv)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(choices=st.data())
+@example(choices=None)
+def test_rule_commands_failure_contract(tmp_path, choices):
+    domain = tmp_path / "fuzz.spdom"
+    rule = tmp_path / "fuzz.rule"
+    missing = str(tmp_path / "missing.spdom")
+    outs = (str(tmp_path / "found"), str(domain / "found"))
+    if choices is None:  # a budget past sys.maxsize on a search it completes
+        sp3 = str(FIXTURES / "single_peaked3.spdom")
+        assert _run(["search-two-step", "--domain", sp3, "--budget", str(2**63)]) == (0, "")
+        return
+    argv = _rule_argv(choices.draw, str(domain), str(rule), missing, outs)
+    max_labels = 2 if _is_huge(argv) else 4
+    valid = domain_bytes(max_labels, valid=True)
+    data = choices.draw(st.one_of(domain_bytes(max_labels), valid, valid))
+    domain.write_bytes(data)
+    rule.write_bytes(choices.draw(rule_bytes(data)))
     _check_contract(argv)

@@ -48,12 +48,16 @@ def test_ranking_satisfies_and_ordered_pairs():
 
 
 def test_ranking_rejects_non_permutations():
-    with pytest.raises(DomainError):
-        Ranking.from_order((0, 0, 1))
-    with pytest.raises(DomainError):
-        Ranking.from_order((0, 1, 3))
-    with pytest.raises(DomainError):
-        Ranking.from_order(())
+    for build in (Ranking.from_order, Ranking):
+        with pytest.raises(DomainError):
+            build((0, 0, 1))
+        with pytest.raises(DomainError):
+            build((0, 1, 3))
+        with pytest.raises(DomainError):
+            build(())
+    direct = Ranking((2, 0, 1))
+    assert direct == Ranking.from_order([2, 0, 1])
+    assert hash(direct) == hash(Ranking.from_order([2, 0, 1]))
 
 
 def test_ranking_relabeled():
@@ -86,7 +90,10 @@ def test_all_rankings_counts_and_order():
 # Domain generators vs independent oracles
 
 
-@pytest.mark.parametrize("axis", list(itertools.permutations(range(3))))
+AXES_3_TO_5 = [axis for m in (3, 4, 5) for axis in itertools.permutations(range(m))]
+
+
+@pytest.mark.parametrize("axis", AXES_3_TO_5)
 def test_single_peaked_matches_prefix_oracle_m3(axis):
     d = generate_domain("single_peaked", axis=list(axis))
     assert [r.order for r in d.rankings] == oracles.prefix_interval_orders(axis)
@@ -102,7 +109,7 @@ def test_single_peaked_m4_and_count():
 
 
 def test_single_dipped_is_reversed_single_peaked():
-    for axis in ((0, 1, 2), (1, 2, 0), (0, 1, 2, 3)):
+    for axis in AXES_3_TO_5:
         d = generate_domain("single_dipped", axis=list(axis))
         assert sorted(r.order for r in d.rankings) == oracles.reversed_prefix_interval_orders(
             axis

@@ -6,6 +6,7 @@ import random
 import pytest
 
 import oracles
+from oracles import dictatorship, is_strategy_proof, option_set
 from spdom import (
     DomainError,
     ParseError,
@@ -15,14 +16,11 @@ from spdom import (
     audit_sp_lemmas,
     constant_rule,
     dictators_of,
-    dictatorship,
     find_manipulation,
     find_manipulation_within,
     generate_domain,
-    is_strategy_proof,
     iter_manipulations,
     nonconditional_domains,
-    option_set,
     parse_rule_file,
     range_of,
     serialize_rule,

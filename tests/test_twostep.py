@@ -5,6 +5,12 @@ import itertools
 
 import pytest
 
+from oracles import (
+    TwoStepAssignment,
+    first_step_witnesses,
+    is_strategy_proof,
+    parse_assignment_file,
+)
 from spdom import (
     DECOMPOSITION_DICTATORIAL,
     DECOMPOSITION_TWO_OUTCOME,
@@ -15,7 +21,6 @@ from spdom import (
     ProductDomain,
     ResponsePartition,
     Rule,
-    TwoStepAssignment,
     assemble,
     classify,
     constant_rule,
@@ -23,10 +28,7 @@ from spdom import (
     dictators_of,
     enumerate_sp_rules,
     find_manipulation,
-    first_step_witnesses,
     generate_domain,
-    is_strategy_proof,
-    parse_assignment_file,
     range_of,
     satisfied_antecedents,
     search_sp_combinations,
