@@ -37,7 +37,7 @@ from .counting import (
     second_step_catalog,
     verify_impossibility,
 )
-from .domfile import DomainSpec, ParseError, parse_domain_file, serialize_product_domain
+from .domfile import DomainSpec, parse_domain_file, serialize_product_domain
 from .prefcore import (
     PROFILE_ENUMERATION_LIMIT,
     DomainError,

@@ -19,10 +19,18 @@ from .prefcore import (
     PROFILE_ENUMERATION_LIMIT,
     TABLE_CELL_LIMIT,
     DomainError,
+    PreferenceDomain,
     ProductDomain,
     SizeLimitError,
     pair_sets,
 )
+
+
+def _check_table_cap(count: int) -> None:
+    if count > TABLE_CELL_LIMIT:
+        raise SizeLimitError(
+            f"outcome table would need {count} cells, over the cap of {TABLE_CELL_LIMIT}"
+        )
 
 
 @dataclass(frozen=True)
@@ -34,10 +42,7 @@ class Rule:
 
     def __post_init__(self) -> None:
         count = self.domain.profile_count
-        if count > TABLE_CELL_LIMIT:
-            raise SizeLimitError(
-                f"outcome table would need {count} cells, over the cap of {TABLE_CELL_LIMIT}"
-            )
+        _check_table_cap(count)
         if len(self.table) != count:
             raise DomainError(f"outcome table needs {count} cells, got {len(self.table)}")
         m = self.domain.m
@@ -83,11 +88,27 @@ def _check_profile_guard(pd: ProductDomain, max_profiles: int) -> None:
         )
 
 
+def _better_masks(d: PreferenceDomain) -> list[list[int]]:
+    """``[i][x]``: the alternatives that ranking ``i`` of ``d`` strictly
+    prefers to ``x``, as a bitset."""
+    out = []
+    for ranking in d.rankings:
+        row = [0] * d.m
+        acc = 0
+        for alt in ranking.order:
+            row[alt] = acc
+            acc |= 1 << alt
+        out.append(row)
+    return out
+
+
 def iter_manipulations(
     rule: Rule, max_profiles: int = PROFILE_ENUMERATION_LIMIT
 ) -> Iterator[ManipulationWitness]:
     """Every manipulation, scanned agent-ascending, then profile-index, then
-    deviation — so the first yielded witness is the canonical one."""
+    deviation — so the first yielded witness is the canonical one.  The
+    deviations at a profile are tried only when some outcome the agent can
+    reach at that setting of the other agents beats the sincere one."""
     pd = rule.domain
     _check_profile_guard(pd, max_profiles)
     table = rule.table
@@ -98,10 +119,21 @@ def iter_manipulations(
     for agent in range(pd.n):
         stride = strides[agent]
         size = sizes[agent]
+        span = size * stride
         pos_list = positions[agent]
+        better = _better_masks(pd.agents[agent])
+        reach: dict[int, int] = {}  # base -> the outcomes the agent can reach there
         for index in range(count):
             digit = (index // stride) % size
             base = index - digit * stride
+            options = reach.get(base)
+            if options is None:
+                options = 0
+                for outcome in table[base : base + span : stride]:
+                    options |= 1 << outcome
+                reach[base] = options
+            if not better[digit][table[index]] & options:
+                continue
             pos = pos_list[digit]
             sincere = table[index]
             sincere_rank = pos[sincere]

@@ -5,21 +5,30 @@ map; the resulting per-agent answer sets form a *response profile*, which
 selects one non-conditional block per agent.  A rule then decomposes into one
 subrule per response profile, and conversely an assignment of subrules to
 response profiles assembles into a full rule.  ``search_sp_combinations``
-walks assignments whose subrules come from the closed-form catalog (constants,
-two-outcome monotone vote rules, steerable dictatorships) and keeps the
-strategy-proof assemblies.
+finds the strategy-proof assignments of catalog subrules (constants,
+two-outcome monotone vote rules, steerable dictatorships): each is
+strategy-proof within its block, so the search only checks, pair by pair of
+response profiles that differ in one agent's answers, that the agent cannot
+gain by switching blocks.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .classify import AnswerSet, ResponsePartition
 from .counting import second_step_catalog
-from .prefcore import DomainError
-from .rules import Rule, dictators_of, find_manipulation, range_of
+from .prefcore import PROFILE_ENUMERATION_LIMIT, DomainError, ProductDomain
+from .rules import (
+    Rule,
+    _better_masks,
+    _check_profile_guard,
+    _check_table_cap,
+    dictators_of,
+    find_manipulation,
+    range_of,
+)
 
 
 def _check_subrules(partition: ResponsePartition, subrules: Sequence[Rule]) -> None:
@@ -116,42 +125,181 @@ class SearchResult:
 def search_sp_combinations(
     partition: ResponsePartition, budget: int = 1_000_000
 ) -> SearchResult:
-    """Try every assignment of catalog subrules to response profiles (up to
-    ``budget`` candidates, canonical order) and keep the assemblies that are
-    strategy-proof.
+    """Every strategy-proof assignment of catalog subrules to response
+    profiles whose lexicographic rank (the position in canonical order, last
+    response profile fastest) is below ``budget``, in that order.
 
     Every strategy-proof rule arises this way: its block subrules are
     strategy-proof rules on non-conditional products, hence constants,
     two-outcome vote rules, or steerable dictatorships — all in the catalog.
-    So when the search completes within budget, the result is exhaustive.
+    Each catalog subrule is strategy-proof within its block, so what is left
+    to check is binary: at two response profiles that differ only in agent
+    i's answers, i must not gain by reporting into the other block.  The
+    search walks response profiles in canonical order, assigns catalog
+    indices in ascending order, and narrows each later adjacent profile's
+    candidates (an int bitset) by the compatibility row of the assignment,
+    dropping a subtree when a bitset empties or its first rank reaches the
+    budget.  ``candidates_tried`` is ``min(budget, total)``; when it is the
+    total, the result is exhaustive.  Each found assignment is assembled and
+    scanned once more.
     """
     if budget < 1:
         raise DomainError(f"budget must be positive, got {budget}")
     catalogs = tuple(second_step_catalog(block) for block in partition.block_products)
+    # Fail as assembling and scanning a first candidate would, before searching.
+    pd = partition.product
+    _check_table_cap(pd.profile_count)
+    _check_profile_guard(pd, PROFILE_ENUMERATION_LIMIT)
+
+    found = _search_compatible(partition, catalogs, budget)
+    rules: list[Rule] = []
+    for indices in found:
+        rule = assemble(partition, [catalogs[v][a] for v, a in enumerate(indices)])
+        if find_manipulation(rule) is not None:
+            raise DomainError(f"internal: search kept the manipulable assignment {indices!r}")
+        rules.append(rule)
+
     total = 1
     for catalog in catalogs:
         total *= len(catalog)
-
-    rules: list[Rule] = []
-    assignments: list[tuple[int, ...]] = []
-    tried = 0
-    for indices in itertools.product(*(range(len(c)) for c in catalogs)):
-        if tried == budget:
-            break
-        tried += 1
-        rule = assemble(partition, [catalogs[i][j] for i, j in enumerate(indices)])
-        if find_manipulation(rule) is None:
-            rules.append(rule)
-            assignments.append(indices)
-
+    tried = min(budget, total)
     return SearchResult(
         rules=tuple(rules),
-        assignments=tuple(assignments),
+        assignments=tuple(found),
         catalogs=catalogs,
         candidates_total=total,
         candidates_tried=tried,
         complete=tried == total,
     )
+
+
+def _block_masks(block: ProductDomain, agent: int) -> Callable[[Rule], tuple[int, int]]:
+    """For subrules on ``block`` and each setting s of the other agents
+    (their block profile, last agent fastest): ``opt``, the outcomes
+    ``agent`` can reach with some ranking of their block, and ``low``, the
+    outcomes that every sincere outcome weakly beats.  Both are packed m bits
+    per s into one int."""
+    m = block.m
+    sizes, strides = block.sizes, block.strides
+    bases = [0]
+    for j in range(block.n):
+        if j != agent:
+            bases = [base + d * strides[j] for base in bases for d in range(sizes[j])]
+    stride = strides[agent]
+    span = sizes[agent] * stride
+    better = _better_masks(block.agents[agent])
+    everything = (1 << m) - 1
+    seen: dict[tuple[int, ...], tuple[int, int]] = {}  # outcomes over the block -> masks
+
+    def masks(rule: Rule) -> tuple[int, int]:
+        table = rule.table
+        opt = low = shift = 0
+        for base in bases:
+            outcomes = table[base : base + span : stride]
+            pair = seen.get(outcomes)
+            if pair is None:
+                reach, floor = 0, everything
+                for d, x in enumerate(outcomes):
+                    reach |= 1 << x
+                    floor &= ~better[d][x]
+                pair = seen[outcomes] = (reach, floor)
+            opt |= pair[0] << shift
+            low |= pair[1] << shift
+            shift += m
+        return opt, low
+
+    return masks
+
+
+def _search_compatible(
+    partition: ResponsePartition, catalogs: Sequence[Sequence[Rule]], budget: int
+) -> list[tuple[int, ...]]:
+    """The catalog-index assignments of rank below ``budget`` whose subrules
+    are pairwise compatible at adjacent response profiles, in lexicographic
+    order: depth-first with forward checking.  Subrule A at response profile
+    v and B at w, where w differs from v only in agent i's answers, are
+    compatible iff ``opt_B & ~low_A == 0`` and ``opt_A & ~low_B == 0`` for
+    agent i's masks (see :func:`_block_masks`)."""
+    count = len(catalogs)
+    sizes = [len(c) for c in catalogs]
+    weights = [1] * count  # weights[v]: the rank step of one index at v
+    for v in range(count - 1, 0, -1):
+        weights[v - 1] = weights[v] * sizes[v]
+    # Indices whose rank alone reaches the budget can be left out at once.
+    limits = [min(size, -(-budget // weight)) for size, weight in zip(sizes, weights)]
+
+    # later[v]: (w, agent) for each response profile w after v that differs
+    # from v only in that agent's answers.
+    answer_counts = [len(a) for a in partition.answers]
+    later: list[list[tuple[int, int]]] = [[] for _ in range(count)]
+    step = 1
+    for agent in range(len(answer_counts) - 1, -1, -1):
+        k_count = answer_counts[agent]
+        for v in range(count):
+            k = v // step % k_count
+            later[v].extend((v + (k2 - k) * step, agent) for k2 in range(k + 1, k_count))
+        step *= k_count
+
+    blocks = partition.block_products
+    scanners: dict[tuple[int, int], Callable[[Rule], tuple[int, int]]] = {}
+    mask_memo: dict[tuple[int, int, int], tuple[int, int]] = {}
+    row_memo: dict[tuple[int, int, int], int] = {}
+
+    def mask(v: int, a: int, agent: int) -> tuple[int, int]:
+        key = (v, a, agent)
+        if key not in mask_memo:
+            if (v, agent) not in scanners:
+                scanners[v, agent] = _block_masks(blocks[v], agent)
+            mask_memo[key] = scanners[v, agent](catalogs[v][a])
+        return mask_memo[key]
+
+    def row(v: int, a: int, w: int, agent: int) -> int:
+        key = (v, a, w)
+        if key not in row_memo:
+            opt_a, low_a = mask(v, a, agent)
+            bits = 0
+            for b in range(limits[w]):
+                opt_b, low_b = mask(w, b, agent)
+                if not (opt_b & ~low_a or opt_a & ~low_b):
+                    bits |= 1 << b
+            row_memo[key] = bits
+        return row_memo[key]
+
+    domains = [(1 << limit) - 1 for limit in limits]
+    choice = [-1] * count
+    rank = [0] * (count + 1)  # rank[v]: the rank of the assignment to 0..v-1
+    undo: list[list[tuple[int, int]]] = [[] for _ in range(count)]
+    found: list[tuple[int, ...]] = []
+    v = 0
+    while v >= 0:
+        for w, previous in undo[v]:
+            domains[w] = previous
+        undo[v].clear()
+        rest = domains[v] >> (choice[v] + 1)
+        if rest:
+            a = choice[v] + (rest & -rest).bit_length()
+            choice[v] = a
+            rank[v + 1] = rank[v] + a * weights[v]
+        if not rest or rank[v + 1] >= budget:
+            choice[v] = -1
+            v -= 1
+            continue
+        consistent = True
+        for w, agent in later[v]:
+            narrowed = domains[w] & row(v, a, w, agent)
+            if narrowed != domains[w]:
+                undo[v].append((w, domains[w]))
+                domains[w] = narrowed
+                if not narrowed:
+                    consistent = False
+                    break
+        if not consistent:
+            continue
+        if v == count - 1:
+            found.append(tuple(choice))
+        else:
+            v += 1
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,11 @@ from spdom import (
     ResponsePartition,
     RestrictionMap,
     Rule,
+    SearchResult,
     TheoremViolation,
     UnsatisfiableRestrictionError,
     all_rankings,
+    assemble,
     consistent_rankings,
     dedekind,
     dictators_of,
@@ -522,8 +524,9 @@ def option_set(rule: Rule, agent: int, others: Sequence[int]) -> frozenset[int]:
 
 
 # ---------------------------------------------------------------------------
-# Two-step assignments: the first-step witness annotation and the ``.assign``
-# reader, the round-trip partner of ``spdom.twostep.serialize_assignment``
+# Two-step assignments: the first-step witness annotation, the search by
+# assembling every candidate, and the ``.assign`` reader, the round-trip
+# partner of ``spdom.twostep.serialize_assignment``
 
 
 @dataclass(frozen=True)
@@ -564,6 +567,37 @@ def first_step_witnesses(
         deviating = positions[witness.deviation][0]
         out.append(FirstStepWitness(witness, answer_changing=sincere != deviating))
     return tuple(out)
+
+
+def search_by_assembly(partition: ResponsePartition, budget: int = 1_000_000) -> SearchResult:
+    """The reference route of ``spdom.twostep.search_sp_combinations``: assemble
+    every candidate assignment, canonical order, up to ``budget`` of them, and
+    keep those with no manipulation in a full table scan."""
+    if budget < 1:
+        raise DomainError(f"budget must be positive, got {budget}")
+    catalogs = tuple(second_step_catalog(block) for block in partition.block_products)
+    total = 1
+    for catalog in catalogs:
+        total *= len(catalog)
+    rules: list[Rule] = []
+    assignments: list[tuple[int, ...]] = []
+    tried = 0
+    for indices in itertools.product(*(range(len(c)) for c in catalogs)):
+        if tried == budget:
+            break
+        tried += 1
+        rule = assemble(partition, [catalogs[i][j] for i, j in enumerate(indices)])
+        if find_manipulation(rule) is None:
+            rules.append(rule)
+            assignments.append(indices)
+    return SearchResult(
+        rules=tuple(rules),
+        assignments=tuple(assignments),
+        catalogs=catalogs,
+        candidates_total=total,
+        candidates_tried=tried,
+        complete=tried == total,
+    )
 
 
 def _parse_answer_set(token: str, labels: dict[str, int], lineno: int) -> AnswerSet:

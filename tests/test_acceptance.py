@@ -1,4 +1,4 @@
-"""Acceptance suite: the ten headline guarantees of the package, one test per
+"""Acceptance suite: the eleven headline guarantees of the package, one test per
 criterion.  Each test appends one ``ACCEPTANCE n: PASS``/``FAIL`` line that the
 terminal summary prints after the run (see ``conftest.pytest_terminal_summary``).
 
@@ -11,10 +11,11 @@ same values at finer granularity.
 from __future__ import annotations
 
 import itertools
+import random
 import time
 from contextlib import contextmanager
 
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, FIXTURES
 from oracles import TwoStepAssignment, first_step_witnesses
 from spdom.classify import (
     ResponsePartition,
@@ -37,7 +38,9 @@ from spdom.prefcore import (
     is_non_conditional,
 )
 from spdom.rules import Rule, dictators_of, find_manipulation, range_of
-from spdom.twostep import assemble, decompose
+from spdom.domfile import parse_domain_file
+from spdom.prefcore import SpdomError
+from spdom.twostep import assemble, decompose, search_sp_combinations
 
 
 @contextmanager
@@ -306,3 +309,68 @@ def test_acceptance_10_assembly_witnesses_change_answers(ex1_spec):
         assert witnesses
         assert all(w.answer_changing for w in witnesses)
         assert sum(1 for w in witnesses if not w.answer_changing) == 0
+
+
+def _random_conditional_products(count: int, seed: int):
+    """``count`` seeded products of two or three agents over three or four
+    alternatives, each agent's domain cut by up to two random
+    ``when x > y => z > w`` statements, with at most 2,000 profiles and more
+    than one response profile."""
+    rng = random.Random(seed)
+    while count:
+        labels = "abcd"[: rng.choice((3, 4))]
+        agents = "".join(
+            f"agent {i} {{ "
+            + "; ".join(
+                "when {} > {} => {} > {}".format(*rng.sample(labels, 2), *rng.sample(labels, 2))
+                for _ in range(rng.randint(0, 2))
+            )
+            + " }\n"
+            for i in range(1, rng.choice((2, 3)) + 1)
+        )
+        try:
+            spec = parse_domain_file(f"alternatives {' '.join(labels)}\n{agents}")
+        except SpdomError:
+            continue  # a statement emptied a domain
+        if spec.product.profile_count > 2000:
+            continue
+        partition = ResponsePartition.of(spec.product, spec.resolved_maps("default"))
+        if len(partition.responses) > 1:
+            count -= 1
+            yield partition
+
+
+def test_acceptance_11_search_finds_every_strategy_proof_rule(
+    cli, sp3_spec, uni3_spec, ex2_spec
+):
+    # Run to completion, the search over catalog assignments finds exactly
+    # the rules the backtracking enumerator finds: every strategy-proof rule
+    # is an answer step followed by catalog subrules (the paper's theorem,
+    # checked on conditional domains).
+    with record(11):
+        fixtures = ((sp3_spec, 24), (uni3_spec, 17), (ex2_spec, 240))
+        partitions = [
+            (ResponsePartition.of(spec.product, spec.resolved_maps("default")), expected)
+            for spec, expected in fixtures
+        ]
+        partitions += [(p, None) for p in _random_conditional_products(140, seed=20261018)]
+        for partition, expected in partitions:
+            total = count_second_step(partition).product
+            result = search_sp_combinations(partition, budget=total)
+            assert result.complete and result.candidates_tried == total
+            assert list(result.assignments) == sorted(result.assignments)
+            rules = list(enumerate_sp_rules(partition.product))
+            assert len(result.rules) == len(rules)
+            assert {r.table for r in result.rules} == {r.table for r in rules}
+            if expected is not None:
+                assert len(rules) == expected
+
+        code, out, err = cli(
+            "search-two-step", "--domain", str(FIXTURES / "ex1.spdom"), "--budget", "4619228"
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "response profiles: 4; catalog sizes: 59x46x46x37; candidates: 4619228; "
+            "tried: 4619228; complete: yes",
+            "strategy-proof assignments: 77",
+        ]

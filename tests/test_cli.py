@@ -696,6 +696,18 @@ def test_search_two_step_budget(cli):
     assert default[0] == 0
 
 
+def test_search_two_step_profile_guard(cli, tmp_path):
+    # One 120x120 block: its catalog fits, but no assembled candidate could
+    # be scanned, so the search stops before it starts.
+    path = tmp_path / "uu5.spdom"
+    path.write_text("alternatives a b c d e\nagent 1 { universal }\nagent 2 { universal }\n")
+    assert cli("search-two-step", "--domain", str(path)) == (
+        2,
+        "",
+        "size limit: 14400 profiles exceeds the enumeration guard of 10000\n",
+    )
+
+
 # ---------------------------------------------------------------------------
 # error paths and programmatic surface
 

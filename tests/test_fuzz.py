@@ -13,8 +13,10 @@ alternatives and two agents, so that one example (``--oracle`` included)
 runs in milliseconds; the alternative-count guard gets its own explicit
 example.  A ``verify-theorem`` sweep or an ``enumerate-sp --oracle`` scan
 that could run longer gets a small ``--max-profiles``.  Numeric flags are
-also drawn past ``sys.maxsize``; such an example gets a domain of at most
-two alternatives, which no budget or guard can make slow.
+also drawn past ``sys.maxsize``; an example with such a ``--max-profiles``
+gets a domain of at most two alternatives, which no guard can make slow.  A
+search's work does not grow with its ``--budget``, so a huge budget keeps
+the four-alternative domains.
 """
 
 from __future__ import annotations
@@ -353,9 +355,20 @@ def _rule_argv(draw, domain: str, rule: str, missing: str, outs: tuple[str, str]
 
 
 def _is_huge(argv: list[str]) -> bool:
-    """True when a numeric flag is past the small range; such an example
-    gets a domain of at most two alternatives."""
-    return any(arg.isdigit() and int(arg) > 4 for arg in argv)
+    """True when a ``--max-profiles`` is past the small range; such an
+    example gets a domain of at most two alternatives."""
+    return any(
+        flag == "--max-profiles" and value.isdigit() and int(value) > 4
+        for flag, value in zip(argv, argv[1:])
+    )
+
+
+# A conditional domain over four alternatives: 296,240 candidate assignments.
+FOUR_ALTERNATIVE_SEARCH = """\
+alternatives a b c d
+agent 1 { when a > b => c > d }
+agent 2 { when a > b => c > d }
+"""
 
 
 @settings(
@@ -365,6 +378,7 @@ def _is_huge(argv: list[str]) -> bool:
 )
 @given(choices=st.data())
 @example(choices=None)
+@example(choices=FOUR_ALTERNATIVE_SEARCH)
 def test_rule_commands_failure_contract(tmp_path, choices):
     domain = tmp_path / "fuzz.spdom"
     rule = tmp_path / "fuzz.rule"
@@ -373,6 +387,11 @@ def test_rule_commands_failure_contract(tmp_path, choices):
     if choices is None:  # a budget past sys.maxsize on a search it completes
         sp3 = str(FIXTURES / "single_peaked3.spdom")
         assert _run(["search-two-step", "--domain", sp3, "--budget", str(2**63)]) == (0, "")
+        return
+    if choices == FOUR_ALTERNATIVE_SEARCH:  # a budget past every candidate
+        domain.write_text(choices)
+        argv = ["search-two-step", "--domain", str(domain), "--budget", str(2**64)]
+        assert _run(argv) == (0, "")
         return
     argv = _rule_argv(choices.draw, str(domain), str(rule), missing, outs)
     max_labels = 2 if _is_huge(argv) else 4

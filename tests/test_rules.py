@@ -142,6 +142,23 @@ def test_witnesses_are_genuine():
     assert count == len(oracles.sp_violations(rule))
 
 
+def test_manipulations_in_canonical_order_against_oracle():
+    # Every witness, in the triple-loop oracle's order (agent, profile index,
+    # deviation), on products where all agents but the last have a stride
+    # above one; the tables are near two-outcome, so most profiles are
+    # skipped without trying their deviations.
+    rng = random.Random(7)
+    for domains in ([SP3, UNI3], [UNI3, SP3, SP3]):
+        pd = ProductDomain.of(domains)
+        for _ in range(40):
+            table = [rng.randrange(2) for _ in range(pd.profile_count)]
+            for _ in range(rng.randrange(4)):
+                table[rng.randrange(pd.profile_count)] = 2
+            rule = Rule(pd, tuple(table))
+            found = [(w.agent, w.profile, w.deviation) for w in iter_manipulations(rule)]
+            assert found == oracles.sp_violations(rule)
+
+
 # ---------------------------------------------------------------------------
 # Option sets and audits
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import itertools
 
@@ -10,6 +11,7 @@ from oracles import (
     first_step_witnesses,
     is_strategy_proof,
     parse_assignment_file,
+    search_by_assembly,
 )
 from spdom import (
     DECOMPOSITION_DICTATORIAL,
@@ -29,6 +31,7 @@ from spdom import (
     enumerate_sp_rules,
     find_manipulation,
     generate_domain,
+    parse_domain_file,
     range_of,
     satisfied_antecedents,
     search_sp_combinations,
@@ -325,6 +328,71 @@ def test_search_budget_truncation():
     assert {r.table for r in result.rules} <= {r.table for r in full.rules}
     with pytest.raises(DomainError):
         search_sp_combinations(partition, budget=0)
+
+
+def test_search_budget_bounds_the_rank():
+    # The budget bounds the lexicographic rank: an assignment of rank r is
+    # reported from budget r + 1 on, and not at budget r.
+    partition = _sp3_partition()
+    full = search_sp_combinations(partition)
+    sizes = [len(c) for c in full.catalogs]
+    for position, indices in enumerate(full.assignments):
+        rank = 0
+        for size, index in zip(sizes, indices):
+            rank = rank * size + index
+        if rank:
+            below = search_sp_combinations(partition, rank)
+            assert below.assignments == full.assignments[:position]
+        upto = search_sp_combinations(partition, rank + 1)
+        assert upto.assignments == full.assignments[: position + 1]
+
+
+def test_search_rescans_what_it_finds(monkeypatch):
+    # Each found assignment is assembled and scanned once more; a scan that
+    # disagrees with the search is an internal error, not a dropped rule.
+    module = importlib.import_module("spdom.twostep")
+    scanned = []
+
+    def disagreeing_scan(rule):
+        scanned.append(rule)
+        return "a witness"
+
+    monkeypatch.setattr(module, "find_manipulation", disagreeing_scan)
+    with pytest.raises(DomainError, match="^internal: search kept the manipulable assignment"):
+        search_sp_combinations(_sp3_partition())
+    assert len(scanned) == 1
+
+
+SEARCH_XYZ = """\
+alternatives x y z
+agent 1 { when x > y => x > z }
+agent 2 { when x > y => x > z }
+"""
+
+SEARCH_ABCD = """\
+alternatives a b c d
+agent 1 { when a > b => c > d }
+agent 2 { universal }
+"""
+
+
+def test_search_matches_assembly_route(sp3_spec, uni3_spec, ex1_spec, ex2_spec):
+    # The forward-checking search reports what assembling and scanning each
+    # candidate in canonical order reports, up to every budget.
+    cases = [(sp3_spec, budget) for budget in (1, 2, 24, 100, 824, 825, 826)]
+    cases += [
+        (spec, 1_000_000)
+        for spec in (uni3_spec, parse_domain_file(SEARCH_XYZ), parse_domain_file(SEARCH_ABCD))
+    ]
+    cases += [(ex2_spec, budget) for budget in (1, 60, 2000)]
+    cases += [(ex1_spec, budget) for budget in (1, 60)]
+    for spec, budget in cases:
+        partition = ResponsePartition.of(spec.product, spec.resolved_maps("default"))
+        found = search_sp_combinations(partition, budget)
+        expected = search_by_assembly(partition, budget)
+        for field in dataclasses.fields(expected):
+            name = field.name
+            assert getattr(found, name) == getattr(expected, name), (spec.labels, budget, name)
 
 
 # ---------------------------------------------------------------------------
