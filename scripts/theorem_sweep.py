@@ -10,7 +10,7 @@ The sweep enumerates one instance per symmetry orbit (agents permuted,
 alternatives relabeled) and counts its rules once per member: 39 orbits for
 361 instances at the default scale, 241 for 6,859 at ``--agents 3`` and 1,096
 for 47,961 at ``--m 4``.  On a 2-core host with Python 3.11, ``--agents 3
---audit-sample 200`` runs in about 0.8 s and ``--m 4`` in about 0.9 s.
+--audit-sample 200`` runs in about 0.4 s and ``--m 4`` in about 0.9 s.
 
 Usage:
     python3 scripts/theorem_sweep.py [--m M] [--agents N] [--audit-sample K]

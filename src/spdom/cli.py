@@ -37,7 +37,15 @@ from .counting import (
     second_step_catalog,
     verify_impossibility,
 )
-from .domfile import DomainSpec, parse_domain_file, serialize_product_domain
+from .domfile import (
+    DomainSpec,
+    format_answer_set,
+    format_pair,
+    format_profile,
+    format_ranking,
+    parse_domain_file,
+    serialize_product_domain,
+)
 from .prefcore import (
     PROFILE_ENUMERATION_LIMIT,
     DomainError,
@@ -93,29 +101,8 @@ def _ranking_json(order: Sequence[int], labels: Sequence[str]) -> list[str]:
     return [labels[alt] for alt in order]
 
 
-def _ranking_text(order: Sequence[int], labels: Sequence[str]) -> str:
-    return "".join(labels[alt] for alt in order)
-
-
-def _answers_text(answers, labels: Sequence[str]) -> str:
-    inner = ",".join(f"{labels[p.top]}>{labels[p.bottom]}" for p in sorted(answers))
-    return "{" + inner + "}"
-
-
 def _answers_json(answers, labels: Sequence[str]) -> list[list[str]]:
     return [_pair_json(p, labels) for p in sorted(answers)]
-
-
-def _pair_text(pair, labels: Sequence[str]) -> str:
-    a, b = pair
-    return f"{labels[a]} > {labels[b]}"
-
-
-def _profile_text(pd: ProductDomain, profile: Sequence[int]) -> str:
-    return ",".join(
-        _ranking_text(pd.agents[i].rankings[digit].order, pd.labels)
-        for i, digit in enumerate(profile)
-    )
 
 
 def _witness_json(pd: ProductDomain, w: ManipulationWitness) -> dict[str, Any]:
@@ -134,9 +121,9 @@ def _witness_json(pd: ProductDomain, w: ManipulationWitness) -> dict[str, Any]:
 
 
 def _witness_text(pd: ProductDomain, w: ManipulationWitness) -> str:
-    deviation = _ranking_text(pd.agents[w.agent].rankings[w.deviation].order, pd.labels)
+    deviation = format_ranking(pd.agents[w.agent].rankings[w.deviation].order, pd.labels)
     return (
-        f"agent {pd.agent_names[w.agent]} at {_profile_text(pd, w.profile)} "
+        f"agent {pd.agent_names[w.agent]} at {format_profile(pd, w.profile)} "
         f"deviating to {deviation}: "
         f"{pd.labels[w.sincere_outcome]} -> {pd.labels[w.deviating_outcome]}"
     )
@@ -255,7 +242,7 @@ def _cmd_closure(options: dict[str, Any]) -> int:
             }
         )
         fixed_text = (
-            "; ".join(_pair_text(p, pd.labels) for p in sorted(sets.fixed)) or "(none)"
+            "; ".join(format_pair(p, pd.labels) for p in sorted(sets.fixed)) or "(none)"
         )
         free_text = (
             "; ".join("{%s, %s}" % (pd.labels[a], pd.labels[b]) for a, b in sorted(sets.free))
@@ -288,7 +275,7 @@ def _cmd_partition(options: dict[str, Any]) -> int:
         lines.append(f"agent {agent.name}: {len(blocks)} block(s)")
         blocks_payload = []
         for answers, block in blocks:
-            lines.append(f"  {_answers_text(answers, pd.labels)} -> {len(block)} ranking(s)")
+            lines.append(f"  {format_answer_set(answers, pd.labels)} -> {len(block)} ranking(s)")
             blocks_payload.append(
                 {
                     "answers": _answers_json(answers, pd.labels),
@@ -327,7 +314,7 @@ def _cmd_count_subrules(options: dict[str, Any]) -> int:
     as_json = options.get("format") == "json"
     blocks_payload = []
     for block in report.blocks:
-        label = "|".join(_answers_text(a, pd.labels) for a in block.answers)
+        label = "|".join(format_answer_set(a, pd.labels) for a in block.answers)
         sizes = "x".join(str(s) for s in block.block_sizes)
         two_outcome = sum(p.count for p in block.pair_counts)
         dictatorial = sum(count for _, count in block.dictatorial)
@@ -376,7 +363,7 @@ def _cmd_count_subrules(options: dict[str, Any]) -> int:
                 agrees = False
                 lines.append(
                     f"ORACLE MISMATCH at response profile "
-                    f"{'|'.join(_answers_text(a, pd.labels) for a in block.answers)}: "
+                    f"{'|'.join(format_answer_set(a, pd.labels) for a in block.answers)}: "
                     f"catalog has {size} subrules, formula says {block.subtotal}"
                 )
         oracle_payload = {"agrees": agrees, "catalog_sizes": catalog_sizes}
@@ -558,7 +545,7 @@ def _cmd_decompose(options: dict[str, Any]) -> int:
     ]
     blocks_payload = []
     for block in report.blocks:
-        label = "|".join(_answers_text(a, pd.labels) for a in block.answers)
+        label = "|".join(format_answer_set(a, pd.labels) for a in block.answers)
         sizes = "x".join(str(len(d)) for d in block.subrule.domain.agents)
         dict_text = (
             ", ".join(pd.agent_names[i] for i in sorted(block.dictators))

@@ -58,7 +58,14 @@ from .prefcore import (
     consistent_rankings,
     pair_sets,
 )
-from .rules import Rule, audit_sp_lemmas, dictators_of, range_of, restriction_scanner
+from .rules import (
+    Rule,
+    _better_masks,
+    _check_table_cap,
+    audit_sp_lemmas,
+    dictators_of,
+    range_of,
+)
 
 
 def enumerate_sp_rules(
@@ -80,6 +87,7 @@ def enumerate_sp_rules(
         raise SizeLimitError(
             f"{count} profiles exceeds the enumeration guard of {max_profiles}"
         )
+    _check_table_cap(count)
     m = pd.m
     if range_filter is None:
         outcomes = tuple(range(m))
@@ -97,31 +105,14 @@ def enumerate_sp_rules(
     sizes = pd.sizes
     strides = pd.strides
     n = pd.n
-    positions = [[r.position for r in d.rankings] for d in pd.agents]
-
     # ok[i][dt][dq][b] = bitmask of outcomes a permitted at the later profile
     # when the earlier adjacent profile (agent i reporting dq instead of dt)
-    # already has outcome b.
-    ok: list[list[list[list[int]]]] = []
-    for i in range(n):
-        pos = positions[i]
-        size = sizes[i]
-        per_agent = []
-        for dt in range(size):
-            pt = pos[dt]
-            per_dt = []
-            for dq in range(size):
-                pq = pos[dq]
-                per_dq = [0] * m
-                for b in range(m):
-                    mask = 1 << b
-                    for a in range(m):
-                        if a != b and pt[a] < pt[b] and pq[b] < pq[a]:
-                            mask |= 1 << a
-                    per_dq[b] = mask
-                per_dt.append(per_dq)
-            per_agent.append(per_dt)
-        ok.append(per_agent)
+    # already has outcome b: b itself, or an a that dt strictly prefers to b
+    # while dq does not.
+    ok = [
+        [[[(1 << b) | (bt[b] & ~bq[b]) for b in range(m)] for bq in better] for bt in better]
+        for better in map(_better_masks, pd.agents)
+    ]
 
     # neighbors[t]: for each already-assigned profile adjacent to t, the index
     # q and the ok-row (indexed by the outcome at q) constraining t's outcome.
@@ -610,39 +601,18 @@ def _violates_impossibility(rule: Rule) -> bool:
     return len(range_of(rule)) != 2 and not dictators_of(rule)
 
 
-def _audit_rule(rule: Rule, rng: random.Random, restriction_cap: int = 4096) -> Optional[str]:
-    """Audit one strategy-proof rule: the option-set facts must hold, and every
-    sub-product restriction must stay strategy-proof (sampled above the cap)."""
+def _audit_rule(rule: Rule) -> Optional[str]:
+    """Audit one strategy-proof rule: no manipulation, and the option-set
+    facts (maximality and freeness) hold.  Restrictions to sub-products need
+    no scan of their own: a manipulation inside one is a manipulation of the
+    rule itself."""
     report = audit_sp_lemmas(rule)
-    if not report.clean:
-        return (
-            f"audit found {len(report.maximality_faults)} maximality and "
-            f"{len(report.freeness_faults)} freeness fault(s)"
-        )
-    pd = rule.domain
-    per_agent: list[list[tuple[int, ...]]] = []
-    total = 1
-    for size in pd.sizes:
-        subsets = [
-            combo
-            for r in range(1, size + 1)
-            for combo in itertools.combinations(range(size), r)
-        ]
-        per_agent.append(subsets)
-        total *= len(subsets)
-    if total <= restriction_cap:
-        combos: Iterable[tuple[tuple[int, ...], ...]] = itertools.product(*per_agent)
-    else:
-        combos = (
-            tuple(subsets[rng.randrange(len(subsets))] for subsets in per_agent)
-            for _ in range(restriction_cap // 8)
-        )
-    scan = restriction_scanner(rule)
-    for subset_choice in combos:
-        witness = scan(subset_choice)
-        if witness is not None:
-            return f"restriction {subset_choice!r} is manipulable: {witness}"
-    return None
+    if report.clean:
+        return None
+    return (
+        f"audit found {len(report.maximality_faults)} maximality and "
+        f"{len(report.freeness_faults)} freeness fault(s)"
+    )
 
 
 def verify_impossibility(
@@ -667,11 +637,11 @@ def verify_impossibility(
     before any enumeration.
 
     With ``audit_sample > 0``, that many strategy-proof rules are sampled
-    (reproducibly, via ``seed``) across the family and audited: option-set
-    maximality and freeness on every subprofile, plus strategy-proofness of
-    sub-product restrictions (exhaustively up to a cap, sampled beyond).  A
-    sample is a position in the family's list of rules (instance order, then
-    enumeration order); only the sampled instances are enumerated again.
+    (reproducibly, via ``seed``) across the family and audited by
+    :func:`~spdom.rules.audit_sp_lemmas`: the manipulation scan plus option-set
+    maximality and freeness on every subprofile.  A sample is a position in
+    the family's list of rules (instance order, then enumeration order); only
+    the sampled instances are enumerated again.
     """
     if isinstance(family, ProductFamily):
         instances: Sequence[ProductDomain] = family
@@ -726,7 +696,7 @@ def verify_impossibility(
             if idx not in sampled:
                 sampled[idx] = rules_of(idx)
             rule = sampled[idx][pick - ends[idx] + counts[idx]]
-            reason = _audit_rule(rule, rng)
+            reason = _audit_rule(rule)
             audited += 1
             if reason is not None:
                 faults.append(AuditFault(idx, rule, reason))

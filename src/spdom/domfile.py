@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .classify import RestrictionMap, classify, rebuild
+from .classify import AnswerSet, RestrictionMap, classify, rebuild
 from .prefcore import (
     MAX_ALTERNATIVES,
     DomainError,
@@ -398,6 +398,24 @@ def parse_domain_file(text: str) -> DomainSpec:
 
 def format_pair(p: OrderedPair, labels: Sequence[str]) -> str:
     return f"{labels[p.top]} > {labels[p.bottom]}"
+
+
+def format_ranking(order: Sequence[int], labels: Sequence[str]) -> str:
+    """A ranking as its labels run together, best first: ``bca``."""
+    return "".join(labels[alt] for alt in order)
+
+
+def format_profile(pd: ProductDomain, profile: Sequence[int]) -> str:
+    """A profile (one ranking index per agent) as comma-joined rankings."""
+    return ",".join(
+        format_ranking(d.rankings[digit].order, pd.labels) for digit, d in zip(profile, pd.agents)
+    )
+
+
+def format_answer_set(answers: AnswerSet, labels: Sequence[str]) -> str:
+    """An answer set as ``{a>b,c>d}``, pairs in ascending order."""
+    inner = ",".join(f"{labels[p.top]}>{labels[p.bottom]}" for p in sorted(answers))
+    return "{" + inner + "}"
 
 
 def map_statement_lines(map_: RestrictionMap, labels: Sequence[str]) -> list[str]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 MAX_ALTERNATIVES = 8
@@ -400,18 +400,18 @@ class ProductDomain:
     def n(self) -> int:
         return len(self.agents)
 
-    @property
+    @cached_property
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(d) for d in self.agents)
 
-    @property
+    @cached_property
     def strides(self) -> tuple[int, ...]:
         strides = [1] * self.n
         for i in range(self.n - 2, -1, -1):
             strides[i] = strides[i + 1] * len(self.agents[i + 1])
         return tuple(strides)
 
-    @property
+    @cached_property
     def profile_count(self) -> int:
         count = 1
         for d in self.agents:

@@ -2,19 +2,19 @@
 
 A rule is a dense outcome table over the canonical profile order of a product
 domain.  This module checks manipulability (one agent misreporting to obtain
-an outcome they sincerely prefer), also within sub-product restrictions,
-identifies dictators, audits the structural facts that characterize
-strategy-proof rules (outcome maximality over option sets; pairwise freeness
-of option-set members), and reads/writes the ``.rule`` text format.
+an outcome they sincerely prefer), identifies dictators, audits the
+structural facts that characterize strategy-proof rules (outcome maximality
+over option sets; pairwise freeness of option-set members), and reads/writes
+the ``.rule`` text format.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .domfile import ParseError
+from .domfile import ParseError, format_profile
 from .prefcore import (
     PROFILE_ENUMERATION_LIMIT,
     TABLE_CELL_LIMIT,
@@ -35,7 +35,11 @@ def _check_table_cap(count: int) -> None:
 
 @dataclass(frozen=True)
 class Rule:
-    """A social choice rule: one outcome per profile, in canonical profile order."""
+    """A social choice rule: one outcome per profile, in canonical profile order.
+
+    Only the table's length is checked; its builder keeps every outcome in
+    ``0..m-1`` (the ``.rule`` parser maps labels to ids).
+    """
 
     domain: ProductDomain
     table: tuple[int, ...]
@@ -45,10 +49,6 @@ class Rule:
         _check_table_cap(count)
         if len(self.table) != count:
             raise DomainError(f"outcome table needs {count} cells, got {len(self.table)}")
-        m = self.domain.m
-        for value in self.table:
-            if not 0 <= value < m:
-                raise DomainError(f"outcome {value!r} is outside 0..{m - 1}")
 
     def outcome_at(self, index: int) -> int:
         return self.table[index]
@@ -156,97 +156,6 @@ def find_manipulation(
 ) -> Optional[ManipulationWitness]:
     """The canonical first manipulation, or None when the rule is strategy-proof."""
     return next(iter_manipulations(rule, max_profiles), None)
-
-
-def find_manipulation_within(
-    rule: Rule, index_subsets: Sequence[Sequence[int]]
-) -> Optional[ManipulationWitness]:
-    """First manipulation when every agent (sincerely and in deviation) is
-    confined to the given per-agent ranking-index subsets: the canonical
-    witness of the rule restricted to that sub-product, found without
-    building the restricted table; witness coordinates refer to the parent
-    domain."""
-    pd = rule.domain
-    if len(index_subsets) != pd.n:
-        raise DomainError(f"need {pd.n} index subsets, got {len(index_subsets)}")
-    subsets: list[tuple[int, ...]] = []
-    for agent, subset in enumerate(index_subsets):
-        checked = tuple(subset)
-        size = pd.sizes[agent]
-        for i in checked:
-            if not 0 <= i < size:
-                raise DomainError(f"index {i} out of range for agent {agent}")
-        if not checked:
-            raise DomainError(f"empty index subset for agent {agent}")
-        subsets.append(checked)
-    return restriction_scanner(rule)(subsets)
-
-
-def restriction_scanner(
-    rule: Rule,
-) -> Callable[[Sequence[tuple[int, ...]]], Optional[ManipulationWitness]]:
-    """The scan behind :func:`find_manipulation_within`, prepared once for
-    many restrictions of one rule.  The returned function checks nothing: it
-    takes one nonempty tuple of in-range ranking indices per agent.
-
-    Restrictions of one rule share sub-profiles, so the first manipulation
-    among an agent's reports in ``own`` at one setting of the other agents
-    (``base``, a profile-index offset) is worked out once per (base, own).
-    """
-    pd = rule.domain
-    table = rule.table
-    n = pd.n
-    positions = [[r.position for r in d.rankings] for d in pd.agents]
-    offsets = [
-        [digit * stride for digit in range(size)] for stride, size in zip(pd.strides, pd.sizes)
-    ]
-    others = [[i for i in range(n) if i != agent] for agent in range(n)]
-    # memo[agent][(base, own)]: (sincere digit, deviation) of the first
-    # manipulation there, or None.
-    memo: list[dict[tuple[int, tuple[int, ...]], Optional[tuple[int, int]]]] = [
-        {} for _ in range(n)
-    ]
-
-    def first_at(agent: int, base: int, own: tuple[int, ...]) -> Optional[tuple[int, int]]:
-        off = offsets[agent]
-        outcomes = [table[base + off[digit]] for digit in own]
-        for digit, sincere in zip(own, outcomes):
-            pos = positions[agent][digit]
-            for deviation, other in zip(own, outcomes):
-                if deviation != digit and pos[other] < pos[sincere]:
-                    return digit, deviation
-        return None
-
-    def scan(subsets: Sequence[tuple[int, ...]]) -> Optional[ManipulationWitness]:
-        for agent in range(n):
-            own = subsets[agent]
-            if len(own) < 2:
-                continue  # no deviation to try
-            # Offsets of the other agents' sub-profiles, last agent fastest.
-            bases = [0]
-            for i in others[agent]:
-                off = offsets[i]
-                bases = [base + off[d] for base in bases for d in subsets[i]]
-            seen = memo[agent]
-            for base in bases:
-                key = (base, own)
-                if key in seen:
-                    found = seen[key]
-                else:
-                    found = seen[key] = first_at(agent, base, own)
-                if found is not None:
-                    digit, deviation = found
-                    index = base + offsets[agent][digit]
-                    return ManipulationWitness(
-                        agent=agent,
-                        profile=pd.profile_at(index),
-                        deviation=deviation,
-                        sincere_outcome=table[index],
-                        deviating_outcome=table[base + offsets[agent][deviation]],
-                    )
-        return None
-
-    return scan
 
 
 def dictators_of(rule: Rule) -> frozenset[int]:
@@ -361,20 +270,12 @@ def audit_sp_lemmas(
     )
 
 
-def _render_ranking(order: Sequence[int], labels: Sequence[str]) -> str:
-    return "".join(labels[alt] for alt in order)
-
-
 def serialize_rule(rule: Rule) -> str:
     """Render a rule as the ``.rule`` text format (canonical profile order)."""
     pd = rule.domain
     lines = ["alternatives: " + " ".join(pd.labels)]
     for index, profile in enumerate(pd.iter_profiles()):
-        parts = ",".join(
-            _render_ranking(d.rankings[digit].order, pd.labels)
-            for digit, d in zip(profile, pd.agents)
-        )
-        lines.append(f"{parts} -> {pd.labels[rule.table[index]]}")
+        lines.append(f"{format_profile(pd, profile)} -> {pd.labels[rule.table[index]]}")
     return "\n".join(lines) + "\n"
 
 
@@ -413,11 +314,7 @@ def parse_rule_file(text: str, pd: ProductDomain) -> Rule:
         right = right.strip()
         if data_line >= expected:
             raise ParseError(f"more than {expected} profile lines", lineno, 1)
-        profile = next(profiles)
-        canonical = ",".join(
-            _render_ranking(d.rankings[digit].order, pd.labels)
-            for digit, d in zip(profile, pd.agents)
-        )
+        canonical = format_profile(pd, next(profiles))
         if left != canonical:
             raise ParseError(
                 f"profile out of canonical order: expected {canonical!r}, found {left!r}",

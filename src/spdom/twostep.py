@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 
 from .classify import AnswerSet, ResponsePartition
 from .counting import second_step_catalog
+from .domfile import format_answer_set
 from .prefcore import PROFILE_ENUMERATION_LIMIT, DomainError, ProductDomain
 from .rules import (
     Rule,
@@ -306,11 +307,6 @@ def _search_compatible(
 # Assignment file format
 
 
-def _format_answer_set(answers: AnswerSet, labels: Sequence[str]) -> str:
-    inner = ",".join(f"{labels[p.top]}>{labels[p.bottom]}" for p in sorted(answers))
-    return "{" + inner + "}"
-
-
 def serialize_assignment(partition: ResponsePartition, indices: Sequence[int]) -> str:
     """Render an assignment of catalog subrules as text: one catalog index per
     response profile, canonical order (as in ``SearchResult.assignments``)."""
@@ -324,6 +320,6 @@ def serialize_assignment(partition: ResponsePartition, indices: Sequence[int]) -
     lines = ["alternatives: " + " ".join(pd.labels)]
     lines.append("agents: " + " ".join(pd.agent_names))
     for answers, idx in zip(responses, indices):
-        left = "|".join(_format_answer_set(a, pd.labels) for a in answers)
+        left = "|".join(format_answer_set(a, pd.labels) for a in answers)
         lines.append(f"{left} -> catalog:{idx}")
     return "\n".join(lines) + "\n"

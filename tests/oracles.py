@@ -49,8 +49,9 @@ from spdom import (
     second_step_catalog,
 )
 from spdom.counting import AuditFault, _audit_rule, _check_same_m
+from spdom.domfile import format_answer_set
 from spdom.prefcore import _check_pair
-from spdom.twostep import _check_subrules, _format_answer_set
+from spdom.twostep import _check_subrules
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +391,7 @@ def audit_per_instance(
     chosen = pool if len(pool) <= audit_sample else rng.sample(pool, audit_sample)
     faults = []
     for idx, rule in chosen:
-        reason = _audit_rule(rule, rng)
+        reason = _audit_rule(rule)
         if reason is not None:
             faults.append(AuditFault(idx, rule, reason))
     return len(chosen), tuple(faults)
@@ -674,7 +675,7 @@ def parse_assignment_file(
         )
         answers, block_pd = expected
         if declared_answers != answers:
-            expected_text = "|".join(_format_answer_set(a, pd.labels) for a in answers)
+            expected_text = "|".join(format_answer_set(a, pd.labels) for a in answers)
             raise ParseError(
                 f"response profile out of canonical order: expected {expected_text!r}",
                 lineno,

@@ -398,6 +398,18 @@ def test_enumerate_sp_profile_guard(cli):
     assert "6400" in err
 
 
+def test_enumerate_sp_table_cap_trips_before_the_search(cli, tmp_path):
+    # 5040x5040 profiles pass a raised profile guard but not the 10M table
+    # cap, which must fire before any per-profile work.
+    path = tmp_path / "uu7.spdom"
+    path.write_text("alternatives a b c d e f g\nagent 1 { universal }\nagent 2 { universal }\n")
+    assert cli("enumerate-sp", "--domain", str(path), "--max-profiles", "30000000") == (
+        2,
+        "",
+        "size limit: outcome table would need 25401600 cells, over the cap of 10000000\n",
+    )
+
+
 # ---------------------------------------------------------------------------
 # check-rule
 
@@ -562,6 +574,17 @@ def test_verify_theorem_family_json_with_audit(cli):
     assert payload["violations"] == []
     assert payload["audited"] == 5
     assert payload["audit_faults"] == []
+
+
+def test_verify_theorem_audits_a_rule_on_a_large_agent_domain(cli, tmp_path):
+    # 24 rankings: the audit must not list the 2^24 - 1 sub-domains.
+    path = tmp_path / "uni4.spdom"
+    path.write_text("alternatives a b c d\n\nagent 1 {\n  universal\n}\n")
+    code, out, err = cli("verify-theorem", "--domain", str(path), "--audit-sample", "1")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == (
+        "instances: 1; rules checked: 15; violations: 0; audited: 1; audit faults: 0"
+    )
 
 
 def test_verify_theorem_conditional_domain_fails(cli):
