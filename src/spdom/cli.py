@@ -23,7 +23,6 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
@@ -43,6 +42,7 @@ from .domfile import (
     format_pair,
     format_profile,
     format_ranking,
+    format_response,
     parse_domain_file,
     serialize_product_domain,
 )
@@ -76,14 +76,6 @@ ORACLE_TABLE_LIMIT = 200_000
 RULE_JSON_CELL_LIMIT = 50_000
 
 
-@dataclass(frozen=True)
-class CommandRequest:
-    """A parsed invocation: the subcommand name plus its option mapping."""
-
-    command: str
-    options: dict[str, Any] = field(default_factory=dict)
-
-
 # ---------------------------------------------------------------------------
 # Rendering helpers
 
@@ -94,6 +86,7 @@ def _pair_json(pair, labels: Sequence[str]) -> list[str]:
 
 
 def _pairs_json(pairs, labels: Sequence[str]) -> list[list[str]]:
+    """Pairs or an answer set as ``[[top, bottom], ...]``, ascending."""
     return [_pair_json(p, labels) for p in sorted(pairs)]
 
 
@@ -101,8 +94,12 @@ def _ranking_json(order: Sequence[int], labels: Sequence[str]) -> list[str]:
     return [labels[alt] for alt in order]
 
 
-def _answers_json(answers, labels: Sequence[str]) -> list[list[str]]:
-    return [_pair_json(p, labels) for p in sorted(answers)]
+def _dictator_names(pd: ProductDomain, dictators) -> list[str]:
+    return [pd.agent_names[i] for i in sorted(dictators)]
+
+
+def _dictators_text(names: Sequence[str]) -> str:
+    return ", ".join(names) or "none"
 
 
 def _witness_json(pd: ProductDomain, w: ManipulationWitness) -> dict[str, Any]:
@@ -136,12 +133,14 @@ def _big_count_text(value: int) -> str:
     return f"({digits} digits)"
 
 
-def _emit(options: dict[str, Any], payload: dict[str, Any], text: str) -> None:
-    if options.get("format") == "json":
+def _emit(options: dict[str, Any], payload: dict[str, Any], lines: Sequence[str]) -> None:
+    """Write the report, as JSON or as its text lines, to stdout or ``--out``."""
+    if options["format"] == "json":
         rendered = json.dumps(payload, indent=2) + "\n"
     else:
+        text = "\n".join(lines)
         rendered = text if text.endswith("\n") else text + "\n"
-    out = options.get("out")
+    out = options["out"]
     if out:
         _write_text(Path(out), rendered)
     else:
@@ -173,10 +172,6 @@ def _out_dir(path: str) -> Path:
 
 def _load_spec(options: dict[str, Any]) -> DomainSpec:
     return parse_domain_file(_read_text(options["domain"]))
-
-
-def _load_rule(options: dict[str, Any], pd: ProductDomain) -> Rule:
-    return parse_rule_file(_read_text(options["rule"]), pd)
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +212,7 @@ def _cmd_classify(options: dict[str, Any]) -> int:
         "alternatives": list(pd.labels),
         "agents": agents_payload,
     }
-    text = "\n".join(comment_lines) + "\n" + serialize_product_domain(pd, maps)
-    _emit(options, payload, text)
+    _emit(options, payload, [*comment_lines, serialize_product_domain(pd, maps)])
     return 0
 
 
@@ -259,15 +253,14 @@ def _cmd_closure(options: dict[str, Any]) -> int:
         "alternatives": list(pd.labels),
         "agents": agents_payload,
     }
-    _emit(options, payload, "\n".join(lines) + "\n")
+    _emit(options, payload, lines)
     return 0
 
 
 def _cmd_partition(options: dict[str, Any]) -> int:
     spec = _load_spec(options)
-    scan = options["scan"]
     pd = spec.product
-    maps = spec.resolved_maps(scan)
+    maps = spec.resolved_maps(options["scan"])
     agents_payload = []
     lines = []
     for agent, map_ in zip(spec.agents, maps):
@@ -278,7 +271,7 @@ def _cmd_partition(options: dict[str, Any]) -> int:
             lines.append(f"  {format_answer_set(answers, pd.labels)} -> {len(block)} ranking(s)")
             blocks_payload.append(
                 {
-                    "answers": _answers_json(answers, pd.labels),
+                    "answers": _pairs_json(answers, pd.labels),
                     "size": len(block),
                     "rankings": [_ranking_json(r.order, pd.labels) for r in block.rankings],
                 }
@@ -289,7 +282,7 @@ def _cmd_partition(options: dict[str, Any]) -> int:
         "alternatives": list(pd.labels),
         "agents": agents_payload,
     }
-    _emit(options, payload, "\n".join(lines) + "\n")
+    _emit(options, payload, lines)
     return 0
 
 
@@ -311,10 +304,10 @@ def _cmd_count_subrules(options: dict[str, Any]) -> int:
         f"naive table bound: {report.m}^{report.profile_count} "
         f"({report.naive_digits} digits)"
     )
-    as_json = options.get("format") == "json"
+    as_json = options["format"] == "json"
     blocks_payload = []
     for block in report.blocks:
-        label = "|".join(format_answer_set(a, pd.labels) for a in block.answers)
+        label = format_response(block.answers, pd.labels)
         sizes = "x".join(str(s) for s in block.block_sizes)
         two_outcome = sum(p.count for p in block.pair_counts)
         dictatorial = sum(count for _, count in block.dictatorial)
@@ -327,7 +320,7 @@ def _cmd_count_subrules(options: dict[str, Any]) -> int:
             continue
         blocks_payload.append(
             {
-                "answers": [_answers_json(a, pd.labels) for a in block.answers],
+                "answers": [_pairs_json(a, pd.labels) for a in block.answers],
                 "block_sizes": list(block.block_sizes),
                 "constants": block.constants,
                 "pairs": [
@@ -353,7 +346,7 @@ def _cmd_count_subrules(options: dict[str, Any]) -> int:
 
     oracle_payload = None
     exit_code = 0
-    if options.get("oracle"):
+    if options["oracle"]:
         catalog_sizes = []
         agrees = True
         for block, block_pd in zip(report.blocks, partition.block_products):
@@ -363,7 +356,7 @@ def _cmd_count_subrules(options: dict[str, Any]) -> int:
                 agrees = False
                 lines.append(
                     f"ORACLE MISMATCH at response profile "
-                    f"{'|'.join(format_answer_set(a, pd.labels) for a in block.answers)}: "
+                    f"{format_response(block.answers, pd.labels)}: "
                     f"catalog has {size} subrules, formula says {block.subtotal}"
                 )
         oracle_payload = {"agrees": agrees, "catalog_sizes": catalog_sizes}
@@ -382,7 +375,7 @@ def _cmd_count_subrules(options: dict[str, Any]) -> int:
         "product_digits": product_digits,
         "oracle": oracle_payload,
     }
-    _emit(options, payload, "\n".join(lines) + "\n")
+    _emit(options, payload, lines)
     return exit_code
 
 
@@ -420,7 +413,7 @@ def _brute_force_sp_count(
 def _cmd_enumerate_sp(options: dict[str, Any]) -> int:
     spec = _load_spec(options)
     pd = spec.product
-    range_filter = _parse_range_filter(spec, options.get("range"))
+    range_filter = _parse_range_filter(spec, options["range"])
     max_profiles = options["max_profiles"]
     rules = list(enumerate_sp_rules(pd, range_filter=range_filter, max_profiles=max_profiles))
 
@@ -428,7 +421,7 @@ def _cmd_enumerate_sp(options: dict[str, Any]) -> int:
     if range_filter is not None:
         lines[0] += f" (range within {{{', '.join(pd.labels[a] for a in range_filter)}}})"
 
-    out_dir = options.get("out")
+    out_dir = options["out"]
     if out_dir:
         directory = _out_dir(out_dir)
         for i, rule in enumerate(rules):
@@ -437,7 +430,7 @@ def _cmd_enumerate_sp(options: dict[str, Any]) -> int:
 
     oracle_payload = None
     exit_code = 0
-    if options.get("oracle"):
+    if options["oracle"]:
         brute = _brute_force_sp_count(pd, range_filter)
         agrees = brute == [r.table for r in rules]
         oracle_payload = {"agrees": agrees, "count": len(brute)}
@@ -467,25 +460,20 @@ def _cmd_enumerate_sp(options: dict[str, Any]) -> int:
         "oracle": oracle_payload,
     }
     # --out is the rule-file directory here, so the report always goes to stdout.
-    _emit({**options, "out": None}, payload, "\n".join(lines) + "\n")
+    _emit({**options, "out": None}, payload, lines)
     return exit_code
 
 
 def _cmd_check_rule(options: dict[str, Any]) -> int:
     spec = _load_spec(options)
     pd = spec.product
-    rule = _load_rule(options, pd)
-    max_profiles = options["max_profiles"]
-    witness = find_manipulation(rule, max_profiles)
-    audit = audit_sp_lemmas(rule, max_profiles)
+    rule = parse_rule_file(_read_text(options["rule"]), pd)
+    audit = audit_sp_lemmas(rule, options["max_profiles"])
+    witness = audit.witness
     attained = range_of(rule)
-    dictators = dictators_of(rule)
-
-    dict_text = (
-        ", ".join(pd.agent_names[i] for i in sorted(dictators)) if dictators else "none"
-    )
+    dictators = _dictator_names(pd, dictators_of(rule))
     lines = [
-        f"SP: {'yes' if witness is None else 'no'}; dictators: {dict_text}; "
+        f"SP: {'yes' if witness is None else 'no'}; dictators: {_dictators_text(dictators)}; "
         f"range: {len(attained)}"
     ]
     lines.append(f"range alternatives: {', '.join(pd.labels[a] for a in sorted(attained))}")
@@ -498,10 +486,11 @@ def _cmd_check_rule(options: dict[str, Any]) -> int:
 
     exit_code = 0 if witness is None else 3
     oracle_payload = None
-    if options.get("oracle"):
+    if options["oracle"]:
         # Independent route: a rule is strategy-proof exactly when every realized
         # outcome is its reporter's best option-set member; and a strategy-proof
-        # rule's option sets must be pairwise free.
+        # rule's option sets must be pairwise free.  (The witness comes from the
+        # manipulation scan, the faults from the option sets.)
         agrees = (witness is None) == (not audit.maximality_faults)
         if witness is None and audit.freeness_faults:
             agrees = False
@@ -515,7 +504,7 @@ def _cmd_check_rule(options: dict[str, Any]) -> int:
         "strategy_proof": witness is None,
         "range": [pd.labels[a] for a in sorted(attained)],
         "range_size": len(attained),
-        "dictators": [pd.agent_names[i] for i in sorted(dictators)],
+        "dictators": dictators,
         "witness": None if witness is None else _witness_json(pd, witness),
         "audit": {
             "maximality_faults": len(audit.maximality_faults),
@@ -524,14 +513,14 @@ def _cmd_check_rule(options: dict[str, Any]) -> int:
         },
         "oracle": oracle_payload,
     }
-    _emit(options, payload, "\n".join(lines) + "\n")
+    _emit(options, payload, lines)
     return exit_code
 
 
 def _cmd_decompose(options: dict[str, Any]) -> int:
     partition = _load_partition(options)
     pd = partition.product
-    rule = _load_rule(options, pd)
+    rule = parse_rule_file(_read_text(options["rule"]), pd)
     report = decompose(rule, partition)
 
     kinds = {"dictatorial": 0, "sp_range_le_2": 0, "violation": 0}
@@ -545,23 +534,18 @@ def _cmd_decompose(options: dict[str, Any]) -> int:
     ]
     blocks_payload = []
     for block in report.blocks:
-        label = "|".join(format_answer_set(a, pd.labels) for a in block.answers)
         sizes = "x".join(str(len(d)) for d in block.subrule.domain.agents)
-        dict_text = (
-            ", ".join(pd.agent_names[i] for i in sorted(block.dictators))
-            if block.dictators
-            else "none"
-        )
+        dictators = _dictator_names(pd, block.dictators)
         lines.append(
-            f"{label} -> {block.classification}; range {block.range_size}; "
-            f"dictators: {dict_text}; block {sizes}"
+            f"{format_response(block.answers, pd.labels)} -> {block.classification}; "
+            f"range {block.range_size}; dictators: {_dictators_text(dictators)}; block {sizes}"
         )
         blocks_payload.append(
             {
-                "answers": [_answers_json(a, pd.labels) for a in block.answers],
+                "answers": [_pairs_json(a, pd.labels) for a in block.answers],
                 "block_sizes": [len(d) for d in block.subrule.domain.agents],
                 "classification": block.classification,
-                "dictators": [pd.agent_names[i] for i in sorted(block.dictators)],
+                "dictators": dictators,
                 "range_size": block.range_size,
             }
         )
@@ -571,21 +555,19 @@ def _cmd_decompose(options: dict[str, Any]) -> int:
         "blocks": blocks_payload,
         "violations": kinds["violation"],
     }
-    _emit(options, payload, "\n".join(lines) + "\n")
+    _emit(options, payload, lines)
     return 0 if kinds["violation"] == 0 else 3
 
 
 def _theorem_instances(options: dict[str, Any]) -> ProductFamily | list[ProductDomain]:
-    domain_files = options.get("domain") or []
-    family = options.get("family")
+    domain_files = options["domain"] or []
+    family = options["family"]
     if domain_files and family:
         raise DomainError("give either --domain files or --family, not both")
     if domain_files:
         return [parse_domain_file(_read_text(path)).product for path in domain_files]
     if not family:
         raise DomainError("verify-theorem needs --domain files or --family")
-    if family != "nonconditional-pairs":
-        raise DomainError(f"unknown family {family!r}")
     agents = options["agents"]
     if agents < 1:
         raise DomainError(f"--agents must be at least 1, got {agents}")
@@ -598,7 +580,7 @@ def _cmd_verify_theorem(options: dict[str, Any]) -> int:
         instances,
         max_profiles=options["max_profiles"],
         audit_sample=options["audit_sample"],
-        seed=options.get("seed"),
+        seed=options["seed"],
     )
     lines = [
         f"instances: {report.instances}; rules checked: {report.rules_checked}; "
@@ -610,15 +592,11 @@ def _cmd_verify_theorem(options: dict[str, Any]) -> int:
             "verified: every strategy-proof rule without a dictator attains "
             "exactly two outcomes"
         )
-    for violation in report.violations[:20]:
-        pd = violation.rule.domain
-        dictators = dictators_of(violation.rule)
-        dict_text = (
-            ", ".join(pd.agent_names[i] for i in sorted(dictators)) if dictators else "none"
-        )
+    dictators = [_dictator_names(v.rule.domain, dictators_of(v.rule)) for v in report.violations]
+    for violation, names in zip(report.violations[:20], dictators):
         lines.append(
             f"violation: instance {violation.instance}, "
-            f"range size {len(range_of(violation.rule))}, dictators: {dict_text}"
+            f"range size {len(range_of(violation.rule))}, dictators: {_dictators_text(names)}"
         )
     if len(report.violations) > 20:
         lines.append(f"... and {len(report.violations) - 20} more violation(s)")
@@ -633,19 +611,17 @@ def _cmd_verify_theorem(options: dict[str, Any]) -> int:
             {
                 "instance": v.instance,
                 "range_size": len(range_of(v.rule)),
-                "dictators": [
-                    v.rule.domain.agent_names[i] for i in sorted(dictators_of(v.rule))
-                ],
+                "dictators": names,
                 "table": [v.rule.domain.labels[a] for a in v.rule.table],
             }
-            for v in report.violations
+            for v, names in zip(report.violations, dictators)
         ],
         "audited": report.audited,
         "audit_faults": [
             {"instance": f.instance, "reason": f.reason} for f in report.audit_faults
         ],
     }
-    _emit(options, payload, "\n".join(lines) + "\n")
+    _emit(options, payload, lines)
     return 0 if report.ok else 3
 
 
@@ -662,7 +638,7 @@ def _cmd_search_two_step(options: dict[str, Any]) -> int:
     ]
     lines.append(f"strategy-proof assignments: {len(result.assignments)}")
 
-    out_dir = options.get("out")
+    out_dir = options["out"]
     if out_dir:
         directory = _out_dir(out_dir)
         for i, indices in enumerate(result.assignments):
@@ -682,28 +658,8 @@ def _cmd_search_two_step(options: dict[str, Any]) -> int:
         "assignments": [list(indices) for indices in result.assignments],
     }
     # --out is the assignment-file directory here; the report goes to stdout.
-    _emit({**options, "out": None}, payload, "\n".join(lines) + "\n")
+    _emit({**options, "out": None}, payload, lines)
     return 0
-
-
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "closure": _cmd_closure,
-    "partition": _cmd_partition,
-    "count-subrules": _cmd_count_subrules,
-    "enumerate-sp": _cmd_enumerate_sp,
-    "check-rule": _cmd_check_rule,
-    "decompose": _cmd_decompose,
-    "verify-theorem": _cmd_verify_theorem,
-    "search-two-step": _cmd_search_two_step,
-}
-
-
-def _add_common(parser: argparse.ArgumentParser, out_help: str) -> None:
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
-    parser.add_argument("--out", metavar="PATH", help=out_help)
 
 
 def _int_at_least(low: int) -> Callable[[str], int]:
@@ -721,170 +677,185 @@ def _int_at_least(low: int) -> Callable[[str], int]:
     return parse
 
 
-def parse_args(argv: Optional[Sequence[str]] = None) -> CommandRequest:
+# ---------------------------------------------------------------------------
+# Command table: each flag is an ``add_argument`` call, listed in --help order.
+
+_Flag = tuple[str, dict[str, Any]]
+
+
+def _flag(name: str, **spec: Any) -> _Flag:
+    return name, spec
+
+
+def _max_profiles(help: str) -> _Flag:
+    return _flag(
+        "--max-profiles",
+        type=_int_at_least(1),
+        default=PROFILE_ENUMERATION_LIMIT,
+        metavar="N",
+        help=help,
+    )
+
+
+def _oracle(help: str) -> _Flag:
+    return _flag("--oracle", action="store_true", help=help)
+
+
+def _report_out(help: str = "write the report here instead of stdout") -> _Flag:
+    return _flag("--out", metavar="PATH", help=help)
+
+
+_DOMAIN = _flag("--domain", required=True, metavar="FILE", help="domain file")
+_SCAN = _flag(
+    "--scan",
+    choices=("default", "reversed"),
+    default="default",
+    help="deterministic scan order used when deriving restriction maps",
+)
+_FORMAT = _flag("--format", choices=("text", "json"), default="text", help="output format")
+
+# name -> (help, handler, flags)
+_COMMANDS: dict[str, tuple[str, Callable[[dict[str, Any]], int], tuple[_Flag, ...]]] = {
+    "classify": (
+        "derive each agent's restriction-map form",
+        _cmd_classify,
+        (
+            _DOMAIN,
+            _SCAN,
+            _FORMAT,
+            _report_out("write the report (text form is a reparseable domain file) here"),
+        ),
+    ),
+    "closure": (
+        "fixed/free pairs and non-conditional closure",
+        _cmd_closure,
+        (_DOMAIN, _FORMAT, _report_out()),
+    ),
+    "partition": (
+        "answer-set blocks per agent",
+        _cmd_partition,
+        (_DOMAIN, _SCAN, _FORMAT, _report_out()),
+    ),
+    "count-subrules": (
+        "closed-form count of strategy-proof two-step rules",
+        _cmd_count_subrules,
+        (
+            _DOMAIN,
+            _SCAN,
+            _oracle("cross-check each block subtotal against an explicit subrule catalog"),
+            _FORMAT,
+            _report_out(),
+        ),
+    ),
+    "enumerate-sp": (
+        "enumerate all strategy-proof rules",
+        _cmd_enumerate_sp,
+        (
+            _DOMAIN,
+            _flag(
+                "--range",
+                metavar="LABELS",
+                help="comma-separated alternatives the rules may attain (e.g. 'x,y')",
+            ),
+            _max_profiles("profile-count guard for enumeration"),
+            _oracle("cross-check against a brute-force scan of every outcome table (guarded)"),
+            _FORMAT,
+            _flag("--out", metavar="DIR", help="also write one .rule file per rule into DIR"),
+        ),
+    ),
+    "check-rule": (
+        "audit one rule file for strategy-proofness",
+        _cmd_check_rule,
+        (
+            _DOMAIN,
+            _flag("--rule", required=True, metavar="FILE", help="rule file to audit"),
+            _max_profiles("profile-count guard for the manipulation scan"),
+            _oracle("cross-check the verdict against the option-set audit"),
+            _FORMAT,
+            _report_out(),
+        ),
+    ),
+    "decompose": (
+        "split a rule by response profile and classify each subrule",
+        _cmd_decompose,
+        (
+            _DOMAIN,
+            _flag("--rule", required=True, metavar="FILE", help="rule file to decompose"),
+            _SCAN,
+            _FORMAT,
+            _report_out(),
+        ),
+    ),
+    "verify-theorem": (
+        "sweep products of non-conditional domains for counterexamples",
+        _cmd_verify_theorem,
+        (
+            _flag(
+                "--domain",
+                action="append",
+                metavar="FILE",
+                help="a product-domain instance to check (repeatable)",
+            ),
+            _flag(
+                "--family",
+                choices=("nonconditional-pairs",),
+                help="generate the instances: all products of non-conditional domains",
+            ),
+            _flag("--m", type=int, default=3, metavar="M", help="alternatives for --family"),
+            _flag("--agents", type=int, default=2, metavar="N", help="agents for --family"),
+            _max_profiles("profile-count guard per instance"),
+            _flag(
+                "--audit-sample",
+                type=_int_at_least(0),
+                default=0,
+                metavar="N",
+                help="additionally audit N sampled strategy-proof rules in depth",
+            ),
+            _flag("--seed", type=int, metavar="S", help="seed for --audit-sample"),
+            _FORMAT,
+            _report_out(),
+        ),
+    ),
+    "search-two-step": (
+        "search catalog assignments for strategy-proof rules",
+        _cmd_search_two_step,
+        (
+            _DOMAIN,
+            _SCAN,
+            _flag(
+                "--budget",
+                type=_int_at_least(1),
+                default=1_000_000,
+                metavar="N",
+                help="maximum candidate assignments to try",
+            ),
+            _FORMAT,
+            _flag("--out", metavar="DIR", help="write one .assign file per found rule into DIR"),
+        ),
+    ),
+}
+
+
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spdom",
         description="Strategy-proofness analysis on restricted preference domains.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    def domain_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--domain", required=True, metavar="FILE", help="domain file")
-
-    def scan_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--scan",
-            choices=("default", "reversed"),
-            default="default",
-            help="deterministic scan order used when deriving restriction maps",
-        )
-
-    p = sub.add_parser("classify", help="derive each agent's restriction-map form")
-    domain_arg(p)
-    scan_arg(p)
-    _add_common(p, "write the report (text form is a reparseable domain file) here")
-
-    p = sub.add_parser("closure", help="fixed/free pairs and non-conditional closure")
-    domain_arg(p)
-    _add_common(p, "write the report here instead of stdout")
-
-    p = sub.add_parser("partition", help="answer-set blocks per agent")
-    domain_arg(p)
-    scan_arg(p)
-    _add_common(p, "write the report here instead of stdout")
-
-    p = sub.add_parser(
-        "count-subrules", help="closed-form count of strategy-proof two-step rules"
-    )
-    domain_arg(p)
-    scan_arg(p)
-    p.add_argument(
-        "--oracle",
-        action="store_true",
-        help="cross-check each block subtotal against an explicit subrule catalog",
-    )
-    _add_common(p, "write the report here instead of stdout")
-
-    p = sub.add_parser("enumerate-sp", help="enumerate all strategy-proof rules")
-    domain_arg(p)
-    p.add_argument(
-        "--range",
-        metavar="LABELS",
-        help="comma-separated alternatives the rules may attain (e.g. 'x,y')",
-    )
-    p.add_argument(
-        "--max-profiles",
-        type=_int_at_least(1),
-        default=PROFILE_ENUMERATION_LIMIT,
-        metavar="N",
-        help="profile-count guard for enumeration",
-    )
-    p.add_argument(
-        "--oracle",
-        action="store_true",
-        help="cross-check against a brute-force scan of every outcome table (guarded)",
-    )
-    p.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
-    p.add_argument(
-        "--out", metavar="DIR", help="also write one .rule file per rule into DIR"
-    )
-
-    p = sub.add_parser("check-rule", help="audit one rule file for strategy-proofness")
-    domain_arg(p)
-    p.add_argument("--rule", required=True, metavar="FILE", help="rule file to audit")
-    p.add_argument(
-        "--max-profiles",
-        type=_int_at_least(1),
-        default=PROFILE_ENUMERATION_LIMIT,
-        metavar="N",
-        help="profile-count guard for the manipulation scan",
-    )
-    p.add_argument(
-        "--oracle",
-        action="store_true",
-        help="cross-check the verdict against the option-set audit",
-    )
-    _add_common(p, "write the report here instead of stdout")
-
-    p = sub.add_parser(
-        "decompose", help="split a rule by response profile and classify each subrule"
-    )
-    domain_arg(p)
-    p.add_argument("--rule", required=True, metavar="FILE", help="rule file to decompose")
-    scan_arg(p)
-    _add_common(p, "write the report here instead of stdout")
-
-    p = sub.add_parser(
-        "verify-theorem",
-        help="sweep products of non-conditional domains for counterexamples",
-    )
-    p.add_argument(
-        "--domain",
-        action="append",
-        metavar="FILE",
-        help="a product-domain instance to check (repeatable)",
-    )
-    p.add_argument(
-        "--family",
-        choices=("nonconditional-pairs",),
-        help="generate the instances: all products of non-conditional domains",
-    )
-    p.add_argument("--m", type=int, default=3, metavar="M", help="alternatives for --family")
-    p.add_argument(
-        "--agents", type=int, default=2, metavar="N", help="agents for --family"
-    )
-    p.add_argument(
-        "--max-profiles",
-        type=_int_at_least(1),
-        default=PROFILE_ENUMERATION_LIMIT,
-        metavar="N",
-        help="profile-count guard per instance",
-    )
-    p.add_argument(
-        "--audit-sample",
-        type=_int_at_least(0),
-        default=0,
-        metavar="N",
-        help="additionally audit N sampled strategy-proof rules in depth",
-    )
-    p.add_argument("--seed", type=int, metavar="S", help="seed for --audit-sample")
-    _add_common(p, "write the report here instead of stdout")
-
-    p = sub.add_parser(
-        "search-two-step", help="search catalog assignments for strategy-proof rules"
-    )
-    domain_arg(p)
-    scan_arg(p)
-    p.add_argument(
-        "--budget",
-        type=_int_at_least(1),
-        default=1_000_000,
-        metavar="N",
-        help="maximum candidate assignments to try",
-    )
-    p.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
-    p.add_argument(
-        "--out", metavar="DIR", help="write one .assign file per found rule into DIR"
-    )
-
-    namespace = parser.parse_args(argv)
-    options = vars(namespace)
-    command = options.pop("command")
-    return CommandRequest(command=command, options=options)
+    for name, (summary, _, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        for flag, spec in flags:
+            command.add_argument(flag, **spec)
+    return parser
 
 
-def run_command(request: CommandRequest | Sequence[str]) -> int:
-    """Execute one CLI invocation (a CommandRequest or raw argv) and return
-    the exit code."""
-    if not isinstance(request, CommandRequest):
-        request = parse_args(list(request))
-    handler = _HANDLERS[request.command]
+def run_command(argv: Optional[Sequence[str]] = None) -> int:
+    """Parse one CLI invocation (``sys.argv[1:]`` when ``argv`` is None), run
+    it and return the exit code."""
+    options = vars(_parser().parse_args(argv))
+    handler = _COMMANDS[options.pop("command")][1]
     try:
-        return handler(dict(request.options))
+        return handler(options)
     except SizeLimitError as err:
         print(f"size limit: {err}", file=sys.stderr)
         return 2
@@ -894,7 +865,7 @@ def run_command(request: CommandRequest | Sequence[str]) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    return run_command(parse_args(argv))
+    return run_command(argv)
 
 
 if __name__ == "__main__":

@@ -5,9 +5,10 @@ Two independent routes to the same numbers live here on purpose:
 - :func:`enumerate_sp_rules` walks outcome tables with backtracking and
   incremental adjacent-profile constraint checks — brute force, definitional;
 - :func:`count_second_step` (with :func:`count_dictatorial` and the
-  monotone-function counts behind :func:`dedekind`) computes the same totals
-  in closed form for rules that are dictatorial-on-a-block or confined to two
-  outcomes, which is every strategy-proof rule on non-conditional blocks.
+  published monotone-function counts of :func:`dedekind`) computes the same
+  totals in closed form for rules that are dictatorial-on-a-block or confined
+  to two outcomes, which is every strategy-proof rule on non-conditional
+  blocks.
 
 The dictatorial count needs no tables.  A dictatorial rule with range C picks
 its dictator's best of C, and C must be a set the dictator can fully steer:
@@ -156,20 +157,15 @@ def enumerate_sp_rules(
         masks[t] = mask
 
 
-_DEDEKIND_TABLE = {
-    5: 7581,
-    6: 7828354,
-    7: 2414682040998,
-    8: 56130437228687557907788,
-}
+# The number of monotone boolean functions of n = 0..8 variables (OEIS A000372).
+_DEDEKIND = (2, 3, 6, 20, 168, 7581, 7828354, 2414682040998, 56130437228687557907788)
 
 
 @lru_cache(maxsize=None)
 def _monotone_function_masks(n: int) -> tuple[int, ...]:
     """All monotone boolean functions of ``n`` variables, each encoded as the
-    integer whose bit ``x`` is the value at input vector ``x``; ascending."""
-    if n < 0:
-        raise DomainError(f"dedekind index must be nonnegative, got {n}")
+    integer whose bit ``x`` is the value at input vector ``x``; ascending.
+    The explicit route behind :func:`pair_vote_rules`."""
     if n > 4:
         raise SizeLimitError(f"explicit monotone-function enumeration capped at n=4, got {n}")
     points = 1 << n
@@ -192,20 +188,14 @@ def _monotone_function_masks(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def dedekind(n: int) -> int:
-    """The number of monotone boolean functions of ``n`` variables.
-
-    Computed by brute force for ``n <= 4``; values for ``5..8`` come from the
-    published table; larger ``n`` raises the size guard.
-    """
+    """The number of monotone boolean functions of ``n`` variables, read from
+    the published values for ``n <= 8``; larger ``n`` raises the size guard."""
     if n < 0:
         raise DomainError(f"dedekind index must be nonnegative, got {n}")
-    if n <= 4:
-        return len(_monotone_function_masks(n))
-    if n in _DEDEKIND_TABLE:
-        return _DEDEKIND_TABLE[n]
-    raise SizeLimitError(f"dedekind numbers beyond n=8 are not available (got n={n})")
+    if n >= len(_DEDEKIND):
+        raise SizeLimitError(f"dedekind numbers beyond n=8 are not available (got n={n})")
+    return _DEDEKIND[n]
 
 
 def _check_same_m(domains: Sequence[PreferenceDomain]) -> int:
@@ -640,8 +630,10 @@ def verify_impossibility(
     (reproducibly, via ``seed``) across the family and audited by
     :func:`~spdom.rules.audit_sp_lemmas`: the manipulation scan plus option-set
     maximality and freeness on every subprofile.  A sample is a position in
-    the family's list of rules (instance order, then enumeration order); only
-    the sampled instances are enumerated again.
+    the family's list of rules (instance order, then enumeration order).  The
+    audit reuses the rules the sweep enumerated for one-instance orbits (every
+    instance of a plain list); only the other sampled instances are
+    enumerated again.
     """
     if isinstance(family, ProductFamily):
         instances: Sequence[ProductDomain] = family
@@ -667,10 +659,14 @@ def verify_impossibility(
 
     counts = [0] * len(instances)
     violations: list[TheoremViolation] = []
+    # Rules by instance for the audit: the sweep's one-instance orbits, then picks.
+    sampled: dict[int, list[Rule]] = {}
     for orbit in orbits:
         first = rules_of(orbit[0])
         for member in orbit:
             counts[member] = len(first)
+        if audit_sample > 0 and len(orbit) == 1:
+            sampled[orbit[0]] = first
         if any(_violates_impossibility(r) for r in first):
             for member in orbit:
                 rules = first if member == orbit[0] else rules_of(member)
@@ -690,7 +686,6 @@ def verify_impossibility(
             else rng.sample(range(rules_checked), audit_sample)
         )
         ends = list(itertools.accumulate(counts))
-        sampled: dict[int, list[Rule]] = {}
         for pick in picks:
             idx = bisect.bisect_right(ends, pick)
             if idx not in sampled:

@@ -336,10 +336,6 @@ def _parse_agent(cursor: _Cursor, labels: dict[str, int], agent_kw: _Token) -> A
             agent_kw.line,
             agent_kw.col,
         )
-    if (generator_domain is not None or rankings_domain is not None) and statement_count > 1:
-        raise ParseError(
-            f"agent {name!r} has more than one body statement", agent_kw.line, agent_kw.col
-        )
 
     if generator_domain is not None:
         return AgentSpec(name, generator_domain, None, "generator")
@@ -416,6 +412,11 @@ def format_answer_set(answers: AnswerSet, labels: Sequence[str]) -> str:
     """An answer set as ``{a>b,c>d}``, pairs in ascending order."""
     inner = ",".join(f"{labels[p.top]}>{labels[p.bottom]}" for p in sorted(answers))
     return "{" + inner + "}"
+
+
+def format_response(answers: Sequence[AnswerSet], labels: Sequence[str]) -> str:
+    """A response profile (one answer set per agent) as ``{x>y}|{}``."""
+    return "|".join(format_answer_set(a, labels) for a in answers)
 
 
 def map_statement_lines(map_: RestrictionMap, labels: Sequence[str]) -> list[str]:

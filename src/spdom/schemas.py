@@ -1,400 +1,182 @@
 """JSON Schemas for the machine-readable (``--format json``) CLI outputs.
 
 One schema per subcommand, keyed by command name.  The test suite validates
-every JSON output against these, so they are deliberately strict
-(``additionalProperties: false`` throughout).
+every JSON output against these, so they are deliberately strict: every
+object is closed, with each of its properties required and no other property
+allowed (``required`` lists every property in order, and
+``additionalProperties`` is false).
 """
 
 from __future__ import annotations
 
-_PAIR = {
-    "type": "array",
-    "items": {"type": "string"},
-    "minItems": 2,
-    "maxItems": 2,
-}
+from typing import Any
 
-_ANSWER_SET = {"type": "array", "items": _PAIR}
+_SCHEMA_DIALECT = "https://json-schema.org/draft/2020-12/schema"
 
-_RANKING = {"type": "array", "items": {"type": "string"}, "minItems": 1}
 
-_WITNESS = {
-    "type": "object",
-    "properties": {
-        "agent": {"type": "string"},
-        "profile": {"type": "array", "items": _RANKING},
-        "deviation": _RANKING,
-        "sincere_outcome": {"type": "string"},
-        "deviating_outcome": {"type": "string"},
-    },
-    "required": ["agent", "profile", "deviation", "sincere_outcome", "deviating_outcome"],
-    "additionalProperties": False,
-}
+def _object(**properties: Any) -> dict[str, Any]:
+    """A closed object: every property required, no other allowed."""
+    return {
+        "type": "object",
+        "properties": properties,
+        "required": list(properties),
+        "additionalProperties": False,
+    }
 
-CLASSIFY_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "command": {"const": "classify"},
-        "scan": {"enum": ["default", "reversed"]},
-        "alternatives": {"type": "array", "items": {"type": "string"}},
-        "agents": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "agent": {"type": "string"},
-                    "non_conditional": {"type": "boolean"},
-                    "base": {"type": "array", "items": _PAIR},
-                    "conditionals": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "properties": {
-                                "antecedent": {"type": "array", "items": _PAIR},
-                                "conclusions": {"type": "array", "items": _PAIR},
-                            },
-                            "required": ["antecedent", "conclusions"],
-                            "additionalProperties": False,
-                        },
-                    },
-                },
-                "required": ["agent", "non_conditional", "base", "conditionals"],
-                "additionalProperties": False,
-            },
-        },
-    },
-    "required": ["command", "scan", "alternatives", "agents"],
-    "additionalProperties": False,
-}
 
-CLOSURE_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "command": {"const": "closure"},
-        "alternatives": {"type": "array", "items": {"type": "string"}},
-        "agents": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "agent": {"type": "string"},
-                    "fixed": {"type": "array", "items": _PAIR},
-                    "free": {"type": "array", "items": _PAIR},
-                    "closure_size": {"type": "integer"},
-                    "domain_size": {"type": "integer"},
-                    "non_conditional": {"type": "boolean"},
-                },
-                "required": [
-                    "agent",
-                    "fixed",
-                    "free",
-                    "closure_size",
-                    "domain_size",
-                    "non_conditional",
-                ],
-                "additionalProperties": False,
-            },
-        },
-    },
-    "required": ["command", "alternatives", "agents"],
-    "additionalProperties": False,
-}
+def _nullable(schema: dict[str, Any]) -> dict[str, Any]:
+    """``schema`` (an :func:`_object`) or null."""
+    return {**schema, "type": ["object", "null"]}
 
-PARTITION_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "command": {"const": "partition"},
-        "alternatives": {"type": "array", "items": {"type": "string"}},
-        "agents": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "agent": {"type": "string"},
-                    "blocks": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "properties": {
-                                "answers": _ANSWER_SET,
-                                "size": {"type": "integer"},
-                                "rankings": {"type": "array", "items": _RANKING},
-                            },
-                            "required": ["answers", "size", "rankings"],
-                            "additionalProperties": False,
-                        },
-                    },
-                },
-                "required": ["agent", "blocks"],
-                "additionalProperties": False,
-            },
-        },
-    },
-    "required": ["command", "alternatives", "agents"],
-    "additionalProperties": False,
-}
 
-COUNT_SUBRULES_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "command": {"const": "count-subrules"},
-        "alternatives": {"type": "array", "items": {"type": "string"}},
-        "agent_names": {"type": "array", "items": {"type": "string"}},
-        "profile_count": {"type": "integer"},
-        "naive_digits": {"type": "integer"},
-        "blocks": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "answers": {"type": "array", "items": _ANSWER_SET},
-                    "block_sizes": {"type": "array", "items": {"type": "integer"}},
-                    "constants": {"type": "integer"},
-                    "pairs": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "properties": {
-                                "pair": _PAIR,
-                                "free_agents": {"type": "array", "items": {"type": "string"}},
-                                "count": {"type": "integer"},
-                            },
-                            "required": ["pair", "free_agents", "count"],
-                            "additionalProperties": False,
-                        },
-                    },
-                    "dictatorial": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "properties": {
-                                "range_size": {"type": "integer"},
-                                "count": {"type": "integer"},
-                            },
-                            "required": ["range_size", "count"],
-                            "additionalProperties": False,
-                        },
-                    },
-                    "subtotal": {"type": "integer"},
-                },
-                "required": [
-                    "answers",
-                    "block_sizes",
-                    "constants",
-                    "pairs",
-                    "dictatorial",
-                    "subtotal",
-                ],
-                "additionalProperties": False,
-            },
-        },
-        "product": {"type": ["integer", "null"]},
-        "product_digits": {"type": "integer"},
-        "oracle": {
-            "type": ["object", "null"],
-            "properties": {
-                "agrees": {"type": "boolean"},
-                "catalog_sizes": {"type": "array", "items": {"type": "integer"}},
-            },
-            "required": ["agrees", "catalog_sizes"],
-            "additionalProperties": False,
-        },
-    },
-    "required": [
-        "command",
-        "alternatives",
-        "agent_names",
-        "profile_count",
-        "naive_digits",
-        "blocks",
-        "product",
-        "product_digits",
-        "oracle",
-    ],
-    "additionalProperties": False,
-}
+def _array(items: Any) -> dict[str, Any]:
+    return {"type": "array", "items": items}
 
-ENUMERATE_SP_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "command": {"const": "enumerate-sp"},
-        "count": {"type": "integer"},
-        "range_filter": {
-            "type": ["array", "null"],
-            "items": {"type": "string"},
-        },
-        "rules": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "index": {"type": "integer"},
-                    "table": {"type": "array", "items": {"type": "string"}},
-                },
-                "required": ["index", "table"],
-                "additionalProperties": False,
-            },
-        },
-        "rules_omitted": {"type": "boolean"},
-        "oracle": {
-            "type": ["object", "null"],
-            "properties": {
-                "agrees": {"type": "boolean"},
-                "count": {"type": "integer"},
-            },
-            "required": ["agrees", "count"],
-            "additionalProperties": False,
-        },
-    },
-    "required": ["command", "count", "range_filter", "rules", "rules_omitted", "oracle"],
-    "additionalProperties": False,
-}
 
-CHECK_RULE_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "command": {"const": "check-rule"},
-        "strategy_proof": {"type": "boolean"},
-        "range": {"type": "array", "items": {"type": "string"}},
-        "range_size": {"type": "integer"},
-        "dictators": {"type": "array", "items": {"type": "string"}},
-        "witness": {"anyOf": [_WITNESS, {"type": "null"}]},
-        "audit": {
-            "type": ["object", "null"],
-            "properties": {
-                "maximality_faults": {"type": "integer"},
-                "freeness_faults": {"type": "integer"},
-                "clean": {"type": "boolean"},
-            },
-            "required": ["maximality_faults", "freeness_faults", "clean"],
-            "additionalProperties": False,
-        },
-        "oracle": {
-            "type": ["object", "null"],
-            "properties": {"agrees": {"type": "boolean"}},
-            "required": ["agrees"],
-            "additionalProperties": False,
-        },
-    },
-    "required": [
-        "command",
-        "strategy_proof",
-        "range",
-        "range_size",
-        "dictators",
-        "witness",
-        "audit",
-        "oracle",
-    ],
-    "additionalProperties": False,
-}
+def _command(name: str, **properties: Any) -> dict[str, Any]:
+    """The report of command ``name``: a closed object led by its name."""
+    return {"$schema": _SCHEMA_DIALECT, **_object(command={"const": name}, **properties)}
 
-DECOMPOSE_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "command": {"const": "decompose"},
-        "alternatives": {"type": "array", "items": {"type": "string"}},
-        "blocks": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "answers": {"type": "array", "items": _ANSWER_SET},
-                    "block_sizes": {"type": "array", "items": {"type": "integer"}},
-                    "classification": {
-                        "enum": ["dictatorial", "sp_range_le_2", "violation"]
-                    },
-                    "dictators": {"type": "array", "items": {"type": "string"}},
-                    "range_size": {"type": "integer"},
-                },
-                "required": [
-                    "answers",
-                    "block_sizes",
-                    "classification",
-                    "dictators",
-                    "range_size",
-                ],
-                "additionalProperties": False,
-            },
-        },
-        "violations": {"type": "integer"},
-    },
-    "required": ["command", "alternatives", "blocks", "violations"],
-    "additionalProperties": False,
-}
 
-VERIFY_THEOREM_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "command": {"const": "verify-theorem"},
-        "instances": {"type": "integer"},
-        "rules_checked": {"type": "integer"},
-        "violations": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "instance": {"type": "integer"},
-                    "range_size": {"type": "integer"},
-                    "dictators": {"type": "array", "items": {"type": "string"}},
-                    "table": {"type": "array", "items": {"type": "string"}},
-                },
-                "required": ["instance", "range_size", "dictators", "table"],
-                "additionalProperties": False,
-            },
-        },
-        "audited": {"type": "integer"},
-        "audit_faults": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "instance": {"type": "integer"},
-                    "reason": {"type": "string"},
-                },
-                "required": ["instance", "reason"],
-                "additionalProperties": False,
-            },
-        },
-    },
-    "required": ["command", "instances", "rules_checked", "violations", "audited", "audit_faults"],
-    "additionalProperties": False,
-}
+_STRING = {"type": "string"}
+_INTEGER = {"type": "integer"}
+_BOOLEAN = {"type": "boolean"}
+_STRINGS = _array(_STRING)
+_INTEGERS = _array(_INTEGER)
 
-SEARCH_TWO_STEP_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "command": {"const": "search-two-step"},
-        "response_profiles": {"type": "integer"},
-        "candidates_total": {"type": "integer"},
-        "candidates_tried": {"type": "integer"},
-        "complete": {"type": "boolean"},
-        "found": {"type": "integer"},
-        "assignments": {
-            "type": "array",
-            "items": {"type": "array", "items": {"type": "integer"}},
-        },
-    },
-    "required": [
-        "command",
-        "response_profiles",
-        "candidates_total",
-        "candidates_tried",
-        "complete",
-        "found",
-        "assignments",
-    ],
-    "additionalProperties": False,
-}
+_PAIR = {**_STRINGS, "minItems": 2, "maxItems": 2}
+_PAIRS = _array(_PAIR)
+
+_RANKING = {**_STRINGS, "minItems": 1}
+
+_WITNESS = _object(
+    agent=_STRING,
+    profile=_array(_RANKING),
+    deviation=_RANKING,
+    sincere_outcome=_STRING,
+    deviating_outcome=_STRING,
+)
+
+CLASSIFY_SCHEMA = _command(
+    "classify",
+    scan={"enum": ["default", "reversed"]},
+    alternatives=_STRINGS,
+    agents=_array(
+        _object(
+            agent=_STRING,
+            non_conditional=_BOOLEAN,
+            base=_PAIRS,
+            conditionals=_array(_object(antecedent=_PAIRS, conclusions=_PAIRS)),
+        )
+    ),
+)
+
+CLOSURE_SCHEMA = _command(
+    "closure",
+    alternatives=_STRINGS,
+    agents=_array(
+        _object(
+            agent=_STRING,
+            fixed=_PAIRS,
+            free=_PAIRS,
+            closure_size=_INTEGER,
+            domain_size=_INTEGER,
+            non_conditional=_BOOLEAN,
+        )
+    ),
+)
+
+PARTITION_SCHEMA = _command(
+    "partition",
+    alternatives=_STRINGS,
+    agents=_array(
+        _object(
+            agent=_STRING,
+            blocks=_array(
+                _object(answers=_PAIRS, size=_INTEGER, rankings=_array(_RANKING))
+            ),
+        )
+    ),
+)
+
+COUNT_SUBRULES_SCHEMA = _command(
+    "count-subrules",
+    alternatives=_STRINGS,
+    agent_names=_STRINGS,
+    profile_count=_INTEGER,
+    naive_digits=_INTEGER,
+    blocks=_array(
+        _object(
+            answers=_array(_PAIRS),
+            block_sizes=_INTEGERS,
+            constants=_INTEGER,
+            pairs=_array(_object(pair=_PAIR, free_agents=_STRINGS, count=_INTEGER)),
+            dictatorial=_array(_object(range_size=_INTEGER, count=_INTEGER)),
+            subtotal=_INTEGER,
+        )
+    ),
+    product={"type": ["integer", "null"]},
+    product_digits=_INTEGER,
+    oracle=_nullable(_object(agrees=_BOOLEAN, catalog_sizes=_INTEGERS)),
+)
+
+ENUMERATE_SP_SCHEMA = _command(
+    "enumerate-sp",
+    count=_INTEGER,
+    range_filter={"type": ["array", "null"], "items": _STRING},
+    rules=_array(_object(index=_INTEGER, table=_STRINGS)),
+    rules_omitted=_BOOLEAN,
+    oracle=_nullable(_object(agrees=_BOOLEAN, count=_INTEGER)),
+)
+
+CHECK_RULE_SCHEMA = _command(
+    "check-rule",
+    strategy_proof=_BOOLEAN,
+    range=_STRINGS,
+    range_size=_INTEGER,
+    dictators=_STRINGS,
+    witness={"anyOf": [_WITNESS, {"type": "null"}]},
+    audit=_nullable(
+        _object(maximality_faults=_INTEGER, freeness_faults=_INTEGER, clean=_BOOLEAN)
+    ),
+    oracle=_nullable(_object(agrees=_BOOLEAN)),
+)
+
+DECOMPOSE_SCHEMA = _command(
+    "decompose",
+    alternatives=_STRINGS,
+    blocks=_array(
+        _object(
+            answers=_array(_PAIRS),
+            block_sizes=_INTEGERS,
+            classification={"enum": ["dictatorial", "sp_range_le_2", "violation"]},
+            dictators=_STRINGS,
+            range_size=_INTEGER,
+        )
+    ),
+    violations=_INTEGER,
+)
+
+VERIFY_THEOREM_SCHEMA = _command(
+    "verify-theorem",
+    instances=_INTEGER,
+    rules_checked=_INTEGER,
+    violations=_array(
+        _object(instance=_INTEGER, range_size=_INTEGER, dictators=_STRINGS, table=_STRINGS)
+    ),
+    audited=_INTEGER,
+    audit_faults=_array(_object(instance=_INTEGER, reason=_STRING)),
+)
+
+SEARCH_TWO_STEP_SCHEMA = _command(
+    "search-two-step",
+    response_profiles=_INTEGER,
+    candidates_total=_INTEGER,
+    candidates_tried=_INTEGER,
+    complete=_BOOLEAN,
+    found=_INTEGER,
+    assignments=_array(_INTEGERS),
+)
 
 COMMAND_SCHEMAS = {
     "classify": CLASSIFY_SCHEMA,

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 from .classify import AnswerSet, ResponsePartition
 from .counting import second_step_catalog
-from .domfile import format_answer_set
+from .domfile import format_response
 from .prefcore import PROFILE_ENUMERATION_LIMIT, DomainError, ProductDomain
 from .rules import (
     Rule,
@@ -320,6 +320,5 @@ def serialize_assignment(partition: ResponsePartition, indices: Sequence[int]) -
     lines = ["alternatives: " + " ".join(pd.labels)]
     lines.append("agents: " + " ".join(pd.agent_names))
     for answers, idx in zip(responses, indices):
-        left = "|".join(format_answer_set(a, pd.labels) for a in answers)
-        lines.append(f"{left} -> catalog:{idx}")
+        lines.append(f"{format_response(answers, pd.labels)} -> catalog:{idx}")
     return "\n".join(lines) + "\n"

@@ -49,7 +49,7 @@ from spdom import (
     second_step_catalog,
 )
 from spdom.counting import AuditFault, _audit_rule, _check_same_m
-from spdom.domfile import format_answer_set
+from spdom.domfile import format_response
 from spdom.prefcore import _check_pair
 from spdom.twostep import _check_subrules
 
@@ -675,7 +675,7 @@ def parse_assignment_file(
         )
         answers, block_pd = expected
         if declared_answers != answers:
-            expected_text = "|".join(format_answer_set(a, pd.labels) for a in answers)
+            expected_text = format_response(answers, pd.labels)
             raise ParseError(
                 f"response profile out of canonical order: expected {expected_text!r}",
                 lineno,

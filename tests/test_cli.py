@@ -22,7 +22,7 @@ import oracles
 from conftest import FIXTURES
 from oracles import dictatorship, parse_assignment_file
 from spdom import ProductDomain, SizeLimitError, nonconditional_domains
-from spdom.cli import CommandRequest, run_command
+from spdom.cli import run_command
 from spdom.classify import ResponsePartition, classify
 from spdom.domfile import parse_domain_file
 from spdom.rules import Rule, find_manipulation, parse_rule_file, serialize_rule
@@ -763,13 +763,6 @@ def test_rule_file_domain_mismatch(cli, tmp_path):
     code, out, err = cli("check-rule", "--domain", SP3, "--rule", str(path))
     assert code == 1
     assert err.startswith("error:")
-
-
-def test_run_command_accepts_command_request(cli, capsys):
-    code = run_command(CommandRequest("closure", {"domain": SP3}))
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "non-conditional: no" in out
 
 
 def test_module_entry_point():

@@ -38,6 +38,7 @@ from spdom import (
     steerable_range_count,
     verify_impossibility,
 )
+from spdom.counting import _monotone_function_masks
 
 UNI3 = generate_domain("universal", m=3)
 SP3 = generate_domain("single_peaked", axis=[0, 1, 2])
@@ -51,6 +52,8 @@ def test_dedekind_small_vs_oracle():
     for n in range(5):
         assert dedekind(n) == oracles.monotone_boolean_function_count(n)
     assert [dedekind(n) for n in range(5)] == [2, 3, 6, 20, 168]
+    for n in range(5):
+        assert len(_monotone_function_masks(n)) == dedekind(n)
 
 
 def test_dedekind_published_values():
@@ -538,3 +541,20 @@ def test_orbit_sweep_enumerates_each_orbit_once(monkeypatch):
     report = verify_impossibility(ProductFamily(nonconditional_domains(3), 3))
     assert (report.instances, report.rules_checked) == (6859, 70422)
     assert len(calls) == 241
+
+
+def test_audit_reuses_the_sweeps_enumeration(monkeypatch):
+    import spdom.counting as counting
+
+    calls = []
+    original = counting.enumerate_sp_rules
+
+    def counted(pd, *args, **kwargs):
+        calls.append(pd)
+        return original(pd, *args, **kwargs)
+
+    monkeypatch.setattr(counting, "enumerate_sp_rules", counted)
+    instances = [ProductDomain.of([SP3, SP3]), ProductDomain.of([SP3, UNI3])]
+    report = verify_impossibility(instances, audit_sample=10, seed=1)
+    assert (report.rules_checked, report.audited) == (44, 10)
+    assert len(calls) == 2  # one per instance: the audit enumerates nothing again
