@@ -107,14 +107,6 @@ class RestrictionMap:
     def is_non_conditional(self) -> bool:
         return not self.conditionals
 
-    def conclusions_for(self, answers: AnswerSet) -> frozenset[OrderedPair]:
-        """Union of conclusion sets over conditionals whose antecedent holds."""
-        out: set[OrderedPair] = set()
-        for antecedent, conclusions in self.conditionals:
-            if antecedent <= answers:
-                out |= conclusions
-        return frozenset(out)
-
 
 @lru_cache(maxsize=None)
 def _pair_masks(m: int) -> dict[OrderedPair, int]:

@@ -4,7 +4,7 @@ Two independent routes to the same numbers live here on purpose:
 
 - :func:`enumerate_sp_rules` walks outcome tables with backtracking and
   incremental adjacent-profile constraint checks — brute force, definitional;
-- :func:`count_second_step` (with :func:`count_dictatorial` and the
+- :func:`count_second_step` (with :func:`steerable_range_count` and the
   published monotone-function counts of :func:`dedekind`) computes the same
   totals in closed form for rules that are dictatorial-on-a-block or confined
   to two outcomes, which is every strategy-proof rule on non-conditional
@@ -62,6 +62,7 @@ from .prefcore import (
 from .rules import (
     Rule,
     _better_masks,
+    _check_profile_guard,
     _check_table_cap,
     audit_sp_lemmas,
     dictators_of,
@@ -84,10 +85,7 @@ def enumerate_sp_rules(
     constraint, so every completed table is strategy-proof and none is missed.
     """
     count = pd.profile_count
-    if count > max_profiles:
-        raise SizeLimitError(
-            f"{count} profiles exceeds the enumeration guard of {max_profiles}"
-        )
+    _check_profile_guard(count, max_profiles)
     _check_table_cap(count)
     m = pd.m
     if range_filter is None:
@@ -302,16 +300,6 @@ def steerable_range_count(d: PreferenceDomain, k: int) -> int:
     return count
 
 
-def count_dictatorial(domains: Sequence[PreferenceDomain], k: int) -> int:
-    """How many distinct rules pick a fixed agent's best of a steerable
-    size-``k`` range (extensional identity: equal tables count once): the
-    ``m`` constants for ``k == 1``, else the agents' steerable ranges summed."""
-    m = _check_same_m(domains)
-    if k == 1:
-        return m
-    return sum(steerable_range_count(d, k) for d in domains)
-
-
 def second_step_catalog(pd: ProductDomain) -> tuple[Rule, ...]:
     """Every rule that is constant, a two-outcome monotone vote rule, or a
     steerable dictatorship on ``pd``, deduplicated, in canonical order.
@@ -503,24 +491,29 @@ class ProductFamily:
             instance, digits[j] = divmod(instance, len(self.base))
         return ProductDomain.of([self.base[d] for d in digits])
 
-    def first_over(self, max_profiles: int) -> Optional[int]:
-        """The first instance with more than ``max_profiles`` profiles, or
-        None.  Greedy over the digits: each takes the smallest base index from
-        which the remaining agents, at the largest base size, still pass the
-        guard."""
+    def first_over(self, max_profiles: int) -> Optional[tuple[int, int]]:
+        """The first instance with more than ``max_profiles`` profiles and its
+        profile count, or None.  Greedy over the digits: each takes the
+        smallest base index from which the remaining agents, at the largest
+        base size, still pass the guard.  Only the last ``tail`` digits need
+        the greedy step: before them the remaining agents alone exceed the
+        guard, so every leading digit is base index 0 (a one-ranking domain
+        in :func:`nonconditional_domains`)."""
         sizes = [len(d) for d in self.base]
         largest = max(sizes)
-        if largest**self.agents <= max_profiles:
+        # With largest >= 2, largest**max_profiles.bit_length() > max_profiles.
+        tail = min(self.agents, max_profiles.bit_length())
+        if largest**tail <= max_profiles:
             return None
         instance = 0
-        count = 1
-        for remaining in range(self.agents - 1, -1, -1):
+        count = sizes[0] ** (self.agents - tail)
+        for remaining in range(tail - 1, -1, -1):
             digit = next(
                 i for i, size in enumerate(sizes) if count * size * largest**remaining > max_profiles
             )
             instance = instance * len(sizes) + digit
             count *= sizes[digit]
-        return instance
+        return instance, count
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         """The instances grouped into orbits under permuting the agents and
@@ -624,7 +617,7 @@ def verify_impossibility(
     whose first instance has violations is enumerated member by member, so
     that every violating instance is reported.  Any other family is a list of
     one-instance orbits.  The profile guard is checked for the whole family
-    before any enumeration.
+    before any enumeration; a family's agent count is held to it too.
 
     With ``audit_sample > 0``, that many strategy-proof rules are sampled
     (reproducibly, via ``seed``) across the family and audited by
@@ -638,16 +631,18 @@ def verify_impossibility(
     if isinstance(family, ProductFamily):
         instances: Sequence[ProductDomain] = family
         over = family.first_over(max_profiles)
+        if over is not None:
+            _check_profile_guard(over[1], max_profiles)
+        # Each instance is built agent by agent, even when one-ranking
+        # domains leave it a single profile.
+        if family.agents > max_profiles:
+            raise SizeLimitError(
+                f"{family.agents} agents exceeds the enumeration guard of {max_profiles}"
+            )
     else:
         instances = tuple(family)
-        over = next(
-            (i for i, pd in enumerate(instances) if pd.profile_count > max_profiles), None
-        )
-    if over is not None:
-        raise SizeLimitError(
-            f"{instances[over].profile_count} profiles exceeds the enumeration guard "
-            f"of {max_profiles}"
-        )
+        for pd in instances:
+            _check_profile_guard(pd.profile_count, max_profiles)
     orbits = (
         family.orbits()
         if isinstance(family, ProductFamily)

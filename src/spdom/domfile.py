@@ -1,4 +1,4 @@
-"""The ``.spdom`` domain-description format: parser and serializers.
+"""The ``.spdom`` domain-description format: parser and serializer.
 
 A domain file names the shared alternatives and then gives one block per
 agent.  An agent body is exactly one of:
@@ -130,7 +130,6 @@ class AgentSpec:
     name: str
     domain: PreferenceDomain
     map_hint: Optional[RestrictionMap]
-    body_kind: str  # "statements" | "generator" | "rankings"
 
 
 @dataclass(frozen=True)
@@ -147,10 +146,6 @@ class DomainSpec:
             labels=self.labels,
             agent_names=[a.name for a in self.agents],
         )
-
-    @property
-    def map_hints(self) -> tuple[Optional[RestrictionMap], ...]:
-        return tuple(a.map_hint for a in self.agents)
 
     def resolved_maps(self, scan: str = "default") -> tuple[RestrictionMap, ...]:
         """Per-agent maps: the declared hint where present, else classify."""
@@ -270,7 +265,7 @@ def _parse_rankings_block(cursor: _Cursor, labels: dict[str, int]) -> Preference
     if not orders:
         line, col = cursor._eof_location()
         raise ParseError("rankings block must list at least one ranking", line, col)
-    return PreferenceDomain.of(Ranking.from_order(o) for o in orders)
+    return PreferenceDomain.of(Ranking(o) for o in orders)
 
 
 def _parse_agent(cursor: _Cursor, labels: dict[str, int], agent_kw: _Token) -> AgentSpec:
@@ -338,9 +333,9 @@ def _parse_agent(cursor: _Cursor, labels: dict[str, int], agent_kw: _Token) -> A
         )
 
     if generator_domain is not None:
-        return AgentSpec(name, generator_domain, None, "generator")
+        return AgentSpec(name, generator_domain, None)
     if rankings_domain is not None:
-        return AgentSpec(name, rankings_domain, None, "rankings")
+        return AgentSpec(name, rankings_domain, None)
 
     # Statement body (possibly empty, meaning the universal domain).
     try:
@@ -348,7 +343,7 @@ def _parse_agent(cursor: _Cursor, labels: dict[str, int], agent_kw: _Token) -> A
         domain = rebuild(hint)
     except DomainError as err:
         raise DomainError(f"agent {name!r}: {err}") from err
-    return AgentSpec(name, domain, hint, "statements")
+    return AgentSpec(name, domain, hint)
 
 
 def parse_domain_file(text: str) -> DomainSpec:
@@ -429,48 +424,19 @@ def map_statement_lines(map_: RestrictionMap, labels: Sequence[str]) -> list[str
     return lines
 
 
-def _ranking_line(r: Ranking, labels: Sequence[str]) -> str:
-    return " ".join(labels[alt] for alt in r.order)
-
-
-def serialize_product_domain(
-    pd: ProductDomain,
-    maps: Optional[Sequence[Optional[RestrictionMap]]] = None,
-) -> str:
-    """Render a product domain as a ``.spdom`` document.
-
-    Agents with a map in ``maps`` are written as statement bodies (which
-    re-parse to the same domain with the same hint); the rest are written as
-    explicit rankings blocks.
-    """
-    if maps is None:
-        maps = [None] * pd.n
+def serialize_product_domain(pd: ProductDomain, maps: Sequence[RestrictionMap]) -> str:
+    """Render a product domain as a ``.spdom`` document, each agent as the
+    statement body of its map (which re-parses to the same domain with the
+    same hint)."""
     if len(maps) != pd.n:
-        raise DomainError("need one (possibly None) map per agent")
+        raise DomainError("need one map per agent")
     out = ["alternatives " + " ".join(pd.labels)]
     for name, domain, map_ in zip(pd.agent_names, pd.agents, maps):
+        if rebuild(map_) != domain:
+            raise DomainError(f"map for agent {name!r} does not rebuild its domain")
         out.append("")
         out.append(f"agent {name} {{")
-        if map_ is not None:
-            if rebuild(map_) != domain:
-                raise DomainError(f"map for agent {name!r} does not rebuild its domain")
-            for line in map_statement_lines(map_, pd.labels):
-                out.append(f"  {line}")
-        else:
-            out.append("  rankings {")
-            for r in domain.rankings:
-                out.append(f"    {_ranking_line(r, pd.labels)}")
-            out.append("  }")
+        for line in map_statement_lines(map_, pd.labels):
+            out.append(f"  {line}")
         out.append("}")
     return "\n".join(out) + "\n"
-
-
-def serialize_domain(
-    d: PreferenceDomain,
-    labels: Optional[Sequence[str]] = None,
-    name: str = "1",
-    map_: Optional[RestrictionMap] = None,
-) -> str:
-    """Render a single preference domain as a one-agent ``.spdom`` document."""
-    pd = ProductDomain.of([d], labels=labels, agent_names=[name])
-    return serialize_product_domain(pd, [map_])

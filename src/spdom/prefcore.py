@@ -86,11 +86,6 @@ class Ranking:
         position = tuple(sorted(range(m), key=self.order.__getitem__))
         object.__setattr__(self, "position", position)
 
-    @classmethod
-    def from_order(cls, order: Sequence[int]) -> "Ranking":
-        """Build a ranking from a best-first sequence of alternative ids."""
-        return cls(tuple(order))
-
     @property
     def m(self) -> int:
         return len(self.order)
@@ -98,10 +93,6 @@ class Ranking:
     @property
     def top(self) -> int:
         return self.order[0]
-
-    @property
-    def bottom(self) -> int:
-        return self.order[-1]
 
     def prefers(self, a: int, b: int) -> bool:
         """True iff ``a`` is strictly preferred to ``b``."""
@@ -126,7 +117,7 @@ class Ranking:
 def all_rankings(m: int) -> tuple[Ranking, ...]:
     """Every ranking of ``0..m-1``, in canonical (lexicographic order-sequence) order."""
     _check_alternative_count(m)
-    return tuple(Ranking.from_order(p) for p in itertools.permutations(range(m)))
+    return tuple(Ranking(p) for p in itertools.permutations(range(m)))
 
 
 class PairSets(NamedTuple):
@@ -170,35 +161,8 @@ class PreferenceDomain:
             raise DomainError("a preference domain must contain at least one ranking")
         return cls(rs[0].m, tuple(rs))
 
-    @classmethod
-    def from_orders(cls, orders: Iterable[Sequence[int]]) -> "PreferenceDomain":
-        return cls.of(Ranking.from_order(o) for o in orders)
-
     def __len__(self) -> int:
         return len(self.rankings)
-
-    def __iter__(self) -> Iterator[Ranking]:
-        return iter(self.rankings)
-
-    def __contains__(self, r: object) -> bool:
-        return isinstance(r, Ranking) and r in _member_index(self)
-
-    def index(self, r: Ranking) -> int:
-        try:
-            return _member_index(self)[r]
-        except KeyError:
-            raise DomainError(f"ranking {r.order!r} is not a member of this domain") from None
-
-    def is_subdomain_of(self, other: "PreferenceDomain") -> bool:
-        if self.m != other.m:
-            return False
-        members = _member_index(other)
-        return all(r in members for r in self.rankings)
-
-
-@lru_cache(maxsize=None)
-def _member_index(d: PreferenceDomain) -> dict[Ranking, int]:
-    return {r: i for i, r in enumerate(d.rankings)}
 
 
 @lru_cache(maxsize=None)
@@ -245,13 +209,6 @@ def nonconditional_closure(pairs: Iterable[Sequence[int]], m: int) -> Preference
             f"no ranking satisfies the fixed pairs {sorted(tuple(p) for p in pairs)!r}"
         )
     return PreferenceDomain(m, survivors)
-
-
-def is_non_conditional(d: PreferenceDomain) -> bool:
-    """True iff ``d`` equals the closure of its own fixed pairs."""
-    fixed = pair_sets(d).fixed
-    survivors = consistent_rankings(fixed, d.m)
-    return len(survivors) == len(d)
 
 
 def _is_single_peaked(r: Ranking, axis_pos: Sequence[int]) -> bool:
@@ -338,7 +295,7 @@ def generate_domain(kind: str, **params) -> PreferenceDomain:
         return nonconditional_closure(pairs, m)
     if kind == "explicit":
         (rankings,) = _take("rankings")
-        rs = [r if isinstance(r, Ranking) else Ranking.from_order(r) for r in rankings]
+        rs = [r if isinstance(r, Ranking) else Ranking(tuple(r)) for r in rankings]
         return PreferenceDomain.of(rs)
     raise DomainError(f"unknown domain kind {kind!r}")
 
@@ -418,16 +375,6 @@ class ProductDomain:
             count *= len(d)
         return count
 
-    def profile_index(self, profile: Sequence[int]) -> int:
-        if len(profile) != self.n:
-            raise DomainError(f"profile needs {self.n} coordinates, got {len(profile)}")
-        index = 0
-        for digit, d in zip(profile, self.agents):
-            if not 0 <= digit < len(d):
-                raise DomainError(f"profile coordinate {digit} out of range 0..{len(d) - 1}")
-            index = index * len(d) + digit
-        return index
-
     def profile_at(self, index: int) -> tuple[int, ...]:
         if not 0 <= index < self.profile_count:
             raise DomainError(f"profile index {index} out of range 0..{self.profile_count - 1}")
@@ -439,9 +386,6 @@ class ProductDomain:
     def iter_profiles(self) -> Iterator[tuple[int, ...]]:
         """All profiles in canonical (index-ascending) order."""
         return itertools.product(*(range(len(d)) for d in self.agents))
-
-    def rankings_at(self, profile: Sequence[int]) -> tuple[Ranking, ...]:
-        return tuple(d.rankings[digit] for digit, d in zip(profile, self.agents))
 
     def with_agents(self, agents: Sequence[PreferenceDomain]) -> "ProductDomain":
         """Same labels and agent names, different per-agent domains."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from .domfile import ParseError, format_profile
 from .prefcore import (
@@ -50,12 +50,6 @@ class Rule:
         if len(self.table) != count:
             raise DomainError(f"outcome table needs {count} cells, got {len(self.table)}")
 
-    def outcome_at(self, index: int) -> int:
-        return self.table[index]
-
-    def outcome(self, profile: Sequence[int]) -> int:
-        return self.table[self.domain.profile_index(profile)]
-
 
 def constant_rule(pd: ProductDomain, outcome: int) -> Rule:
     if not 0 <= outcome < pd.m:
@@ -81,11 +75,9 @@ class ManipulationWitness:
     deviating_outcome: int
 
 
-def _check_profile_guard(pd: ProductDomain, max_profiles: int) -> None:
-    if pd.profile_count > max_profiles:
-        raise SizeLimitError(
-            f"{pd.profile_count} profiles exceeds the enumeration guard of {max_profiles}"
-        )
+def _check_profile_guard(count: int, max_profiles: int) -> None:
+    if count > max_profiles:
+        raise SizeLimitError(f"{count} profiles exceeds the enumeration guard of {max_profiles}")
 
 
 def _better_masks(d: PreferenceDomain) -> list[list[int]]:
@@ -110,7 +102,7 @@ def iter_manipulations(
     deviations at a profile are tried only when some outcome the agent can
     reach at that setting of the other agents beats the sincere one."""
     pd = rule.domain
-    _check_profile_guard(pd, max_profiles)
+    _check_profile_guard(pd.profile_count, max_profiles)
     table = rule.table
     strides = pd.strides
     sizes = pd.sizes
@@ -230,7 +222,7 @@ def audit_sp_lemmas(
     the report pinpoints where the structure breaks.
     """
     pd = rule.domain
-    _check_profile_guard(pd, max_profiles)
+    _check_profile_guard(pd.profile_count, max_profiles)
     witness = find_manipulation(rule, max_profiles)
     maximality: list[OptionMaximalityFault] = []
     freeness: list[OptionFreenessFault] = []

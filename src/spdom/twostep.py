@@ -71,14 +71,6 @@ class BlockDecomposition:
 class DecompositionReport:
     blocks: tuple[BlockDecomposition, ...]
 
-    @property
-    def violations(self) -> tuple[BlockDecomposition, ...]:
-        return tuple(b for b in self.blocks if b.classification == DECOMPOSITION_VIOLATION)
-
-    @property
-    def clean(self) -> bool:
-        return not self.violations
-
 
 def decompose(rule: Rule, partition: ResponsePartition) -> DecompositionReport:
     """Split a rule into its response-profile subrules and classify each as
@@ -150,7 +142,7 @@ def search_sp_combinations(
     # Fail as assembling and scanning a first candidate would, before searching.
     pd = partition.product
     _check_table_cap(pd.profile_count)
-    _check_profile_guard(pd, PROFILE_ENUMERATION_LIMIT)
+    _check_profile_guard(pd.profile_count, PROFILE_ENUMERATION_LIMIT)
 
     found = _search_compatible(partition, catalogs, budget)
     rules: list[Rule] = []

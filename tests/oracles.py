@@ -333,9 +333,9 @@ def restrict_rule(rule: Rule, subdomains: Sequence[PreferenceDomain]) -> Rule:
     index_maps: list[list[int]] = []
     for agent, sub in enumerate(subdomains):
         parent = pd.agents[agent]
-        if not sub.is_subdomain_of(parent):
+        if not set(sub.rankings) <= set(parent.rankings):
             raise DomainError(f"agent {agent}: not a subdomain of the rule's domain")
-        index_maps.append([parent.index(r) for r in sub.rankings])
+        index_maps.append([parent.rankings.index(r) for r in sub.rankings])
     new_pd = pd.with_agents(subdomains)
     strides = pd.strides
     table = []
@@ -452,7 +452,9 @@ def answer_closure_pairs(map_: RestrictionMap, answers: Iterable[Sequence[int]])
     pairs: set[OrderedPair] = set(map_.base)
     pairs |= checked
     pairs |= {p.swapped() for p in map_.conditions - checked}
-    pairs |= map_.conclusions_for(checked)
+    for antecedent, conclusions in map_.conditionals:
+        if antecedent <= checked:
+            pairs |= conclusions
     return frozenset(pairs)
 
 

@@ -19,7 +19,8 @@ from spdom import (
     all_rankings,
     classify,
     generate_domain,
-    is_non_conditional,
+    nonconditional_closure,
+    pair_sets,
     partition_by_answers,
     rebuild,
     relabel_domain,
@@ -59,17 +60,6 @@ def test_restriction_map_validation():
         RestrictionMap.of(3, [(0, 1)], [([(0, 2)], [(1, 0)])])
     with pytest.raises(DomainError):
         RestrictionMap.of(3, [(0, 3)])
-
-
-def test_conclusions_for():
-    m = RestrictionMap.of(
-        5, [], [([(0, 1)], [(1, 2)]), ([(1, 2)], [(2, 3)]), ([(2, 3)], [(3, 4)])]
-    )
-    assert m.conclusions_for(frozenset({OrderedPair(2, 3)})) == frozenset({OrderedPair(3, 4)})
-    assert m.conclusions_for(
-        frozenset({OrderedPair(0, 1), OrderedPair(1, 2), OrderedPair(2, 3)})
-    ) == frozenset({OrderedPair(1, 2), OrderedPair(2, 3), OrderedPair(3, 4)})
-    assert m.conclusions_for(frozenset()) == frozenset()
 
 
 def test_apply_restriction():
@@ -173,7 +163,7 @@ def test_rebuild_classify_identity_all_m3_subsets(scan):
         m = classify(d, scan=scan)
         assert m == oracles.classify_by_scan(d, scan=scan)
         assert rebuild(m) == d
-        assert m.is_non_conditional == is_non_conditional(d)
+        assert m.is_non_conditional == (nonconditional_closure(pair_sets(d).fixed, d.m) == d)
 
 
 @settings(max_examples=40, deadline=None)
@@ -272,7 +262,7 @@ def test_partition_blocks_disjoint_cover_non_conditional(ex1_spec, ex2_spec):
         blocks = partition_by_answers(d, hint)
         seen: set = set()
         for _, block in blocks:
-            assert is_non_conditional(block)
+            assert nonconditional_closure(pair_sets(block).fixed, block.m) == block
             orders = {r.order for r in block.rankings}
             assert not (orders & seen)
             seen |= orders

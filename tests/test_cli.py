@@ -647,6 +647,39 @@ def test_verify_theorem_guard_trips_before_the_family_is_built(cli):
     assert err == "size limit: 15552 profiles exceeds the enumeration guard of 10000\n"
 
 
+@pytest.mark.parametrize("agents", ["100000", "9223372036854775808"])
+def test_verify_theorem_guard_trips_for_any_agent_count(agents):
+    # In a subprocess with a timeout, so that a sweep that hangs fails here.
+    result = subprocess.run(
+        [
+            sys.executable, "-m", "spdom", "verify-theorem", "--family",
+            "nonconditional-pairs", "--m", "3", "--agents", agents,
+        ],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "size limit: 15552 profiles exceeds the enumeration guard of 10000\n"
+
+
+def test_verify_theorem_guards_the_agent_count(cli):
+    # At m = 1 every instance has one profile, however many agents it has.
+    code, out, err = cli(
+        "verify-theorem", "--family", "nonconditional-pairs", "--m", "1",
+        "--agents", "9223372036854775808",
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "size limit: 9223372036854775808 agents exceeds the enumeration guard of 10000\n"
+    )
+    code, out, err = cli(
+        "verify-theorem", "--family", "nonconditional-pairs", "--m", "1", "--agents", "10000"
+    )
+    assert (code, err) == (0, "")
+    assert out.startswith("instances: 1; rules checked: 1; violations: 0;")
+
+
 def test_verify_theorem_guard_matches_per_instance_sweep(cli):
     instances = [
         ProductDomain.of(list(combo))

@@ -19,7 +19,6 @@ from spdom import (
     RestrictionMap,
     SizeLimitError,
     classify,
-    count_dictatorial,
     count_second_step,
     decimal_digit_count,
     dedekind,
@@ -27,8 +26,9 @@ from spdom import (
     dictators_of,
     enumerate_sp_rules,
     generate_domain,
-    is_non_conditional,
+    nonconditional_closure,
     nonconditional_domains,
+    pair_sets,
     pair_vote_rules,
     parse_domain_file,
     partition_by_answers,
@@ -138,7 +138,7 @@ def test_dictatorial_rules_vs_oracle():
     pd = ProductDomain.of([UNI3, UNI3])
     got = {r.table for r in dictatorial_rules(pd, 3)}
     assert got == oracles.dictatorial_tables(pd, 3)
-    assert count_dictatorial(pd.agents, 3) == 2
+    assert len(got) == 2
     for rule in dictatorial_rules(pd, 3):
         assert is_strategy_proof(rule)
         assert len(dictators_of(rule)) == 1
@@ -179,17 +179,21 @@ def _fixture_block_products():
 
 
 def test_count_dictatorial_matches_materialized_tables():
-    # The closed form against the deduplicated tables of dictatorial_rules,
-    # for every range size: every block product of the fixtures, every
-    # non-conditional domain alone (m <= 4), and every pair of them (m = 3).
+    # count_second_step's constants and dictatorial counts against the
+    # deduplicated tables of dictatorial_rules: every block product of the
+    # fixtures, every non-conditional domain alone (m <= 4), and every pair of
+    # them (m = 3), each as the one response profile of its classify maps.
     cases = [pd.agents for pd in _fixture_block_products()]
     for m in (1, 2, 3, 4):
         cases.extend((d,) for d in nonconditional_domains(m))
     cases.extend(itertools.product(nonconditional_domains(3), repeat=2))
     for blocks in cases:
         pd = ProductDomain.of(blocks)
-        for k in range(1, pd.m + 1):
-            assert count_dictatorial(blocks, k) == len(dictatorial_rules(pd, k)), (blocks, k)
+        partition = ResponsePartition.of(pd, [classify(d) for d in blocks])
+        (block,) = count_second_step(partition).blocks
+        assert block.constants == len(dictatorial_rules(pd, 1)), blocks
+        for k, count in block.dictatorial:
+            assert count == len(dictatorial_rules(pd, k)), (blocks, k)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +273,7 @@ def test_count_second_step_single_peaked3():
 
 def test_count_second_step_two_agent_conditional(ex1_spec):
     domains = [a.domain for a in ex1_spec.agents]
-    report = _count(domains, ex1_spec.map_hints)
+    report = _count(domains, ex1_spec.resolved_maps())
     assert report.m == 5
     assert report.profile_count == 6400
     assert report.naive_digits == 4474
@@ -301,7 +305,7 @@ def test_count_second_step_two_agent_conditional(ex1_spec):
 
 def test_count_second_step_chain(ex2_spec):
     domains = [a.domain for a in ex2_spec.agents]
-    report = _count(domains, ex2_spec.map_hints)
+    report = _count(domains, ex2_spec.resolved_maps())
     assert report.m == 5
     assert report.profile_count == 256
     assert report.naive_digits == 179
@@ -326,7 +330,7 @@ def test_count_second_step_chain(ex2_spec):
 
 def test_count_second_step_blocks_agree_with_catalog_and_enumeration(ex2_spec):
     domains = [a.domain for a in ex2_spec.agents]
-    maps = ex2_spec.map_hints
+    maps = ex2_spec.resolved_maps()
     report = _count(domains, maps)
     partitions = [partition_by_answers(d, map_) for d, map_ in zip(domains, maps)]
     for block, combo in zip(report.blocks, itertools.product(*partitions)):
@@ -343,7 +347,7 @@ def test_count_second_step_validation(ex1_spec):
     # The maps are checked once, where the response partition is built.
     pd = ex1_spec.product
     with pytest.raises(DomainError, match="need 2 restriction maps"):
-        ResponsePartition.of(pd, ex1_spec.map_hints[:1])
+        ResponsePartition.of(pd, ex1_spec.resolved_maps()[:1])
     with pytest.raises(DomainError, match="different alternative set"):
         ResponsePartition.of(pd, [RestrictionMap.of(3, []), RestrictionMap.of(3, [])])
     wrong = RestrictionMap.of(5, [(0, 1)])
@@ -363,7 +367,7 @@ def test_nonconditional_domains_m3():
     assert len(domains) == oracles.count_strict_partial_orders(3)
     assert sorted(len(d) for d in domains) == [1] * 6 + [2] * 6 + [3] * 6 + [6]
     assert len({tuple(r.order for r in d.rankings) for d in domains}) == 19
-    assert all(is_non_conditional(d) for d in domains)
+    assert all(nonconditional_closure(pair_sets(d).fixed, d.m) == d for d in domains)
 
 
 def test_nonconditional_domains_m2_and_guard():
@@ -514,14 +518,14 @@ def test_first_over_matches_the_first_instance_over_the_guard():
         for guard in sorted(set(counts) | {c - 1 for c in counts} | {max(counts) + 5}):
             if guard < 1:
                 continue
-            expected = next((i for i, c in enumerate(counts) if c > guard), None)
+            expected = next(((i, c) for i, c in enumerate(counts) if c > guard), None)
             assert family.first_over(guard) == expected, (m, agents, guard)
 
 
 def test_first_over_does_not_build_the_family():
     family = ProductFamily(nonconditional_domains(3), 100)
-    index = family.first_over(10_000)
-    assert family[index].profile_count == 15552
+    index, count = family.first_over(10_000)
+    assert family[index].profile_count == count == 15552
     assert family[index].sizes == (1,) * 94 + (2,) + (6,) * 5
     with pytest.raises(IndexError):
         family[19**100]

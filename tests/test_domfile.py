@@ -17,7 +17,6 @@ from spdom import (
     map_statement_lines,
     parse_domain_file,
     rebuild,
-    serialize_domain,
     serialize_product_domain,
 )
 
@@ -31,7 +30,6 @@ def test_fixture_two_agent_conditional(ex1_spec):
     assert [a.name for a in ex1_spec.agents] == ["1", "2"]
     expected_hint = RestrictionMap.of(5, [], [([(2, 3)], [(4, 0), (4, 1)])])
     for agent in ex1_spec.agents:
-        assert agent.body_kind == "statements"
         assert agent.map_hint == expected_hint
         assert len(agent.domain) == 80
         assert rebuild(agent.map_hint) == agent.domain
@@ -47,14 +45,12 @@ def test_fixture_chain(ex2_spec):
     for agent in ex2_spec.agents:
         assert agent.map_hint == expected_hint
         assert agent.domain == generate_domain("single_peaked", axis=[0, 1, 2, 3, 4])
-    assert ex2_spec.map_hints == (expected_hint, expected_hint)
     assert ex2_spec.resolved_maps() == (expected_hint, expected_hint)
 
 
 def test_fixture_generators(sp3_spec, uni3_spec):
     assert sp3_spec.labels == ("x", "y", "z")
     for agent in sp3_spec.agents:
-        assert agent.body_kind == "generator"
         assert agent.map_hint is None
         assert agent.domain == generate_domain("single_peaked", axis=[0, 1, 2])
     # Without hints, resolved maps fall back to classification.
@@ -78,7 +74,6 @@ def test_fixture_files_on_disk_parse():
 def test_empty_body_is_universal():
     spec = parse_domain_file("alternatives x y z\nagent 1 {}\n")
     agent = spec.agents[0]
-    assert agent.body_kind == "statements"
     assert agent.domain == generate_domain("universal", m=3)
     assert agent.map_hint == RestrictionMap.of(3, [], [])
 
@@ -107,26 +102,12 @@ def test_comments_are_ignored():
 
 
 def test_statement_roundtrip_through_serializer(ex1_spec):
-    text = serialize_product_domain(ex1_spec.product, ex1_spec.map_hints)
+    maps = ex1_spec.resolved_maps()
+    text = serialize_product_domain(ex1_spec.product, maps)
     again = parse_domain_file(text)
     assert again.labels == ex1_spec.labels
-    assert again.map_hints == ex1_spec.map_hints
+    assert [a.map_hint for a in again.agents] == list(maps)
     assert [a.domain for a in again.agents] == [a.domain for a in ex1_spec.agents]
-
-
-def test_rankings_roundtrip_through_serializer(sp3_spec):
-    text = serialize_product_domain(sp3_spec.product)  # no maps: rankings blocks
-    again = parse_domain_file(text)
-    assert [a.body_kind for a in again.agents] == ["rankings", "rankings"]
-    assert again.map_hints == (None, None)
-    assert [a.domain for a in again.agents] == [a.domain for a in sp3_spec.agents]
-
-
-def test_serialize_single_domain():
-    d = generate_domain("single_peaked", axis=[0, 1, 2])
-    spec = parse_domain_file(serialize_domain(d, labels=["x", "y", "z"], name="solo"))
-    assert spec.agents[0].name == "solo"
-    assert spec.agents[0].domain == d
 
 
 def test_map_statement_lines_rendering(ex1_spec):
@@ -146,8 +127,7 @@ def test_serializer_validation():
     with pytest.raises(DomainError):
         serialize_product_domain(pd, [bad_map])
     with pytest.raises(DomainError):
-        serialize_product_domain(pd, [None, None])
-    assert d  # silence unused warning
+        serialize_product_domain(pd, [classify(d), classify(d)])
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +166,7 @@ def test_rankings_body():
         """
     )
     agent = parse_domain_file(text).agents[0]
-    assert agent.body_kind == "rankings"
+    assert agent.map_hint is None
     assert [r.order for r in agent.domain.rankings] == [(0, 1, 2), (2, 1, 0)]
 
 

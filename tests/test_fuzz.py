@@ -176,7 +176,7 @@ def rule_bytes(draw, domain: bytes) -> bytes:
         table = [draw(st.integers(0, pd.m - 1))] * pd.profile_count
     elif kind == "dictator":
         agent = draw(st.integers(0, pd.n - 1))
-        table = [pd.rankings_at(p)[agent].top for p in pd.iter_profiles()]
+        table = [pd.agents[agent].rankings[p[agent]].top for p in pd.iter_profiles()]
     else:
         rng = random.Random(draw(st.integers(0, 2**32)))
         table = [rng.randrange(pd.m) for _ in range(pd.profile_count)]
@@ -265,7 +265,7 @@ def theorem_argv(draw, domain: str, missing: str) -> list[str]:
     if source in ("family", "both"):
         argv += ["--family", draw(st.sampled_from(("nonconditional-pairs", "pairs")))]
     m = draw(st.integers(-1, 5))
-    agents = draw(st.integers(-1, 4))
+    agents = draw(st.one_of(st.integers(-1, 4), st.integers(sys.maxsize - 1, 2**64)))
     if m != 3 or draw(st.booleans()):  # 3 and 2 are the defaults
         argv += ["--m", str(m)]
     if agents != 2 or draw(st.booleans()):

@@ -1,6 +1,8 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+function, class and method the package defines is referenced somewhere in it.
 
-``__init__.py`` is skipped: its imports are the package's re-exports.
+``__init__.py`` is skipped: its imports are the package's re-exports, and a
+re-export alone does not make a definition used.
 """
 
 from __future__ import annotations
@@ -44,16 +46,44 @@ def _used(tree: ast.Module) -> set[str]:
     return used
 
 
+def _modules() -> dict[str, ast.Module]:
+    """File name -> parsed tree of every package module but ``__init__.py``."""
+    paths = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert paths
+    return {p.name: ast.parse(p.read_text(), filename=str(p)) for p in paths}
+
+
+def _definitions(tree: ast.Module):
+    """Name and line of every function, class and method in ``tree``, dunders
+    excepted."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield node.name, node.lineno
+
+
 def test_no_unused_imports():
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    assert modules
     unused = []
-    for path in modules:
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for name, tree in _modules().items():
         used = _used(tree)
         unused.extend(
-            f"{path.name}:{line}: {name}"
-            for name, line in _imported(tree).items()
-            if name not in used
+            f"{name}:{line}: {imported}"
+            for imported, line in _imported(tree).items()
+            if imported not in used
         )
     assert unused == []
+
+
+def test_every_definition_is_referenced():
+    modules = _modules()
+    referenced: set[str] = set()
+    for tree in modules.values():
+        referenced |= _used(tree)
+        referenced.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+    unreferenced = [
+        f"{name}:{line}: {defined}"
+        for name, tree in modules.items()
+        for defined, line in _definitions(tree)
+        if defined not in referenced
+    ]
+    assert unreferenced == []

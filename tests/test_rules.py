@@ -72,9 +72,7 @@ def test_rule_validation():
     pd = _single_agent_uni3()
     with pytest.raises(DomainError):
         Rule(pd, (0, 1, 2))  # wrong length
-    rule = Rule(pd, (0, 0, 1, 1, 2, 2))
-    assert rule.outcome_at(2) == 1
-    assert rule.outcome((2,)) == 1
+    assert Rule(pd, (0, 0, 1, 1, 2, 2)).table == (0, 0, 1, 1, 2, 2)
 
 
 def test_profile_guard():
@@ -126,14 +124,15 @@ def test_witnesses_are_genuine():
     pd = ProductDomain.of([SP3, SP3])
     table = tuple((i * 7 + 3) % 3 for i in range(pd.profile_count))
     rule = Rule(pd, table)
+    outcome = dict(zip(pd.iter_profiles(), table))
     count = 0
     for w in iter_manipulations(rule):
         count += 1
         sincere_ranking = pd.agents[w.agent].rankings[w.profile[w.agent]]
-        assert w.sincere_outcome == rule.outcome(w.profile)
+        assert w.sincere_outcome == outcome[w.profile]
         shifted = list(w.profile)
         shifted[w.agent] = w.deviation
-        assert w.deviating_outcome == rule.outcome(shifted)
+        assert w.deviating_outcome == outcome[tuple(shifted)]
         assert sincere_ranking.prefers(w.deviating_outcome, w.sincere_outcome)
     assert count == len(oracles.sp_violations(rule))
 
@@ -191,7 +190,7 @@ def test_audit_flags_freeness_and_maximality():
 
 def test_anti_dictatorship_is_manipulable():
     pd = _single_agent_uni3()
-    rule = Rule(pd, tuple(r.bottom for r in UNI3.rankings))
+    rule = Rule(pd, tuple(r.order[-1] for r in UNI3.rankings))
     report = audit_sp_lemmas(rule)
     assert not report.strategy_proof
     assert report.maximality_faults and not report.freeness_faults
@@ -208,12 +207,13 @@ def test_restrict_rule_values():
     sub1 = generate_domain("explicit", rankings=[(1, 0, 2)])
     small = oracles.restrict_rule(rule, [sub0, sub1])
     assert small.domain.sizes == (2, 1)
-    for profile in small.domain.iter_profiles():
+    outcome = dict(zip(pd.iter_profiles(), rule.table))
+    for profile, small_outcome in zip(small.domain.iter_profiles(), small.table):
         parent_profile = (
-            UNI3.index(sub0.rankings[profile[0]]),
-            UNI3.index(sub1.rankings[profile[1]]),
+            UNI3.rankings.index(sub0.rankings[profile[0]]),
+            UNI3.rankings.index(sub1.rankings[profile[1]]),
         )
-        assert small.outcome(profile) == rule.outcome(parent_profile)
+        assert small_outcome == outcome[parent_profile]
 
 
 def test_restrict_rule_errors():

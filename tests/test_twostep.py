@@ -72,7 +72,7 @@ def test_response_profiles_canonical():
 
 
 def test_response_profiles_chain(ex2_spec):
-    responses = ResponsePartition.of(ex2_spec.product, ex2_spec.map_hints).responses
+    responses = ResponsePartition.of(ex2_spec.product, ex2_spec.resolved_maps()).responses
     assert len(responses) == 16
     assert responses[0] == (frozenset(), frozenset())
     full = frozenset({OrderedPair(0, 1), OrderedPair(1, 2), OrderedPair(2, 3)})
@@ -94,7 +94,7 @@ def test_gather_locates_every_profile():
     pd = partition.product
     assert len(partition.gather) == pd.profile_count
     for profile, (r, s) in zip(pd.iter_profiles(), partition.gather):
-        rankings = pd.rankings_at(profile)
+        rankings = [d.rankings[digit] for digit, d in zip(profile, pd.agents)]
         answers = tuple(
             satisfied_antecedents(ranking, map_)
             for ranking, map_ in zip(rankings, partition.maps)
@@ -102,7 +102,7 @@ def test_gather_locates_every_profile():
         assert partition.responses[r] == answers
         block = partition.block_products[r]
         assert block.profile_at(s) == tuple(
-            d.index(ranking) for d, ranking in zip(block.agents, rankings)
+            d.rankings.index(ranking) for d, ranking in zip(block.agents, rankings)
         )
 
 
@@ -152,12 +152,12 @@ def test_assemble_routes_agree():
     rule = assemble(partition, subrules)
     # Independent check: each profile gets its response profile's outcome.
     expected_outcome = dict(zip(partition.responses, outcomes))
-    for profile in pd.iter_profiles():
+    for profile, outcome in zip(pd.iter_profiles(), rule.table):
         answers = tuple(
             satisfied_antecedents(d.rankings[digit], map_)
             for digit, d, map_ in zip(profile, pd.agents, partition.maps)
         )
-        assert rule.outcome(profile) == expected_outcome[answers]
+        assert outcome == expected_outcome[answers]
 
 
 def test_assemble_non_constant_subrule():
@@ -173,15 +173,16 @@ def test_assemble_non_constant_subrule():
     )
     subrules = (vote, constant_rule(blocks[1], 1), constant_rule(blocks[2], 1), constant_rule(blocks[3], 1))
     rule = assemble(partition, subrules)
-    for profile in pd.iter_profiles():
-        rankings = pd.rankings_at(profile)
+    vote_outcome = dict(zip(blocks[0].iter_profiles(), vote.table))
+    for profile, outcome in zip(pd.iter_profiles(), rule.table):
+        rankings = [d.rankings[digit] for digit, d in zip(profile, pd.agents)]
         if all(r.prefers(1, 0) for r in rankings):  # both in the no-answer block
             sub_profile = tuple(
-                blocks[0].agents[i].index(rankings[i]) for i in range(2)
+                blocks[0].agents[i].rankings.index(rankings[i]) for i in range(2)
             )
-            assert rule.outcome(profile) == vote.outcome(sub_profile)
+            assert outcome == vote_outcome[sub_profile]
         else:
-            assert rule.outcome(profile) == 1
+            assert outcome == 1
 
 
 def test_assignment_validation():
@@ -229,7 +230,6 @@ def test_decompose_leftmost_top_rule():
     assert report.blocks[0].range_size == 2
     assert report.blocks[0].dictators == frozenset()
     assert all(b.range_size == 1 for b in report.blocks[1:])
-    assert report.violations == () and report.clean
 
 
 def test_decompose_flags_manipulable_subrule():
@@ -237,10 +237,9 @@ def test_decompose_flags_manipulable_subrule():
     pd = partition.product
     table = []
     for profile in pd.iter_profiles():
-        table.append(pd.agents[0].rankings[profile[0]].bottom)
+        table.append(pd.agents[0].rankings[profile[0]].order[-1])
     rule = Rule(pd, tuple(table))
     report = decompose(rule, partition)
-    assert not report.clean
     assert any(b.classification == DECOMPOSITION_VIOLATION for b in report.blocks)
 
 
@@ -248,14 +247,15 @@ def test_decompose_subrules_restrict_the_rule():
     partition = _sp3_partition()
     pd = partition.product
     rule = _leftmost_top_rule(pd)
+    outcome = dict(zip(pd.iter_profiles(), rule.table))
     for block in decompose(rule, partition).blocks:
         sub_pd = block.subrule.domain
-        for profile in sub_pd.iter_profiles():
+        for profile, sub_outcome in zip(sub_pd.iter_profiles(), block.subrule.table):
             parent_profile = tuple(
-                pd.agents[i].index(sub_pd.agents[i].rankings[digit])
+                pd.agents[i].rankings.index(sub_pd.agents[i].rankings[digit])
                 for i, digit in enumerate(profile)
             )
-            assert block.subrule.outcome(profile) == rule.outcome(parent_profile)
+            assert sub_outcome == outcome[parent_profile]
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +271,7 @@ def test_first_step_witnesses_all_answer_changing(ex1_spec):
     # Constant subrules everywhere except the both-answered block: within-block
     # deviations never change the outcome, so every manipulation must cross
     # blocks by changing the manipulator's own answers.
-    partition = ResponsePartition.of(ex1_spec.product, ex1_spec.map_hints)
+    partition = ResponsePartition.of(ex1_spec.product, ex1_spec.resolved_maps())
     xy = frozenset({OrderedPair(2, 3)})
     subrules = tuple(
         constant_rule(block, 4 if answers == (xy, xy) else 1)
@@ -284,13 +284,14 @@ def test_first_step_witnesses_all_answer_changing(ex1_spec):
     assert all(w.answer_changing for w in witnesses)
     # Every block subrule is (trivially) strategy-proof even though the
     # assembled rule is manipulable.
-    assert decompose(rule, partition).clean
+    kinds = {b.classification for b in decompose(rule, partition).blocks}
+    assert DECOMPOSITION_VIOLATION not in kinds
 
 
 def test_first_step_witnesses_within_block():
     partition = _sp3_partition()
     pd = partition.product
-    table = tuple(pd.agents[0].rankings[p[0]].bottom for p in pd.iter_profiles())
+    table = tuple(pd.agents[0].rankings[p[0]].order[-1] for p in pd.iter_profiles())
     witnesses = first_step_witnesses(Rule(pd, table), partition)
     assert any(not w.answer_changing for w in witnesses)
 
@@ -510,6 +511,6 @@ def test_assemble_inverts_decompose_on_every_sp_rule(setup):
     assert len(rules) == expected_rules
     for rule in rules:
         report = decompose(rule, partition)
-        assert report.clean
+        assert DECOMPOSITION_VIOLATION not in {b.classification for b in report.blocks}
         reassembled = assemble(partition, tuple(b.subrule for b in report.blocks))
         assert reassembled == rule
