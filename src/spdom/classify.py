@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .prefcore import (
     DomainError,
@@ -257,6 +257,102 @@ def relabel_map(map_: RestrictionMap, perm: Sequence[int]) -> RestrictionMap:
     )
 
 
+#: Phase two of ``classify`` searches the down-closure lattice over the free
+#: pairs (sets of free pairs as bits of a 2^P-bit int) when the domain has at
+#: most this many free pairs P, which covers every domain with m <= 6; above
+#: it, the lattice outgrows the depth-first scan of ``_first_admissible``.
+LATTICE_FREE_PAIR_LIMIT = 15
+
+#: Phase two's choice for one excluded ranking: (antecedent, conclusion).
+_Choice = tuple[list[OrderedPair], OrderedPair]
+
+
+@lru_cache(maxsize=None)
+def _cube(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The points ``0..2^p-1`` of the p-cube, as bit positions of an int:
+    per coordinate j, the points with bit j set; per size k, the points
+    with k bits set."""
+    has = []
+    for j in range(p):
+        half = 1 << j
+        pattern, width = ((1 << half) - 1) << half, 2 * half
+        while width < 1 << p:
+            pattern |= pattern << width
+            width *= 2
+        has.append(pattern)
+    by_size = [1]
+    for j in range(p):
+        by_size = [
+            (by_size[k] if k <= j else 0) | (by_size[k - 1] << (1 << j) if k else 0)
+            for k in range(j + 2)
+        ]
+    return tuple(has), tuple(by_size)
+
+
+def _lattice_chooser(
+    members: Sequence[Ranking], free_pairs: Sequence[tuple[int, int]]
+) -> Callable[[Ranking], _Choice]:
+    """Phase two's choice through the lattice of sets of free pairs.
+
+    Each member is a point of the P-cube (bit j set when it ranks the j-th
+    free pair ``(a, b)`` as ``b`` over ``a``).  For an excluded ranking, the
+    admissible candidates are the antecedents S of its own free pairs and
+    the free pairs q it keeps, such that no member agrees with it on all of
+    S and on q, i.e. S | {q} is outside the down-closure of the members'
+    agreement sets.  Antecedents holding a fixed pair are never smallest:
+    every member satisfies it, so dropping it leaves an admissible smaller
+    antecedent (not an empty one, as some member keeps each free pair).  The
+    choice therefore equals the depth-first scan's.
+    """
+    p = len(free_pairs)
+    has, by_size = _cube(p)
+    points = 0
+    for r in members:
+        pos = r.position
+        points |= 1 << sum(1 << j for j, (a, b) in enumerate(free_pairs) if pos[b] < pos[a])
+    # Per free pair, its orientation with the bit clear, then with it set.
+    orientations = [(OrderedPair(a, b), OrderedPair(b, a)) for a, b in free_pairs]
+
+    def choose(excluded: Ranking) -> _Choice:
+        pos = excluded.position
+        bits = [pos[b] < pos[a] for a, b in free_pairs]
+        own = [both[bit] for both, bit in zip(orientations, bits)]
+        # Flip every coordinate the excluded ranking has clear: each member's
+        # point becomes the set of free pairs on which the two agree.
+        agree = points
+        for j, bit in enumerate(bits):
+            if not bit:
+                high = agree & has[j]
+                agree = (high >> (1 << j)) | ((agree ^ high) << (1 << j))
+        down = agree
+        for j in range(p):
+            down |= (down & has[j]) >> (1 << j)
+        # blocked: the S with S | {q} in ``down`` for every q, so no conclusion fits.
+        blocked = -1
+        for j in range(p):
+            high = down & has[j]
+            blocked &= high | (high >> (1 << j))
+        size = 1
+        while not by_size[size] & ~blocked:
+            size += 1
+        # Lexicographically first open S of that size: take each own pair,
+        # in sorted order, while some open S of the size still holds it.
+        open_sets, chosen, antecedent = by_size[size] & ~blocked, 0, []
+        for j in sorted(range(p), key=own.__getitem__):
+            if open_sets & has[j]:
+                open_sets &= has[j]
+                chosen |= 1 << j
+                antecedent.append(own[j])
+        conclusion = min(
+            orientations[j][not bits[j]]
+            for j in range(p)
+            if not down >> (chosen | 1 << j) & 1
+        )
+        return antecedent, conclusion
+
+    return choose
+
+
 def _first_admissible(
     masks: Sequence[int],
     checks: Sequence[tuple[OrderedPair, int]],
@@ -282,6 +378,34 @@ def _first_admissible(
     return None
 
 
+def _scan_chooser(
+    target: int, free_pairs: Sequence[tuple[int, int]], masks: Mapping[OrderedPair, int]
+) -> Callable[[Ranking], _Choice]:
+    """Phase two's choice by a depth-first scan of each size in turn over the
+    excluded ranking's sorted own pairs, carrying the members that satisfy
+    the antecedent so far (one AND per step) and testing the conclusions at
+    the leaves."""
+
+    def choose(excluded: Ranking) -> _Choice:
+        own_pairs = excluded.ordered_pairs()
+        # Each conclusion reverses a free pair on the excluded ranking; it is
+        # admissible iff no member satisfying the antecedent keeps that pair
+        # the excluded ranking's way.
+        kept = [
+            OrderedPair(a, b) if excluded.prefers(a, b) else OrderedPair(b, a)
+            for a, b in free_pairs
+        ]
+        checks = sorted((p.swapped(), masks[p]) for p in kept)
+        own_masks = [masks[p] for p in own_pairs]
+        for size in range(1, len(own_pairs) + 1):
+            found = _first_admissible(own_masks, checks, 0, size, target)
+            if found:
+                return [own_pairs[i] for i in found[0]], found[1]
+        raise AssertionError("no admissible conditional found")  # the full pair set always works
+
+    return choose
+
+
 def classify(d: PreferenceDomain, scan: str = "default") -> RestrictionMap:
     """Recover a restriction map for ``d``: ``rebuild(classify(d)) == d``.
 
@@ -296,11 +420,16 @@ def classify(d: PreferenceDomain, scan: str = "default") -> RestrictionMap:
     ranking's own pair set and conclusions that reverse one of ``d``'s free
     pairs on it, the candidate with the smallest antecedent (ties:
     lexicographic antecedent, then conclusion) such that every member of ``d``
-    satisfying the antecedent also satisfies the conclusion.  For each size in
-    turn, a depth-first search over the sorted own pairs carries the members
-    satisfying the antecedent so far, one AND per step, and tests the
-    conclusions at the leaves.  Each chosen conditional is applied before the
-    next step, and the scan stops when exactly ``d`` remains.
+    satisfying the antecedent also satisfies the conclusion.  Each chosen
+    conditional is applied before the next step, and the scan stops when
+    exactly ``d`` remains.
+
+    With at most ``LATTICE_FREE_PAIR_LIMIT`` free pairs (every ``m <= 6``),
+    the candidate is read off the down-closure lattice of the members'
+    agreement sets over the free pairs, in O(P) big-int steps per excluded
+    ranking; with more, a depth-first scan over the antecedents of each size
+    finds it, since a 2^P-bit lattice would outgrow the scan.  Both routes
+    choose the same map.
 
     ``scan="reversed"`` runs the same policy on the id-mirrored domain
     (``i -> m-1-i``) and maps the result back, which generally exhibits a
@@ -321,38 +450,25 @@ def classify(d: PreferenceDomain, scan: str = "default") -> RestrictionMap:
     cur = (1 << len(universe)) - 1
     base: list[OrderedPair] = []
 
-    fixed = pair_sets(d).fixed
+    sets = pair_sets(d)
     for a, b in itertools.combinations(range(m), 2):
         if cur == target:
             break
-        pair = OrderedPair(a, b) if (a, b) in fixed else OrderedPair(b, a)
-        if pair in fixed:
+        pair = OrderedPair(a, b) if (a, b) in sets.fixed else OrderedPair(b, a)
+        if pair in sets.fixed:
             base.append(pair)
             cur &= masks[pair]
 
-    conditionals: list[tuple[list[OrderedPair], OrderedPair]] = []
-    free_pairs = sorted(pair_sets(d).free)
+    conditionals: list[_Choice] = []
+    if cur != target:
+        free_pairs = sorted(sets.free)
+        if len(free_pairs) <= LATTICE_FREE_PAIR_LIMIT:
+            choose = _lattice_chooser(d.rankings, free_pairs)
+        else:
+            choose = _scan_chooser(target, free_pairs, masks)
     while cur != target:
         outside = cur & ~target
-        excluded = universe[(outside & -outside).bit_length() - 1]
-        own_pairs = excluded.ordered_pairs()
-        # Each conclusion reverses a free pair on the excluded ranking; it is
-        # admissible iff no member satisfying the antecedent keeps that pair
-        # the excluded ranking's way.
-        kept = [
-            OrderedPair(a, b) if excluded.prefers(a, b) else OrderedPair(b, a)
-            for a, b in free_pairs
-        ]
-        checks = sorted((p.swapped(), masks[p]) for p in kept)
-        own_masks = [masks[p] for p in own_pairs]
-        found = None
-        for size in range(1, len(own_pairs) + 1):
-            found = _first_admissible(own_masks, checks, 0, size, target)
-            if found:
-                break
-        if found is None:  # cannot happen: the full pair set always works
-            raise AssertionError("no admissible conditional found")
-        antecedent, conclusion = [own_pairs[i] for i in found[0]], found[1]
+        antecedent, conclusion = choose(universe[(outside & -outside).bit_length() - 1])
         conditionals.append((antecedent, conclusion))
         removed = _all_of(antecedent, masks, cur) & masks[conclusion.swapped()]
         if not removed:

@@ -401,7 +401,8 @@ def _brute_force_sp_count(
     total = len(outcomes) ** count
     if total > ORACLE_TABLE_LIMIT:
         raise SizeLimitError(
-            f"oracle would scan {total} tables, over the cap of {ORACLE_TABLE_LIMIT}"
+            f"oracle would scan {_big_count_text(total)} tables,"
+            f" over the cap of {ORACLE_TABLE_LIMIT}"
         )
     found = []
     for table in itertools.product(outcomes, repeat=count):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import itertools
 import random
 
@@ -27,6 +28,7 @@ from spdom import (
     relabel_map,
     satisfied_antecedents,
 )
+from spdom.classify import LATTICE_FREE_PAIR_LIMIT
 
 SP3 = generate_domain("single_peaked", axis=[0, 1, 2])
 
@@ -227,6 +229,51 @@ def test_classify_matches_scan_oracle_half_of_m6():
     map_ = classify(d)
     assert len(map_.conditionals) > 100
     assert map_ == oracles.classify_by_scan(d)
+
+
+def _chain_samples(m: int, top: int, count: int, seed: int) -> list[PreferenceDomain]:
+    """Seeded samples of the closure of ``0 > 1 > ... > top-1`` over everything
+    else: ``m - top`` alternatives stay free, so at most C(m - top, 2) free pairs."""
+    closure = nonconditional_closure(
+        [(a, b) for a in range(top) for b in range(a + 1, m)], m
+    ).rankings
+    rng = random.Random(seed)
+    return [
+        PreferenceDomain.of(rng.sample(closure, rng.randint(2, 40))) for _ in range(count)
+    ]
+
+
+# "when c > d => e > a, e > b" over seven alternatives: every pair is free.
+WIDE_M7 = rebuild(RestrictionMap.of(7, [], [([(2, 3)], [(4, 0), (4, 1)])]))
+
+
+@pytest.mark.parametrize("scan", SCAN_MODES)
+@pytest.mark.parametrize("m, top, count", [(7, 1, 3), (7, 2, 3), (8, 2, 2), (8, 3, 2)])
+def test_classify_matches_scan_oracle_chain_samples(m, top, count, scan):
+    for d in _chain_samples(m, top, count, seed=10 * m + top):
+        assert len(pair_sets(d).free) <= LATTICE_FREE_PAIR_LIMIT
+        assert classify(d, scan=scan) == oracles.classify_by_scan(d, scan=scan)
+
+
+@pytest.mark.parametrize("scan", SCAN_MODES)
+def test_classify_matches_scan_oracle_wide_m7(scan):
+    assert len(pair_sets(WIDE_M7).free) == 21 > LATTICE_FREE_PAIR_LIMIT
+    assert classify(WIDE_M7, scan=scan) == oracles.classify_by_scan(WIDE_M7, scan=scan)
+
+
+def test_classify_phase_two_path_follows_free_pair_count(monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("depth-first scan reached")
+
+    monkeypatch.setattr(importlib.import_module("spdom.classify"), "_first_admissible", refuse)
+    half_of_m6 = PreferenceDomain.of(random.Random(6).sample(all_rankings(6), 360))
+    assert len(pair_sets(half_of_m6).free) == LATTICE_FREE_PAIR_LIMIT
+    for d in [half_of_m6, *_random_domains(5, 10, seed=5)]:
+        for scan in SCAN_MODES:
+            assert rebuild(classify(d, scan=scan)) == d
+    for scan in SCAN_MODES:
+        with pytest.raises(RuntimeError, match="depth-first scan reached"):
+            classify(WIDE_M7, scan=scan)
 
 
 # ---------------------------------------------------------------------------

@@ -387,7 +387,18 @@ def test_enumerate_sp_oracle_guard(cli):
     # Two unrestricted agents mean 3^36 candidate tables; the oracle refuses.
     code, out, err = cli("enumerate-sp", "--domain", UNI3, "--oracle")
     assert code == 2
-    assert err.startswith("size limit: oracle would scan")
+    assert err == (
+        f"size limit: oracle would scan {3**36} tables, over the cap of 200000\n"
+    )
+    assert out == ""
+
+
+def test_enumerate_sp_oracle_guard_states_huge_counts_by_digits(cli):
+    # ex1 has 6,400 profiles over five alternatives: 5^6400 tables, 4,474
+    # digits, past what int-to-str conversion allows by default.
+    code, out, err = cli("enumerate-sp", "--domain", EX1, "--oracle")
+    assert code == 2
+    assert err == "size limit: oracle would scan (4474 digits) tables, over the cap of 200000\n"
     assert out == ""
 
 
