@@ -259,9 +259,12 @@ def relabel_map(map_: RestrictionMap, perm: Sequence[int]) -> RestrictionMap:
 
 #: Phase two of ``classify`` searches the down-closure lattice over the free
 #: pairs (sets of free pairs as bits of a 2^P-bit int) when the domain has at
-#: most this many free pairs P, which covers every domain with m <= 6; above
-#: it, the lattice outgrows the depth-first scan of ``_first_admissible``.
-LATTICE_FREE_PAIR_LIMIT = 15
+#: most this many free pairs P, which covers every domain with m <= 6, and the
+#: depth-first scan of ``_first_admissible`` above it.  Timed on m = 7
+#: domains, the two break even at 18 free pairs on random 40-ranking samples;
+#: at 16-17 the lattice is 2-20x faster on random samples of 40-120 rankings
+#: and at most 5 ms slower on one- and two-conditional maps.
+LATTICE_FREE_PAIR_LIMIT = 17
 
 #: Phase two's choice for one excluded ranking: (antecedent, conclusion).
 _Choice = tuple[list[OrderedPair], OrderedPair]

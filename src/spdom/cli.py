@@ -133,6 +133,15 @@ def _big_count_text(value: int) -> str:
     return f"({digits} digits)"
 
 
+def _guard_count_text(value: int) -> str:
+    """``value`` in full, or its digit count where ``str()`` would refuse it."""
+    digits = decimal_digit_count(value)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and digits > limit:
+        return f"({digits} digits)"
+    return str(value)
+
+
 def _emit(options: dict[str, Any], payload: dict[str, Any], lines: Sequence[str]) -> None:
     """Write the report, as JSON or as its text lines, to stdout or ``--out``."""
     if options["format"] == "json":
@@ -401,7 +410,7 @@ def _brute_force_sp_count(
     total = len(outcomes) ** count
     if total > ORACLE_TABLE_LIMIT:
         raise SizeLimitError(
-            f"oracle would scan {_big_count_text(total)} tables,"
+            f"oracle would scan {_guard_count_text(total)} tables,"
             f" over the cap of {ORACLE_TABLE_LIMIT}"
         )
     found = []

@@ -247,6 +247,16 @@ def _chain_samples(m: int, top: int, count: int, seed: int) -> list[PreferenceDo
 WIDE_M7 = rebuild(RestrictionMap.of(7, [], [([(2, 3)], [(4, 0), (4, 1)])]))
 
 
+def _conditional_m7(fixed: int) -> PreferenceDomain:
+    """``when e > f => g > a, g > b`` over seven alternatives, under the first
+    ``fixed`` pairs of ``a > b > c > d``: 21 - fixed free pairs."""
+    chain = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
+    return rebuild(RestrictionMap.of(7, chain[:fixed], [([(4, 5)], [(6, 0), (6, 1)])]))
+
+
+AT_LIMIT_M7, PAST_LIMIT_M7 = _conditional_m7(4), _conditional_m7(3)
+
+
 @pytest.mark.parametrize("scan", SCAN_MODES)
 @pytest.mark.parametrize("m, top, count", [(7, 1, 3), (7, 2, 3), (8, 2, 2), (8, 3, 2)])
 def test_classify_matches_scan_oracle_chain_samples(m, top, count, scan):
@@ -256,9 +266,11 @@ def test_classify_matches_scan_oracle_chain_samples(m, top, count, scan):
 
 
 @pytest.mark.parametrize("scan", SCAN_MODES)
-def test_classify_matches_scan_oracle_wide_m7(scan):
-    assert len(pair_sets(WIDE_M7).free) == 21 > LATTICE_FREE_PAIR_LIMIT
-    assert classify(WIDE_M7, scan=scan) == oracles.classify_by_scan(WIDE_M7, scan=scan)
+@pytest.mark.parametrize(
+    "d", [AT_LIMIT_M7, PAST_LIMIT_M7, WIDE_M7], ids=["at-limit", "past-limit", "wide"]
+)
+def test_classify_matches_scan_oracle_wide_m7(d, scan):
+    assert classify(d, scan=scan) == oracles.classify_by_scan(d, scan=scan)
 
 
 def test_classify_phase_two_path_follows_free_pair_count(monkeypatch):
@@ -267,13 +279,17 @@ def test_classify_phase_two_path_follows_free_pair_count(monkeypatch):
 
     monkeypatch.setattr(importlib.import_module("spdom.classify"), "_first_admissible", refuse)
     half_of_m6 = PreferenceDomain.of(random.Random(6).sample(all_rankings(6), 360))
-    assert len(pair_sets(half_of_m6).free) == LATTICE_FREE_PAIR_LIMIT
-    for d in [half_of_m6, *_random_domains(5, 10, seed=5)]:
+    assert len(pair_sets(half_of_m6).free) == 15
+    assert len(pair_sets(AT_LIMIT_M7).free) == LATTICE_FREE_PAIR_LIMIT
+    for d in [half_of_m6, AT_LIMIT_M7, *_random_domains(5, 10, seed=5)]:
         for scan in SCAN_MODES:
             assert rebuild(classify(d, scan=scan)) == d
-    for scan in SCAN_MODES:
-        with pytest.raises(RuntimeError, match="depth-first scan reached"):
-            classify(WIDE_M7, scan=scan)
+    assert len(pair_sets(PAST_LIMIT_M7).free) == LATTICE_FREE_PAIR_LIMIT + 1
+    assert len(pair_sets(WIDE_M7).free) == 21
+    for d in [PAST_LIMIT_M7, WIDE_M7]:
+        for scan in SCAN_MODES:
+            with pytest.raises(RuntimeError, match="depth-first scan reached"):
+                classify(d, scan=scan)
 
 
 # ---------------------------------------------------------------------------

@@ -402,6 +402,15 @@ def test_enumerate_sp_oracle_guard_states_huge_counts_by_digits(cli):
     assert out == ""
 
 
+def test_enumerate_sp_oracle_guard_prints_counts_that_str_allows(cli):
+    # Two outcomes over ex1's 6,400 profiles: 2^6400 tables, 1,927 digits,
+    # past the report's print cap but within what str() converts.
+    code, out, err = cli("enumerate-sp", "--domain", EX1, "--range", "v,z", "--oracle")
+    assert code == 2
+    assert err == f"size limit: oracle would scan {2**6400} tables, over the cap of 200000\n"
+    assert out == ""
+
+
 def test_enumerate_sp_profile_guard(cli):
     code, out, err = cli("enumerate-sp", "--domain", EX1, "--max-profiles", "100")
     assert code == 2
