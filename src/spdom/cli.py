@@ -133,13 +133,16 @@ def _big_count_text(value: int) -> str:
     return f"({digits} digits)"
 
 
+def _fits_str(value: int) -> bool:
+    """Whether ``str()`` (and so ``json.dumps``) accepts ``value``: Python
+    refuses ints longer than its int-to-str digit limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return not limit or decimal_digit_count(value) <= limit
+
+
 def _guard_count_text(value: int) -> str:
     """``value`` in full, or its digit count where ``str()`` would refuse it."""
-    digits = decimal_digit_count(value)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and digits > limit:
-        return f"({digits} digits)"
-    return str(value)
+    return str(value) if _fits_str(value) else f"({decimal_digit_count(value)} digits)"
 
 
 def _emit(options: dict[str, Any], payload: dict[str, Any], lines: Sequence[str]) -> None:
@@ -638,12 +641,12 @@ def _cmd_verify_theorem(options: dict[str, Any]) -> int:
 def _cmd_search_two_step(options: dict[str, Any]) -> int:
     partition = _load_partition(options)
     result = search_sp_combinations(partition, budget=options["budget"])
-    catalogs = result.catalogs
+    catalogs, total = result.catalogs, result.candidates_total
     sizes = "x".join(str(len(c)) for c in catalogs)
 
     lines = [
         f"response profiles: {len(catalogs)}; catalog sizes: {sizes}; "
-        f"candidates: {result.candidates_total}; tried: {result.candidates_tried}; "
+        f"candidates: {_guard_count_text(total)}; tried: {result.candidates_tried}; "
         f"complete: {'yes' if result.complete else 'no'}"
     ]
     lines.append(f"strategy-proof assignments: {len(result.assignments)}")
@@ -661,7 +664,7 @@ def _cmd_search_two_step(options: dict[str, Any]) -> int:
     payload = {
         "command": "search-two-step",
         "response_profiles": len(catalogs),
-        "candidates_total": result.candidates_total,
+        "candidates_total": total if _fits_str(total) else None,
         "candidates_tried": result.candidates_tried,
         "complete": result.complete,
         "found": len(result.assignments),

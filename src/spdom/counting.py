@@ -51,7 +51,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .classify import AnswerSet, ResponsePartition
 from .prefcore import (
     PROFILE_ENUMERATION_LIMIT,
-    TABLE_CELL_LIMIT,
     DomainError,
     PreferenceDomain,
     ProductDomain,
@@ -65,6 +64,7 @@ from .rules import (
     _check_profile_guard,
     _check_table_cap,
     audit_sp_lemmas,
+    constant_rule,
     dictators_of,
     range_of,
 )
@@ -219,8 +219,7 @@ def pair_vote_rules(pd: ProductDomain, pair: Sequence[int]) -> tuple[Rule, ...]:
     k = len(free_agents)
     points = 1 << k
     count = pd.profile_count
-    if count > TABLE_CELL_LIMIT:
-        raise SizeLimitError("product domain too large to materialize vote rules")
+    _check_table_cap(count)
     # vote vector index per profile: first free agent is the high bit;
     # bit set means the agent prefers lo to hi.
     vote_index = [0] * count
@@ -249,8 +248,7 @@ def dictatorial_rules(pd: ProductDomain, k: int) -> tuple[Rule, ...]:
     if not 1 <= k <= m:
         raise DomainError(f"range size must be in 1..{m}, got {k}")
     count = pd.profile_count
-    if count > TABLE_CELL_LIMIT:
-        raise SizeLimitError("product domain too large to materialize dictatorial rules")
+    _check_table_cap(count)
     seen: set[tuple[int, ...]] = set()
     out: list[Rule] = []
     for agent in range(pd.n):
@@ -308,8 +306,6 @@ def second_step_catalog(pd: ProductDomain) -> tuple[Rule, ...]:
     impossibility theorem rules out anything else), which makes the catalog the
     explicit cross-check of :func:`count_second_step`'s closed-form subtotal.
     """
-    from .rules import constant_rule  # local import to keep module load light
-
     m = pd.m
     out: list[Rule] = [constant_rule(pd, alt) for alt in range(m)]
     seen: set[tuple[int, ...]] = {r.table for r in out}

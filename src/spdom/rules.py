@@ -54,6 +54,7 @@ class Rule:
 def constant_rule(pd: ProductDomain, outcome: int) -> Rule:
     if not 0 <= outcome < pd.m:
         raise DomainError(f"outcome {outcome!r} is outside 0..{pd.m - 1}")
+    _check_table_cap(pd.profile_count)  # before the table is allocated
     return Rule(pd, (outcome,) * pd.profile_count)
 
 

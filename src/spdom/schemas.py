@@ -25,8 +25,8 @@ def _object(**properties: Any) -> dict[str, Any]:
 
 
 def _nullable(schema: dict[str, Any]) -> dict[str, Any]:
-    """``schema`` (an :func:`_object`) or null."""
-    return {**schema, "type": ["object", "null"]}
+    """``schema`` (one with a single ``type``) or null."""
+    return {**schema, "type": [schema["type"], "null"]}
 
 
 def _array(items: Any) -> dict[str, Any]:
@@ -115,7 +115,7 @@ COUNT_SUBRULES_SCHEMA = _command(
             subtotal=_INTEGER,
         )
     ),
-    product={"type": ["integer", "null"]},
+    product=_nullable(_INTEGER),
     product_digits=_INTEGER,
     oracle=_nullable(_object(agrees=_BOOLEAN, catalog_sizes=_INTEGERS)),
 )
@@ -123,7 +123,7 @@ COUNT_SUBRULES_SCHEMA = _command(
 ENUMERATE_SP_SCHEMA = _command(
     "enumerate-sp",
     count=_INTEGER,
-    range_filter={"type": ["array", "null"], "items": _STRING},
+    range_filter=_nullable(_STRINGS),
     rules=_array(_object(index=_INTEGER, table=_STRINGS)),
     rules_omitted=_BOOLEAN,
     oracle=_nullable(_object(agrees=_BOOLEAN, count=_INTEGER)),
@@ -171,7 +171,7 @@ VERIFY_THEOREM_SCHEMA = _command(
 SEARCH_TWO_STEP_SCHEMA = _command(
     "search-two-step",
     response_profiles=_INTEGER,
-    candidates_total=_INTEGER,
+    candidates_total=_nullable(_INTEGER),
     candidates_tried=_INTEGER,
     complete=_BOOLEAN,
     found=_INTEGER,

@@ -32,25 +32,6 @@ from .rules import (
 )
 
 
-def _check_subrules(partition: ResponsePartition, subrules: Sequence[Rule]) -> None:
-    blocks = partition.block_products
-    if len(subrules) != len(blocks):
-        raise DomainError(
-            f"need {len(blocks)} subrules (one per response profile), got {len(subrules)}"
-        )
-    for answers, block, subrule in zip(partition.responses, blocks, subrules):
-        if subrule.domain.agents != block.agents:
-            raise DomainError(f"subrule for response profile {answers!r} is not over its block")
-
-
-def assemble(partition: ResponsePartition, subrules: Sequence[Rule]) -> Rule:
-    """Glue block subrules (one per response profile, canonical order) into one
-    full rule: each profile is answered by the subrule of its response profile."""
-    _check_subrules(partition, subrules)
-    tables = [subrule.table for subrule in subrules]
-    return Rule(partition.product, tuple(tables[r][s] for r, s in partition.gather))
-
-
 DECOMPOSITION_DICTATORIAL = "dictatorial"
 DECOMPOSITION_TWO_OUTCOME = "sp_range_le_2"
 DECOMPOSITION_VIOLATION = "violation"
@@ -107,7 +88,6 @@ def decompose(rule: Rule, partition: ResponsePartition) -> DecompositionReport:
 class SearchResult:
     """Outcome of a catalog-driven search over two-step assignments."""
 
-    rules: tuple[Rule, ...]
     assignments: tuple[tuple[int, ...], ...]  # catalog indices per found rule
     catalogs: tuple[tuple[Rule, ...], ...]  # one per response profile
     candidates_total: int
@@ -133,31 +113,23 @@ def search_sp_combinations(
     candidates (an int bitset) by the compatibility row of the assignment,
     dropping a subtree when a bitset empties or its first rank reaches the
     budget.  ``candidates_tried`` is ``min(budget, total)``; when it is the
-    total, the result is exhaustive.  Each found assignment is assembled and
-    scanned once more.
+    total, the result is exhaustive.
     """
     if budget < 1:
         raise DomainError(f"budget must be positive, got {budget}")
     catalogs = tuple(second_step_catalog(block) for block in partition.block_products)
-    # Fail as assembling and scanning a first candidate would, before searching.
-    pd = partition.product
-    _check_table_cap(pd.profile_count)
-    _check_profile_guard(pd.profile_count, PROFILE_ENUMERATION_LIMIT)
+    # The guards bound the search by the size of the whole product; they come
+    # after the catalogs, so a block too big for its catalog is reported first.
+    count = partition.product.profile_count
+    _check_table_cap(count)
+    _check_profile_guard(count, PROFILE_ENUMERATION_LIMIT)
 
     found = _search_compatible(partition, catalogs, budget)
-    rules: list[Rule] = []
-    for indices in found:
-        rule = assemble(partition, [catalogs[v][a] for v, a in enumerate(indices)])
-        if find_manipulation(rule) is not None:
-            raise DomainError(f"internal: search kept the manipulable assignment {indices!r}")
-        rules.append(rule)
-
     total = 1
     for catalog in catalogs:
         total *= len(catalog)
     tried = min(budget, total)
     return SearchResult(
-        rules=tuple(rules),
         assignments=tuple(found),
         catalogs=catalogs,
         candidates_total=total,

@@ -5,12 +5,14 @@ plain permutation filters, dictionary-based profile lookups, and full
 brute-force scans.  Slow but obviously correct, and only run at tiny scale.
 The last sections hold routines no command uses but the tests still check
 the library against: closed-form answer blocks and two-outcome counts, the
-dictatorship and option-set helpers, and the ``.assign`` reader.
+dictatorship and option-set helpers, gluing block subrules into a full rule,
+and the ``.assign`` reader.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,7 +36,6 @@ from spdom import (
     TheoremViolation,
     UnsatisfiableRestrictionError,
     all_rankings,
-    assemble,
     consistent_rankings,
     dedekind,
     dictators_of,
@@ -51,7 +52,6 @@ from spdom import (
 from spdom.counting import AuditFault, _audit_rule, _check_same_m
 from spdom.domfile import format_response
 from spdom.prefcore import _check_pair
-from spdom.twostep import _check_subrules
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +295,11 @@ def dictatorial_tables(pd: ProductDomain, k: int) -> set[tuple[int, ...]]:
     return out
 
 
-def monotone_boolean_function_count(n: int) -> int:
-    """Dedekind numbers by scanning all 2**(2**n) boolean functions (n <= 4)."""
+def monotone_boolean_functions(n: int) -> list[int]:
+    """Truth tables (bit x: the value at point x) of the monotone boolean
+    functions of n variables, by scanning all 2**(2**n) functions (n <= 4)."""
     points = 1 << n
-    count = 0
+    out = []
     for bits in range(1 << points):
         ok = True
         for x in range(points):
@@ -309,8 +310,35 @@ def monotone_boolean_function_count(n: int) -> int:
             if not ok:
                 break
         if ok:
-            count += 1
-    return count
+            out.append(bits)
+    return out
+
+
+def monotone_boolean_function_count(n: int) -> int:
+    """Dedekind numbers by scanning all boolean functions (n <= 4)."""
+    return len(monotone_boolean_functions(n))
+
+
+def single_peaked_sp_count(m: int, n: int) -> int:
+    """Strategy-proof rules on n identical single-peaked agents over one axis
+    of m alternatives, by closed form (n <= 4).
+
+    A strategy-proof rule with range R, |R| = k, is a generalized median
+    voter scheme on R (Moulin 1980; Barberà, Gul and Stacchetti 1993): k - 1
+    nested thresholds, each a monotone family of winning coalitions that
+    holds the grand coalition and not the empty one.  So the count is
+    sum_k C(m, k) * W(k - 1), where W(j) counts the chains
+    F_1 <= ... <= F_j of such families and W(0) = 1.  For n = 2 this is
+    m (m + 1) 2**(m - 2).
+    """
+    grand = 1 << ((1 << n) - 1)  # the bit of the grand coalition
+    families = [f for f in monotone_boolean_functions(n) if f & grand and not f & 1]
+    ending = dict.fromkeys(families, 1)  # chains F_1 <= ... <= F_(k-1), by F_(k-1)
+    total = m  # k = 1: the m constants, W(0) = 1
+    for k in range(2, m + 1):
+        total += math.comb(m, k) * sum(ending.values())
+        ending = {g: sum(c for f, c in ending.items() if f & ~g == 0) for g in families}
+    return total
 
 
 def exactly_pair_sp_count(pd: ProductDomain, pair: tuple[int, int]) -> int:
@@ -527,9 +555,29 @@ def option_set(rule: Rule, agent: int, others: Sequence[int]) -> frozenset[int]:
 
 
 # ---------------------------------------------------------------------------
-# Two-step assignments: the first-step witness annotation, the search by
-# assembling every candidate, and the ``.assign`` reader, the round-trip
-# partner of ``spdom.twostep.serialize_assignment``
+# Two-step assignments: gluing block subrules into a full rule, the
+# first-step witness annotation, the search by assembling every candidate,
+# and the ``.assign`` reader, the round-trip partner of
+# ``spdom.twostep.serialize_assignment``
+
+
+def _check_subrules(partition: ResponsePartition, subrules: Sequence[Rule]) -> None:
+    blocks = partition.block_products
+    if len(subrules) != len(blocks):
+        raise DomainError(
+            f"need {len(blocks)} subrules (one per response profile), got {len(subrules)}"
+        )
+    for answers, block, subrule in zip(partition.responses, blocks, subrules):
+        if subrule.domain.agents != block.agents:
+            raise DomainError(f"subrule for response profile {answers!r} is not over its block")
+
+
+def assemble(partition: ResponsePartition, subrules: Sequence[Rule]) -> Rule:
+    """Glue block subrules (one per response profile, canonical order) into one
+    full rule: each profile is answered by the subrule of its response profile."""
+    _check_subrules(partition, subrules)
+    tables = [subrule.table for subrule in subrules]
+    return Rule(partition.product, tuple(tables[r][s] for r, s in partition.gather))
 
 
 @dataclass(frozen=True)
@@ -582,7 +630,6 @@ def search_by_assembly(partition: ResponsePartition, budget: int = 1_000_000) ->
     total = 1
     for catalog in catalogs:
         total *= len(catalog)
-    rules: list[Rule] = []
     assignments: list[tuple[int, ...]] = []
     tried = 0
     for indices in itertools.product(*(range(len(c)) for c in catalogs)):
@@ -591,10 +638,8 @@ def search_by_assembly(partition: ResponsePartition, budget: int = 1_000_000) ->
         tried += 1
         rule = assemble(partition, [catalogs[i][j] for i, j in enumerate(indices)])
         if find_manipulation(rule) is None:
-            rules.append(rule)
             assignments.append(indices)
     return SearchResult(
-        rules=tuple(rules),
         assignments=tuple(assignments),
         catalogs=catalogs,
         candidates_total=total,

@@ -16,7 +16,7 @@ import time
 from contextlib import contextmanager
 
 from conftest import ACCEPTANCE_LINES, FIXTURES
-from oracles import TwoStepAssignment, first_step_witnesses
+from oracles import TwoStepAssignment, assemble, first_step_witnesses
 from spdom.classify import (
     ResponsePartition,
     classify,
@@ -41,7 +41,7 @@ from spdom.prefcore import (
 from spdom.rules import Rule, dictators_of, find_manipulation, range_of
 from spdom.domfile import parse_domain_file
 from spdom.prefcore import SpdomError
-from spdom.twostep import assemble, decompose, search_sp_combinations
+from spdom.twostep import decompose, search_sp_combinations
 
 
 @contextmanager
@@ -357,9 +357,13 @@ def test_acceptance_11_search_finds_every_strategy_proof_rule(
             result = search_sp_combinations(partition, budget=total)
             assert result.complete and result.candidates_tried == total
             assert list(result.assignments) == sorted(result.assignments)
+            found = [
+                assemble(partition, [result.catalogs[v][a] for v, a in enumerate(indices)])
+                for indices in result.assignments
+            ]
             rules = list(enumerate_sp_rules(partition.product))
-            assert len(result.rules) == len(rules)
-            assert {r.table for r in result.rules} == {r.table for r in rules}
+            assert len(found) == len(rules)
+            assert {r.table for r in found} == {r.table for r in rules}
             if expected is not None:
                 assert len(rules) == expected
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -20,14 +22,13 @@ import pytest
 
 import oracles
 from conftest import FIXTURES
-from oracles import dictatorship, parse_assignment_file
+from oracles import assemble, dictatorship, parse_assignment_file
 from spdom import ProductDomain, SizeLimitError, nonconditional_domains
 from spdom.cli import run_command
 from spdom.classify import ResponsePartition, classify
 from spdom.domfile import parse_domain_file
 from spdom.rules import Rule, find_manipulation, parse_rule_file, serialize_rule
 from spdom.schemas import COMMAND_SCHEMAS
-from spdom.twostep import assemble
 
 EX1 = str(FIXTURES / "ex1.spdom")
 EX2 = str(FIXTURES / "ex2.spdom")
@@ -773,14 +774,73 @@ def test_search_two_step_budget(cli):
 
 
 def test_search_two_step_profile_guard(cli, tmp_path):
-    # One 120x120 block: its catalog fits, but no assembled candidate could
-    # be scanned, so the search stops before it starts.
+    # One 120x120 block: its catalog fits, but the product is over the
+    # profile guard, so the search stops before it starts.
     path = tmp_path / "uu5.spdom"
     path.write_text("alternatives a b c d e\nagent 1 { universal }\nagent 2 { universal }\n")
     assert cli("search-two-step", "--domain", str(path)) == (
         2,
         "",
         "size limit: 14400 profiles exceeds the enumeration guard of 10000\n",
+    )
+
+
+def test_search_two_step_candidates_past_the_str_digit_limit(cli, tmp_path):
+    # 1,000 one-profile blocks of six constants each: 6**1000 candidates, a
+    # 779-digit total.  With Python's int-to-str limit lowered to 640 digits
+    # the total is reported by its digit count, as text and as JSON null.
+    rng = random.Random(20261018)
+    orders = list(itertools.permutations("abcdef"))
+    agents = "".join(
+        f"agent {i} {{ rankings {{ "
+        + "; ".join(" ".join(order) for order in rng.sample(orders, 10))
+        + " } }\n"
+        for i in (1, 2, 3)
+    )
+    path = tmp_path / "wide.spdom"
+    path.write_text("alternatives a b c d e f\n" + agents)
+    argv = ("search-two-step", "--domain", str(path), "--budget", "1")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        text = cli(*argv)
+        as_json = cli(*argv, "--format", "json")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    code, out, err = text
+    assert (code, err) == (0, "")
+    assert out.endswith(
+        "; candidates: (779 digits); tried: 1; complete: no\n"
+        "strategy-proof assignments: 1\n"
+    )
+    code, out, err = as_json
+    assert (code, err) == (0, "")
+    payload = _json_of("search-two-step", out)
+    assert payload["response_profiles"] == 1000
+    assert payload["candidates_total"] is None
+    assert (payload["candidates_tried"], payload["found"]) == (1, 1)
+
+
+@pytest.mark.parametrize("command", ["search-two-step", "count-subrules"])
+def test_table_cap_trips_before_the_table_is_allocated(tmp_path, command):
+    # Two universal agents over eight alternatives: one block of 40320**2
+    # profiles, whose constant subrules alone would take about 13 GB.  Under a
+    # 1 GiB address-space limit the cap must refuse them before allocating.
+    path = tmp_path / "uu8.spdom"
+    path.write_text("alternatives a b c d e f g h\nagent 1 { universal }\nagent 2 { universal }\n")
+    argv = [sys.executable, "-m", "spdom", command, "--domain", str(path)]
+    if command == "count-subrules":
+        argv.append("--oracle")
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    result = subprocess.run(
+        argv, capture_output=True, text=True, timeout=60, preexec_fn=limit_memory
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == (
+        "size limit: outcome table would need 1625702400 cells, over the cap of 10000000\n"
     )
 
 

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and every
-function, class and method the package defines is referenced somewhere in it.
+"""Every name a package or test module imports is used in that module, and
+every function, class and method the package defines is referenced somewhere
+in the package.
 
 ``__init__.py`` is skipped: its imports are the package's re-exports, and a
 re-export alone does not make a definition used.
@@ -12,6 +13,7 @@ import ast
 from conftest import REPO_ROOT
 
 PACKAGE = REPO_ROOT / "src" / "spdom"
+TESTS = REPO_ROOT / "tests"
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -46,11 +48,18 @@ def _used(tree: ast.Module) -> set[str]:
     return used
 
 
-def _modules() -> dict[str, ast.Module]:
-    """File name -> parsed tree of every package module but ``__init__.py``."""
-    paths = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+def _parsed(paths) -> dict[str, ast.Module]:
+    """Path relative to the repo -> parsed tree of each file in ``paths``."""
+    paths = sorted(paths)
     assert paths
-    return {p.name: ast.parse(p.read_text(), filename=str(p)) for p in paths}
+    return {
+        str(p.relative_to(REPO_ROOT)): ast.parse(p.read_text(), filename=str(p)) for p in paths
+    }
+
+
+def _modules() -> dict[str, ast.Module]:
+    """Parsed tree of every package module but ``__init__.py``."""
+    return _parsed(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 def _definitions(tree: ast.Module):
@@ -64,7 +73,7 @@ def _definitions(tree: ast.Module):
 
 def test_no_unused_imports():
     unused = []
-    for name, tree in _modules().items():
+    for name, tree in {**_modules(), **_parsed(TESTS.glob("*.py"))}.items():
         used = _used(tree)
         unused.extend(
             f"{name}:{line}: {imported}"
