@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
@@ -134,7 +134,7 @@ def _big_count_text(value: int) -> str:
 
 
 def _fits_str(value: int) -> bool:
-    """Whether ``str()`` (and so ``json.dumps``) accepts ``value``: Python
+    """Whether ``str()`` (and so the JSON report) accepts ``value``: Python
     refuses ints longer than its int-to-str digit limit."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     return not limit or decimal_digit_count(value) <= limit
@@ -145,10 +145,70 @@ def _guard_count_text(value: int) -> str:
     return str(value) if _fits_str(value) else f"({decimal_digit_count(value)} digits)"
 
 
-def _emit(options: dict[str, Any], payload: dict[str, Any], lines: Sequence[str]) -> None:
+def _json_text(value: Any) -> str:
+    """``json.dumps(value, indent=2)`` for what reports hold (dicts with str
+    keys, lists, str, int, bool and None), built on the C string escaper:
+    ``json.dumps`` with an indent runs its pure-Python encoder.  The small
+    parts are joined into chunks as containers close, to bound their count."""
+    chunks: list[str] = []
+    parts: list[str] = []
+    append = parts.append
+
+    def emit(value: Any, indent: str) -> None:
+        if isinstance(value, str):
+            append(encode_basestring_ascii(value))
+            return
+        if isinstance(value, dict):
+            if not value:
+                append("{}")
+                return
+            inner = indent + "  "
+            separator = "{\n" + inner
+            for key, item in value.items():
+                append(separator + encode_basestring_ascii(key) + ": ")
+                emit(item, inner)
+                separator = ",\n" + inner
+            append("\n" + indent + "}")
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                append("[]")
+                return
+            inner = indent + "  "
+            separator = "[\n" + inner
+            for item in value:
+                append(separator)
+                emit(item, inner)
+                separator = ",\n" + inner
+            append("\n" + indent + "]")
+        else:
+            append(_json_scalar(value))
+            return
+        if len(parts) > 1 << 16:
+            chunks.append("".join(parts))
+            parts.clear()
+
+    emit(value, "")
+    return "".join(chunks) + "".join(parts)
+
+
+def _json_scalar(value: Any) -> str:
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _emit(
+    options: dict[str, Any], payload: Optional[dict[str, Any]], lines: Sequence[str]
+) -> None:
     """Write the report, as JSON or as its text lines, to stdout or ``--out``."""
     if options["format"] == "json":
-        rendered = json.dumps(payload, indent=2) + "\n"
+        rendered = _json_text(payload) + "\n"
     else:
         text = "\n".join(lines)
         rendered = text if text.endswith("\n") else text + "\n"
@@ -307,87 +367,85 @@ def _cmd_count_subrules(options: dict[str, Any]) -> int:
     partition = _load_partition(options)
     pd = partition.product
     report = count_second_step(partition)
+    product_digits = decimal_digit_count(report.product)
+
+    oracle_payload = None
+    mismatches = []
+    if options["oracle"]:
+        catalog_sizes = [len(second_step_catalog(b)) for b in partition.block_products]
+        mismatches = [
+            (block, size)
+            for block, size in zip(report.blocks, catalog_sizes)
+            if size != block.subtotal
+        ]
+        oracle_payload = {"agrees": not mismatches, "catalog_sizes": catalog_sizes}
+    exit_code = 3 if mismatches else 0
+
+    # Only the printed form is built.
+    if options["format"] == "json":
+        payload = {
+            "command": "count-subrules",
+            "alternatives": list(pd.labels),
+            "agent_names": list(pd.agent_names),
+            "profile_count": report.profile_count,
+            "naive_digits": report.naive_digits,
+            "blocks": [
+                {
+                    "answers": [_pairs_json(a, pd.labels) for a in block.answers],
+                    "block_sizes": list(block.block_sizes),
+                    "constants": block.constants,
+                    "pairs": [
+                        {
+                            "pair": _pair_json(p.pair, pd.labels),
+                            "free_agents": [pd.agent_names[i] for i in p.free_agents],
+                            "count": p.count,
+                        }
+                        for p in block.pair_counts
+                    ],
+                    "dictatorial": [
+                        {"range_size": k, "count": count} for k, count in block.dictatorial
+                    ],
+                    "subtotal": block.subtotal,
+                }
+                for block in report.blocks
+            ],
+            "product": report.product if product_digits <= JSON_DIGIT_LIMIT else None,
+            "product_digits": product_digits,
+            "oracle": oracle_payload,
+        }
+        _emit(options, payload, ())
+        return exit_code
 
     lines = [
         f"alternatives: {report.m} ({' '.join(pd.labels)}); "
-        f"agents: {pd.n}; profiles: {report.profile_count}"
+        f"agents: {pd.n}; profiles: {report.profile_count}",
+        f"naive table bound: {report.m}^{report.profile_count} ({report.naive_digits} digits)",
     ]
-    lines.append(
-        f"naive table bound: {report.m}^{report.profile_count} "
-        f"({report.naive_digits} digits)"
-    )
-    as_json = options["format"] == "json"
-    blocks_payload = []
+    # Each block's answer-set text and size are formatted once, not per profile.
+    answer_texts = [[format_answer_set(a, pd.labels) for a in row] for row in partition.answers]
+    size_texts = [[str(len(b)) for b in row] for row in partition.blocks]
     for block in report.blocks:
-        label = format_response(block.answers, pd.labels)
-        sizes = "x".join(str(s) for s in block.block_sizes)
-        two_outcome = sum(p.count for p in block.pair_counts)
-        dictatorial = sum(count for _, count in block.dictatorial)
+        label = "|".join([texts[j] for texts, j in zip(answer_texts, block.index)])
+        sizes = "x".join([texts[j] for texts, j in zip(size_texts, block.index)])
+        dictatorial = block.subtotal - block.constants - block.two_outcome
         lines.append(
             f"response profile {label}: block sizes {sizes}; subtotal {block.subtotal} "
-            f"= {block.constants} constant + {two_outcome} two-outcome "
+            f"= {block.constants} constant + {block.two_outcome} two-outcome "
             f"+ {dictatorial} dictatorial"
         )
-        if not as_json:
-            continue
-        blocks_payload.append(
-            {
-                "answers": [_pairs_json(a, pd.labels) for a in block.answers],
-                "block_sizes": list(block.block_sizes),
-                "constants": block.constants,
-                "pairs": [
-                    {
-                        "pair": _pair_json(p.pair, pd.labels),
-                        "free_agents": [pd.agent_names[i] for i in p.free_agents],
-                        "count": p.count,
-                    }
-                    for p in block.pair_counts
-                ],
-                "dictatorial": [
-                    {"range_size": k, "count": count} for k, count in block.dictatorial
-                ],
-                "subtotal": block.subtotal,
-            }
-        )
-
-    product_digits = decimal_digit_count(report.product)
     lines.append(
         f"strategy-proof two-step rules: {_big_count_text(report.product)}"
         + (f" ({product_digits} digits)" if product_digits <= PRINT_DIGIT_LIMIT else "")
     )
-
-    oracle_payload = None
-    exit_code = 0
-    if options["oracle"]:
-        catalog_sizes = []
-        agrees = True
-        for block, block_pd in zip(report.blocks, partition.block_products):
-            size = len(second_step_catalog(block_pd))
-            catalog_sizes.append(size)
-            if size != block.subtotal:
-                agrees = False
-                lines.append(
-                    f"ORACLE MISMATCH at response profile "
-                    f"{format_response(block.answers, pd.labels)}: "
-                    f"catalog has {size} subrules, formula says {block.subtotal}"
-                )
-        oracle_payload = {"agrees": agrees, "catalog_sizes": catalog_sizes}
-        lines.append(f"oracle (explicit catalogs): {'agrees' if agrees else 'DISAGREES'}")
-        if not agrees:
-            exit_code = 3
-
-    payload = {
-        "command": "count-subrules",
-        "alternatives": list(pd.labels),
-        "agent_names": list(pd.agent_names),
-        "profile_count": report.profile_count,
-        "naive_digits": report.naive_digits,
-        "blocks": blocks_payload,
-        "product": report.product if product_digits <= JSON_DIGIT_LIMIT else None,
-        "product_digits": product_digits,
-        "oracle": oracle_payload,
-    }
-    _emit(options, payload, lines)
+    if oracle_payload is not None:
+        for block, size in mismatches:
+            lines.append(
+                f"ORACLE MISMATCH at response profile "
+                f"{format_response(block.answers, pd.labels)}: "
+                f"catalog has {size} subrules, formula says {block.subtotal}"
+            )
+        lines.append(f"oracle (explicit catalogs): {'agrees' if not mismatches else 'DISAGREES'}")
+    _emit(options, None, lines)
     return exit_code
 
 

@@ -43,7 +43,7 @@ import bisect
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Sequence
@@ -51,6 +51,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .classify import AnswerSet, ResponsePartition
 from .prefcore import (
     PROFILE_ENUMERATION_LIMIT,
+    TABLE_CELL_LIMIT,
     DomainError,
     PreferenceDomain,
     ProductDomain,
@@ -159,13 +160,19 @@ def enumerate_sp_rules(
 _DEDEKIND = (2, 3, 6, 20, 168, 7581, 7828354, 2414682040998, 56130437228687557907788)
 
 
+# pair_vote_rules enumerates monotone functions of at most this many votes.
+_MONOTONE_LIMIT = 4
+
+
 @lru_cache(maxsize=None)
 def _monotone_function_masks(n: int) -> tuple[int, ...]:
     """All monotone boolean functions of ``n`` variables, each encoded as the
     integer whose bit ``x`` is the value at input vector ``x``; ascending.
     The explicit route behind :func:`pair_vote_rules`."""
-    if n > 4:
-        raise SizeLimitError(f"explicit monotone-function enumeration capped at n=4, got {n}")
+    if n > _MONOTONE_LIMIT:
+        raise SizeLimitError(
+            f"explicit monotone-function enumeration capped at n={_MONOTONE_LIMIT}, got {n}"
+        )
     points = 1 << n
     out = []
     for f in range(1 << points):
@@ -323,6 +330,20 @@ def second_step_catalog(pd: ProductDomain) -> tuple[Rule, ...]:
     return tuple(out)
 
 
+def _catalogs_fit(partition: ResponsePartition) -> bool:
+    """Whether :func:`second_step_catalog` builds every block product's
+    catalog within its caps: the largest block product is within the table
+    cap, and no pair is free for more agents than a pair vote takes.  Each
+    agent's block is chosen independently, so the most agents a pair is free
+    for is the number of agents with some block that leaves it free."""
+    if math.prod(max(map(len, blocks)) for blocks in partition.blocks) > TABLE_CELL_LIMIT:
+        return False
+    if partition.product.n <= _MONOTONE_LIMIT:
+        return True
+    free = [set().union(*(pair_sets(b).free for b in blocks)) for blocks in partition.blocks]
+    return all(sum(pair in f for f in free) <= _MONOTONE_LIMIT for pair in set().union(*free))
+
+
 def decimal_digit_count(value: int) -> int:
     """Number of decimal digits of a nonnegative integer, without ``str()``."""
     if value < 0:
@@ -365,14 +386,42 @@ class PairVoteCount:
 
 @dataclass(frozen=True)
 class BlockCount:
-    """Subrule counts for one response profile (one block product)."""
+    """Subrule counts for one response profile (one block product).
 
-    answers: tuple[AnswerSet, ...]
-    block_sizes: tuple[int, ...]
-    constants: int
-    pair_counts: tuple[PairVoteCount, ...]
-    dictatorial: tuple[tuple[int, int], ...]  # (range size, count), k >= 3
+    ``index`` is each agent's answer index.  The answers, block sizes and the
+    per-pair and per-range-size breakdowns are read off the partition and the
+    shared per-block tallies when asked for."""
+
+    index: tuple[int, ...]
+    constants: int  # one per alternative
+    two_outcome: int
     subtotal: int
+    partition: ResponsePartition = field(repr=False, compare=False)
+    # Per agent and block: (free-pair bitmask, steerable ranges of size 3..m, their total).
+    tallies: tuple = field(repr=False, compare=False)
+
+    @property
+    def answers(self) -> tuple[AnswerSet, ...]:
+        return tuple(row[j] for row, j in zip(self.partition.answers, self.index))
+
+    @property
+    def block_sizes(self) -> tuple[int, ...]:
+        return tuple(len(row[j]) for row, j in zip(self.partition.blocks, self.index))
+
+    @property
+    def dictatorial(self) -> tuple[tuple[int, int], ...]:
+        """(range size, count) for each range size k >= 3."""
+        columns = zip(*(row[j][1] for row, j in zip(self.tallies, self.index)))
+        return tuple((k, sum(col)) for k, col in zip(range(3, self.constants + 1), columns))
+
+    @property
+    def pair_counts(self) -> tuple[PairVoteCount, ...]:
+        masks = [row[j][0] for row, j in zip(self.tallies, self.index)]
+        out = []
+        for p, pair in enumerate(itertools.combinations(range(self.constants), 2)):
+            free_agents = tuple(i for i, mask in enumerate(masks) if mask >> p & 1)
+            out.append(PairVoteCount(pair, free_agents, dedekind(len(free_agents)) - 2))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -390,41 +439,53 @@ def count_second_step(partition: ResponsePartition) -> SubruleCountReport:
     """Count the strategy-proof second-step assignments of a response
     partition: for every realizable response profile, the number of constant,
     two-outcome, and steerable-dictatorship subrules on its block product, and
-    the grand product over response profiles (exact)."""
+    the grand product over response profiles (exact).
+
+    Each agent block is tallied once: the pairs it leaves free as a bitmask,
+    and its steerable ranges.  A response profile then adds its blocks' masks
+    in a bit-sliced counter (one int per binary digit of the per-pair count of
+    free agents) and its blocks' dictatorial totals."""
     m = partition.product.m
-    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
-    sizes = range(3, m + 1)
-    # Once per agent block: the pairs it leaves free and its steerable ranges.
-    free = [[pair_sets(block).free for block in blocks] for blocks in partition.blocks]
-    steerable = [
-        [[steerable_range_count(block, k) for k in sizes] for block in blocks]
-        for blocks in partition.blocks
-    ]
+    pairs = list(itertools.combinations(range(m), 2))
+    tallies = []
+    for blocks in partition.blocks:
+        row = []
+        for block in blocks:
+            free = pair_sets(block).free
+            steerable = tuple(steerable_range_count(block, k) for k in range(3, m + 1))
+            mask = sum(1 << p for p, pair in enumerate(pairs) if pair in free)
+            row.append((mask, steerable, sum(steerable)))
+        tallies.append(tuple(row))
+    tallies = tuple(tallies)
+
     blocks: list[BlockCount] = []
     product = 1
-    for index in itertools.product(*(range(len(a)) for a in partition.answers)):
-        picked = tuple(enumerate(index))
-        pair_counts = []
-        pair_total = 0
-        for pair in pairs:
-            free_agents = tuple(i for i, j in picked if pair in free[i][j])
-            cnt = dedekind(len(free_agents)) - 2
-            pair_counts.append(PairVoteCount(pair, free_agents, cnt))
-            pair_total += cnt
-        dict_counts = tuple(
-            (k, sum(steerable[i][j][col] for i, j in picked)) for col, k in enumerate(sizes)
-        )
-        subtotal = m + pair_total + sum(cnt for _, cnt in dict_counts)
-        blocks.append(
-            BlockCount(
-                answers=tuple(partition.answers[i][j] for i, j in picked),
-                block_sizes=tuple(len(partition.blocks[i][j]) for i, j in picked),
-                constants=m,
-                pair_counts=tuple(pair_counts),
-                dictatorial=dict_counts,
-                subtotal=subtotal,
-            )
-        )
+    for index in itertools.product(*(range(len(row)) for row in tallies)):
+        planes: list[int] = []  # planes[b]: the pairs whose free-agent count has bit b set
+        dictatorial = 0
+        for row, j in zip(tallies, index):
+            carry, _, total = row[j]
+            dictatorial += total
+            for b, plane in enumerate(planes):  # add one to each free pair's count
+                planes[b] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:
+                if carry:
+                    planes.append(carry)
+        if 1 << len(planes) > len(_DEDEKIND):  # a count may lack its Dedekind number
+            for p in range(len(pairs)):
+                dedekind(sum((plane >> p & 1) << b for b, plane in enumerate(planes)))
+        two_outcome = 0
+        for c in range(1, 1 << len(planes)):
+            exact = -1  # the pairs free for exactly c agents
+            for b, plane in enumerate(planes):
+                exact &= plane if c >> b & 1 else ~plane
+            if exact:
+                two_outcome += (dedekind(c) - 2) * exact.bit_count()
+        subtotal = m + two_outcome + dictatorial
+        blocks.append(BlockCount(index, m, two_outcome, subtotal, partition, tallies))
         product *= subtotal
 
     profile_count = partition.product.profile_count

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .classify import AnswerSet, ResponsePartition
-from .counting import second_step_catalog
+from .counting import _catalogs_fit, second_step_catalog
 from .domfile import format_response
 from .prefcore import PROFILE_ENUMERATION_LIMIT, DomainError, ProductDomain
 from .rules import (
@@ -117,12 +117,13 @@ def search_sp_combinations(
     """
     if budget < 1:
         raise DomainError(f"budget must be positive, got {budget}")
-    catalogs = tuple(second_step_catalog(block) for block in partition.block_products)
-    # The guards bound the search by the size of the whole product; they come
-    # after the catalogs, so a block too big for its catalog is reported first.
+    # The guards bound the search by the size of the whole product.  They come
+    # first unless a block's catalog trips its own cap, which is reported then.
     count = partition.product.profile_count
-    _check_table_cap(count)
-    _check_profile_guard(count, PROFILE_ENUMERATION_LIMIT)
+    if _catalogs_fit(partition):
+        _check_table_cap(count)
+        _check_profile_guard(count, PROFILE_ENUMERATION_LIMIT)
+    catalogs = tuple(second_step_catalog(block) for block in partition.block_products)
 
     found = _search_compatible(partition, catalogs, budget)
     total = 1

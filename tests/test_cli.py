@@ -15,6 +15,7 @@ import random
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -288,6 +289,29 @@ def test_count_subrules_oracle_text(cli):
     assert "DISAGREES" not in out
 
 
+def test_count_subrules_oracle_mismatch(cli, monkeypatch):
+    # A catalog one short on the 3x3 block: the text report names the block
+    # and both counts, the JSON report says the oracle disagrees, both exit 3.
+    import spdom.cli
+
+    original = spdom.cli.second_step_catalog
+    monkeypatch.setattr(
+        spdom.cli,
+        "second_step_catalog",
+        lambda pd: original(pd)[:-1] if pd.profile_count == 9 else original(pd),
+    )
+    code, out, err = cli("count-subrules", "--domain", SP3, "--oracle")
+    assert (code, err) == (3, "")
+    assert out.splitlines()[-2:] == [
+        "ORACLE MISMATCH at response profile {}|{}: catalog has 10 subrules, formula says 11",
+        "oracle (explicit catalogs): DISAGREES",
+    ]
+    code, out, err = cli("count-subrules", "--domain", SP3, "--oracle", "--format", "json")
+    assert (code, err) == (3, "")
+    payload = _json_of("count-subrules", out)
+    assert payload["oracle"] == {"agrees": False, "catalog_sizes": [10, 5, 5, 3]}
+
+
 def test_count_subrules_digit_caps(cli, monkeypatch):
     # Past the print cap the text report keeps only the digit count; past the
     # JSON cap the product field becomes null (digit count still exact).
@@ -318,6 +342,37 @@ def test_count_subrules_past_the_table_guard(cli, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("size limit:") and err.count("\n") == 1
+
+
+def _two_alternative_agents(path: Path, statements: list[str]) -> str:
+    path.write_text(
+        "alternatives a b\n"
+        + "".join(f"agent {i} {{ {s} }}\n" for i, s in enumerate(statements, start=1))
+    )
+    return str(path)
+
+
+def test_count_subrules_dedekind_guard_names_the_first_free_count(cli, tmp_path):
+    # Nine agents leave {a, b} free: no published Dedekind number for n=9.
+    path = _two_alternative_agents(tmp_path / "nine.spdom", ["universal"] * 9)
+    assert cli("count-subrules", "--domain", path) == (
+        2,
+        "",
+        "size limit: dedekind numbers beyond n=8 are not available (got n=9)\n",
+    )
+
+
+def test_count_subrules_dedekind_guard_spares_counts_that_do_not_occur(cli, tmp_path):
+    # Nine agents, but the ninth fixes a > b: the pair is free for eight.
+    statements = ["universal"] * 8 + ["fix a > b"]
+    path = _two_alternative_agents(tmp_path / "eight.spdom", statements)
+    code, out, err = cli("count-subrules", "--domain", path)
+    assert (code, err) == (0, "")
+    assert (
+        "response profile {}|{}|{}|{}|{}|{}|{}|{}|{}: block sizes 2x2x2x2x2x2x2x2x1; "
+        "subtotal 56130437228687557907788 = 2 constant + 56130437228687557907786 "
+        "two-outcome + 0 dictatorial"
+    ) in out.splitlines()
 
 
 # ---------------------------------------------------------------------------
@@ -821,6 +876,43 @@ def test_search_two_step_candidates_past_the_str_digit_limit(cli, tmp_path):
     assert (payload["candidates_tried"], payload["found"]) == (1, 1)
 
 
+def test_search_two_step_guard_trips_before_the_catalogs(tmp_path):
+    # Three agents with 30 rankings of six alternatives each: 27,000 profiles.
+    # No catalog can trip a cap of its own, so the profile guard refuses the
+    # input before the 27,000 catalogs are built (that took seconds).
+    rng = random.Random(20261018)
+    orders = list(itertools.permutations("abcdef"))
+    agents = "".join(
+        f"agent {i} {{ rankings {{ "
+        + "; ".join(" ".join(order) for order in rng.sample(orders, 30))
+        + " } }\n"
+        for i in (1, 2, 3)
+    )
+    path = tmp_path / "wide.spdom"
+    path.write_text("alternatives a b c d e f\n" + agents)
+    argv = [sys.executable, "-m", "spdom", "search-two-step", "--domain", str(path)]
+    start = time.perf_counter()
+    result = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "size limit: 27000 profiles exceeds the enumeration guard of 10000\n"
+    assert elapsed < 2, elapsed
+
+
+def test_search_two_step_catalog_cap_keeps_its_place(cli, tmp_path):
+    # Six universal agents over three alternatives: every pair is free for six
+    # agents, so a catalog trips its own cap before the 46,656-profile guard.
+    path = tmp_path / "six.spdom"
+    path.write_text(
+        "alternatives a b c\n" + "".join(f"agent {i} {{ universal }}\n" for i in range(1, 7))
+    )
+    assert cli("search-two-step", "--domain", str(path)) == (
+        2,
+        "",
+        "size limit: explicit monotone-function enumeration capped at n=4, got 6\n",
+    )
+
+
 @pytest.mark.parametrize("command", ["search-two-step", "count-subrules"])
 def test_table_cap_trips_before_the_table_is_allocated(tmp_path, command):
     # Two universal agents over eight alternatives: one block of 40320**2
@@ -967,6 +1059,25 @@ def test_argparse_usage_errors_exit_two():
     )
     assert result.returncode == 2
     assert "--domain" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {},
+        [],
+        {"empty_list": [], "empty_dict": {}, "none": None, "yes": True, "no": False},
+        {"label": "caf\u00e9 \u2192 \U0001f600 \"quoted\"\n\t\\", "count": -3},
+        {"big": 7**1200, "nested": [[1, [2, {"deep": [[], {}]}]], {"k": [None, False]}]},
+        [{"a": {"b": {"c": [0, "x", True]}}}, "tail"],
+    ],
+)
+def test_json_text_matches_json_dumps(payload):
+    from spdom.cli import _json_text
+
+    assert _json_text(payload) == json.dumps(payload, indent=2)
+    with pytest.raises(TypeError):
+        _json_text({"set": {1}})
 
 
 def test_reports_are_byte_identical_across_runs(cli):

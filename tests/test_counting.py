@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import random
 
 import pytest
 
@@ -13,11 +14,13 @@ from oracles import count_sp_range2, is_strategy_proof
 from spdom import (
     DomainError,
     OrderedPair,
+    PreferenceDomain,
     ProductDomain,
     ProductFamily,
     ResponsePartition,
     RestrictionMap,
     SizeLimitError,
+    all_rankings,
     classify,
     count_second_step,
     decimal_digit_count,
@@ -341,6 +344,36 @@ def test_count_second_step_blocks_agree_with_catalog_and_enumeration(ex2_spec):
         assert len({r.table for r in catalog}) == block.subtotal
         enumerated = {r.table for r in enumerate_sp_rules(block_pd)}
         assert enumerated == {r.table for r in catalog}
+
+
+def test_count_second_step_two_outcome_matches_per_pair_oracle():
+    # The bit-sliced two-outcome count against the per-pair oracle on seeded
+    # random products of 1-5 agents over m <= 4.  Each agent's domain is a
+    # non-conditional domain or a random set of rankings; with five agents a
+    # pair can be free for 4 or 5 of them, which takes a third bit plane.
+    rng = random.Random(20261018)
+    bases = {m: nonconditional_domains(m) for m in (2, 3, 4)}
+    largest_free_count = 0
+    for _ in range(60):
+        m = rng.randint(2, 4)
+        every = all_rankings(m)
+        domains = []
+        for _ in range(rng.randint(1, 5)):
+            if rng.random() < 0.5:
+                domains.append(rng.choice(bases[m]))
+            else:
+                picked = rng.sample(range(len(every)), rng.randint(1, len(every)))
+                domains.append(PreferenceDomain(m, tuple(every[i] for i in sorted(picked))))
+        partition = ResponsePartition.of(ProductDomain.of(domains), [classify(d) for d in domains])
+        pairs = list(itertools.combinations(range(m), 2))
+        for block, block_pd in zip(count_second_step(partition).blocks, partition.block_products):
+            oracle = sum(count_sp_range2(block_pd.agents, pair) for pair in pairs)
+            assert block.two_outcome == oracle, (domains, block.index)
+            pair_counts = block.pair_counts
+            assert block.two_outcome == sum(pc.count for pc in pair_counts)
+            assert [pc.pair for pc in pair_counts] == pairs
+            largest_free_count = max(largest_free_count, *(len(pc.free_agents) for pc in pair_counts))
+    assert largest_free_count >= 4  # a third bit plane was needed
 
 
 def test_count_second_step_validation(ex1_spec):

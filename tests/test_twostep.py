@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import random
 
 import pytest
 
@@ -21,9 +22,12 @@ from spdom import (
     DomainError,
     OrderedPair,
     ParseError,
+    PreferenceDomain,
     ProductDomain,
     ResponsePartition,
     Rule,
+    SizeLimitError,
+    all_rankings,
     classify,
     constant_rule,
     decompose,
@@ -31,6 +35,7 @@ from spdom import (
     enumerate_sp_rules,
     find_manipulation,
     generate_domain,
+    nonconditional_domains,
     parse_domain_file,
     range_of,
     satisfied_antecedents,
@@ -39,6 +44,7 @@ from spdom import (
     serialize_assignment,
     serialize_rule,
 )
+from spdom.counting import _catalogs_fit
 
 SP3 = generate_domain("single_peaked", axis=[0, 1, 2])
 XY = frozenset({OrderedPair(0, 1)})
@@ -399,6 +405,36 @@ def test_search_count_matches_closed_form(m, n, expected):
     result = search_sp_combinations(partition, budget=10**100)
     assert result.complete
     assert len(result.assignments) == single_peaked_sp_count(m, n) == expected
+
+
+def test_catalog_fit_check_is_exact():
+    # The search checks its guards before the catalogs only when no catalog
+    # can trip a cap, and skips them otherwise, so the check must be exact: on
+    # seeded random products of 5-6 agents over three alternatives (each a
+    # non-conditional domain of two or three rankings or a random set of
+    # rankings), it says no exactly when building the catalogs raises.
+    rng = random.Random(20261018)
+    every = all_rankings(3)
+    small = [d for d in nonconditional_domains(3) if 2 <= len(d) <= 3]
+    seen = set()
+    for _ in range(40):
+        domains = []
+        for _ in range(rng.randint(5, 6)):
+            if rng.random() < 0.8:
+                domains.append(rng.choice(small))
+                continue
+            picked = sorted(rng.sample(range(len(every)), rng.randint(1, 4)))
+            domains.append(PreferenceDomain(3, tuple(every[i] for i in picked)))
+        partition = ResponsePartition.of(ProductDomain.of(domains), [classify(d) for d in domains])
+        try:
+            for block in partition.block_products:
+                second_step_catalog(block)
+            built = True
+        except SizeLimitError:
+            built = False
+        assert _catalogs_fit(partition) == built, domains
+        seen.add(built)
+    assert seen == {True, False}
 
 
 # ---------------------------------------------------------------------------
