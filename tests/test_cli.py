@@ -24,8 +24,8 @@ import pytest
 import oracles
 from conftest import FIXTURES
 from oracles import assemble, dictatorship, parse_assignment_file
-from spdom import ProductDomain, SizeLimitError, nonconditional_domains
-from spdom.cli import run_command
+from spdom import ProductDomain, SizeLimitError, nonconditional_domains, second_step_catalog
+from spdom.cli import _json_text, run_command
 from spdom.classify import ResponsePartition, classify
 from spdom.domfile import parse_domain_file
 from spdom.rules import Rule, find_manipulation, parse_rule_file, serialize_rule
@@ -292,14 +292,11 @@ def test_count_subrules_oracle_text(cli):
 def test_count_subrules_oracle_mismatch(cli, monkeypatch):
     # A catalog one short on the 3x3 block: the text report names the block
     # and both counts, the JSON report says the oracle disagrees, both exit 3.
-    import spdom.cli
+    def short_on_3x3(pd):
+        catalog = second_step_catalog(pd)
+        return catalog[:-1] if pd.profile_count == 9 else catalog
 
-    original = spdom.cli.second_step_catalog
-    monkeypatch.setattr(
-        spdom.cli,
-        "second_step_catalog",
-        lambda pd: original(pd)[:-1] if pd.profile_count == 9 else original(pd),
-    )
+    monkeypatch.setattr("spdom.cli.second_step_catalog", short_on_3x3)
     code, out, err = cli("count-subrules", "--domain", SP3, "--oracle")
     assert (code, err) == (3, "")
     assert out.splitlines()[-2:] == [
@@ -1073,8 +1070,6 @@ def test_argparse_usage_errors_exit_two():
     ],
 )
 def test_json_text_matches_json_dumps(payload):
-    from spdom.cli import _json_text
-
     assert _json_text(payload) == json.dumps(payload, indent=2)
     with pytest.raises(TypeError):
         _json_text({"set": {1}})

@@ -372,7 +372,8 @@ def test_count_second_step_two_outcome_matches_per_pair_oracle():
             pair_counts = block.pair_counts
             assert block.two_outcome == sum(pc.count for pc in pair_counts)
             assert [pc.pair for pc in pair_counts] == pairs
-            largest_free_count = max(largest_free_count, *(len(pc.free_agents) for pc in pair_counts))
+            for pc in pair_counts:
+                largest_free_count = max(largest_free_count, len(pc.free_agents))
     assert largest_free_count >= 4  # a third bit plane was needed
 
 
