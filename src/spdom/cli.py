@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
+from collections.abc import Iterable, Iterator
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
@@ -145,50 +147,41 @@ def _guard_count_text(value: int) -> str:
     return str(value) if _fits_str(value) else f"({decimal_digit_count(value)} digits)"
 
 
-def _json_text(value: Any) -> str:
-    """``json.dumps(value, indent=2)`` for what reports hold (dicts with str
-    keys, lists, str, int, bool and None), built on the C string escaper:
-    ``json.dumps`` with an indent runs its pure-Python encoder.  The small
-    parts are joined into chunks as containers close, to bound their count."""
-    chunks: list[str] = []
+def _json_chunks(value: Any) -> Iterator[str]:
+    """``json.dumps(value, indent=2)`` in chunks, for a report (a dict or a
+    list) and what it holds (dicts with str keys, lists, str, int, bool and
+    None), built on the C string escaper: ``json.dumps`` with an indent runs
+    its pure-Python encoder.  An iterator is written as a list, item by
+    item, so a report can stream a list it never holds whole.  Small parts
+    are joined into a chunk as containers close."""
     parts: list[str] = []
     append = parts.append
 
-    def emit(value: Any, indent: str) -> None:
-        if isinstance(value, str):
-            append(encode_basestring_ascii(value))
-            return
+    def emit(value: Any, indent: str) -> Iterator[str]:
+        inner = indent + "  "
         if isinstance(value, dict):
-            if not value:
-                append("{}")
-                return
-            inner = indent + "  "
-            separator = "{\n" + inner
-            for key, item in value.items():
-                append(separator + encode_basestring_ascii(key) + ": ")
-                emit(item, inner)
-                separator = ",\n" + inner
-            append("\n" + indent + "}")
-        elif isinstance(value, (list, tuple)):
-            if not value:
-                append("[]")
-                return
-            inner = indent + "  "
-            separator = "[\n" + inner
-            for item in value:
-                append(separator)
-                emit(item, inner)
-                separator = ",\n" + inner
-            append("\n" + indent + "]")
+            opening, closing = "{", "}"
+            labeled = ((encode_basestring_ascii(key) + ": ", item) for key, item in value.items())
         else:
-            append(_json_scalar(value))
-            return
+            opening, closing = "[", "]"
+            labeled = zip(itertools.repeat(""), value)
+        separator = opening + "\n" + inner
+        for label, item in labeled:
+            append(separator + label)
+            separator = ",\n" + inner
+            if isinstance(item, str):
+                append(encode_basestring_ascii(item))
+            elif isinstance(item, (dict, list, tuple, Iterator)):
+                yield from emit(item, inner)
+            else:
+                append(_json_scalar(item))
+        append(opening + closing if separator[0] == opening else "\n" + indent + closing)
         if len(parts) > 1 << 16:
-            chunks.append("".join(parts))
+            yield "".join(parts)
             parts.clear()
 
-    emit(value, "")
-    return "".join(chunks) + "".join(parts)
+    yield from emit(value, "")
+    yield "".join(parts)
 
 
 def _json_scalar(value: Any) -> str:
@@ -206,17 +199,18 @@ def _json_scalar(value: Any) -> str:
 def _emit(
     options: dict[str, Any], payload: Optional[dict[str, Any]], lines: Sequence[str]
 ) -> None:
-    """Write the report, as JSON or as its text lines, to stdout or ``--out``."""
+    """Write the report, as JSON or as its text lines, to stdout or ``--out``.
+    JSON is written chunk by chunk as it is rendered."""
     if options["format"] == "json":
-        rendered = _json_text(payload) + "\n"
+        chunks: Iterable[str] = itertools.chain(_json_chunks(payload), ("\n",))
     else:
         text = "\n".join(lines)
-        rendered = text if text.endswith("\n") else text + "\n"
+        chunks = (text if text.endswith("\n") else text + "\n",)
     out = options["out"]
     if out:
-        _write_text(Path(out), rendered)
+        _write_text(Path(out), chunks)
     else:
-        sys.stdout.write(rendered)
+        sys.stdout.writelines(chunks)
 
 
 def _read_text(path: str) -> str:
@@ -226,9 +220,10 @@ def _read_text(path: str) -> str:
         raise DomainError(f"cannot read {path}: {err}") from err
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_text(path: Path, chunks: Iterable[str]) -> None:
     try:
-        path.write_text(text)
+        with path.open("w") as handle:
+            handle.writelines(chunks)
     except OSError as err:
         raise DomainError(f"cannot write {path}: {err}") from err
 
@@ -389,7 +384,7 @@ def _cmd_count_subrules(options: dict[str, Any]) -> int:
             "agent_names": list(pd.agent_names),
             "profile_count": report.profile_count,
             "naive_digits": report.naive_digits,
-            "blocks": [
+            "blocks": (
                 {
                     "answers": [_pairs_json(a, pd.labels) for a in block.answers],
                     "block_sizes": list(block.block_sizes),
@@ -408,7 +403,7 @@ def _cmd_count_subrules(options: dict[str, Any]) -> int:
                     "subtotal": block.subtotal,
                 }
                 for block in report.blocks
-            ],
+            ),
             "product": report.product if product_digits <= JSON_DIGIT_LIMIT else None,
             "product_digits": product_digits,
             "oracle": oracle_payload,
@@ -496,7 +491,7 @@ def _cmd_enumerate_sp(options: dict[str, Any]) -> int:
     if out_dir:
         directory = _out_dir(out_dir)
         for i, rule in enumerate(rules):
-            _write_text(directory / f"rule_{i:04d}.rule", serialize_rule(rule))
+            _write_text(directory / f"rule_{i:04d}.rule", (serialize_rule(rule),))
         lines.append(f"wrote {len(rules)} rule file(s) to {directory}")
 
     oracle_payload = None
@@ -715,7 +710,7 @@ def _cmd_search_two_step(options: dict[str, Any]) -> int:
         for i, indices in enumerate(result.assignments):
             _write_text(
                 directory / f"assignment_{i:04d}.assign",
-                serialize_assignment(partition, indices),
+                (serialize_assignment(partition, indices),),
             )
         lines.append(f"wrote {len(result.assignments)} assignment file(s) to {directory}")
 
@@ -936,7 +931,19 @@ def run_command(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    return run_command(argv)
+    """:func:`run_command` for the console script: a closed stdout ends the
+    run with one ``error:`` line and exit code 1, like an unwritable
+    ``--out``."""
+    try:
+        code = run_command(argv)
+        sys.stdout.flush()
+    except BrokenPipeError as err:
+        # The reader has gone: send what is still buffered, and the
+        # interpreter's final flush, to the null device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write to stdout: {err}", file=sys.stderr)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

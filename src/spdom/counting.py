@@ -102,9 +102,7 @@ def enumerate_sp_rules(
     for alt in outcomes:
         full_mask |= 1 << alt
 
-    sizes = pd.sizes
     strides = pd.strides
-    n = pd.n
     # ok[i][dt][dq][b] = bitmask of outcomes a permitted at the later profile
     # when the earlier adjacent profile (agent i reporting dq instead of dt)
     # already has outcome b: b itself, or an a that dt strictly prefers to b
@@ -117,16 +115,9 @@ def enumerate_sp_rules(
     # neighbors[t]: for each already-assigned profile adjacent to t, the index
     # q and the ok-row (indexed by the outcome at q) constraining t's outcome.
     neighbors: list[list[tuple[int, list[int]]]] = []
-    for t in range(count):
+    for t, digits in enumerate(pd.iter_profiles()):
         entry: list[tuple[int, list[int]]] = []
-        rest = t
-        digits = []
-        for i in range(n - 1, -1, -1):
-            rest, digit = divmod(rest, sizes[i])
-            digits.append(digit)
-        digits.reverse()
-        for i in range(n):
-            dt = digits[i]
+        for i, dt in enumerate(digits):
             stride = strides[i]
             rows = ok[i][dt]
             for dq in range(dt):
@@ -168,29 +159,20 @@ _MONOTONE_LIMIT = 4
 def _monotone_function_masks(n: int) -> tuple[int, ...]:
     """All monotone boolean functions of ``n`` variables, each encoded as the
     integer whose bit ``x`` is the value at input vector ``x``; ascending.
-    The explicit route behind :func:`pair_vote_rules`."""
+    The explicit route behind :func:`pair_vote_rules`.
+
+    Split on the last variable: its off half ``lo`` and on half ``hi`` are
+    monotone functions of one variable fewer, and the whole is monotone
+    exactly when ``lo`` is at most ``hi`` everywhere."""
     if n > _MONOTONE_LIMIT:
         raise SizeLimitError(
             f"explicit monotone-function enumeration capped at n={_MONOTONE_LIMIT}, got {n}"
         )
-    points = 1 << n
-    out = []
-    for f in range(1 << points):
-        good = True
-        # monotone iff turning any input bit on never turns the output off
-        for x in range(points):
-            fx = (f >> x) & 1
-            for j in range(n):
-                if (x >> j) & 1:
-                    continue
-                if fx > (f >> (x | (1 << j))) & 1:
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
-            out.append(f)
-    return tuple(out)
+    if n == 0:
+        return (0, 1)
+    halves = _monotone_function_masks(n - 1)
+    shift = 1 << (n - 1)
+    return tuple(sorted(lo | hi << shift for lo in halves for hi in halves if not lo & ~hi))
 
 
 def dedekind(n: int) -> int:
@@ -225,25 +207,21 @@ def pair_vote_rules(pd: ProductDomain, pair: Sequence[int]) -> tuple[Rule, ...]:
     free_agents = [i for i, d in enumerate(pd.agents) if (lo, hi) in pair_sets(d).free]
     k = len(free_agents)
     points = 1 << k
-    count = pd.profile_count
-    _check_table_cap(count)
+    _check_table_cap(pd.profile_count)
     # vote vector index per profile: first free agent is the high bit;
     # bit set means the agent prefers lo to hi.
-    vote_index = [0] * count
+    columns = []
     for order, agent in enumerate(free_agents):
-        shift = k - 1 - order
-        stride = pd.strides[agent]
-        size = pd.sizes[agent]
-        prefers_lo = [1 if r.prefers(lo, hi) else 0 for r in pd.agents[agent].rankings]
-        for index in range(count):
-            vote_index[index] |= prefers_lo[(index // stride) % size] << shift
+        bit = [r.prefers(lo, hi) << (k - 1 - order) for r in pd.agents[agent].rankings]
+        columns.append(map(bit.__getitem__, pd.column(agent)))
+    votes = list(map(sum, zip(*columns)))
     rules = []
     constants = (0, (1 << points) - 1)
     for f in _monotone_function_masks(k):
         if f in constants:
             continue
-        table = tuple(lo if (f >> vote_index[i]) & 1 else hi for i in range(count))
-        rules.append(Rule(pd, table))
+        outcomes = [lo if f >> vote & 1 else hi for vote in range(points)]
+        rules.append(Rule(pd, tuple(map(outcomes.__getitem__, votes))))
     return tuple(rules)
 
 
@@ -254,19 +232,16 @@ def dictatorial_rules(pd: ProductDomain, k: int) -> tuple[Rule, ...]:
     m = pd.m
     if not 1 <= k <= m:
         raise DomainError(f"range size must be in 1..{m}, got {k}")
-    count = pd.profile_count
-    _check_table_cap(count)
+    _check_table_cap(pd.profile_count)
     seen: set[tuple[int, ...]] = set()
     out: list[Rule] = []
     for agent in range(pd.n):
         domain = pd.agents[agent]
-        stride = pd.strides[agent]
-        size = pd.sizes[agent]
         for combo in itertools.combinations(range(m), k):
             best = [min(combo, key=lambda alt: r.position[alt]) for r in domain.rankings]
             if set(best) != set(combo):
                 continue  # the agent cannot steer the whole range
-            table = tuple(best[(index // stride) % size] for index in range(count))
+            table = tuple(map(best.__getitem__, pd.column(agent)))
             if table in seen:
                 continue
             seen.add(table)

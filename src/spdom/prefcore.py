@@ -387,6 +387,26 @@ class ProductDomain:
         """All profiles in canonical (index-ascending) order."""
         return itertools.product(*(range(len(d)) for d in self.agents))
 
+    def column(self, agent: int) -> Iterator[int]:
+        """``agent``'s ranking index at every profile, in profile order: each
+        index repeated ``strides[agent]`` times, the run of all indices
+        repeated once per setting of the agents before."""
+        stride, size = self.strides[agent], self.sizes[agent]
+        runs = self.profile_count // (stride * size)
+        digits = itertools.chain.from_iterable(itertools.repeat(range(size), runs))
+        if stride == 1:
+            return digits
+        repeat = itertools.repeat
+        return itertools.chain.from_iterable(map(repeat, digits, repeat(stride)))
+
+    def fibers(self, agent: int) -> list[int]:
+        """The first profile of each setting of the other agents, ascending:
+        the profiles where ``agent`` reports ranking 0.  The agent's other
+        rankings follow at steps of ``strides[agent]``."""
+        stride = self.strides[agent]
+        span = stride * self.sizes[agent]
+        return [start + j for start in range(0, self.profile_count, span) for j in range(stride)]
+
     def with_agents(self, agents: Sequence[PreferenceDomain]) -> "ProductDomain":
         """Same labels and agent names, different per-agent domains."""
         return ProductDomain(self.labels, self.agent_names, tuple(agents))

@@ -11,6 +11,7 @@ the ``.rule`` text format.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -105,19 +106,15 @@ def iter_manipulations(
     pd = rule.domain
     _check_profile_guard(pd.profile_count, max_profiles)
     table = rule.table
-    strides = pd.strides
-    sizes = pd.sizes
     positions = [[r.position for r in d.rankings] for d in pd.agents]
-    count = pd.profile_count
     for agent in range(pd.n):
-        stride = strides[agent]
-        size = sizes[agent]
+        stride = pd.strides[agent]
+        size = pd.sizes[agent]
         span = size * stride
         pos_list = positions[agent]
         better = _better_masks(pd.agents[agent])
         reach: dict[int, int] = {}  # base -> the outcomes the agent can reach there
-        for index in range(count):
-            digit = (index // stride) % size
+        for index, digit in enumerate(pd.column(agent)):
             base = index - digit * stride
             options = reach.get(base)
             if options is None:
@@ -163,14 +160,10 @@ def dictators_of(rule: Rule) -> frozenset[int]:
     table = rule.table
     out: set[int] = set()
     for agent in range(pd.n):
-        stride = pd.strides[agent]
-        size = pd.sizes[agent]
         best = [
             min(attained, key=lambda alt: r.position[alt]) for r in pd.agents[agent].rankings
         ]
-        if all(
-            table[index] == best[(index // stride) % size] for index in range(pd.profile_count)
-        ):
+        if all(map(operator.eq, table, map(best.__getitem__, pd.column(agent)))):
             out.add(agent)
     return frozenset(out)
 
@@ -228,19 +221,14 @@ def audit_sp_lemmas(
     maximality: list[OptionMaximalityFault] = []
     freeness: list[OptionFreenessFault] = []
     free_pairs = [pair_sets(d).free for d in pd.agents]
-    strides = pd.strides
     table = rule.table
     for agent in range(pd.n):
-        stride = strides[agent]
+        stride = pd.strides[agent]
         size = pd.sizes[agent]
         rankings = pd.agents[agent].rankings
         other_ranges = [range(pd.sizes[i]) for i in range(pd.n) if i != agent]
-        for rest in itertools.product(*other_ranges):
-            base = 0
-            it = iter(rest)
-            for i in range(pd.n):
-                if i != agent:
-                    base += next(it) * strides[i]
+        # The fibers ascend in the order of the other agents' digits.
+        for base, rest in zip(pd.fibers(agent), itertools.product(*other_ranges)):
             options = sorted({table[base + r * stride] for r in range(size)})
             for ai in range(len(options)):
                 for bi in range(ai + 1, len(options)):

@@ -146,13 +146,9 @@ def _block_masks(block: ProductDomain, agent: int) -> Callable[[Rule], tuple[int
     outcomes that every sincere outcome weakly beats.  Both are packed m bits
     per s into one int."""
     m = block.m
-    sizes, strides = block.sizes, block.strides
-    bases = [0]
-    for j in range(block.n):
-        if j != agent:
-            bases = [base + d * strides[j] for base in bases for d in range(sizes[j])]
-    stride = strides[agent]
-    span = sizes[agent] * stride
+    bases = block.fibers(agent)
+    stride = block.strides[agent]
+    span = block.sizes[agent] * stride
     better = _better_masks(block.agents[agent])
     everything = (1 << m) - 1
     seen: dict[tuple[int, ...], tuple[int, int]] = {}  # outcomes over the block -> masks

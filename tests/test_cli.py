@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import random
 import resource
 import subprocess
@@ -25,7 +26,7 @@ import oracles
 from conftest import FIXTURES
 from oracles import assemble, dictatorship, parse_assignment_file
 from spdom import ProductDomain, SizeLimitError, nonconditional_domains, second_step_catalog
-from spdom.cli import _json_text, run_command
+from spdom.cli import _json_chunks, run_command
 from spdom.classify import ResponsePartition, classify
 from spdom.domfile import parse_domain_file
 from spdom.rules import Rule, find_manipulation, parse_rule_file, serialize_rule
@@ -979,6 +980,29 @@ def test_module_entry_point():
         assert name in result.stdout
 
 
+@pytest.mark.parametrize("format", ["text", "json"])
+def test_closed_stdout_is_one_error_line(tmp_path, format):
+    # The reader of stdout is gone before the child writes.  The JSON report
+    # (141,425 bytes) fails while it is written, the text one (7,838 bytes)
+    # at the final flush.
+    path = tmp_path / "sp5x2.spdom"
+    path.write_text(
+        "alternatives a b c d e\n"
+        "agent 1 { single-peaked a b c d e }\nagent 2 { single-peaked a b c d e }\n"
+    )
+    argv = [sys.executable, "-m", "spdom", "count-subrules", "--domain", str(path)]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [*argv, "--format", format], stdout=write_end, stderr=subprocess.PIPE, timeout=60
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert result.stderr == b"error: cannot write to stdout: [Errno 32] Broken pipe\n"
+
+
 def _not_utf8(tmp_path: Path) -> str:
     path = tmp_path / "latin1.spdom"
     path.write_bytes("alternatives x y \xe9\n\nagent 1 {\n  universal\n}\n".encode("latin-1"))
@@ -1070,9 +1094,26 @@ def test_argparse_usage_errors_exit_two():
     ],
 )
 def test_json_text_matches_json_dumps(payload):
-    assert _json_text(payload) == json.dumps(payload, indent=2)
+    assert "".join(_json_chunks(payload)) == json.dumps(payload, indent=2)
     with pytest.raises(TypeError):
-        _json_text({"set": {1}})
+        "".join(_json_chunks({"set": {1}}))
+
+
+def test_json_chunks_write_iterators_as_lists():
+    streamed = {"rows": ({"i": i, "row": iter(range(i))} for i in range(3)), "none": iter(())}
+    held = {"rows": [{"i": i, "row": list(range(i))} for i in range(3)], "none": []}
+    assert "".join(_json_chunks(streamed)) == json.dumps(held, indent=2)
+    assert "".join(_json_chunks(iter(()))) == "[]"
+    # A long stream is written out before it is used up.
+    taken = []
+
+    def rows():
+        for i in range(100_000):
+            taken.append(i)
+            yield {"i": i}
+
+    assert next(_json_chunks({"rows": rows()})).startswith('{\n  "rows": [\n    {\n      "i": 0')
+    assert 0 < len(taken) < 100_000
 
 
 def test_reports_are_byte_identical_across_runs(cli):

@@ -59,6 +59,14 @@ def test_dedekind_small_vs_oracle():
         assert len(_monotone_function_masks(n)) == dedekind(n)
 
 
+def test_monotone_function_masks_match_the_scan():
+    # Built by splitting on the last variable; the oracle scans every function.
+    for n in range(5):
+        assert list(_monotone_function_masks(n)) == oracles.monotone_boolean_functions(n)
+    with pytest.raises(SizeLimitError, match=r"capped at n=4, got 5"):
+        _monotone_function_masks(5)
+
+
 def test_dedekind_published_values():
     assert dedekind(5) == 7581
     assert dedekind(6) == 7828354

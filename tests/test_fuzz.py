@@ -11,7 +11,9 @@ the file format's vocabulary, and well-formed files that are then spliced
 with soup or raw bytes.  Well-formed domain files stay at up to four
 alternatives and two agents, so that one example (``--oracle`` included)
 runs in milliseconds; the alternative-count guard gets its own explicit
-example.  A ``verify-theorem`` sweep or an ``enumerate-sp --oracle`` scan
+example.  About one domain file in ten is instead one wide ``rankings``
+agent (20-60 seeded rankings of five or six alternatives) next to at most
+one agent with a few rankings, which still runs in milliseconds.  A ``verify-theorem`` sweep or an ``enumerate-sp --oracle`` scan
 that could run longer gets a small ``--max-profiles``.  Numeric flags are
 also drawn past ``sys.maxsize``; an example with such a ``--max-profiles``
 gets a domain of at most two alternatives, which no guard can make slow.  A
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import random
 import sys
 
@@ -128,12 +131,34 @@ def _splice(draw, data: bytes, soup: st.SearchStrategy[str]) -> bytes:
 
 
 @st.composite
+def _wide_domain(draw) -> bytes:
+    """One agent with 20-60 distinct rankings of 5-6 alternatives, drawn from
+    a seed, and maybe one more agent with a few rankings."""
+    labels = "abcdef"[: draw(st.integers(5, 6))]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    orders = rng.sample(list(itertools.permutations(labels)), draw(st.integers(20, 60)))
+    bodies = [orders]
+    if draw(st.booleans()):
+        bodies.insert(draw(st.integers(0, 1)), draw(st.lists(st.permutations(labels), max_size=3)))
+    lines = [f"alternatives {' '.join(labels)}"]
+    for n, rows in enumerate(bodies):
+        lines.append(f"agent {n + 1} {{ rankings {{ {'; '.join(map(' '.join, rows))} }} }}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+@st.composite
 def domain_bytes(draw, max_labels: int = 4, valid: bool = False) -> bytes:
     """A domain file.  With ``max_labels`` below four, a well-formed file
     stays over at most that many alternatives and is never spliced; with
-    ``valid``, the file is a valid domain."""
-    shapes = ("raw", "soup", "wellformed", "wellformed", "wellformed")
+    ``valid``, the file is a valid domain.  Otherwise about one file in ten
+    has one wide agent (see :func:`_wide_domain`), unless ``max_labels`` is
+    below four."""
+    shapes = ("raw", "raw", "soup", "soup") + ("wellformed",) * 5 + ("wide",)
     shape = "wellformed" if valid else draw(st.sampled_from(shapes))
+    if shape == "wide":
+        if max_labels == len(LABELS):
+            return draw(_wide_domain())
+        shape = "wellformed"
     if shape == "raw":
         return draw(st.binary(max_size=64))
     if shape == "soup":

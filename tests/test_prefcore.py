@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -260,6 +261,18 @@ def test_profile_at_matches_product_enumeration(k):
     pd = _mixed_product()
     expected = list(itertools.product(range(4), range(6)))[k]
     assert pd.profile_at(k) == expected
+
+
+def test_column_and_fibers_read_the_profile_order():
+    rng = random.Random(20261018)
+    rankings = all_rankings(3)
+    for _ in range(200):
+        sizes = [rng.choice((1, 1, 2, 3, 4, 6)) for _ in range(rng.randint(1, 4))]
+        pd = ProductDomain.of([PreferenceDomain.of(rng.sample(rankings, k)) for k in sizes])
+        profiles = list(pd.iter_profiles())
+        for i in range(pd.n):
+            assert list(pd.column(i)) == [p[i] for p in profiles]
+            assert pd.fibers(i) == [k for k, p in enumerate(profiles) if p[i] == 0]
 
 
 def test_product_validation():
