@@ -176,25 +176,26 @@ class ResponsePartition:
     """A product domain split by every agent's answers to their map's conditions.
 
     Per agent: the realizable answer sets in canonical order, the block of
-    each, and for each ranking its (answer index, index within that block).
-    A *response profile* is one answer set per agent; the response profiles
-    are ordered like profiles (agent 0 most significant), and each selects the
-    block product its second-step subrule runs on.  Build it with :meth:`of`,
-    which validates the maps once.
+    each, and each ranking's answer index.  A *response profile* is one
+    answer set per agent; the response profiles are ordered like profiles
+    (agent 0 most significant), and each selects the block product its
+    second-step subrule runs on.  Blocks keep the domain's order, so a
+    response profile's profiles, in order, are its block product's.  Build
+    it with :meth:`of`, which validates the maps once.
     """
 
     product: ProductDomain
     maps: tuple[RestrictionMap, ...]
     answers: tuple[tuple[AnswerSet, ...], ...]
     blocks: tuple[tuple[PreferenceDomain, ...], ...]
-    positions: tuple[tuple[tuple[int, int], ...], ...]
+    answer_of: tuple[tuple[int, ...], ...]  # per agent, per ranking
 
     @classmethod
     def of(cls, pd: ProductDomain, maps: Sequence[RestrictionMap]) -> "ResponsePartition":
         maps = tuple(maps)
         if len(maps) != pd.n:
             raise DomainError(f"need {pd.n} restriction maps, got {len(maps)}")
-        answers, blocks, positions = [], [], []
+        answers, blocks, answer_of = [], [], []
         for i, (d, map_) in enumerate(zip(pd.agents, maps)):
             if map_.m != pd.m:
                 raise DomainError(f"map for agent {i} is over a different alternative set")
@@ -203,13 +204,15 @@ class ResponsePartition:
             split = partition_by_answers(d, map_)
             answers.append(tuple(a for a, _ in split))
             blocks.append(tuple(block for _, block in split))
-            where = {
-                r: (k, j)
-                for k, (_, block) in enumerate(split)
-                for j, r in enumerate(block.rankings)
-            }
-            positions.append(tuple(where[r] for r in d.rankings))
-        return cls(pd, maps, tuple(answers), tuple(blocks), tuple(positions))
+            where = {r: k for k, (_, block) in enumerate(split) for r in block.rankings}
+            answer_of.append(tuple(where[r] for r in d.rankings))
+        return cls(pd, maps, tuple(answers), tuple(blocks), tuple(answer_of))
+
+    @cached_property
+    def indices(self) -> tuple[tuple[int, ...], ...]:
+        """Every realizable response profile as one answer index per agent,
+        canonical order."""
+        return tuple(itertools.product(*(range(len(row)) for row in self.answers)))
 
     @cached_property
     def responses(self) -> tuple[tuple[AnswerSet, ...], ...]:
@@ -222,17 +225,13 @@ class ResponsePartition:
         return tuple(self.product.with_agents(c) for c in itertools.product(*self.blocks))
 
     @cached_property
-    def gather(self) -> tuple[tuple[int, int], ...]:
-        """Per profile of the product: (response index, profile index within
-        that response's block product)."""
-        out = []
-        for combo in itertools.product(*self.positions):
-            response = sub = 0
-            for answers, blocks, (k, j) in zip(self.answers, self.blocks, combo):
-                response = response * len(answers) + k
-                sub = sub * len(blocks[k]) + j
-            out.append((response, sub))
-        return tuple(out)
+    def response_of(self) -> tuple[int, ...]:
+        """The response-profile index of every profile of the product, in
+        profile order."""
+        position = {index: r for r, index in enumerate(self.indices)}
+        column = self.product.column
+        columns = (map(row.__getitem__, column(i)) for i, row in enumerate(self.answer_of))
+        return tuple(map(position.__getitem__, zip(*columns)))
 
 
 def _mirror_permutation(m: int) -> tuple[int, ...]:

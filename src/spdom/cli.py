@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import os
 import sys
 from collections.abc import Iterable, Iterator
@@ -128,23 +129,16 @@ def _witness_text(pd: ProductDomain, w: ManipulationWitness) -> str:
     )
 
 
-def _big_count_text(value: int) -> str:
+def _count_text(value: int, limit: float) -> str:
+    """``value`` in full, or ``(N digits)`` when it has more than ``limit``."""
     digits = decimal_digit_count(value)
-    if digits <= PRINT_DIGIT_LIMIT:
-        return str(value)
-    return f"({digits} digits)"
+    return str(value) if digits <= limit else f"({digits} digits)"
 
 
-def _fits_str(value: int) -> bool:
-    """Whether ``str()`` (and so the JSON report) accepts ``value``: Python
-    refuses ints longer than its int-to-str digit limit."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    return not limit or decimal_digit_count(value) <= limit
-
-
-def _guard_count_text(value: int) -> str:
-    """``value`` in full, or its digit count where ``str()`` would refuse it."""
-    return str(value) if _fits_str(value) else f"({decimal_digit_count(value)} digits)"
+def _str_digit_limit() -> float:
+    """The most digits ``str()`` (and so the JSON report) accepts of an int:
+    Python refuses ints longer than its int-to-str digit limit."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or math.inf
 
 
 def _json_chunks(value: Any) -> Iterator[str]:
@@ -197,15 +191,14 @@ def _json_scalar(value: Any) -> str:
 
 
 def _emit(
-    options: dict[str, Any], payload: Optional[dict[str, Any]], lines: Sequence[str]
+    options: dict[str, Any], payload: Optional[dict[str, Any]], lines: Iterable[str]
 ) -> None:
-    """Write the report, as JSON or as its text lines, to stdout or ``--out``.
-    JSON is written chunk by chunk as it is rendered."""
+    """Write the report, as JSON or as its text lines, to stdout or ``--out``,
+    chunk by chunk or line by line as it is rendered."""
     if options["format"] == "json":
         chunks: Iterable[str] = itertools.chain(_json_chunks(payload), ("\n",))
     else:
-        text = "\n".join(lines)
-        chunks = (text if text.endswith("\n") else text + "\n",)
+        chunks = (line + "\n" for line in lines)
     out = options["out"]
     if out:
         _write_text(Path(out), chunks)
@@ -279,7 +272,7 @@ def _cmd_classify(options: dict[str, Any]) -> int:
         "alternatives": list(pd.labels),
         "agents": agents_payload,
     }
-    _emit(options, payload, [*comment_lines, serialize_product_domain(pd, maps)])
+    _emit(options, payload, [*comment_lines, *serialize_product_domain(pd, maps).splitlines()])
     return 0
 
 
@@ -411,7 +404,7 @@ def _cmd_count_subrules(options: dict[str, Any]) -> int:
         _emit(options, payload, ())
         return exit_code
 
-    lines = [
+    head = [
         f"alternatives: {report.m} ({' '.join(pd.labels)}); "
         f"agents: {pd.n}; profiles: {report.profile_count}",
         f"naive table bound: {report.m}^{report.profile_count} ({report.naive_digits} digits)",
@@ -419,28 +412,32 @@ def _cmd_count_subrules(options: dict[str, Any]) -> int:
     # Each block's answer-set text and size are formatted once, not per profile.
     answer_texts = [[format_answer_set(a, pd.labels) for a in row] for row in partition.answers]
     size_texts = [[str(len(b)) for b in row] for row in partition.blocks]
-    for block in report.blocks:
-        label = "|".join([texts[j] for texts, j in zip(answer_texts, block.index)])
-        sizes = "x".join([texts[j] for texts, j in zip(size_texts, block.index)])
-        dictatorial = block.subtotal - block.constants - block.two_outcome
-        lines.append(
-            f"response profile {label}: block sizes {sizes}; subtotal {block.subtotal} "
-            f"= {block.constants} constant + {block.two_outcome} two-outcome "
-            f"+ {dictatorial} dictatorial"
-        )
-    lines.append(
-        f"strategy-proof two-step rules: {_big_count_text(report.product)}"
+
+    def block_lines() -> Iterator[str]:
+        for block in report.blocks:
+            label = "|".join([texts[j] for texts, j in zip(answer_texts, block.index)])
+            sizes = "x".join([texts[j] for texts, j in zip(size_texts, block.index)])
+            dictatorial = block.subtotal - block.constants - block.two_outcome
+            yield (
+                f"response profile {label}: block sizes {sizes}; subtotal {block.subtotal} "
+                f"= {block.constants} constant + {block.two_outcome} two-outcome "
+                f"+ {dictatorial} dictatorial"
+            )
+
+    # The lines after the blocks are built first, so a failure writes nothing.
+    tail = [
+        f"strategy-proof two-step rules: {_count_text(report.product, PRINT_DIGIT_LIMIT)}"
         + (f" ({product_digits} digits)" if product_digits <= PRINT_DIGIT_LIMIT else "")
-    )
+    ]
     if oracle_payload is not None:
         for block, size in mismatches:
-            lines.append(
+            tail.append(
                 f"ORACLE MISMATCH at response profile "
                 f"{format_response(block.answers, pd.labels)}: "
                 f"catalog has {size} subrules, formula says {block.subtotal}"
             )
-        lines.append(f"oracle (explicit catalogs): {'agrees' if not mismatches else 'DISAGREES'}")
-    _emit(options, None, lines)
+        tail.append(f"oracle (explicit catalogs): {'agrees' if not mismatches else 'DISAGREES'}")
+    _emit(options, None, itertools.chain(head, block_lines(), tail))
     return exit_code
 
 
@@ -454,7 +451,7 @@ def _parse_range_filter(spec: DomainSpec, text: Optional[str]) -> Optional[tuple
         if part not in label_to_id:
             raise DomainError(f"unknown alternative {part!r} in --range")
         ids.append(label_to_id[part])
-    return tuple(ids)
+    return tuple(dict.fromkeys(ids))  # repeats dropped, first-seen order kept
 
 
 def _brute_force_sp_count(
@@ -466,7 +463,7 @@ def _brute_force_sp_count(
     total = len(outcomes) ** count
     if total > ORACLE_TABLE_LIMIT:
         raise SizeLimitError(
-            f"oracle would scan {_guard_count_text(total)} tables,"
+            f"oracle would scan {_count_text(total, _str_digit_limit())} tables,"
             f" over the cap of {ORACLE_TABLE_LIMIT}"
         )
     found = []
@@ -587,19 +584,19 @@ def _cmd_decompose(options: dict[str, Any]) -> int:
     partition = _load_partition(options)
     pd = partition.product
     rule = parse_rule_file(_read_text(options["rule"]), pd)
-    report = decompose(rule, partition)
+    blocks = decompose(rule, partition)
 
     kinds = {"dictatorial": 0, "sp_range_le_2": 0, "violation": 0}
-    for block in report.blocks:
+    for block in blocks:
         kinds[block.classification] += 1
     lines = [
-        f"response profiles: {len(report.blocks)}; "
+        f"response profiles: {len(blocks)}; "
         f"dictatorial: {kinds['dictatorial']}; "
         f"two-outcome: {kinds['sp_range_le_2']}; "
         f"violations: {kinds['violation']}"
     ]
     blocks_payload = []
-    for block in report.blocks:
+    for block in blocks:
         sizes = "x".join(str(len(d)) for d in block.subrule.domain.agents)
         dictators = _dictator_names(pd, block.dictators)
         lines.append(
@@ -696,10 +693,11 @@ def _cmd_search_two_step(options: dict[str, Any]) -> int:
     result = search_sp_combinations(partition, budget=options["budget"])
     catalogs, total = result.catalogs, result.candidates_total
     sizes = "x".join(str(len(c)) for c in catalogs)
+    limit = _str_digit_limit()
 
     lines = [
         f"response profiles: {len(catalogs)}; catalog sizes: {sizes}; "
-        f"candidates: {_guard_count_text(total)}; tried: {result.candidates_tried}; "
+        f"candidates: {_count_text(total, limit)}; tried: {result.candidates_tried}; "
         f"complete: {'yes' if result.complete else 'no'}"
     ]
     lines.append(f"strategy-proof assignments: {len(result.assignments)}")
@@ -717,7 +715,7 @@ def _cmd_search_two_step(options: dict[str, Any]) -> int:
     payload = {
         "command": "search-two-step",
         "response_profiles": len(catalogs),
-        "candidates_total": total if _fits_str(total) else None,
+        "candidates_total": total if decimal_digit_count(total) <= limit else None,
         "candidates_tried": result.candidates_tried,
         "complete": result.complete,
         "found": len(result.assignments),

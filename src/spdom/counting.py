@@ -435,7 +435,7 @@ def count_second_step(partition: ResponsePartition) -> SubruleCountReport:
 
     blocks: list[BlockCount] = []
     product = 1
-    for index in itertools.product(*(range(len(row)) for row in tallies)):
+    for index in partition.indices:
         planes: list[int] = []  # planes[b]: the pairs whose free-agent count has bit b set
         dictatorial = 0
         for row, j in zip(tallies, index):

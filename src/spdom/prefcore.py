@@ -243,11 +243,9 @@ def generate_domain(kind: str, **params) -> PreferenceDomain:
     - ``single_peaked`` (``axis``): rankings single-peaked along the given
       left-to-right sequence of alternative ids.
     - ``single_dipped`` (``axis``): rankings single-dipped along the axis.
-    - ``fixed_pairs`` (``m``, ``pairs``): the closure of a set of oriented pairs.
     - ``self_preferring`` (``m``, ``owner``): rankings placing ``owner`` first.
     - ``juror_bias`` (``m``, ``high``, ``low``): rankings placing every
       alternative in ``high`` above every alternative in ``low``.
-    - ``explicit`` (``rankings``): exactly the given rankings (or order tuples).
     """
 
     def _take(*names: str) -> list:
@@ -272,9 +270,6 @@ def generate_domain(kind: str, **params) -> PreferenceDomain:
         if kind == "single_dipped":  # the reverses of the single-peaked rankings
             return PreferenceDomain.of(Ranking(r.order[::-1]) for r in peaked)
         return PreferenceDomain(m, tuple(peaked))
-    if kind == "fixed_pairs":
-        m, pairs = _take("m", "pairs")
-        return nonconditional_closure(pairs, m)
     if kind == "self_preferring":
         m, owner = _take("m", "owner")
         _check_alternative_count(m)
@@ -293,10 +288,6 @@ def generate_domain(kind: str, **params) -> PreferenceDomain:
             raise DomainError("juror_bias groups must be disjoint")
         pairs = [OrderedPair(a, b) for a in high for b in low]
         return nonconditional_closure(pairs, m)
-    if kind == "explicit":
-        (rankings,) = _take("rankings")
-        rs = [r if isinstance(r, Ranking) else Ranking(tuple(r)) for r in rankings]
-        return PreferenceDomain.of(rs)
     raise DomainError(f"unknown domain kind {kind!r}")
 
 

@@ -48,19 +48,15 @@ class BlockDecomposition:
     range_size: int
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
-    blocks: tuple[BlockDecomposition, ...]
-
-
-def decompose(rule: Rule, partition: ResponsePartition) -> DecompositionReport:
-    """Split a rule into its response-profile subrules and classify each as
-    dictatorial, strategy-proof with at most two outcomes, or a violation."""
+def decompose(rule: Rule, partition: ResponsePartition) -> tuple[BlockDecomposition, ...]:
+    """Split a rule into its response-profile subrules, in canonical order,
+    and classify each as dictatorial, strategy-proof with at most two
+    outcomes, or a violation."""
     if rule.domain != partition.product:
         raise DomainError("rule is over a different product than the response partition")
-    tables = [[0] * block.profile_count for block in partition.block_products]
-    for outcome, (r, s) in zip(rule.table, partition.gather):
-        tables[r][s] = outcome
+    tables: list[list[int]] = [[] for _ in partition.indices]
+    for outcome, r in zip(rule.table, partition.response_of):
+        tables[r].append(outcome)
     blocks: list[BlockDecomposition] = []
     for answers, block, table in zip(partition.responses, partition.block_products, tables):
         subrule = Rule(block, tuple(table))
@@ -81,7 +77,7 @@ def decompose(rule: Rule, partition: ResponsePartition) -> DecompositionReport:
                 range_size=len(attained),
             )
         )
-    return DecompositionReport(tuple(blocks))
+    return tuple(blocks)
 
 
 @dataclass(frozen=True)
@@ -173,6 +169,20 @@ def _block_masks(block: ProductDomain, agent: int) -> Callable[[Rule], tuple[int
     return masks
 
 
+def _later_neighbours(partition: ResponsePartition) -> list[list[tuple[int, int]]]:
+    """Per response profile v: (w, agent) for each response profile w after v
+    that differs from v only in that agent's answers, last agent first."""
+    position = {index: v for v, index in enumerate(partition.indices)}
+    return [
+        [
+            (position[index[:agent] + (k,) + index[agent + 1 :]], agent)
+            for agent in reversed(range(len(index)))
+            for k in range(index[agent] + 1, len(partition.answers[agent]))
+        ]
+        for index in partition.indices
+    ]
+
+
 def _search_compatible(
     partition: ResponsePartition, catalogs: Sequence[Sequence[Rule]], budget: int
 ) -> list[tuple[int, ...]]:
@@ -190,18 +200,7 @@ def _search_compatible(
     # Indices whose rank alone reaches the budget can be left out at once.
     limits = [min(size, -(-budget // weight)) for size, weight in zip(sizes, weights)]
 
-    # later[v]: (w, agent) for each response profile w after v that differs
-    # from v only in that agent's answers.
-    answer_counts = [len(a) for a in partition.answers]
-    later: list[list[tuple[int, int]]] = [[] for _ in range(count)]
-    step = 1
-    for agent in range(len(answer_counts) - 1, -1, -1):
-        k_count = answer_counts[agent]
-        for v in range(count):
-            k = v // step % k_count
-            later[v].extend((v + (k2 - k) * step, agent) for k2 in range(k + 1, k_count))
-        step *= k_count
-
+    later = _later_neighbours(partition)
     blocks = partition.block_products
     scanners: dict[tuple[int, int], Callable[[Rule], tuple[int, int]]] = {}
     mask_memo: dict[tuple[int, int, int], tuple[int, int]] = {}

@@ -576,8 +576,8 @@ def assemble(partition: ResponsePartition, subrules: Sequence[Rule]) -> Rule:
     """Glue block subrules (one per response profile, canonical order) into one
     full rule: each profile is answered by the subrule of its response profile."""
     _check_subrules(partition, subrules)
-    tables = [subrule.table for subrule in subrules]
-    return Rule(partition.product, tuple(tables[r][s] for r, s in partition.gather))
+    tables = [iter(subrule.table) for subrule in subrules]
+    return Rule(partition.product, tuple(next(tables[r]) for r in partition.response_of))
 
 
 @dataclass(frozen=True)
@@ -613,9 +613,9 @@ def first_step_witnesses(
         raise DomainError("rule is over a different product than the response partition")
     out = []
     for witness in iter_manipulations(rule, max_profiles):
-        positions = partition.positions[witness.agent]
-        sincere = positions[witness.profile[witness.agent]][0]
-        deviating = positions[witness.deviation][0]
+        answer_of = partition.answer_of[witness.agent]
+        sincere = answer_of[witness.profile[witness.agent]]
+        deviating = answer_of[witness.deviation]
         out.append(FirstStepWitness(witness, answer_changing=sincere != deviating))
     return tuple(out)
 

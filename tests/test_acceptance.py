@@ -182,8 +182,8 @@ def test_acceptance_05_leftmost_peak_rule_decomposes_cleanly(sp3_spec):
         assert len(range_of(rule)) == 3
 
         maps = sp3_spec.resolved_maps("default")
-        report = decompose(rule, ResponsePartition.of(pd, maps))
-        kinds = {b.classification for b in report.blocks}
+        blocks = decompose(rule, ResponsePartition.of(pd, maps))
+        kinds = {b.classification for b in blocks}
         assert kinds <= {"dictatorial", "sp_range_le_2"}
 
 
@@ -300,7 +300,7 @@ def test_acceptance_10_assembly_witnesses_change_answers(ex1_spec):
         rule = assemble(partition, assignment.subrules)
 
         # Every block is strategy-proof.
-        kinds = {b.classification for b in decompose(rule, partition).blocks}
+        kinds = {b.classification for b in decompose(rule, partition)}
         assert kinds <= {"dictatorial", "sp_range_le_2"}
         assert find_manipulation(rule) is not None  # but the whole is not
         witnesses = first_step_witnesses(rule, partition)

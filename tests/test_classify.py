@@ -15,6 +15,7 @@ from spdom import (
     DomainError,
     OrderedPair,
     PreferenceDomain,
+    Ranking,
     RestrictionMap,
     UnsatisfiableRestrictionError,
     all_rankings,
@@ -69,7 +70,7 @@ def test_apply_restriction():
     r = oracles.DomainRestriction(frozenset({OrderedPair(0, 1)}), OrderedPair(1, 2))
     assert oracles.apply_restriction(universal, r) == SP3
     total = oracles.DomainRestriction(frozenset(), OrderedPair(0, 1))
-    chain = generate_domain("explicit", rankings=[(1, 0, 2)])
+    chain = PreferenceDomain.of([Ranking((1, 0, 2))])
     with pytest.raises(UnsatisfiableRestrictionError):
         oracles.apply_restriction(chain, total)
 
@@ -107,12 +108,12 @@ def test_classify_non_conditional_domains():
     m = classify(universal)
     assert m.base == frozenset() and m.conditionals == ()
 
-    one_pair = generate_domain("fixed_pairs", m=3, pairs=[(0, 1)])
+    one_pair = nonconditional_closure([(0, 1)], 3)
     m = classify(one_pair)
     assert m.base == frozenset({OrderedPair(0, 1)}) and m.conditionals == ()
     assert rebuild(m) == one_pair
 
-    singleton = generate_domain("explicit", rankings=[(0, 1, 2)])
+    singleton = PreferenceDomain.of([Ranking((0, 1, 2))])
     m = classify(singleton)
     assert m.base == frozenset(
         {OrderedPair(0, 1), OrderedPair(0, 2), OrderedPair(1, 2)}

@@ -410,6 +410,17 @@ def test_enumerate_sp_range_filter(cli):
     assert payload["range_filter"] == ["x", "y"]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_enumerate_sp_range_drops_repeated_labels(cli, fmt):
+    # The filter is a set: a repeated label is echoed once, first-seen order
+    # kept, so the report is the one for the labels without repeats.
+    argv = ("enumerate-sp", "--domain", UNI3, "--format", fmt)
+    repeated = cli(*argv, "--range", "x,y,x")
+    assert repeated == cli(*argv, "--range", "x,y")
+    assert repeated[0] == 0
+    assert cli(*argv, "--range", "y,x,y") == cli(*argv, "--range", "y,x") != repeated
+
+
 def test_enumerate_sp_out_dir(cli, tmp_path):
     out_dir = tmp_path / "rules"
     code, out, err = cli("enumerate-sp", "--domain", UNI3, "--out", str(out_dir))

@@ -17,6 +17,7 @@ from spdom import (
     PreferenceDomain,
     ProductDomain,
     ProductFamily,
+    Ranking,
     ResponsePartition,
     RestrictionMap,
     SizeLimitError,
@@ -86,8 +87,8 @@ def test_dedekind_guards():
 
 
 def _tiny_two_agent() -> ProductDomain:
-    d0 = generate_domain("explicit", rankings=[(0, 1, 2), (1, 0, 2)])
-    d1 = generate_domain("explicit", rankings=[(0, 1, 2), (2, 1, 0)])
+    d0 = PreferenceDomain.of(Ranking(o) for o in [(0, 1, 2), (1, 0, 2)])
+    d1 = PreferenceDomain.of(Ranking(o) for o in [(0, 1, 2), (2, 1, 0)])
     return ProductDomain.of([d0, d1])
 
 
@@ -122,7 +123,7 @@ def test_count_sp_range2_vs_brute_force_two_agents():
 
 
 def test_count_sp_range2_fixed_pair_is_zero():
-    chain = generate_domain("explicit", rankings=[(0, 1, 2)])
+    chain = PreferenceDomain.of([Ranking((0, 1, 2))])
     assert count_sp_range2([chain], (0, 1)) == dedekind(0) - 2 == 0
     assert pair_vote_rules(ProductDomain.of([chain]), (0, 1)) == ()
 
@@ -157,7 +158,7 @@ def test_dictatorial_rules_vs_oracle():
 
 def test_dictatorial_rules_need_steerable_range():
     # A single-ranking agent cannot steer any multi-alternative range.
-    chain = generate_domain("explicit", rankings=[(0, 1, 2)])
+    chain = PreferenceDomain.of([Ranking((0, 1, 2))])
     pd = ProductDomain.of([chain, chain])
     assert dictatorial_rules(pd, 3) == ()
     with pytest.raises(DomainError):
@@ -173,9 +174,9 @@ def test_steerable_range_count():
     # Single-peaked on x < y < z: each peak is reachable, so every range is.
     assert [steerable_range_count(SP3, k) for k in (1, 2, 3)] == [3, 3, 1]
     # Both rankings put z last, so of the pairs only {x, y} is steerable.
-    two = generate_domain("explicit", rankings=[(0, 1, 2), (1, 0, 2)])
+    two = PreferenceDomain.of(Ranking(o) for o in [(0, 1, 2), (1, 0, 2)])
     assert [steerable_range_count(two, k) for k in (1, 2, 3)] == [3, 1, 0]
-    chain = generate_domain("explicit", rankings=[(0, 1, 2)])
+    chain = PreferenceDomain.of([Ranking((0, 1, 2))])
     assert [steerable_range_count(chain, k) for k in (1, 2, 3)] == [3, 0, 0]
     with pytest.raises(DomainError):
         steerable_range_count(UNI3, 0)

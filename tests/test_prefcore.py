@@ -134,13 +134,6 @@ def test_juror_bias():
         generate_domain("juror_bias", m=3, high=[0], low=[0])
 
 
-def test_fixed_pairs_and_explicit():
-    d = generate_domain("fixed_pairs", m=3, pairs=[(0, 1), (1, 2)])
-    assert [r.order for r in d.rankings] == [(0, 1, 2)]
-    e = generate_domain("explicit", rankings=[(1, 0, 2), (0, 1, 2)])
-    assert [r.order for r in e.rankings] == [(0, 1, 2), (1, 0, 2)]
-
-
 def test_generate_domain_parameter_validation():
     with pytest.raises(DomainError):
         generate_domain("universal")  # missing m
@@ -170,7 +163,7 @@ def test_pair_sets_single_peaked3_all_free():
 
 
 def test_pair_sets_chain():
-    d = generate_domain("explicit", rankings=[(0, 1, 2)])
+    d = PreferenceDomain.of([Ranking((0, 1, 2))])
     sets = pair_sets(d)
     assert sets.free == frozenset()
     assert sets.fixed == frozenset(

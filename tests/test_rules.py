@@ -10,7 +10,9 @@ from oracles import dictatorship, is_strategy_proof, option_set
 from spdom import (
     DomainError,
     ParseError,
+    PreferenceDomain,
     ProductDomain,
+    Ranking,
     Rule,
     SizeLimitError,
     audit_sp_lemmas,
@@ -34,8 +36,8 @@ def _single_agent_uni3() -> ProductDomain:
 
 
 def _tiny_two_agent() -> ProductDomain:
-    d0 = generate_domain("explicit", rankings=[(0, 1, 2), (1, 0, 2)])
-    d1 = generate_domain("explicit", rankings=[(0, 1, 2), (2, 1, 0)])
+    d0 = PreferenceDomain.of(Ranking(o) for o in [(0, 1, 2), (1, 0, 2)])
+    d1 = PreferenceDomain.of(Ranking(o) for o in [(0, 1, 2), (2, 1, 0)])
     return ProductDomain.of([d0, d1])
 
 
@@ -175,7 +177,7 @@ def test_option_set_of_dictatorship():
 
 
 def test_audit_flags_freeness_and_maximality():
-    d = generate_domain("explicit", rankings=[(0, 1, 2), (0, 2, 1)])
+    d = PreferenceDomain.of(Ranking(o) for o in [(0, 1, 2), (0, 2, 1)])
     pd = ProductDomain.of([d])
     # Both members put alternative 0 on top, so the pair (0, 1) is fixed; a
     # rule attaining {0, 1} across this agent's reports breaks freeness.
@@ -203,8 +205,8 @@ def test_anti_dictatorship_is_manipulable():
 def test_restrict_rule_values():
     pd = ProductDomain.of([UNI3, UNI3])
     rule = Rule(pd, tuple((i * 5 + 1) % 3 for i in range(36)))
-    sub0 = generate_domain("explicit", rankings=[(0, 1, 2), (2, 1, 0)])
-    sub1 = generate_domain("explicit", rankings=[(1, 0, 2)])
+    sub0 = PreferenceDomain.of(Ranking(o) for o in [(0, 1, 2), (2, 1, 0)])
+    sub1 = PreferenceDomain.of([Ranking((1, 0, 2))])
     small = oracles.restrict_rule(rule, [sub0, sub1])
     assert small.domain.sizes == (2, 1)
     outcome = dict(zip(pd.iter_profiles(), rule.table))
@@ -267,13 +269,14 @@ def test_rule_roundtrip():
 
 
 def test_rule_parse_accepts_comments_and_blanks():
-    pd = ProductDomain.of([generate_domain("explicit", rankings=[(0, 1)])], labels=["x", "y"])
+    pd = ProductDomain.of([PreferenceDomain.of([Ranking((0, 1))])], labels=["x", "y"])
     text = "# a comment\nalternatives: x y\n\nxy -> y  # pick y\n"
     assert parse_rule_file(text, pd).table == (1,)
 
 
 def test_rule_parse_errors():
-    pd = ProductDomain.of([generate_domain("explicit", rankings=[(0, 1), (1, 0)])], labels=["x", "y"])
+    d = PreferenceDomain.of(Ranking(o) for o in [(0, 1), (1, 0)])
+    pd = ProductDomain.of([d], labels=["x", "y"])
     good = "alternatives: x y\nxy -> x\nyx -> y\n"
     assert parse_rule_file(good, pd).table == (0, 1)
 

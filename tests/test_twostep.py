@@ -45,6 +45,7 @@ from spdom import (
     serialize_rule,
 )
 from spdom.counting import _catalogs_fit
+from spdom.twostep import _later_neighbours
 
 SP3 = generate_domain("single_peaked", axis=[0, 1, 2])
 XY = frozenset({OrderedPair(0, 1)})
@@ -94,22 +95,45 @@ def test_blocks_for():
     assert [r.order for r in block.agents[0].rankings] == [(0, 1, 2)]
 
 
-def test_gather_locates_every_profile():
-    # Independent route: look each profile's rankings up in its block product.
-    partition = _sp3_partition()
-    pd = partition.product
-    assert len(partition.gather) == pd.profile_count
-    for profile, (r, s) in zip(pd.iter_profiles(), partition.gather):
-        rankings = [d.rankings[digit] for digit, d in zip(profile, pd.agents)]
-        answers = tuple(
-            satisfied_antecedents(ranking, map_)
-            for ranking, map_ in zip(rankings, partition.maps)
-        )
-        assert partition.responses[r] == answers
-        block = partition.block_products[r]
-        assert block.profile_at(s) == tuple(
-            d.rankings.index(ranking) for d, ranking in zip(block.agents, rankings)
-        )
+def test_response_grid_reads_the_profile_order():
+    # Independent routes: each profile's answer sets looked up ranking by
+    # ranking, each block product's own profile order, and a scan of every
+    # pair of response profiles.
+    rng = random.Random(20261019)
+    for _ in range(60):
+        m = rng.choice((3, 4))
+        rankings = all_rankings(m)
+        domains = [
+            PreferenceDomain.of(rng.sample(rankings, rng.randint(1, min(8, len(rankings)))))
+            for _ in range(rng.randint(1, 3))
+        ]
+        pd = ProductDomain.of(domains)
+        partition = ResponsePartition.of(pd, [classify(d) for d in domains])
+        seen = [0] * len(partition.indices)
+        for profile, r in zip(pd.iter_profiles(), partition.response_of):
+            own = [d.rankings[digit] for digit, d in zip(profile, pd.agents)]
+            assert partition.responses[r] == tuple(
+                satisfied_antecedents(ranking, map_) for ranking, map_ in zip(own, partition.maps)
+            )
+            block = partition.block_products[r]
+            digits = block.profile_at(seen[r])
+            assert [d.rankings[digit] for digit, d in zip(digits, block.agents)] == own
+            seen[r] += 1
+        assert seen == [block.profile_count for block in partition.block_products]
+
+        indices = partition.indices
+        assert _later_neighbours(partition) == [
+            [
+                (w, agent)
+                for agent in reversed(range(pd.n))
+                for w in range(v + 1, len(indices))
+                if [i for i in range(pd.n) if indices[v][i] != indices[w][i]] == [agent]
+            ]
+            for v in range(len(indices))
+        ]
+
+        rule = Rule(pd, tuple(rng.randrange(m) for _ in range(pd.profile_count)))
+        assert assemble(partition, [b.subrule for b in decompose(rule, partition)]) == rule
 
 
 def test_map_validation():
@@ -225,17 +249,17 @@ def test_decompose_leftmost_top_rule():
     assert is_strategy_proof(rule)
     assert dictators_of(rule) == frozenset()
     assert range_of(rule) == frozenset({0, 1, 2})
-    report = decompose(rule, partition)
-    kinds = [b.classification for b in report.blocks]
+    blocks = decompose(rule, partition)
+    kinds = [b.classification for b in blocks]
     assert kinds == [
         DECOMPOSITION_TWO_OUTCOME,
         DECOMPOSITION_DICTATORIAL,
         DECOMPOSITION_DICTATORIAL,
         DECOMPOSITION_DICTATORIAL,
     ]
-    assert report.blocks[0].range_size == 2
-    assert report.blocks[0].dictators == frozenset()
-    assert all(b.range_size == 1 for b in report.blocks[1:])
+    assert blocks[0].range_size == 2
+    assert blocks[0].dictators == frozenset()
+    assert all(b.range_size == 1 for b in blocks[1:])
 
 
 def test_decompose_flags_manipulable_subrule():
@@ -245,8 +269,8 @@ def test_decompose_flags_manipulable_subrule():
     for profile in pd.iter_profiles():
         table.append(pd.agents[0].rankings[profile[0]].order[-1])
     rule = Rule(pd, tuple(table))
-    report = decompose(rule, partition)
-    assert any(b.classification == DECOMPOSITION_VIOLATION for b in report.blocks)
+    blocks = decompose(rule, partition)
+    assert any(b.classification == DECOMPOSITION_VIOLATION for b in blocks)
 
 
 def test_decompose_subrules_restrict_the_rule():
@@ -254,7 +278,7 @@ def test_decompose_subrules_restrict_the_rule():
     pd = partition.product
     rule = _leftmost_top_rule(pd)
     outcome = dict(zip(pd.iter_profiles(), rule.table))
-    for block in decompose(rule, partition).blocks:
+    for block in decompose(rule, partition):
         sub_pd = block.subrule.domain
         for profile, sub_outcome in zip(sub_pd.iter_profiles(), block.subrule.table):
             parent_profile = tuple(
@@ -290,7 +314,7 @@ def test_first_step_witnesses_all_answer_changing(ex1_spec):
     assert all(w.answer_changing for w in witnesses)
     # Every block subrule is (trivially) strategy-proof even though the
     # assembled rule is manipulable.
-    kinds = {b.classification for b in decompose(rule, partition).blocks}
+    kinds = {b.classification for b in decompose(rule, partition)}
     assert DECOMPOSITION_VIOLATION not in kinds
 
 
@@ -551,7 +575,7 @@ def test_assemble_inverts_decompose_on_every_sp_rule(setup):
     rules = list(enumerate_sp_rules(partition.product))
     assert len(rules) == expected_rules
     for rule in rules:
-        report = decompose(rule, partition)
-        assert DECOMPOSITION_VIOLATION not in {b.classification for b in report.blocks}
-        reassembled = assemble(partition, tuple(b.subrule for b in report.blocks))
+        blocks = decompose(rule, partition)
+        assert DECOMPOSITION_VIOLATION not in {b.classification for b in blocks}
+        reassembled = assemble(partition, tuple(b.subrule for b in blocks))
         assert reassembled == rule
