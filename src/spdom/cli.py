@@ -32,6 +32,7 @@ from typing import Any, Callable, Optional, Sequence
 from .classify import ResponsePartition, classify, partition_by_answers
 from .counting import (
     ProductFamily,
+    _enumeration_outcomes,
     decimal_digit_count,
     count_second_step,
     enumerate_sp_rules,
@@ -454,11 +455,11 @@ def _parse_range_filter(spec: DomainSpec, text: Optional[str]) -> Optional[tuple
     return tuple(dict.fromkeys(ids))  # repeats dropped, first-seen order kept
 
 
-def _brute_force_sp_count(
-    pd: ProductDomain, range_filter: Optional[tuple[int, ...]]
-) -> list[tuple[int, ...]]:
-    """Independent check for enumerate-sp: try every outcome table."""
-    outcomes = tuple(range(pd.m)) if range_filter is None else tuple(sorted(set(range_filter)))
+def _brute_force_sp_tables(
+    pd: ProductDomain, outcomes: tuple[int, ...]
+) -> Iterator[tuple[int, ...]]:
+    """Independent check for enumerate-sp: the tables over ``outcomes`` the
+    manipulation scan passes.  The cap is checked at the call."""
     count = pd.profile_count
     total = len(outcomes) ** count
     if total > ORACLE_TABLE_LIMIT:
@@ -466,11 +467,8 @@ def _brute_force_sp_count(
             f"oracle would scan {_count_text(total, _str_digit_limit())} tables,"
             f" over the cap of {ORACLE_TABLE_LIMIT}"
         )
-    found = []
-    for table in itertools.product(outcomes, repeat=count):
-        if find_manipulation(Rule(pd, table)) is None:
-            found.append(table)
-    return found
+    tables = itertools.product(outcomes, repeat=count)
+    return (table for table in tables if find_manipulation(Rule(pd, table)) is None)
 
 
 def _cmd_enumerate_sp(options: dict[str, Any]) -> int:
@@ -478,6 +476,9 @@ def _cmd_enumerate_sp(options: dict[str, Any]) -> int:
     pd = spec.product
     range_filter = _parse_range_filter(spec, options["range"])
     max_profiles = options["max_profiles"]
+    # The guards, then the oracle's cap, before any rule is enumerated or written.
+    outcomes = _enumeration_outcomes(pd, range_filter, max_profiles)
+    brute_force = _brute_force_sp_tables(pd, outcomes) if options["oracle"] else None
     rules = list(enumerate_sp_rules(pd, range_filter=range_filter, max_profiles=max_profiles))
 
     lines = [f"strategy-proof rules: {len(rules)}"]
@@ -493,8 +494,8 @@ def _cmd_enumerate_sp(options: dict[str, Any]) -> int:
 
     oracle_payload = None
     exit_code = 0
-    if options["oracle"]:
-        brute = _brute_force_sp_count(pd, range_filter)
+    if brute_force is not None:
+        brute = list(brute_force)
         agrees = brute == [r.table for r in rules]
         oracle_payload = {"agrees": agrees, "count": len(brute)}
         lines.append(
@@ -553,10 +554,10 @@ def _cmd_check_rule(options: dict[str, Any]) -> int:
         # Independent route: a rule is strategy-proof exactly when every realized
         # outcome is its reporter's best option-set member; and a strategy-proof
         # rule's option sets must be pairwise free.  (The witness comes from the
-        # manipulation scan, the faults from the option sets.)
+        # manipulation scan, which compares two cells' outcomes by position; the
+        # faults come from the option-set test, OptionSets.admissible.)
         agrees = (witness is None) == (not audit.maximality_faults)
-        if witness is None and audit.freeness_faults:
-            agrees = False
+        agrees = agrees and not (witness is None and audit.freeness_faults)
         oracle_payload = {"agrees": agrees}
         lines.append(f"oracle (option-set audit): {'agrees' if agrees else 'DISAGREES'}")
         if not agrees:

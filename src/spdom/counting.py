@@ -2,8 +2,8 @@
 
 Two independent routes to the same numbers live here on purpose:
 
-- :func:`enumerate_sp_rules` walks outcome tables with backtracking and
-  incremental adjacent-profile constraint checks — brute force, definitional;
+- :func:`enumerate_sp_rules` walks outcome tables by backtracking, each
+  cell narrowed to what the option-set test admits — the definition;
 - :func:`count_second_step` (with :func:`steerable_range_count` and the
   published monotone-function counts of :func:`dedekind`) computes the same
   totals in closed form for rules that are dictatorial-on-a-block or confined
@@ -60,8 +60,8 @@ from .prefcore import (
     pair_sets,
 )
 from .rules import (
+    OptionSets,
     Rule,
-    _better_masks,
     _check_profile_guard,
     _check_table_cap,
     audit_sp_lemmas,
@@ -69,6 +69,23 @@ from .rules import (
     dictators_of,
     range_of,
 )
+
+
+def _enumeration_outcomes(
+    pd: ProductDomain, range_filter: Optional[Iterable[int]], max_profiles: int
+) -> tuple[int, ...]:
+    """The outcomes :func:`enumerate_sp_rules` tries, ascending, after its
+    checks: the profile guard, the table cap, then the range filter."""
+    _check_profile_guard(pd.profile_count, max_profiles)
+    _check_table_cap(pd.profile_count)
+    m = pd.m
+    outcomes = tuple(range(m) if range_filter is None else sorted(set(range_filter)))
+    for alt in outcomes:
+        if not 0 <= alt < m:
+            raise DomainError(f"range filter alternative {alt} is outside 0..{m - 1}")
+    if not outcomes:
+        raise DomainError("range filter must allow at least one outcome")
+    return outcomes
 
 
 def enumerate_sp_rules(
@@ -79,50 +96,30 @@ def enumerate_sp_rules(
     """All strategy-proof rules on ``pd``, outcome tables in ascending
     lexicographic order, optionally with range restricted to ``range_filter``.
 
-    Backtracking over the canonical profile order: a partial table is extended
-    one profile at a time, and each new cell is checked against every already
-    assigned profile adjacent to it (differing in one agent's report) — in
-    both deviation directions — which is exactly the strategy-proofness
-    constraint, so every completed table is strategy-proof and none is missed.
-    """
+    Backtracking over the canonical profile order, one cell at a time.  Per
+    agent, cell t keeps the option-set state (O, U) of the cells of its fiber
+    before t (:class:`~spdom.rules.OptionSets`): the state kept at the
+    previous one, q = t - strides[i], plus q's outcome.  t's candidates are
+    the outcomes admissible for its reports against those states, which is
+    the strategy-proofness check against every earlier cell of each fiber,
+    both ways.  A cell's states are rewritten whenever the search enters it,
+    so backtracking needs no undo."""
     count = pd.profile_count
-    _check_profile_guard(count, max_profiles)
-    _check_table_cap(count)
-    m = pd.m
-    if range_filter is None:
-        outcomes = tuple(range(m))
-    else:
-        outcomes = tuple(sorted(set(range_filter)))
-        for alt in outcomes:
-            if not 0 <= alt < m:
-                raise DomainError(f"range filter alternative {alt} is outside 0..{m - 1}")
-        if not outcomes:
-            raise DomainError("range filter must allow at least one outcome")
-    full_mask = 0
-    for alt in outcomes:
-        full_mask |= 1 << alt
+    full_mask = sum(1 << alt for alt in _enumeration_outcomes(pd, range_filter, max_profiles))
 
-    strides = pd.strides
-    # ok[i][dt][dq][b] = bitmask of outcomes a permitted at the later profile
-    # when the earlier adjacent profile (agent i reporting dq instead of dt)
-    # already has outcome b: b itself, or an a that dt strictly prefers to b
-    # while dq does not.
-    ok = [
-        [[[(1 << b) | (bt[b] & ~bq[b]) for b in range(m)] for bq in better] for bt in better]
-        for better in map(_better_masks, pd.agents)
+    # before[i][t]: the state of agent i's fiber at t over the cells before t
+    # (0 at a fiber's first cell).  steps[t]: per agent with such a cell q,
+    # (before[i], q, q's marks, t's test).
+    before = [[0] * count for _ in pd.agents]
+    options = [OptionSets.of(d) for d in pd.agents]
+    steps = [
+        [
+            (states, t - stride, opts.marks[d - 1], opts.admissible[d])
+            for states, stride, opts, d in zip(before, pd.strides, options, digits)
+            if d
+        ]
+        for t, digits in enumerate(pd.iter_profiles())
     ]
-
-    # neighbors[t]: for each already-assigned profile adjacent to t, the index
-    # q and the ok-row (indexed by the outcome at q) constraining t's outcome.
-    neighbors: list[list[tuple[int, list[int]]]] = []
-    for t, digits in enumerate(pd.iter_profiles()):
-        entry: list[tuple[int, list[int]]] = []
-        for i, dt in enumerate(digits):
-            stride = strides[i]
-            rows = ok[i][dt]
-            for dq in range(dt):
-                entry.append((t - (dt - dq) * stride, rows[dq]))
-        neighbors.append(entry)
 
     table = [0] * count
     masks = [0] * count
@@ -140,8 +137,9 @@ def enumerate_sp_rules(
             continue
         t += 1
         mask = full_mask
-        for q, row in neighbors[t]:
-            mask &= row[table[q]]
+        for states, q, marks, admissible in steps[t]:
+            state = states[t] = states[q] | marks[table[q]]
+            mask &= admissible[state]
             if not mask:
                 break
         masks[t] = mask
@@ -233,20 +231,16 @@ def dictatorial_rules(pd: ProductDomain, k: int) -> tuple[Rule, ...]:
     if not 1 <= k <= m:
         raise DomainError(f"range size must be in 1..{m}, got {k}")
     _check_table_cap(pd.profile_count)
-    seen: set[tuple[int, ...]] = set()
-    out: list[Rule] = []
-    for agent in range(pd.n):
-        domain = pd.agents[agent]
+    unique: dict[tuple[int, ...], Rule] = {}  # table -> its first rule
+    for agent, domain in enumerate(pd.agents):
+        admissible = OptionSets.of(domain).admissible
         for combo in itertools.combinations(range(m), k):
-            best = [min(combo, key=lambda alt: r.position[alt]) for r in domain.rankings]
-            if set(best) != set(combo):
-                continue  # the agent cannot steer the whole range
-            table = tuple(map(best.__getitem__, pd.column(agent)))
-            if table in seen:
-                continue
-            seen.add(table)
-            out.append(Rule(pd, table))
-    return tuple(out)
+            chosen = sum(1 << alt for alt in combo)
+            best = [(fits[chosen] & chosen).bit_length() - 1 for fits in admissible]
+            if len(set(best)) == k:  # the agent can steer the whole range
+                table = tuple(map(best.__getitem__, pd.column(agent)))
+                unique.setdefault(table, Rule(pd, table))
+    return tuple(unique.values())
 
 
 def steerable_range_count(d: PreferenceDomain, k: int) -> int:
@@ -289,20 +283,14 @@ def second_step_catalog(pd: ProductDomain) -> tuple[Rule, ...]:
     explicit cross-check of :func:`count_second_step`'s closed-form subtotal.
     """
     m = pd.m
-    out: list[Rule] = [constant_rule(pd, alt) for alt in range(m)]
-    seen: set[tuple[int, ...]] = {r.table for r in out}
-    for a in range(m):
-        for b in range(a + 1, m):
-            for rule in pair_vote_rules(pd, (a, b)):
-                if rule.table not in seen:
-                    seen.add(rule.table)
-                    out.append(rule)
-    for k in range(3, m + 1):
-        for rule in dictatorial_rules(pd, k):
-            if rule.table not in seen:
-                seen.add(rule.table)
-                out.append(rule)
-    return tuple(out)
+    unique: dict[tuple[int, ...], Rule] = {}  # table -> its first rule
+    for rule in itertools.chain(
+        (constant_rule(pd, alt) for alt in range(m)),
+        *(pair_vote_rules(pd, pair) for pair in itertools.combinations(range(m), 2)),
+        *(dictatorial_rules(pd, k) for k in range(3, m + 1)),
+    ):
+        unique.setdefault(rule.table, rule)
+    return tuple(unique.values())
 
 
 def _catalogs_fit(partition: ResponsePartition) -> bool:

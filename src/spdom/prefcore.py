@@ -11,6 +11,7 @@ compared structurally.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -361,10 +362,7 @@ class ProductDomain:
 
     @cached_property
     def profile_count(self) -> int:
-        count = 1
-        for d in self.agents:
-            count *= len(d)
-        return count
+        return math.prod(self.sizes)
 
     def profile_at(self, index: int) -> tuple[int, ...]:
         if not 0 <= index < self.profile_count:

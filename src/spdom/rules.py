@@ -10,10 +10,11 @@ the ``.rule`` text format.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .domfile import ParseError, format_profile
 from .prefcore import (
@@ -82,56 +83,91 @@ def _check_profile_guard(count: int, max_profiles: int) -> None:
         raise SizeLimitError(f"{count} profiles exceeds the enumeration guard of {max_profiles}")
 
 
-def _better_masks(d: PreferenceDomain) -> list[list[int]]:
-    """``[i][x]``: the alternatives that ranking ``i`` of ``d`` strictly
-    prefers to ``x``, as a bitset."""
-    out = []
-    for ranking in d.rankings:
-        row = [0] * d.m
-        acc = 0
-        for alt in ranking.order:
-            row[alt] = acc
-            acc |= 1 << alt
-        out.append(row)
-    return out
+class _Admissible(dict):
+    """For one report: state -> the outcomes that may join it, filled on first use."""
+
+    def __init__(self, marks: list[int]) -> None:
+        super().__init__()
+        self.marks = marks
+
+    def __missing__(self, state: int) -> int:
+        m = len(self.marks)
+        options = state & (1 << m) - 1
+        unbeaten = sum(1 << a for a, mark in enumerate(self.marks) if not mark >> m & options)
+        self[state] = fits = unbeaten & ~(state >> m)
+        return fits
+
+
+class OptionSets:
+    """One agent's option sets, fiber by fiber.  A fiber is one setting of
+    the other agents' reports; the agent's reports fill its cells, one each,
+    ``strides[agent]`` apart.  A state packs O, the outcomes the agent
+    reaches at a fiber (or at its first few cells), in bits ``0..m-1``, and
+    U, the outcomes some report there strictly prefers to what it gets, in
+    bits ``m..2m-1``.
+
+    A rule is strategy-proof exactly when every report gets its best member
+    of O (Barberà and Peleg, "Strategy-proof voting schemes with continuous
+    preferences", Social Choice and Welfare 7, 1990).  The one test is
+    ``admissible[d][state]``: outcome ``a`` may join a state for report
+    ``d`` exactly when ``a`` is not in U and no member of O is strictly
+    ``d``-better than ``a``.  For O alone that is d's best member of O and
+    whatever d ranks above it."""
+
+    def __init__(self, domain: PreferenceDomain) -> None:
+        m = domain.m
+        self.marks: list[list[int]] = []  # marks[d][x]: the state of a cell where d gets x
+        for ranking in domain.rankings:
+            row = [0] * m
+            above = 0
+            for alt in ranking.order:
+                row[alt] = 1 << alt | above << m
+                above |= 1 << alt
+            self.marks.append(row)
+        self.admissible = [_Admissible(row) for row in self.marks]
+
+    @classmethod
+    @functools.lru_cache(maxsize=1024)
+    def of(cls, domain: PreferenceDomain) -> "OptionSets":
+        """The option sets of ``domain``, kept for the 1,024 domains last used."""
+        return cls(domain)
+
+    def state(self, outcomes: Iterable[int]) -> int:
+        """The state of a whole fiber, from its outcomes in report order."""
+        return functools.reduce(operator.or_, map(list.__getitem__, self.marks, outcomes), 0)
 
 
 def iter_manipulations(
     rule: Rule, max_profiles: int = PROFILE_ENUMERATION_LIMIT
 ) -> Iterator[ManipulationWitness]:
     """Every manipulation, scanned agent-ascending, then profile-index, then
-    deviation — so the first yielded witness is the canonical one.  The
-    deviations at a profile are tried only when some outcome the agent can
-    reach at that setting of the other agents beats the sincere one."""
+    deviation — so the first yielded witness is the canonical one.  A fiber
+    of an agent (one setting of the other agents) has a manipulation exactly
+    when its option set O meets U (see :class:`OptionSets`).  Only there are
+    the deviations tried, each by comparing the positions of two cells'
+    outcomes in the sincere ranking."""
     pd = rule.domain
     _check_profile_guard(pd.profile_count, max_profiles)
     table = rule.table
-    positions = [[r.position for r in d.rankings] for d in pd.agents]
+    m = pd.m
     for agent in range(pd.n):
         stride = pd.strides[agent]
         size = pd.sizes[agent]
         span = size * stride
-        pos_list = positions[agent]
-        better = _better_masks(pd.agents[agent])
-        reach: dict[int, int] = {}  # base -> the outcomes the agent can reach there
-        for index, digit in enumerate(pd.column(agent)):
+        options = OptionSets.of(pd.agents[agent])
+        suspects = []  # the cells of the fibers where O meets U
+        for base in pd.fibers(agent):
+            state = options.state(table[base : base + span : stride])
+            if state & state >> m:
+                suspects.extend(range(base, base + span, stride))
+        for index in sorted(suspects):
+            digit = index // stride % size
             base = index - digit * stride
-            options = reach.get(base)
-            if options is None:
-                options = 0
-                for outcome in table[base : base + span : stride]:
-                    options |= 1 << outcome
-                reach[base] = options
-            if not better[digit][table[index]] & options:
-                continue
-            pos = pos_list[digit]
+            pos = pd.agents[agent].rankings[digit].position
             sincere = table[index]
-            sincere_rank = pos[sincere]
             for deviation in range(size):
-                if deviation == digit:
-                    continue
                 other = table[base + deviation * stride]
-                if pos[other] < sincere_rank:
+                if pos[other] < pos[sincere]:
                     yield ManipulationWitness(
                         agent=agent,
                         profile=pd.profile_at(index),
@@ -156,14 +192,12 @@ def dictators_of(rule: Rule) -> frozenset[int]:
     constant rules make every agent a (degenerate) dictator.
     """
     pd = rule.domain
-    attained = sorted(range_of(rule))
-    table = rule.table
+    attained = sum(1 << alt for alt in range_of(rule))
     out: set[int] = set()
     for agent in range(pd.n):
-        best = [
-            min(attained, key=lambda alt: r.position[alt]) for r in pd.agents[agent].rankings
-        ]
-        if all(map(operator.eq, table, map(best.__getitem__, pd.column(agent)))):
+        admissible = OptionSets.of(pd.agents[agent]).admissible
+        best = [(fits[attained] & attained).bit_length() - 1 for fits in admissible]
+        if all(map(operator.eq, rule.table, map(best.__getitem__, pd.column(agent)))):
             out.add(agent)
     return frozenset(out)
 
@@ -220,29 +254,27 @@ def audit_sp_lemmas(
     witness = find_manipulation(rule, max_profiles)
     maximality: list[OptionMaximalityFault] = []
     freeness: list[OptionFreenessFault] = []
-    free_pairs = [pair_sets(d).free for d in pd.agents]
     table = rule.table
+    m = pd.m
     for agent in range(pd.n):
         stride = pd.strides[agent]
-        size = pd.sizes[agent]
-        rankings = pd.agents[agent].rankings
+        span = pd.sizes[agent] * stride
+        options = OptionSets.of(pd.agents[agent])
+        free = pair_sets(pd.agents[agent]).free
         other_ranges = [range(pd.sizes[i]) for i in range(pd.n) if i != agent]
         # The fibers ascend in the order of the other agents' digits.
         for base, rest in zip(pd.fibers(agent), itertools.product(*other_ranges)):
-            options = sorted({table[base + r * stride] for r in range(size)})
-            for ai in range(len(options)):
-                for bi in range(ai + 1, len(options)):
-                    a, b = options[ai], options[bi]
-                    if (a, b) not in free_pairs[agent]:
-                        freeness.append(OptionFreenessFault(agent, rest, a, b))
-            for own in range(size):
-                outcome = table[base + own * stride]
-                pos = rankings[own].position
-                best = min(options, key=lambda alt: pos[alt])
-                if outcome != best:
-                    maximality.append(
-                        OptionMaximalityFault(agent, rest, own, outcome, best)
-                    )
+            outcomes = table[base : base + span : stride]
+            reach = options.state(outcomes) & (1 << m) - 1
+            members = [x for x in range(m) if reach >> x & 1]
+            for a, b in itertools.combinations(members, 2):
+                if (a, b) not in free:
+                    freeness.append(OptionFreenessFault(agent, rest, a, b))
+            for own, outcome in enumerate(outcomes):
+                fits = options.admissible[own][reach]
+                if not fits >> outcome & 1:
+                    best = (fits & reach).bit_length() - 1  # own's best member of O
+                    maximality.append(OptionMaximalityFault(agent, rest, own, outcome, best))
     return SpAuditReport(
         strategy_proof=witness is None,
         witness=witness,

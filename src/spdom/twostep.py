@@ -14,6 +14,8 @@ gain by switching blocks.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -22,8 +24,8 @@ from .counting import _catalogs_fit, second_step_catalog
 from .domfile import format_response
 from .prefcore import PROFILE_ENUMERATION_LIMIT, DomainError, ProductDomain
 from .rules import (
+    OptionSets,
     Rule,
-    _better_masks,
     _check_profile_guard,
     _check_table_cap,
     dictators_of,
@@ -68,15 +70,7 @@ def decompose(rule: Rule, partition: ResponsePartition) -> tuple[BlockDecomposit
             kind = DECOMPOSITION_TWO_OUTCOME
         else:
             kind = DECOMPOSITION_VIOLATION
-        blocks.append(
-            BlockDecomposition(
-                answers=answers,
-                subrule=subrule,
-                classification=kind,
-                dictators=dictators,
-                range_size=len(attained),
-            )
-        )
+        blocks.append(BlockDecomposition(answers, subrule, kind, dictators, len(attained)))
     return tuple(blocks)
 
 
@@ -122,9 +116,7 @@ def search_sp_combinations(
     catalogs = tuple(second_step_catalog(block) for block in partition.block_products)
 
     found = _search_compatible(partition, catalogs, budget)
-    total = 1
-    for catalog in catalogs:
-        total *= len(catalog)
+    total = math.prod(map(len, catalogs))
     tried = min(budget, total)
     return SearchResult(
         assignments=tuple(found),
@@ -137,17 +129,17 @@ def search_sp_combinations(
 
 def _block_masks(block: ProductDomain, agent: int) -> Callable[[Rule], tuple[int, int]]:
     """For subrules on ``block`` and each setting s of the other agents
-    (their block profile, last agent fastest): ``opt``, the outcomes
-    ``agent`` can reach with some ranking of their block, and ``low``, the
-    outcomes that every sincere outcome weakly beats.  Both are packed m bits
-    per s into one int."""
+    (their block profile, last agent fastest): ``opt``, the option set O of
+    ``agent`` there, and ``low``, the complement of U: the outcomes that
+    every sincere outcome weakly beats (see :class:`~spdom.rules.OptionSets`).
+    Both are packed m bits per s into one int."""
     m = block.m
     bases = block.fibers(agent)
     stride = block.strides[agent]
     span = block.sizes[agent] * stride
-    better = _better_masks(block.agents[agent])
+    options = OptionSets.of(block.agents[agent])
     everything = (1 << m) - 1
-    seen: dict[tuple[int, ...], tuple[int, int]] = {}  # outcomes over the block -> masks
+    seen: dict[tuple[int, ...], tuple[int, int]] = {}  # a fiber's outcomes -> (O, ~U)
 
     def masks(rule: Rule) -> tuple[int, int]:
         table = rule.table
@@ -156,11 +148,8 @@ def _block_masks(block: ProductDomain, agent: int) -> Callable[[Rule], tuple[int
             outcomes = table[base : base + span : stride]
             pair = seen.get(outcomes)
             if pair is None:
-                reach, floor = 0, everything
-                for d, x in enumerate(outcomes):
-                    reach |= 1 << x
-                    floor &= ~better[d][x]
-                pair = seen[outcomes] = (reach, floor)
+                state = options.state(outcomes)
+                pair = seen[outcomes] = (state & everything, ~state >> m & everything)
             opt |= pair[0] << shift
             low |= pair[1] << shift
             shift += m
@@ -202,29 +191,21 @@ def _search_compatible(
 
     later = _later_neighbours(partition)
     blocks = partition.block_products
-    scanners: dict[tuple[int, int], Callable[[Rule], tuple[int, int]]] = {}
-    mask_memo: dict[tuple[int, int, int], tuple[int, int]] = {}
-    row_memo: dict[tuple[int, int, int], int] = {}
+    scanner = functools.lru_cache(maxsize=None)(lambda v, agent: _block_masks(blocks[v], agent))
 
+    @functools.lru_cache(maxsize=None)
     def mask(v: int, a: int, agent: int) -> tuple[int, int]:
-        key = (v, a, agent)
-        if key not in mask_memo:
-            if (v, agent) not in scanners:
-                scanners[v, agent] = _block_masks(blocks[v], agent)
-            mask_memo[key] = scanners[v, agent](catalogs[v][a])
-        return mask_memo[key]
+        return scanner(v, agent)(catalogs[v][a])
 
+    @functools.lru_cache(maxsize=None)
     def row(v: int, a: int, w: int, agent: int) -> int:
-        key = (v, a, w)
-        if key not in row_memo:
-            opt_a, low_a = mask(v, a, agent)
-            bits = 0
-            for b in range(limits[w]):
-                opt_b, low_b = mask(w, b, agent)
-                if not (opt_b & ~low_a or opt_a & ~low_b):
-                    bits |= 1 << b
-            row_memo[key] = bits
-        return row_memo[key]
+        opt_a, low_a = mask(v, a, agent)
+        bits = 0
+        for b in range(limits[w]):
+            opt_b, low_b = mask(w, b, agent)
+            if not (opt_b & ~low_a or opt_a & ~low_b):
+                bits |= 1 << b
+        return bits
 
     domains = [(1 << limit) - 1 for limit in limits]
     choice = [-1] * count

@@ -400,6 +400,43 @@ def first_manipulation_within(
     return None
 
 
+def burnside_orbit_count(base: Sequence[PreferenceDomain], agents: int) -> int:
+    """The number of orbits of ``agents``-tuples of ``base`` domains under
+    permuting the agents and relabeling the alternatives, by Burnside's
+    lemma: the mean, over the pairs (agent permutation s, relabeling p), of
+    the tuples each pair fixes.  Along a cycle of s of length L a fixed tuple
+    repeats one domain relabeled by p at each step, which must be a domain
+    that p^L fixes; so a pair fixes the product, over the cycles of s, of
+    the counts of such domains."""
+    m = base[0].m
+    keys = [frozenset(r.order for r in d.rankings) for d in base]
+    total = 0
+    for p in itertools.permutations(range(m)):
+        fixed = []  # fixed[L - 1]: the base domains that p^L fixes
+        power = tuple(range(m))
+        for _ in range(agents):
+            power = tuple(p[alt] for alt in power)
+            fixed.append(
+                sum(frozenset(tuple(power[alt] for alt in o) for o in key) == key for key in keys)
+            )
+        for s in itertools.permutations(range(agents)):
+            seen: set[int] = set()
+            count = 1
+            for start in range(agents):
+                length = 0
+                j = start
+                while j not in seen:
+                    seen.add(j)
+                    j = s[j]
+                    length += 1
+                if length:
+                    count *= fixed[length - 1]
+            total += count
+    order = math.factorial(agents) * math.factorial(m)
+    assert total % order == 0
+    return total // order
+
+
 def sweep_rules(
     instances: Sequence[ProductDomain], max_profiles: int = PROFILE_ENUMERATION_LIMIT
 ) -> list[list[Rule]]:
@@ -552,6 +589,33 @@ def option_set(rule: Rule, agent: int, others: Sequence[int]) -> frozenset[int]:
         base += digit * strides[i]
     stride = strides[agent]
     return frozenset(rule.table[base + r * stride] for r in range(pd.sizes[agent]))
+
+
+def audit_faults(rule: Rule) -> tuple[list[tuple], list[tuple]]:
+    """(maximality, freeness) faults of :func:`spdom.audit_sp_lemmas`, as
+    tuples of their fields, in its order: agent, then the other agents'
+    reports, then the agent's own report (maximality) or the pair
+    (freeness).  From :func:`option_set`, :func:`outcome_map` and ranking
+    positions; a pair is free when the agent's rankings order it both ways."""
+    pd = rule.domain
+    table = outcome_map(rule)
+    maximality: list[tuple] = []
+    freeness: list[tuple] = []
+    for agent in range(pd.n):
+        rankings = pd.agents[agent].rankings
+        others_ranges = [range(pd.sizes[i]) for i in range(pd.n) if i != agent]
+        for others in itertools.product(*others_ranges):
+            options = sorted(option_set(rule, agent, others))
+            for a, b in itertools.combinations(options, 2):
+                ways = {r.position[a] < r.position[b] for r in rankings}
+                if len(ways) < 2:
+                    freeness.append((agent, others, a, b))
+            for own, ranking in enumerate(rankings):
+                outcome = table[others[:agent] + (own,) + others[agent:]]
+                best = min(options, key=ranking.position.__getitem__)
+                if outcome != best:
+                    maximality.append((agent, others, own, outcome, best))
+    return maximality, freeness
 
 
 # ---------------------------------------------------------------------------

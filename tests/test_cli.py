@@ -476,6 +476,27 @@ def test_enumerate_sp_oracle_guard_prints_counts_that_str_allows(cli):
     assert out == ""
 
 
+def test_enumerate_sp_refused_oracle_writes_no_rule_file(cli, tmp_path):
+    # The oracle's cap is checked before any rule is enumerated or written.
+    out_dir = tmp_path / "rules"
+    code, out, err = cli("enumerate-sp", "--domain", UNI3, "--oracle", "--out", str(out_dir))
+    assert (code, out) == (2, "")
+    assert err == f"size limit: oracle would scan {3**36} tables, over the cap of 200000\n"
+    assert not out_dir.exists()
+
+
+def test_enumerate_sp_oracle_cap_comes_before_an_unwritable_out(cli, tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out_dir = str(blocker / "rules")
+    code, out, err = cli("enumerate-sp", "--domain", UNI3, "--oracle", "--out", out_dir)
+    assert (code, out) == (2, "")
+    assert err == f"size limit: oracle would scan {3**36} tables, over the cap of 200000\n"
+    code, out, err = cli("enumerate-sp", "--domain", UNI3, "--out", out_dir)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write {out_dir}: ")
+
+
 def test_enumerate_sp_profile_guard(cli):
     code, out, err = cli("enumerate-sp", "--domain", EX1, "--max-profiles", "100")
     assert code == 2

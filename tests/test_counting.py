@@ -212,19 +212,25 @@ def test_count_dictatorial_matches_materialized_tables():
 # Exhaustive strategy-proof enumeration
 
 
-def test_enumerate_matches_brute_force_single_agent():
-    pd = ProductDomain.of([UNI3])
-    rules = list(enumerate_sp_rules(pd))
-    tables = [r.table for r in rules]
-    assert tables == sorted(tables)
-    assert set(tables) == set(oracles.all_sp_tables(pd))
+def _three_agent_with_one_ranking() -> ProductDomain:
+    # Strides 3, 3 and 1: the middle agent has a single ranking.
+    d0 = PreferenceDomain.of(Ranking(o) for o in [(0, 1, 2), (2, 1, 0)])
+    one = PreferenceDomain.of([Ranking((1, 0, 2))])
+    d2 = PreferenceDomain.of(Ranking(o) for o in [(0, 2, 1), (1, 2, 0), (2, 0, 1)])
+    return ProductDomain.of([d0, one, d2])
 
 
-def test_enumerate_matches_brute_force_tiny_two_agent():
-    pd = _tiny_two_agent()
-    tables = [r.table for r in enumerate_sp_rules(pd)]
-    assert tables == sorted(tables)
-    assert set(tables) == set(oracles.all_sp_tables(pd))
+@pytest.mark.parametrize("outcomes", [None, (0, 2), (1,)], ids=["all", "only_0_2", "only_1"])
+@pytest.mark.parametrize(
+    "product",
+    [lambda: ProductDomain.of([UNI3]), _tiny_two_agent, _three_agent_with_one_ranking],
+    ids=["single_agent", "tiny_two_agent", "three_agent_one_ranking"],
+)
+def test_enumerate_matches_brute_force(product, outcomes):
+    # The same tables in the same (ascending) order as a scan of every table.
+    pd = product()
+    tables = [r.table for r in enumerate_sp_rules(pd, range_filter=outcomes)]
+    assert tables == oracles.all_sp_tables(pd, outcomes)
 
 
 def test_enumerate_universal3_two_agents():
@@ -531,11 +537,14 @@ def test_orbit_sweep_matches_per_instance_sweep(m, n, audit_sample, seed):
 
 
 def test_orbit_counts_and_members():
-    for m, n, orbits in ((2, 4, None), (3, 2, 39), (3, 3, 241), (4, 2, 1096)):
+    known = {(3, 2): 39, (3, 3): 241, (4, 2): 1096}
+    shapes = [(2, n) for n in range(1, 5)] + [(3, n) for n in range(1, 4)] + [(4, 1), (4, 2)]
+    for m, n in shapes:
         family = ProductFamily(nonconditional_domains(m), n)
         found = family.orbits()
-        if orbits is not None:
-            assert len(found) == orbits
+        # Burnside's lemma over S_n x S_m is an independent route to the count.
+        assert len(found) == oracles.burnside_orbit_count(family.base, n), (m, n)
+        assert len(found) == known.get((m, n), len(found))
         members = sorted(i for orbit in found for i in orbit)
         assert members == list(range(len(family)))
         assert [orbit[0] for orbit in found] == sorted(orbit[0] for orbit in found)

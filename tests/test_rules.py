@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -141,11 +142,14 @@ def test_witnesses_are_genuine():
 
 def test_manipulations_in_canonical_order_against_oracle():
     # Every witness, in the triple-loop oracle's order (agent, profile index,
-    # deviation), on products where all agents but the last have a stride
-    # above one; the tables are near two-outcome, so most profiles are
-    # skipped without trying their deviations.
+    # deviation), and both audit fault lists in the oracle audit's order, on
+    # near two-outcome tables over products where all agents but the last
+    # have a stride above one.  top4 always puts 0 on top, so an option set
+    # holding 0 and others is not free, pair by pair.
+    sp4 = generate_domain("single_peaked", axis=[0, 1, 2, 3])
+    top4 = PreferenceDomain.of(Ranking((0,) + p) for p in itertools.permutations((1, 2, 3)))
     rng = random.Random(7)
-    for domains in ([SP3, UNI3], [UNI3, SP3, SP3]):
+    for domains in ([SP3, UNI3], [UNI3, SP3, SP3], [sp4, top4], [top4, sp4]):
         pd = ProductDomain.of(domains)
         for _ in range(40):
             table = [rng.randrange(2) for _ in range(pd.profile_count)]
@@ -154,6 +158,12 @@ def test_manipulations_in_canonical_order_against_oracle():
             rule = Rule(pd, tuple(table))
             found = [(w.agent, w.profile, w.deviation) for w in iter_manipulations(rule)]
             assert found == oracles.sp_violations(rule)
+            report = audit_sp_lemmas(rule)
+            faults = (
+                [dataclasses.astuple(f) for f in report.maximality_faults],
+                [dataclasses.astuple(f) for f in report.freeness_faults],
+            )
+            assert faults == oracles.audit_faults(rule)
 
 
 # ---------------------------------------------------------------------------
