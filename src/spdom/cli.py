@@ -37,6 +37,7 @@ from .counting import (
     count_second_step,
     enumerate_sp_rules,
     nonconditional_domains,
+    power_digit_count,
     second_step_catalog,
     verify_impossibility,
 )
@@ -461,11 +462,12 @@ def _brute_force_sp_tables(
     """Independent check for enumerate-sp: the tables over ``outcomes`` the
     manipulation scan passes.  The cap is checked at the call."""
     count = pd.profile_count
-    total = len(outcomes) ** count
-    if total > ORACLE_TABLE_LIMIT:
+    digits = power_digit_count(len(outcomes), count)  # the power is built only if printable
+    total = len(outcomes) ** count if digits <= _str_digit_limit() else None
+    if total is None or total > ORACLE_TABLE_LIMIT:
+        shown = f"({digits} digits)" if total is None else total
         raise SizeLimitError(
-            f"oracle would scan {_count_text(total, _str_digit_limit())} tables,"
-            f" over the cap of {ORACLE_TABLE_LIMIT}"
+            f"oracle would scan {shown} tables, over the cap of {ORACLE_TABLE_LIMIT}"
         )
     tables = itertools.product(outcomes, repeat=count)
     return (table for table in tables if find_manipulation(Rule(pd, table)) is None)

@@ -139,6 +139,7 @@ class PreferenceDomain:
 
     m: int
     rankings: tuple[Ranking, ...]
+    _hash: int = field(init=False, compare=False, repr=False)  # of the orders, taken once
 
     def __post_init__(self) -> None:
         _check_alternative_count(self.m)
@@ -153,6 +154,10 @@ class PreferenceDomain:
                     raise DomainError(f"duplicate ranking {r.order!r} in domain")
                 raise DomainError("internal: domain rankings not canonically sorted; use .of()")
             previous = r.order
+        object.__setattr__(self, "_hash", hash((self.m, tuple(r.order for r in self.rankings))))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def of(cls, rankings: Iterable[Ranking]) -> "PreferenceDomain":

@@ -14,10 +14,9 @@ gain by switching blocks.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .classify import AnswerSet, ResponsePartition
 from .counting import _catalogs_fit, second_step_catalog
@@ -115,24 +114,18 @@ def search_sp_combinations(
         _check_profile_guard(count, PROFILE_ENUMERATION_LIMIT)
     catalogs = tuple(second_step_catalog(block) for block in partition.block_products)
 
-    found = _search_compatible(partition, catalogs, budget)
+    found = tuple(_search_compatible(partition, catalogs, budget))
     total = math.prod(map(len, catalogs))
     tried = min(budget, total)
-    return SearchResult(
-        assignments=tuple(found),
-        catalogs=catalogs,
-        candidates_total=total,
-        candidates_tried=tried,
-        complete=tried == total,
-    )
+    return SearchResult(found, catalogs, total, tried, complete=tried == total)
 
 
-def _block_masks(block: ProductDomain, agent: int) -> Callable[[Rule], tuple[int, int]]:
-    """For subrules on ``block`` and each setting s of the other agents
-    (their block profile, last agent fastest): ``opt``, the option set O of
-    ``agent`` there, and ``low``, the complement of U: the outcomes that
-    every sincere outcome weakly beats (see :class:`~spdom.rules.OptionSets`).
-    Both are packed m bits per s into one int."""
+def _block_masks(block: ProductDomain, agent: int, rules: Sequence[Rule]) -> list[tuple[int, int]]:
+    """Per subrule in ``rules`` (all on ``block``), for each setting s of the
+    other agents (their block profile, last agent fastest): ``opt``, the
+    option set O of ``agent`` there, and ``low``, the complement of U: the
+    outcomes that every sincere outcome weakly beats (see
+    :class:`~spdom.rules.OptionSets`).  Both are packed m bits per s into one int."""
     m = block.m
     bases = block.fibers(agent)
     stride = block.strides[agent]
@@ -140,8 +133,8 @@ def _block_masks(block: ProductDomain, agent: int) -> Callable[[Rule], tuple[int
     options = OptionSets.of(block.agents[agent])
     everything = (1 << m) - 1
     seen: dict[tuple[int, ...], tuple[int, int]] = {}  # a fiber's outcomes -> (O, ~U)
-
-    def masks(rule: Rule) -> tuple[int, int]:
+    masks = []
+    for rule in rules:
         table = rule.table
         opt = low = shift = 0
         for base in bases:
@@ -153,8 +146,7 @@ def _block_masks(block: ProductDomain, agent: int) -> Callable[[Rule], tuple[int
             opt |= pair[0] << shift
             low |= pair[1] << shift
             shift += m
-        return opt, low
-
+        masks.append((opt, low))
     return masks
 
 
@@ -189,23 +181,18 @@ def _search_compatible(
     # Indices whose rank alone reaches the budget can be left out at once.
     limits = [min(size, -(-budget // weight)) for size, weight in zip(sizes, weights)]
 
-    later = _later_neighbours(partition)
-    blocks = partition.block_products
-    scanner = functools.lru_cache(maxsize=None)(lambda v, agent: _block_masks(blocks[v], agent))
-
-    @functools.lru_cache(maxsize=None)
-    def mask(v: int, a: int, agent: int) -> tuple[int, int]:
-        return scanner(v, agent)(catalogs[v][a])
-
-    @functools.lru_cache(maxsize=None)
-    def row(v: int, a: int, w: int, agent: int) -> int:
-        opt_a, low_a = mask(v, a, agent)
-        bits = 0
-        for b in range(limits[w]):
-            opt_b, low_b = mask(w, b, agent)
-            if not (opt_b & ~low_a or opt_a & ~low_b):
-                bits |= 1 << b
-        return bits
+    # masks[v][agent]: (opt, low) per index below limits[v] at v, for agents with neighbours.
+    movers = [agent for agent, answers in enumerate(partition.answers) if len(answers) > 1]
+    masks = [
+        {agent: _block_masks(block, agent, catalog[:limit]) for agent in movers}
+        for block, catalog, limit in zip(partition.block_products, catalogs, limits)
+    ]
+    # rows[a] at v: the bitset of indices at w compatible with index a at v,
+    # filled the first time the search picks a at v.
+    later = [
+        [(w, masks[v][agent], masks[w][agent], [None] * limits[v]) for w, agent in pairs]
+        for v, pairs in enumerate(_later_neighbours(partition))
+    ]
 
     domains = [(1 << limit) - 1 for limit in limits]
     choice = [-1] * count
@@ -226,21 +213,26 @@ def _search_compatible(
             choice[v] = -1
             v -= 1
             continue
-        consistent = True
-        for w, agent in later[v]:
-            narrowed = domains[w] & row(v, a, w, agent)
+        for w, mine, theirs, rows in later[v]:
+            bits = rows[a]
+            if bits is None:
+                opt_a, low_a = mine[a]
+                bits = 0
+                for b, (opt_b, low_b) in enumerate(theirs):
+                    if not (opt_b & ~low_a or opt_a & ~low_b):
+                        bits |= 1 << b
+                rows[a] = bits
+            narrowed = domains[w] & bits
             if narrowed != domains[w]:
                 undo[v].append((w, domains[w]))
                 domains[w] = narrowed
                 if not narrowed:
-                    consistent = False
                     break
-        if not consistent:
-            continue
-        if v == count - 1:
-            found.append(tuple(choice))
         else:
-            v += 1
+            if v == count - 1:
+                found.append(tuple(choice))
+            else:
+                v += 1
     return found
 
 

@@ -338,6 +338,30 @@ def _random_conditional_products(count: int, seed: int):
             yield partition
 
 
+def test_search_budget_truncation_on_three_agent_products():
+    # A budget keeps exactly the complete search's assignments whose
+    # lexicographic rank is below it.  With three agents, an agent's masks at a
+    # response profile with no earlier neighbour cover only the indices the
+    # budget leaves there.
+    partitions = (p for p in _random_conditional_products(140, seed=20261018) if p.product.n == 3)
+    cut = 0
+    for partition in itertools.islice(partitions, 12):
+        full = search_sp_combinations(partition, budget=count_second_step(partition).product)
+        assert full.complete
+        ranks = []
+        for indices in full.assignments:
+            rank = 0
+            for catalog, index in zip(full.catalogs, indices):
+                rank = rank * len(catalog) + index
+            ranks.append(rank)
+        total = full.candidates_total
+        for budget in (1, total // 2, total - 1):
+            expected = tuple(a for a, rank in zip(full.assignments, ranks) if rank < budget)
+            assert search_sp_combinations(partition, budget).assignments == expected
+            cut += 0 < len(expected) < len(ranks)
+    assert cut >= 12
+
+
 def test_acceptance_11_search_finds_every_strategy_proof_rule(
     cli, sp3_spec, uni3_spec, ex2_spec
 ):

@@ -9,6 +9,7 @@ verification failure) is asserted on every path.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import os
@@ -17,6 +18,7 @@ import resource
 import subprocess
 import sys
 import time
+from decimal import ROUND_FLOOR, Decimal
 from pathlib import Path
 
 import jsonschema
@@ -476,6 +478,23 @@ def test_enumerate_sp_oracle_guard_prints_counts_that_str_allows(cli):
     assert out == ""
 
 
+def test_enumerate_sp_oracle_guard_counts_digits_past_100000(cli, tmp_path):
+    # Three unrestricted agents over five alternatives: 120^3 = 1,728,000
+    # profiles and 5^1728000 tables, whose digit count comes from a logarithm.
+    path = tmp_path / "uni5x3.spdom"
+    agents = "".join(f"agent {i} {{ universal }}\n" for i in "123")
+    path.write_text("alternatives a b c d e\n" + agents)
+    exponent = Decimal(120**3) * Decimal(5).log10()
+    digits = int(exponent.to_integral_value(rounding=ROUND_FLOOR)) + 1
+    assert digits > 100_000
+    argv = ("enumerate-sp", "--domain", str(path), "--oracle", "--max-profiles", "2000000")
+    code, out, err = cli(*argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"size limit: oracle would scan ({digits} digits) tables, over the cap of 200000\n"
+    )
+
+
 def test_enumerate_sp_refused_oracle_writes_no_rule_file(cli, tmp_path):
     # The oracle's cap is checked before any rule is enumerated or written.
     out_dir = tmp_path / "rules"
@@ -856,6 +875,66 @@ def test_search_two_step_budget(cli):
     default = cli("search-two-step", "--domain", SP3)
     assert cli("search-two-step", "--domain", SP3, "--budget", str(2**63)) == default
     assert default[0] == 0
+
+
+# The first 32 hex digits of the sha256 of search-two-step's stdout (text,
+# json) or of its --out directory (assign: each file's name, a newline and its
+# bytes, in name order), recorded before the search kept its compatibility
+# rows in per-pair tables.  The budgets are 1, 60, 2000 and the candidate total.
+SEARCH_DIGESTS = {
+    ("ex1", 1, "text"): "fbac59e01aa911d66a5c826a2b30f101",
+    ("ex1", 1, "json"): "25f8cfbfc486f0e33f90c4814ebcdfd9",
+    ("ex1", 60, "text"): "caf4fe9ebce4b8f027d5b315351bc387",
+    ("ex1", 60, "json"): "7af9d2b98e98ed4eff9b0bd58f89286c",
+    ("ex1", 60, "assign"): "4556c3a38a611654c8fdc9da89593df0",
+    ("ex1", 2000, "text"): "c2b49054f9ff892d8a6a072c17cedf26",
+    ("ex1", 2000, "json"): "d6c9ef5df271b37d3f5d6505ef749872",
+    ("ex1", 4619228, "text"): "11495b5d27a07e3be1ffcb056a3a6988",
+    ("ex1", 4619228, "json"): "5ba86ade3f512aaeaefb7860cc86c7f6",
+    ("ex2", 1, "text"): "bed46e973c757438ad618f572175944e",
+    ("ex2", 1, "json"): "fd671af0b6567995494c1c79b7b91c02",
+    ("ex2", 60, "text"): "eae5b9276dcec105049b069af6cecf9b",
+    ("ex2", 60, "json"): "72b6ea1da36e3c34ac1c180410ce59f8",
+    ("ex2", 60, "assign"): "67677cf6c9fc5dc171b284595e677df9",
+    ("ex2", 2000, "text"): "b65ffddcae5a03a9518a5c0ff0701284",
+    ("ex2", 2000, "json"): "ba505376929eb3bde396de7df3fe0f36",
+    ("ex2", 228245070327644160, "text"): "081bd1eb49144d8459a5419179c470de",
+    ("ex2", 228245070327644160, "json"): "08e492280578bbd9e60fe207219be521",
+    ("single_peaked3", 1, "text"): "e41dd57a2c100bc2140bac0e7129c418",
+    ("single_peaked3", 1, "json"): "d1f422446c47862627df18581522834d",
+    ("single_peaked3", 60, "text"): "13eabe8a861cacfef49b6bb5e0250ff2",
+    ("single_peaked3", 60, "json"): "70485a6cd84cf78d0eb85ef814e56037",
+    ("single_peaked3", 60, "assign"): "1424ea4601bde9e6ed502d6f8f0ea010",
+    ("single_peaked3", 2000, "text"): "1155ac1b2a2a2a35e3f02939ec513b0b",
+    ("single_peaked3", 2000, "json"): "f35a1f5d3bea85f6230651427eea6a41",
+    ("single_peaked3", 825, "text"): "1155ac1b2a2a2a35e3f02939ec513b0b",
+    ("single_peaked3", 825, "json"): "f35a1f5d3bea85f6230651427eea6a41",
+    ("universal3", 1, "text"): "3fa0b16e152dd77d5098fad69d6fd550",
+    ("universal3", 1, "json"): "e459f487f6a44433c17820402f153275",
+    ("universal3", 60, "text"): "b6c2cb819506106743a5bbe95732135d",
+    ("universal3", 60, "json"): "19b63be2b7114b75da7029dbea2ac3c9",
+    ("universal3", 60, "assign"): "091cceb1fc6dcbf8920914cbe61dadb0",
+    ("universal3", 2000, "text"): "b6c2cb819506106743a5bbe95732135d",
+    ("universal3", 2000, "json"): "19b63be2b7114b75da7029dbea2ac3c9",
+    ("universal3", 17, "text"): "b6c2cb819506106743a5bbe95732135d",
+    ("universal3", 17, "json"): "19b63be2b7114b75da7029dbea2ac3c9",
+}
+
+
+@pytest.mark.parametrize("fixture, budget, form", sorted(SEARCH_DIGESTS))
+def test_search_two_step_bytes_are_pinned(cli, tmp_path, fixture, budget, form):
+    argv = ["search-two-step", "--domain", str(FIXTURES / f"{fixture}.spdom")]
+    argv += ["--budget", str(budget)]
+    argv += ["--out", str(tmp_path)] if form == "assign" else ["--format", form]
+    code, out, err = cli(*argv)
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256()
+    if form == "assign":
+        for path in sorted(tmp_path.iterdir()):
+            digest.update(path.name.encode() + b"\n" + path.read_bytes())
+    else:
+        digest.update(out.encode())
+    assert digest.hexdigest()[:32] == SEARCH_DIGESTS[fixture, budget, form]
 
 
 def test_search_two_step_profile_guard(cli, tmp_path):

@@ -24,6 +24,7 @@ from spdom import (
     nonconditional_closure,
     pair_sets,
 )
+from spdom.rules import OptionSets
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +217,22 @@ def test_domain_rejects_duplicates_and_mixed_sizes():
         PreferenceDomain.of([r, Ranking((0, 1, 2, 3))])
     with pytest.raises(DomainError):
         PreferenceDomain.of([])
+
+
+def test_domain_hash_is_taken_once(monkeypatch):
+    # Equal domains built apart hash and compare equal; a cache keyed by a
+    # domain hashes it without visiting its rankings again.
+    d = PreferenceDomain.of(all_rankings(4))
+    e = PreferenceDomain.of(reversed([Ranking(r.order) for r in all_rankings(4)]))
+    assert d is not e and d == e and hash(d) == hash(e)
+    assert d != generate_domain("single_peaked", axis=[0, 1, 2, 3])
+    OptionSets.of(d)
+    calls = []
+    ranking_hash = Ranking.__hash__
+    monkeypatch.setattr(Ranking, "__hash__", lambda r: calls.append(r) or ranking_hash(r))
+    assert OptionSets.of(d) is OptionSets.of(e)
+    assert pair_sets(d) is pair_sets(e)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
