@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .classify import AnswerSet, RestrictionMap, classify, rebuild
 from .prefcore import (
@@ -58,8 +58,7 @@ _GENERATOR_KEYWORDS = (
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     text: str
     line: int
     col: int
@@ -71,10 +70,7 @@ def _tokenize(text: str) -> list[_Token]:
         line = raw.split("#", 1)[0]
         for match in _TOKEN_RE.finditer(line):
             tok = match.group(0)
-            if tok == ";":
-                tokens.append(_Token(_NEWLINE, lineno, match.start() + 1))
-            else:
-                tokens.append(_Token(tok, lineno, match.start() + 1))
+            tokens.append(_Token(_NEWLINE if tok == ";" else tok, lineno, match.start() + 1))
         tokens.append(_Token(_NEWLINE, lineno, len(raw) + 1))
     return tokens
 
@@ -84,11 +80,10 @@ class _Cursor:
         self._tokens = tokens
         self._i = 0
 
-    def _eof_location(self) -> tuple[int, int]:
-        if self._tokens:
-            last = self._tokens[-1]
-            return last.line, last.col
-        return 1, 1
+    def at_eof(self, message: str) -> ParseError:
+        """``message`` located at the last token (1:1 in an empty file)."""
+        last = self._tokens[-1] if self._tokens else _Token("", 1, 1)
+        return ParseError(message, last.line, last.col)
 
     def peek(self) -> Optional[_Token]:
         return self._tokens[self._i] if self._i < len(self._tokens) else None
@@ -96,13 +91,9 @@ class _Cursor:
     def next(self) -> _Token:
         tok = self.peek()
         if tok is None:
-            line, col = self._eof_location()
-            raise ParseError("unexpected end of file", line, col)
+            raise self.at_eof("unexpected end of file")
         self._i += 1
         return tok
-
-    def at_end(self) -> bool:
-        return self._i >= len(self._tokens)
 
     def skip_newlines(self) -> None:
         while (tok := self.peek()) is not None and tok.text == _NEWLINE:
@@ -121,6 +112,25 @@ class _Cursor:
             shown = "end of line" if tok.text == _NEWLINE else repr(tok.text)
             raise ParseError(f"expected {what}, found {shown}", tok.line, tok.col)
         return tok
+
+    def label(self, labels: dict[str, int], what: str) -> int:
+        tok = self.expect_word(what)
+        if tok.text not in labels:
+            raise ParseError(f"unknown alternative {tok.text!r}", tok.line, tok.col)
+        return labels[tok.text]
+
+    def labels(self, labels: dict[str, int], what: str, stop: Optional[str] = None) -> list[int]:
+        """Read labels up to the end of the line, a ``}`` or ``stop``.  No
+        declared label is a symbol, so a token in ``labels`` needs no other check."""
+        tokens, i, found, ends = self._tokens, self._i, [], (_NEWLINE, "}", stop)
+        while i < len(tokens) and (text := tokens[i].text) not in ends:
+            if text not in labels:
+                self._i = i
+                self.label(labels, what)  # raises this token's error
+            found.append(labels[text])
+            i += 1
+        self._i = i
+        return found
 
 
 @dataclass(frozen=True)
@@ -155,26 +165,14 @@ class DomainSpec:
         )
 
 
-def _parse_label(cursor: _Cursor, labels: dict[str, int], what: str = "alternative label") -> int:
-    tok = cursor.expect_word(what)
-    if tok.text not in labels:
-        raise ParseError(f"unknown alternative {tok.text!r}", tok.line, tok.col)
-    return labels[tok.text]
-
-
 def _parse_pair(cursor: _Cursor, labels: dict[str, int]) -> OrderedPair:
-    top_tok = cursor.expect_word("alternative label")
-    if top_tok.text not in labels:
-        raise ParseError(f"unknown alternative {top_tok.text!r}", top_tok.line, top_tok.col)
+    top_tok = cursor.peek()
+    top = cursor.label(labels, "alternative label")
     cursor.expect(">")
-    bottom_tok = cursor.expect_word("alternative label")
-    if bottom_tok.text not in labels:
-        raise ParseError(
-            f"unknown alternative {bottom_tok.text!r}", bottom_tok.line, bottom_tok.col
-        )
-    if top_tok.text == bottom_tok.text:
+    bottom = cursor.label(labels, "alternative label")
+    if top == bottom:
         raise ParseError(f"pair compares {top_tok.text!r} with itself", top_tok.line, top_tok.col)
-    return OrderedPair(labels[top_tok.text], labels[bottom_tok.text])
+    return OrderedPair(top, bottom)
 
 
 def _parse_pair_list(cursor: _Cursor, labels: dict[str, int]) -> list[OrderedPair]:
@@ -200,9 +198,7 @@ def _parse_generator(cursor: _Cursor, keyword: _Token, labels: dict[str, int]) -
     if keyword.text == "universal":
         return generate_domain("universal", m=m)
     if keyword.text in ("single-peaked", "single-dipped"):
-        axis: list[int] = []
-        while (tok := cursor.peek()) is not None and tok.text not in (_NEWLINE, "}"):
-            axis.append(_parse_label(cursor, labels, "axis label"))
+        axis = cursor.labels(labels, "axis label")
         if len(axis) != m or sorted(axis) != list(range(m)):
             raise ParseError(
                 f"{keyword.text} needs every alternative exactly once as its axis",
@@ -212,21 +208,19 @@ def _parse_generator(cursor: _Cursor, keyword: _Token, labels: dict[str, int]) -
         kind = "single_peaked" if keyword.text == "single-peaked" else "single_dipped"
         return generate_domain(kind, axis=axis)
     if keyword.text == "self-preferring":
-        owner = _parse_label(cursor, labels, "owner label")
+        owner = cursor.label(labels, "owner label")
         return generate_domain("self_preferring", m=m, owner=owner)
     if keyword.text == "juror-bias":
-        high: list[int] = []
-        while (tok := cursor.peek()) is not None and tok.text not in (_NEWLINE, "}"):
-            if tok.text == "over":
-                break
-            high.append(_parse_label(cursor, labels, "label"))
+        high = cursor.labels(labels, "label", stop="over")
         cursor.expect("over", "'over'")
-        low: list[int] = []
-        while (tok := cursor.peek()) is not None and tok.text not in (_NEWLINE, "}"):
-            low.append(_parse_label(cursor, labels, "label"))
+        low = cursor.labels(labels, "label")
         if not high or not low:
             raise ParseError(
                 "juror-bias needs labels on both sides of 'over'", keyword.line, keyword.col
+            )
+        if set(high) & set(low):
+            raise ParseError(
+                "juror-bias names a label on both sides of 'over'", keyword.line, keyword.col
             )
         return generate_domain("juror_bias", m=m, high=high, low=low)
     raise AssertionError(keyword.text)
@@ -239,17 +233,13 @@ def _parse_rankings_block(cursor: _Cursor, labels: dict[str, int]) -> Preference
     orders: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
     while True:
-        tok = cursor.peek()
-        if tok is None:
-            line, col = cursor._eof_location()
-            raise ParseError("unterminated rankings block", line, col)
-        if tok.text == "}":
+        start = cursor.peek()
+        if start is None:
+            raise cursor.at_eof("unterminated rankings block")
+        if start.text == "}":
             cursor.next()
             break
-        start = tok
-        row: list[int] = []
-        while (tok := cursor.peek()) is not None and tok.text not in (_NEWLINE, "}"):
-            row.append(_parse_label(cursor, labels, "alternative label"))
+        row = cursor.labels(labels, "alternative label")
         if sorted(row) != list(range(len(labels))):
             raise ParseError(
                 f"a ranking line must list all of {' '.join(label_list)} exactly once",
@@ -263,8 +253,7 @@ def _parse_rankings_block(cursor: _Cursor, labels: dict[str, int]) -> Preference
         orders.append(order)
         cursor.skip_newlines()
     if not orders:
-        line, col = cursor._eof_location()
-        raise ParseError("rankings block must list at least one ranking", line, col)
+        raise cursor.at_eof("rankings block must list at least one ranking")
     return PreferenceDomain.of(Ranking(o) for o in orders)
 
 
@@ -276,15 +265,13 @@ def _parse_agent(cursor: _Cursor, labels: dict[str, int], agent_kw: _Token) -> A
 
     fixes: list[OrderedPair] = []
     whens: list[tuple[list[OrderedPair], list[OrderedPair]]] = []
-    generator_domain: Optional[PreferenceDomain] = None
-    rankings_domain: Optional[PreferenceDomain] = None
+    domain: Optional[PreferenceDomain] = None
     statement_count = 0
 
     while True:
         tok = cursor.peek()
         if tok is None:
-            line, col = cursor._eof_location()
-            raise ParseError(f"unterminated body for agent {name!r}", line, col)
+            raise cursor.at_eof(f"unterminated body for agent {name!r}")
         if tok.text == "}":
             cursor.next()
             break
@@ -298,24 +285,18 @@ def _parse_agent(cursor: _Cursor, labels: dict[str, int], agent_kw: _Token) -> A
             cursor.expect("=>")
             conclusions = _parse_pair_list(cursor, labels)
             whens.append((antecedent, conclusions))
-        elif tok.text in _GENERATOR_KEYWORDS:
+        elif tok.text in _GENERATOR_KEYWORDS or tok.text == "rankings":
             cursor.next()
+            rankings = tok.text == "rankings"
             if statement_count > 1:
+                what = "a rankings block" if rankings else "a generator"
                 raise ParseError(
-                    "a generator must be the only statement in an agent body",
-                    tok.line,
-                    tok.col,
+                    f"{what} must be the only statement in an agent body", tok.line, tok.col
                 )
-            generator_domain = _parse_generator(cursor, tok, labels)
-        elif tok.text == "rankings":
-            cursor.next()
-            if statement_count > 1:
-                raise ParseError(
-                    "a rankings block must be the only statement in an agent body",
-                    tok.line,
-                    tok.col,
-                )
-            rankings_domain = _parse_rankings_block(cursor, labels)
+            if rankings:
+                domain = _parse_rankings_block(cursor, labels)
+            else:
+                domain = _parse_generator(cursor, tok, labels)
         else:
             raise ParseError(
                 f"expected 'fix', 'when', a generator, or 'rankings', found {tok.text!r}",
@@ -325,17 +306,14 @@ def _parse_agent(cursor: _Cursor, labels: dict[str, int], agent_kw: _Token) -> A
         _end_statement(cursor)
         cursor.skip_newlines()
 
-    if (fixes or whens) and (generator_domain is not None or rankings_domain is not None):
-        raise ParseError(
-            f"agent {name!r} mixes statement and non-statement body kinds",
-            agent_kw.line,
-            agent_kw.col,
-        )
-
-    if generator_domain is not None:
-        return AgentSpec(name, generator_domain, None)
-    if rankings_domain is not None:
-        return AgentSpec(name, rankings_domain, None)
+    if domain is not None:
+        if fixes or whens:
+            raise ParseError(
+                f"agent {name!r} mixes statement and non-statement body kinds",
+                agent_kw.line,
+                agent_kw.col,
+            )
+        return AgentSpec(name, domain, None)
 
     # Statement body (possibly empty, meaning the universal domain).
     try:
@@ -372,7 +350,7 @@ def parse_domain_file(text: str) -> DomainSpec:
     agents: list[AgentSpec] = []
     names: set[str] = set()
     cursor.skip_newlines()
-    while not cursor.at_end():
+    while cursor.peek() is not None:
         tok = cursor.next()
         if tok.text != "agent":
             raise ParseError(f"expected 'agent', found {tok.text!r}", tok.line, tok.col)

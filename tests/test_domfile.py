@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import re
 from textwrap import dedent
 
 import pytest
@@ -231,6 +233,12 @@ def test_parse_error_generators():
     )
 
 
+def test_overlapping_juror_bias_sides_are_located():
+    err = _err("alternatives a b c\nagent 1 {\n  juror-bias a b over b c\n}\n")
+    assert "juror-bias names a label on both sides of 'over'" in str(err)
+    assert (err.line, err.col) == (3, 3)
+
+
 def test_parse_error_rankings():
     assert "exactly once" in str(
         _err("alternatives x y z\nagent 1 { rankings {\n  x y\n} }\n")
@@ -267,3 +275,69 @@ def test_too_many_alternatives():
     labels = " ".join(f"a{i}" for i in range(9))
     with pytest.raises(SizeLimitError):
         parse_domain_file(f"alternatives {labels}\nagent 1 {{}}\n")
+
+
+# ---------------------------------------------------------------------------
+# Pinned outcomes over a mutation corpus
+
+# Every body kind, ``;`` and comments, for the mutations below to break.
+EVERY_BODY_KIND = """\
+alternatives w x y z  # four alternatives
+agent s { fix x > y; when w > x, y > z => z > w }
+agent u { universal }
+agent p { single-peaked w x y z }
+agent d { single-dipped z y x w }
+agent o { self-preferring y }
+agent j { juror-bias w x over z }
+agent r {
+  rankings {
+    w x y z
+    z y x w
+  }
+}
+"""
+_MUTATION_TOKEN_RE = re.compile(r"#[^\n]*|\n|=>|[{},>;]|[^\s{},>;#]+")
+# A known label ("x") lets an insertion put one label on both sides of 'over'.
+_MUTATION_VOCABULARY = (
+    "\n", ";", "{", "}", ",", ">", "=>", "agent", "alternatives", "fix", "when",
+    "universal", "juror-bias", "over", "rankings", "x", "q",
+)  # fmt: skip
+
+
+def _mutation_corpus() -> list[str]:
+    """The fixtures and ``EVERY_BODY_KIND``, each with every token deleted,
+    duplicated or preceded by one vocabulary token, and cut every 3 characters."""
+    names = ("ex1", "ex2", "single_peaked3", "universal3")
+    sources = [(FIXTURES / f"{name}.spdom").read_text() for name in names]
+    corpus: list[str] = []
+    for text in sources + [EVERY_BODY_KIND]:
+        corpus.append(text)
+        for match in _MUTATION_TOKEN_RE.finditer(text):
+            start, end = match.span()
+            corpus.append(text[:start] + text[end:])
+            corpus.append(text[:end] + " " + text[start:])
+            corpus.extend(text[:start] + word + " " + text[start:] for word in _MUTATION_VOCABULARY)
+        corpus.extend(text[:cut] for cut in range(0, len(text), 3))
+    return corpus
+
+
+def _parse_outcome(text: str) -> str:
+    """Each agent's rankings and map hint, or the error with its location."""
+    try:
+        spec = parse_domain_file(text)
+    except DomainError as err:
+        where = (getattr(err, "line", None), getattr(err, "col", None))
+        return f"{type(err).__name__} {err} {where}"
+    return repr([
+        (agent.name, [r.order for r in agent.domain.rankings],
+         None if agent.map_hint is None else map_statement_lines(agent.map_hint, spec.labels))
+        for agent in spec.agents
+    ])
+
+
+def test_parse_outcomes_are_pinned():
+    corpus = _mutation_corpus()
+    digest = hashlib.sha256("\n".join(map(_parse_outcome, corpus)).encode()).hexdigest()
+    assert (len(corpus), digest) == (
+        5708, "5aaf8f6bece44667392d6198fef7257aa943b52470c4670933e50c279dc2c867"
+    )
