@@ -40,6 +40,15 @@ AnswerSet = frozenset  # of OrderedPair
 SCAN_MODES = ("default", "reversed")
 
 
+class MapFault(DomainError):
+    """A pair that keeps a restriction map from holding; ``wording`` has ``{}``
+    for it.  ``conditional`` is None for a base pair, else (antecedent, 0 or 1)."""
+
+    def __init__(self, wording: str, pair: OrderedPair, conditional: Optional[tuple] = None):
+        super().__init__(wording.format(tuple(pair)))
+        self.wording, self.pair, self.conditional = wording, pair, conditional
+
+
 @dataclass(frozen=True)
 class RestrictionMap:
     """Base fixed pairs plus conditionals ``antecedent -> conclusion set``.
@@ -47,36 +56,12 @@ class RestrictionMap:
     Conditionals are merged by antecedent and canonically ordered, so two maps
     describing the same function compare equal.  ``conditions`` (the union of
     all antecedent pairs) is the set every ranking can be interrogated about.
+    Build it with :meth:`of`, which validates the pairs once.
     """
 
     m: int
     base: frozenset[OrderedPair]
     conditionals: tuple[tuple[frozenset[OrderedPair], frozenset[OrderedPair]], ...]
-
-    def __post_init__(self) -> None:
-        for p in self.base:
-            _check_pair(p, self.m)
-            if p.swapped() in self.base:
-                raise DomainError(f"base contains {tuple(p)} and its reverse")
-        seen: set[frozenset[OrderedPair]] = set()
-        for antecedent, conclusions in self.conditionals:
-            if not antecedent:
-                raise DomainError("conditional antecedents must be nonempty")
-            if not conclusions:
-                raise DomainError("conditional conclusion sets must be nonempty")
-            if antecedent in seen:
-                raise DomainError("internal: duplicate antecedent; use RestrictionMap.of()")
-            seen.add(antecedent)
-            for p in antecedent:
-                _check_pair(p, self.m)
-                if p.swapped() in antecedent:
-                    raise DomainError(f"antecedent contains {tuple(p)} and its reverse")
-            for c in conclusions:
-                _check_pair(c, self.m)
-                if c.swapped() in self.base:
-                    raise DomainError(
-                        f"conclusion {tuple(c)} contradicts a base fixed pair"
-                    )
 
     @classmethod
     def of(
@@ -93,6 +78,20 @@ class RestrictionMap:
         ordered = tuple(
             (key, frozenset(merged[key])) for key in sorted(merged, key=lambda k: sorted(k))
         )
+        for p in base_pairs:
+            if p.swapped() in base_pairs:
+                raise MapFault("base contains {} and its reverse", p)
+        for key, conclusions in ordered:
+            if not key:
+                raise DomainError("conditional antecedents must be nonempty")
+            if not conclusions:
+                raise DomainError("conditional conclusion sets must be nonempty")
+            for p in key:
+                if p.swapped() in key:
+                    raise MapFault("antecedent contains {} and its reverse", p, (key, 0))
+            for c in conclusions:
+                if c.swapped() in base_pairs:
+                    raise MapFault("conclusion {} contradicts a base fixed pair", c, (key, 1))
         return cls(m, base_pairs, ordered)
 
     @cached_property

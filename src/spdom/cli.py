@@ -32,7 +32,6 @@ from typing import Any, Callable, Optional, Sequence
 from .classify import ResponsePartition, classify, partition_by_answers
 from .counting import (
     ProductFamily,
-    _enumeration_outcomes,
     decimal_digit_count,
     count_second_step,
     enumerate_sp_rules,
@@ -129,12 +128,6 @@ def _witness_text(pd: ProductDomain, w: ManipulationWitness) -> str:
         f"deviating to {deviation}: "
         f"{pd.labels[w.sincere_outcome]} -> {pd.labels[w.deviating_outcome]}"
     )
-
-
-def _count_text(value: int, limit: float) -> str:
-    """``value`` in full, or ``(N digits)`` when it has more than ``limit``."""
-    digits = decimal_digit_count(value)
-    return str(value) if digits <= limit else f"({digits} digits)"
 
 
 def _str_digit_limit() -> float:
@@ -427,10 +420,8 @@ def _cmd_count_subrules(options: dict[str, Any]) -> int:
             )
 
     # The lines after the blocks are built first, so a failure writes nothing.
-    tail = [
-        f"strategy-proof two-step rules: {_count_text(report.product, PRINT_DIGIT_LIMIT)}"
-        + (f" ({product_digits} digits)" if product_digits <= PRINT_DIGIT_LIMIT else "")
-    ]
+    shown = f"{report.product} " if product_digits <= PRINT_DIGIT_LIMIT else ""
+    tail = [f"strategy-proof two-step rules: {shown}({product_digits} digits)"]
     if oracle_payload is not None:
         for block, size in mismatches:
             tail.append(
@@ -456,9 +447,7 @@ def _parse_range_filter(spec: DomainSpec, text: Optional[str]) -> Optional[tuple
     return tuple(dict.fromkeys(ids))  # repeats dropped, first-seen order kept
 
 
-def _brute_force_sp_tables(
-    pd: ProductDomain, outcomes: tuple[int, ...]
-) -> Iterator[tuple[int, ...]]:
+def _brute_force_sp_tables(pd: ProductDomain, outcomes: list[int]) -> Iterator[tuple[int, ...]]:
     """Independent check for enumerate-sp: the tables over ``outcomes`` the
     manipulation scan passes.  The cap is checked at the call."""
     count = pd.profile_count
@@ -477,11 +466,11 @@ def _cmd_enumerate_sp(options: dict[str, Any]) -> int:
     spec = _load_spec(options)
     pd = spec.product
     range_filter = _parse_range_filter(spec, options["range"])
-    max_profiles = options["max_profiles"]
     # The guards, then the oracle's cap, before any rule is enumerated or written.
-    outcomes = _enumeration_outcomes(pd, range_filter, max_profiles)
+    search = enumerate_sp_rules(pd, range_filter, options["max_profiles"])
+    outcomes = sorted(range_filter or range(pd.m))
     brute_force = _brute_force_sp_tables(pd, outcomes) if options["oracle"] else None
-    rules = list(enumerate_sp_rules(pd, range_filter=range_filter, max_profiles=max_profiles))
+    rules = list(search)
 
     lines = [f"strategy-proof rules: {len(rules)}"]
     if range_filter is not None:
@@ -658,11 +647,10 @@ def _cmd_verify_theorem(options: dict[str, Any]) -> int:
             "verified: every strategy-proof rule without a dictator attains "
             "exactly two outcomes"
         )
-    dictators = [_dictator_names(v.rule.domain, dictators_of(v.rule)) for v in report.violations]
-    for violation, names in zip(report.violations[:20], dictators):
+    range_sizes = [len(range_of(v.rule)) for v in report.violations]  # violations have no dictator
+    for violation, size in zip(report.violations[:20], range_sizes):
         lines.append(
-            f"violation: instance {violation.instance}, "
-            f"range size {len(range_of(violation.rule))}, dictators: {_dictators_text(names)}"
+            f"violation: instance {violation.instance}, range size {size}, dictators: none"
         )
     if len(report.violations) > 20:
         lines.append(f"... and {len(report.violations) - 20} more violation(s)")
@@ -676,11 +664,11 @@ def _cmd_verify_theorem(options: dict[str, Any]) -> int:
         "violations": [
             {
                 "instance": v.instance,
-                "range_size": len(range_of(v.rule)),
-                "dictators": names,
+                "range_size": size,
+                "dictators": [],
                 "table": [v.rule.domain.labels[a] for a in v.rule.table],
             }
-            for v, names in zip(report.violations, dictators)
+            for v, size in zip(report.violations, range_sizes)
         ],
         "audited": report.audited,
         "audit_faults": [
@@ -696,12 +684,13 @@ def _cmd_search_two_step(options: dict[str, Any]) -> int:
     result = search_sp_combinations(partition, budget=options["budget"])
     catalogs, total = result.catalogs, result.candidates_total
     sizes = "x".join(str(len(c)) for c in catalogs)
-    limit = _str_digit_limit()
+    digits = decimal_digit_count(total)
+    printable = digits <= _str_digit_limit()
 
     lines = [
         f"response profiles: {len(catalogs)}; catalog sizes: {sizes}; "
-        f"candidates: {_count_text(total, limit)}; tried: {result.candidates_tried}; "
-        f"complete: {'yes' if result.complete else 'no'}"
+        f"candidates: {total if printable else f'({digits} digits)'}; "
+        f"tried: {result.candidates_tried}; complete: {'yes' if result.complete else 'no'}"
     ]
     lines.append(f"strategy-proof assignments: {len(result.assignments)}")
 
@@ -718,7 +707,7 @@ def _cmd_search_two_step(options: dict[str, Any]) -> int:
     payload = {
         "command": "search-two-step",
         "response_profiles": len(catalogs),
-        "candidates_total": total if decimal_digit_count(total) <= limit else None,
+        "candidates_total": total if printable else None,
         "candidates_tried": result.candidates_tried,
         "complete": result.complete,
         "found": len(result.assignments),

@@ -71,23 +71,6 @@ from .rules import (
 )
 
 
-def _enumeration_outcomes(
-    pd: ProductDomain, range_filter: Optional[Iterable[int]], max_profiles: int
-) -> tuple[int, ...]:
-    """The outcomes :func:`enumerate_sp_rules` tries, ascending, after its
-    checks: the profile guard, the table cap, then the range filter."""
-    _check_profile_guard(pd.profile_count, max_profiles)
-    _check_table_cap(pd.profile_count)
-    m = pd.m
-    outcomes = tuple(range(m) if range_filter is None else sorted(set(range_filter)))
-    for alt in outcomes:
-        if not 0 <= alt < m:
-            raise DomainError(f"range filter alternative {alt} is outside 0..{m - 1}")
-    if not outcomes:
-        raise DomainError("range filter must allow at least one outcome")
-    return outcomes
-
-
 def enumerate_sp_rules(
     pd: ProductDomain,
     range_filter: Optional[Iterable[int]] = None,
@@ -103,9 +86,17 @@ def enumerate_sp_rules(
     the outcomes admissible for its reports against those states, which is
     the strategy-proofness check against every earlier cell of each fiber,
     both ways.  A cell's states are rewritten whenever the search enters it,
-    so backtracking needs no undo."""
+    so backtracking needs no undo.  Guards and filter are checked at the call."""
     count = pd.profile_count
-    full_mask = sum(1 << alt for alt in _enumeration_outcomes(pd, range_filter, max_profiles))
+    _check_profile_guard(count, max_profiles)
+    _check_table_cap(count)
+    outcomes = range(pd.m) if range_filter is None else set(range_filter)
+    for alt in sorted(outcomes):
+        if not 0 <= alt < pd.m:
+            raise DomainError(f"range filter alternative {alt} is outside 0..{pd.m - 1}")
+    if not outcomes:
+        raise DomainError("range filter must allow at least one outcome")
+    full_mask = sum(1 << alt for alt in outcomes)
 
     # before[i][t]: the state of agent i's fiber at t over the cells before t
     # (0 at a fiber's first cell).  steps[t]: per agent with such a cell q,
@@ -121,28 +112,31 @@ def enumerate_sp_rules(
         for t, digits in enumerate(pd.iter_profiles())
     ]
 
-    table = [0] * count
-    masks = [0] * count
-    masks[0] = full_mask
-    t = 0
-    while t >= 0:
-        if not masks[t]:
-            t -= 1
-            continue
-        low = masks[t] & -masks[t]
-        table[t] = low.bit_length() - 1
-        masks[t] ^= low
-        if t == count - 1:
-            yield Rule(pd, tuple(table))
-            continue
-        t += 1
-        mask = full_mask
-        for states, q, marks, admissible in steps[t]:
-            state = states[t] = states[q] | marks[table[q]]
-            mask &= admissible[state]
-            if not mask:
-                break
-        masks[t] = mask
+    def search() -> Iterator[Rule]:
+        table = [0] * count
+        masks = [0] * count
+        masks[0] = full_mask
+        t = 0
+        while t >= 0:
+            if not masks[t]:
+                t -= 1
+                continue
+            low = masks[t] & -masks[t]
+            table[t] = low.bit_length() - 1
+            masks[t] ^= low
+            if t == count - 1:
+                yield Rule(pd, tuple(table))
+                continue
+            t += 1
+            mask = full_mask
+            for states, q, marks, admissible in steps[t]:
+                state = states[t] = states[q] | marks[table[q]]
+                mask &= admissible[state]
+                if not mask:
+                    break
+            masks[t] = mask
+
+    return search()
 
 
 # The number of monotone boolean functions of n = 0..8 variables (OEIS A000372).
@@ -320,22 +314,25 @@ def decimal_digit_count(value: int) -> int:
 
 
 def power_digit_count(base: int, exponent: int) -> int:
-    """Number of decimal digits of ``base ** exponent``, exactly.
-
-    Uses exact integer comparison up to 100k digits and 80-digit decimal
-    logarithms beyond (safe for bases that are not powers of ten).
-    """
+    """Number of decimal digits of ``base ** exponent``: ``floor(exponent *
+    log10(base)) + 1``, exact for a power of ten and otherwise taken at a
+    precision (from twice the exponent's digits) that doubles until a slack of
+    ``10 ** (2 - prec)`` of the product, above its three roundings of at most
+    ``10 ** (1 - prec)`` each, cannot move the floor."""
     if base < 1 or exponent < 0:
         raise DomainError("power digit count needs base >= 1 and exponent >= 0")
-    if base == 1 or exponent == 0:
-        return 1
-    approx = exponent * math.log10(base)
-    if approx <= 100_000:
-        return decimal_digit_count(base**exponent)
+    shift = decimal_digit_count(base) - 1
+    if base == 10**shift:
+        return shift * exponent + 1
     with localcontext() as ctx:
-        ctx.prec = 80
-        exact = Decimal(exponent) * Decimal(base).log10()
-        return int(exact.to_integral_value(rounding=ROUND_FLOOR)) + 1
+        ctx.prec = 2 * decimal_digit_count(exponent) + 8
+        while True:
+            value = Decimal(base).log10() * exponent
+            slack = value.scaleb(2 - ctx.prec)
+            low, high = ((value + d).to_integral_value(ROUND_FLOOR) for d in (-slack, slack))
+            if low == high:
+                return int(low) + 1
+            ctx.prec *= 2
 
 
 @dataclass(frozen=True)

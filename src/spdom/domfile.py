@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-from .classify import AnswerSet, RestrictionMap, classify, rebuild
+from .classify import AnswerSet, MapFault, RestrictionMap, classify, rebuild
 from .prefcore import (
     MAX_ALTERNATIVES,
     DomainError,
@@ -265,6 +265,8 @@ def _parse_agent(cursor: _Cursor, labels: dict[str, int], agent_kw: _Token) -> A
 
     fixes: list[OrderedPair] = []
     whens: list[tuple[list[OrderedPair], list[OrderedPair]]] = []
+    fix_at: list[_Token] = []  # each statement's keyword, to locate a MapFault
+    when_at: list[_Token] = []
     domain: Optional[PreferenceDomain] = None
     statement_count = 0
 
@@ -279,12 +281,14 @@ def _parse_agent(cursor: _Cursor, labels: dict[str, int], agent_kw: _Token) -> A
         if tok.text == "fix":
             cursor.next()
             fixes.append(_parse_pair(cursor, labels))
+            fix_at.append(tok)
         elif tok.text == "when":
             cursor.next()
             antecedent = _parse_pair_list(cursor, labels)
             cursor.expect("=>")
             conclusions = _parse_pair_list(cursor, labels)
             whens.append((antecedent, conclusions))
+            when_at.append(tok)
         elif tok.text in _GENERATOR_KEYWORDS or tok.text == "rankings":
             cursor.next()
             rankings = tok.text == "rankings"
@@ -319,8 +323,17 @@ def _parse_agent(cursor: _Cursor, labels: dict[str, int], agent_kw: _Token) -> A
     try:
         hint = RestrictionMap.of(len(labels), fixes, whens)
         domain = rebuild(hint)
-    except DomainError as err:
-        raise DomainError(f"agent {name!r}: {err}") from err
+    except MapFault as fault:
+        pair, where = fault.pair, fault.conditional
+        if where is None:  # the later of the first fixes of the pair and of its reverse
+            at = fix_at[max(fixes.index(pair), fixes.index(pair.swapped()))]
+        else:  # the first when with the fault's antecedent and the pair in that part
+            ante, part = where
+            at = next(t for t, w in zip(when_at, whens) if set(w[0]) == ante and pair in w[part])
+        message = fault.wording.format(format_pair(pair, list(labels)))
+        raise ParseError(f"agent {name!r}: {message}", at.line, at.col) from fault
+    except DomainError as err:  # the statements leave no ranking
+        raise ParseError(f"agent {name!r}: {err}", agent_kw.line, agent_kw.col) from err
     return AgentSpec(name, domain, hint)
 
 

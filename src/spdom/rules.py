@@ -250,8 +250,7 @@ def audit_sp_lemmas(
     the report pinpoints where the structure breaks.
     """
     pd = rule.domain
-    _check_profile_guard(pd.profile_count, max_profiles)
-    witness = find_manipulation(rule, max_profiles)
+    witness = find_manipulation(rule, max_profiles)  # checks the profile guard first
     maximality: list[OptionMaximalityFault] = []
     freeness: list[OptionFreenessFault] = []
     table = rule.table

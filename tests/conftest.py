@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -8,6 +10,8 @@ import pytest
 TESTS_DIR = Path(__file__).resolve().parent
 REPO_ROOT = TESTS_DIR.parent
 FIXTURES = REPO_ROOT / "fixtures"
+
+SRC = REPO_ROOT / "src"
 
 # Make `import oracles` work regardless of how pytest was invoked.
 if str(TESTS_DIR) not in sys.path:
@@ -24,6 +28,14 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def run_spdom(args, **kwargs) -> subprocess.CompletedProcess:
+    """Run ``python -m spdom *args`` in a child process with ``src`` first on
+    its ``PYTHONPATH``, so the child imports this checkout without an install."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-m", "spdom", *args], env=env, **kwargs)
 
 
 def _load(name: str):

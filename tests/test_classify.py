@@ -65,6 +65,35 @@ def test_restriction_map_validation():
         RestrictionMap.of(3, [(0, 3)])
 
 
+@pytest.mark.parametrize(
+    "base, conditionals, message",
+    [
+        # An out-of-range pair, alone and next to a reversed base pair.
+        ([(0, 3)], [], "pair (0, 3) mentions an alternative outside 0..2"),
+        ([(0, 1), (1, 0), (0, 3)], [], "pair (0, 3) mentions an alternative outside 0..2"),
+        # A reversed base pair, alone and next to a reversed antecedent pair.
+        ([(0, 1), (1, 0)], [], "base contains (0, 1) and its reverse"),
+        ([(0, 1), (1, 0)], [([(0, 2), (2, 0)], [(1, 2)])], "base contains (0, 1) and its reverse"),
+        ([], [([(0, 2), (2, 0)], [(1, 2)])], "antecedent contains (0, 2) and its reverse"),
+        # An empty conclusion set, alone and with a reversed antecedent pair.
+        ([], [([(0, 1)], [])], "conditional conclusion sets must be nonempty"),
+        ([], [([(0, 1), (1, 0)], [])], "conditional conclusion sets must be nonempty"),
+        # A conclusion reversing a base pair, alone and in the conditional that
+        # sorts before one with a reversed antecedent pair.
+        ([(0, 1)], [([(0, 2)], [(1, 0)])], "conclusion (1, 0) contradicts a base fixed pair"),
+        (
+            [(0, 1)],
+            [([(1, 2), (2, 1)], [(0, 2)]), ([(0, 2)], [(1, 0)])],
+            "conclusion (1, 0) contradicts a base fixed pair",
+        ),
+    ],
+)
+def test_restriction_map_reports_its_first_fault(base, conditionals, message):
+    with pytest.raises(DomainError) as info:
+        RestrictionMap.of(3, base, conditionals)
+    assert str(info.value) == message
+
+
 def test_apply_restriction():
     universal = generate_domain("universal", m=3)
     r = oracles.DomainRestriction(frozenset({OrderedPair(0, 1)}), OrderedPair(1, 2))

@@ -25,7 +25,7 @@ import jsonschema
 import pytest
 
 import oracles
-from conftest import FIXTURES
+from conftest import FIXTURES, run_spdom
 from oracles import assemble, dictatorship, parse_assignment_file
 from spdom import ProductDomain, SizeLimitError, nonconditional_domains, second_step_catalog
 from spdom.cli import _json_chunks, run_command
@@ -775,11 +775,8 @@ def test_verify_theorem_guard_trips_before_the_family_is_built(cli):
 @pytest.mark.parametrize("agents", ["100000", "9223372036854775808"])
 def test_verify_theorem_guard_trips_for_any_agent_count(agents):
     # In a subprocess with a timeout, so that a sweep that hangs fails here.
-    result = subprocess.run(
-        [
-            sys.executable, "-m", "spdom", "verify-theorem", "--family",
-            "nonconditional-pairs", "--m", "3", "--agents", agents,
-        ],
+    result = run_spdom(
+        ["verify-theorem", "--family", "nonconditional-pairs", "--m", "3", "--agents", agents],
         capture_output=True,
         text=True,
         timeout=10,
@@ -999,9 +996,9 @@ def test_search_two_step_guard_trips_before_the_catalogs(tmp_path):
     )
     path = tmp_path / "wide.spdom"
     path.write_text("alternatives a b c d e f\n" + agents)
-    argv = [sys.executable, "-m", "spdom", "search-two-step", "--domain", str(path)]
+    argv = ["search-two-step", "--domain", str(path)]
     start = time.perf_counter()
-    result = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    result = run_spdom(argv, capture_output=True, text=True, timeout=60)
     elapsed = time.perf_counter() - start
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == "size limit: 27000 profiles exceeds the enumeration guard of 10000\n"
@@ -1029,14 +1026,14 @@ def test_table_cap_trips_before_the_table_is_allocated(tmp_path, command):
     # 1 GiB address-space limit the cap must refuse them before allocating.
     path = tmp_path / "uu8.spdom"
     path.write_text("alternatives a b c d e f g h\nagent 1 { universal }\nagent 2 { universal }\n")
-    argv = [sys.executable, "-m", "spdom", command, "--domain", str(path)]
+    argv = [command, "--domain", str(path)]
     if command == "count-subrules":
         argv.append("--oracle")
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    result = subprocess.run(
+    result = run_spdom(
         argv, capture_output=True, text=True, timeout=60, preexec_fn=limit_memory
     )
     assert (result.returncode, result.stdout) == (2, "")
@@ -1080,9 +1077,7 @@ def test_rule_file_domain_mismatch(cli, tmp_path):
 
 
 def test_module_entry_point():
-    result = subprocess.run(
-        [sys.executable, "-m", "spdom", "--help"], capture_output=True, text=True
-    )
+    result = run_spdom(["--help"], capture_output=True, text=True)
     assert result.returncode == 0
     for name in (
         "classify", "closure", "partition", "count-subrules", "enumerate-sp",
@@ -1101,11 +1096,11 @@ def test_closed_stdout_is_one_error_line(tmp_path, format):
         "alternatives a b c d e\n"
         "agent 1 { single-peaked a b c d e }\nagent 2 { single-peaked a b c d e }\n"
     )
-    argv = [sys.executable, "-m", "spdom", "count-subrules", "--domain", str(path)]
+    argv = ["count-subrules", "--domain", str(path)]
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        result = subprocess.run(
+        result = run_spdom(
             [*argv, "--format", format], stdout=write_end, stderr=subprocess.PIPE, timeout=60
         )
     finally:
@@ -1181,14 +1176,10 @@ def test_numeric_flag_usage_errors_exit_two(capsys, argv, message):
 
 
 def test_argparse_usage_errors_exit_two():
-    result = subprocess.run(
-        [sys.executable, "-m", "spdom"], capture_output=True, text=True
-    )
+    result = run_spdom([], capture_output=True, text=True)
     assert result.returncode == 2
     assert "usage:" in result.stderr
-    result = subprocess.run(
-        [sys.executable, "-m", "spdom", "classify"], capture_output=True, text=True
-    )
+    result = run_spdom(["classify"], capture_output=True, text=True)
     assert result.returncode == 2
     assert "--domain" in result.stderr
 

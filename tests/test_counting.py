@@ -5,6 +5,8 @@ import functools
 import itertools
 import math
 import random
+from decimal import ROUND_FLOOR, Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 
@@ -446,12 +448,64 @@ def test_power_digit_count():
     assert power_digit_count(3, 36) == decimal_digit_count(3**36)
     assert power_digit_count(1, 999) == 1
     assert power_digit_count(7, 0) == 1
-    # Large-exponent path (beyond exact integer comparison).
-    assert power_digit_count(2, 400_000) == decimal_digit_count(2**400_000)
+    assert power_digit_count(2, 400_000) == decimal_digit_count(2**400_000)  # over 10^5 digits
     with pytest.raises(DomainError):
         power_digit_count(0, 3)
     with pytest.raises(DomainError):
         power_digit_count(2, -1)
+
+
+def test_power_digit_count_near_a_convergent():
+    # 4515634950974286551821770101394324536311 * log10(7) is within 1e-40 of
+    # an integer from below; an 80-digit logarithm rounds it up to that integer.
+    exponent = 4515634950974286551821770101394324536311
+    assert power_digit_count(7, exponent) == 3816154246488244298397143709712602630060
+
+
+def _convergent_denominators(x: Decimal, limit: int) -> list[int]:
+    """The denominators up to ``limit`` of the continued-fraction convergents
+    of ``x``, read as an exact fraction."""
+    rest = Fraction(x)
+    denominators, (before, q) = [], (1, 0)
+    while True:
+        whole = math.floor(rest)
+        before, q = q, whole * q + before
+        if q > limit:
+            return denominators
+        denominators.append(q)
+        rest = 1 / (rest - whole)
+
+
+@pytest.mark.parametrize("base", range(2, 10))
+def test_power_digit_count_at_convergents(base):
+    # q * log10(base) comes closest to an integer at the convergents q (best
+    # approximations, Khinchin, "Continued Fractions", 1964), where a rounded
+    # logarithm is likeliest to cross it.  The reference is exact up to 10^5
+    # digits; beyond, a logarithm of 400 digits times the exponent, rounded to
+    # 4 * (the exponent's digits) + 50 digits, whose error stays below
+    # 10 ** (2 - precision) of the product.
+    with localcontext() as ctx:
+        ctx.prec = 400
+        log = Decimal(base).log10()
+    for q in _convergent_denominators(log, 10**80):
+        for exponent in (q, q + 1):
+            if exponent * math.log10(base) < 100_000:
+                expected = decimal_digit_count(base**exponent)
+            else:
+                with localcontext() as ctx:
+                    ctx.prec = 4 * len(str(exponent)) + 50
+                    value = log * exponent
+                    error = value.scaleb(2 - ctx.prec)
+                    whole = value.to_integral_value(ROUND_FLOOR)
+                    assert min(value - whole, whole + 1 - value) > error
+                expected = int(whole) + 1
+            assert power_digit_count(base, exponent) == expected, (base, exponent)
+
+
+def test_power_digit_count_of_powers_of_ten():
+    for exponent in (0, 1, 7, 10**5, 4515634950974286551821770101394324536311, 10**80):
+        assert power_digit_count(10, exponent) == exponent + 1
+        assert power_digit_count(100, exponent) == 2 * exponent + 1
 
 
 # ---------------------------------------------------------------------------

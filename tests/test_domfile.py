@@ -271,6 +271,34 @@ def test_unsatisfiable_statements_report_agent():
     assert "agent '1'" in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "body, line, col, message",
+    [
+        ("fix x > y; fix y > x", 2, 22, "base contains x > y and its reverse"),
+        ("fix x > y; fix x > y; fix y > x", 2, 33, "base contains x > y and its reverse"),
+        (
+            "fix x > y\n  when z > x => y > x",
+            3,
+            3,
+            "conclusion y > x contradicts a base fixed pair",
+        ),
+        (
+            "fix x > y\n  when z > x => z > y\n  when z > x => y > x",
+            4,
+            3,
+            "conclusion y > x contradicts a base fixed pair",
+        ),
+        ("when x > y, y > x => x > z", 2, 11, "antecedent contains x > y and its reverse"),
+        ("fix x > y; fix y > z; fix z > x", 2, 1, "restriction map rebuilds to the empty domain"),
+    ],
+)
+def test_statements_that_cannot_hold_are_located(body, line, col, message):
+    # The later fix or the when that writes the fault; the agent keyword for a cycle.
+    err = _err(f"alternatives x y z\nagent 1 {{ {body} }}\n")
+    assert str(err) == f"line {line}, column {col}: agent '1': {message}"
+    assert (err.line, err.col) == (line, col)
+
+
 def test_too_many_alternatives():
     labels = " ".join(f"a{i}" for i in range(9))
     with pytest.raises(SizeLimitError):

@@ -96,3 +96,15 @@ def test_every_definition_is_referenced():
         if defined not in referenced
     ]
     assert unreferenced == []
+
+
+def test_cli_imports_only_public_names():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    private = [
+        f"cli.py:{node.lineno}: {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("spdom"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
