@@ -5,7 +5,14 @@ non-conditional restriction-map form, partitions them by answers to the
 derived conditions, audits and enumerates strategy-proof social choice rules,
 counts two-step rule combinations in closed form, and verifies at small scale
 that strategy-proof rules without dictators attain exactly two outcomes.
+
+The domain layer (``prefcore``, ``classify``, ``domfile``) is imported with
+the package.  The rule layer (``rules``, ``counting``, ``twostep``) is
+imported when one of its names is first used, so that reading domains never
+loads it.
 """
+
+import importlib
 
 from .classify import (
     AnswerSet,
@@ -18,25 +25,6 @@ from .classify import (
     relabel_domain,
     relabel_map,
     satisfied_antecedents,
-)
-from .counting import (
-    BlockCount,
-    ImpossibilityReport,
-    PairVoteCount,
-    ProductFamily,
-    SubruleCountReport,
-    TheoremViolation,
-    count_second_step,
-    decimal_digit_count,
-    dedekind,
-    dictatorial_rules,
-    enumerate_sp_rules,
-    nonconditional_domains,
-    pair_vote_rules,
-    power_digit_count,
-    second_step_catalog,
-    steerable_range_count,
-    verify_impossibility,
 )
 from .domfile import (
     AgentSpec,
@@ -67,103 +55,86 @@ from .prefcore import (
     nonconditional_closure,
     pair_sets,
 )
-from .rules import (
-    ManipulationWitness,
-    Rule,
-    SpAuditReport,
-    audit_sp_lemmas,
-    constant_rule,
-    dictators_of,
-    find_manipulation,
-    iter_manipulations,
-    parse_rule_file,
-    range_of,
-    serialize_rule,
-)
-from .twostep import (
-    BlockDecomposition,
-    DECOMPOSITION_DICTATORIAL,
-    DECOMPOSITION_TWO_OUTCOME,
-    DECOMPOSITION_VIOLATION,
-    SearchResult,
-    decompose,
-    search_sp_combinations,
-    serialize_assignment,
-)
+
+#: Rule-layer name -> the submodule that defines it, imported on first use.
+_LAZY = {
+    name: module
+    for module, names in (
+        (
+            "counting",
+            "BlockCount ImpossibilityReport PairVoteCount ProductFamily SubruleCountReport "
+            "TheoremViolation count_second_step decimal_digit_count dedekind dictatorial_rules "
+            "enumerate_sp_rules nonconditional_domains pair_vote_rules power_digit_count "
+            "second_step_catalog steerable_range_count verify_impossibility",
+        ),
+        (
+            "rules",
+            "ManipulationWitness Rule SpAuditReport audit_sp_lemmas constant_rule dictators_of "
+            "find_manipulation iter_manipulations parse_rule_file range_of serialize_rule",
+        ),
+        (
+            "twostep",
+            "BlockDecomposition DECOMPOSITION_DICTATORIAL DECOMPOSITION_TWO_OUTCOME "
+            "DECOMPOSITION_VIOLATION SearchResult decompose search_sp_combinations "
+            "serialize_assignment",
+        ),
+    )
+    for name in names.split()
+}
+
+
+def __getattr__(name: str):
+    """A rule-layer name, read from its submodule on first use (PEP 562) and
+    then kept as a package global."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnswerSet",
     "AgentSpec",
-    "BlockCount",
-    "BlockDecomposition",
-    "DECOMPOSITION_DICTATORIAL",
-    "DECOMPOSITION_TWO_OUTCOME",
-    "DECOMPOSITION_VIOLATION",
     "DomainError",
     "DomainSpec",
-    "ImpossibilityReport",
     "MAX_ALTERNATIVES",
-    "ManipulationWitness",
     "OrderedPair",
     "PROFILE_ENUMERATION_LIMIT",
     "PairSets",
-    "PairVoteCount",
     "ParseError",
     "PreferenceDomain",
     "ProductDomain",
-    "ProductFamily",
     "Ranking",
     "ResponsePartition",
     "RestrictionMap",
-    "Rule",
     "SCAN_MODES",
-    "SearchResult",
     "SizeLimitError",
-    "SpAuditReport",
     "SpdomError",
-    "SubruleCountReport",
     "TABLE_CELL_LIMIT",
-    "TheoremViolation",
     "UnsatisfiableRestrictionError",
     "all_rankings",
-    "audit_sp_lemmas",
     "classify",
     "consistent_rankings",
-    "constant_rule",
-    "count_second_step",
-    "decimal_digit_count",
-    "decompose",
-    "dedekind",
     "default_labels",
-    "dictatorial_rules",
-    "dictators_of",
-    "enumerate_sp_rules",
-    "find_manipulation",
     "format_pair",
     "generate_domain",
-    "iter_manipulations",
     "map_statement_lines",
     "nonconditional_closure",
-    "nonconditional_domains",
     "pair_sets",
-    "pair_vote_rules",
     "parse_domain_file",
-    "parse_rule_file",
     "partition_by_answers",
-    "power_digit_count",
-    "range_of",
     "rebuild",
     "relabel_domain",
     "relabel_map",
     "satisfied_antecedents",
-    "search_sp_combinations",
-    "second_step_catalog",
-    "serialize_assignment",
     "serialize_product_domain",
-    "serialize_rule",
-    "steerable_range_count",
-    "verify_impossibility",
+    *_LAZY,
     "__version__",
 ]

@@ -328,26 +328,30 @@ def _lattice_chooser(
         down = agree
         for j in range(p):
             down |= (down & has[j]) >> (1 << j)
-        # blocked: the S with S | {q} in ``down`` for every q, so no conclusion fits.
-        blocked = -1
-        for j in range(p):
-            high = down & has[j]
-            blocked &= high | (high >> (1 << j))
-        size = 1
-        while not by_size[size] & ~blocked:
-            size += 1
-        # Lexicographically first open S of that size: take each own pair,
-        # in sorted order, while some open S of the size still holds it.
-        open_sets, chosen, antecedent = by_size[size] & ~blocked, 0, []
+        # Every set of fewer than t pairs is in ``down``, for the least size t
+        # of a set outside it (t >= 2: some member keeps each free pair), so
+        # the open antecedents are the (t-1)-subsets of those smallest sets.
+        outside = ~down
+        t = 2
+        while not by_size[t] & outside:
+            t += 1
+        # Lexicographically first open S: take each own pair, in sorted order,
+        # while some smallest set outside ``down`` still holds it with S.
+        sets, chosen, antecedent = by_size[t] & outside, 0, []
         for j in sorted(range(p), key=own.__getitem__):
-            if open_sets & has[j]:
-                open_sets &= has[j]
+            if sets & has[j]:
+                sets &= has[j]
                 chosen |= 1 << j
                 antecedent.append(own[j])
+                if len(antecedent) == t - 1:
+                    break
+        # The least conclusion q with S | {q} outside ``down``, tested on one
+        # byte view of it.
+        view = down.to_bytes(((1 << p) + 7) // 8, "little")
         conclusion = min(
             orientations[j][not bits[j]]
-            for j in range(p)
-            if not down >> (chosen | 1 << j) & 1
+            for j, point in enumerate([chosen | 1 << j for j in range(p)])
+            if not view[point >> 3] >> (point & 7) & 1
         )
         return antecedent, conclusion
 

@@ -27,19 +27,9 @@ import sys
 from collections.abc import Iterable, Iterator
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from .classify import ResponsePartition, classify, partition_by_answers
-from .counting import (
-    ProductFamily,
-    decimal_digit_count,
-    count_second_step,
-    enumerate_sp_rules,
-    nonconditional_domains,
-    power_digit_count,
-    second_step_catalog,
-    verify_impossibility,
-)
 from .domfile import (
     DomainSpec,
     format_answer_set,
@@ -58,17 +48,12 @@ from .prefcore import (
     nonconditional_closure,
     pair_sets,
 )
-from .rules import (
-    ManipulationWitness,
-    Rule,
-    audit_sp_lemmas,
-    dictators_of,
-    find_manipulation,
-    parse_rule_file,
-    range_of,
-    serialize_rule,
-)
-from .twostep import decompose, search_sp_combinations, serialize_assignment
+
+# The rule layer (rules, counting, twostep) is imported by the handlers that
+# run it, so that the domain commands start without it.
+if TYPE_CHECKING:
+    from .counting import ProductFamily
+    from .rules import ManipulationWitness
 
 # Full decimal rendering of big counts is capped; beyond this only the digit
 # count is reported (also keeps JSON encoding well clear of int-to-str limits).
@@ -238,58 +223,70 @@ def _cmd_classify(options: dict[str, Any]) -> int:
     scan = options["scan"]
     pd = spec.product
     maps = tuple(classify(agent.domain, scan=scan) for agent in spec.agents)
-
-    agents_payload = []
-    comment_lines = [f"# classification (scan: {scan})"]
+    # Only the printed form is built.
+    if options["format"] == "json":
+        payload = {
+            "command": "classify",
+            "scan": scan,
+            "alternatives": list(pd.labels),
+            "agents": [
+                {
+                    "agent": agent.name,
+                    "non_conditional": map_.is_non_conditional,
+                    "base": _pairs_json(map_.base, pd.labels),
+                    "conditionals": [
+                        {
+                            "antecedent": _pairs_json(antecedent, pd.labels),
+                            "conclusions": _pairs_json(conclusions, pd.labels),
+                        }
+                        for antecedent, conclusions in map_.conditionals
+                    ],
+                }
+                for agent, map_ in zip(spec.agents, maps)
+            ],
+        }
+        _emit(options, payload, ())
+        return 0
+    lines = [f"# classification (scan: {scan})"]
     for agent, map_ in zip(spec.agents, maps):
         kind = "non-conditional" if map_.is_non_conditional else "conditional"
-        comment_lines.append(
+        lines.append(
             f"# agent {agent.name}: {kind}, {len(map_.base)} fixed pair(s), "
             f"{len(map_.conditionals)} conditional statement(s)"
         )
-        agents_payload.append(
-            {
-                "agent": agent.name,
-                "non_conditional": map_.is_non_conditional,
-                "base": _pairs_json(map_.base, pd.labels),
-                "conditionals": [
-                    {
-                        "antecedent": _pairs_json(antecedent, pd.labels),
-                        "conclusions": _pairs_json(conclusions, pd.labels),
-                    }
-                    for antecedent, conclusions in map_.conditionals
-                ],
-            }
-        )
-    payload = {
-        "command": "classify",
-        "scan": scan,
-        "alternatives": list(pd.labels),
-        "agents": agents_payload,
-    }
-    _emit(options, payload, [*comment_lines, *serialize_product_domain(pd, maps).splitlines()])
+    _emit(options, None, [*lines, *serialize_product_domain(pd, maps).splitlines()])
     return 0
 
 
 def _cmd_closure(options: dict[str, Any]) -> int:
     spec = _load_spec(options)
     pd = spec.product
-    agents_payload = []
-    lines = []
+    agents = []
     for agent in spec.agents:
         sets = pair_sets(agent.domain)
         closure = nonconditional_closure(sets.fixed, agent.domain.m)
-        non_conditional = closure == agent.domain
-        agents_payload.append(
-            {
-                "agent": agent.name,
-                "fixed": _pairs_json(sets.fixed, pd.labels),
-                "free": _pairs_json(sets.free, pd.labels),
-                "closure_size": len(closure),
-                "domain_size": len(agent.domain),
-                "non_conditional": non_conditional,
-            }
-        )
+        agents.append((agent, sets, len(closure), closure == agent.domain))
+    # Only the printed form is built.
+    if options["format"] == "json":
+        payload = {
+            "command": "closure",
+            "alternatives": list(pd.labels),
+            "agents": [
+                {
+                    "agent": agent.name,
+                    "fixed": _pairs_json(sets.fixed, pd.labels),
+                    "free": _pairs_json(sets.free, pd.labels),
+                    "closure_size": closure_size,
+                    "domain_size": len(agent.domain),
+                    "non_conditional": non_conditional,
+                }
+                for agent, sets, closure_size, non_conditional in agents
+            ],
+        }
+        _emit(options, payload, ())
+        return 0
+    lines = []
+    for agent, sets, closure_size, non_conditional in agents:
         fixed_text = (
             "; ".join(format_pair(p, pd.labels) for p in sorted(sets.fixed)) or "(none)"
         )
@@ -301,14 +298,9 @@ def _cmd_closure(options: dict[str, Any]) -> int:
         lines.append(f"  fixed pairs: {fixed_text}")
         lines.append(f"  free pairs: {free_text}")
         lines.append(f"  domain size: {len(agent.domain)}")
-        lines.append(f"  closure size: {len(closure)}")
+        lines.append(f"  closure size: {closure_size}")
         lines.append(f"  non-conditional: {'yes' if non_conditional else 'no'}")
-    payload = {
-        "command": "closure",
-        "alternatives": list(pd.labels),
-        "agents": agents_payload,
-    }
-    _emit(options, payload, lines)
+    _emit(options, None, lines)
     return 0
 
 
@@ -316,28 +308,37 @@ def _cmd_partition(options: dict[str, Any]) -> int:
     spec = _load_spec(options)
     pd = spec.product
     maps = spec.resolved_maps(options["scan"])
-    agents_payload = []
+    agents = [
+        (agent, partition_by_answers(agent.domain, map_)) for agent, map_ in zip(spec.agents, maps)
+    ]
+    # Only the printed form is built.
+    if options["format"] == "json":
+        payload = {
+            "command": "partition",
+            "alternatives": list(pd.labels),
+            "agents": [
+                {
+                    "agent": agent.name,
+                    "blocks": [
+                        {
+                            "answers": _pairs_json(answers, pd.labels),
+                            "size": len(block),
+                            "rankings": [_ranking_json(r.order, pd.labels) for r in block.rankings],
+                        }
+                        for answers, block in blocks
+                    ],
+                }
+                for agent, blocks in agents
+            ],
+        }
+        _emit(options, payload, ())
+        return 0
     lines = []
-    for agent, map_ in zip(spec.agents, maps):
-        blocks = partition_by_answers(agent.domain, map_)
+    for agent, blocks in agents:
         lines.append(f"agent {agent.name}: {len(blocks)} block(s)")
-        blocks_payload = []
         for answers, block in blocks:
             lines.append(f"  {format_answer_set(answers, pd.labels)} -> {len(block)} ranking(s)")
-            blocks_payload.append(
-                {
-                    "answers": _pairs_json(answers, pd.labels),
-                    "size": len(block),
-                    "rankings": [_ranking_json(r.order, pd.labels) for r in block.rankings],
-                }
-            )
-        agents_payload.append({"agent": agent.name, "blocks": blocks_payload})
-    payload = {
-        "command": "partition",
-        "alternatives": list(pd.labels),
-        "agents": agents_payload,
-    }
-    _emit(options, payload, lines)
+    _emit(options, None, lines)
     return 0
 
 
@@ -347,6 +348,7 @@ def _load_partition(options: dict[str, Any]) -> ResponsePartition:
 
 
 def _cmd_count_subrules(options: dict[str, Any]) -> int:
+    from .counting import count_second_step, decimal_digit_count, second_step_catalog
     partition = _load_partition(options)
     pd = partition.product
     report = count_second_step(partition)
@@ -450,6 +452,8 @@ def _parse_range_filter(spec: DomainSpec, text: Optional[str]) -> Optional[tuple
 def _brute_force_sp_tables(pd: ProductDomain, outcomes: list[int]) -> Iterator[tuple[int, ...]]:
     """Independent check for enumerate-sp: the tables over ``outcomes`` the
     manipulation scan passes.  The cap is checked at the call."""
+    from .counting import power_digit_count
+    from .rules import Rule, find_manipulation
     count = pd.profile_count
     digits = power_digit_count(len(outcomes), count)  # the power is built only if printable
     total = len(outcomes) ** count if digits <= _str_digit_limit() else None
@@ -463,6 +467,8 @@ def _brute_force_sp_tables(pd: ProductDomain, outcomes: list[int]) -> Iterator[t
 
 
 def _cmd_enumerate_sp(options: dict[str, Any]) -> int:
+    from .counting import enumerate_sp_rules
+    from .rules import serialize_rule
     spec = _load_spec(options)
     pd = spec.product
     range_filter = _parse_range_filter(spec, options["range"])
@@ -520,6 +526,7 @@ def _cmd_enumerate_sp(options: dict[str, Any]) -> int:
 
 
 def _cmd_check_rule(options: dict[str, Any]) -> int:
+    from .rules import audit_sp_lemmas, dictators_of, parse_rule_file, range_of
     spec = _load_spec(options)
     pd = spec.product
     rule = parse_rule_file(_read_text(options["rule"]), pd)
@@ -573,6 +580,8 @@ def _cmd_check_rule(options: dict[str, Any]) -> int:
 
 
 def _cmd_decompose(options: dict[str, Any]) -> int:
+    from .rules import parse_rule_file
+    from .twostep import decompose
     partition = _load_partition(options)
     pd = partition.product
     rule = parse_rule_file(_read_text(options["rule"]), pd)
@@ -615,6 +624,7 @@ def _cmd_decompose(options: dict[str, Any]) -> int:
 
 
 def _theorem_instances(options: dict[str, Any]) -> ProductFamily | list[ProductDomain]:
+    from .counting import ProductFamily, nonconditional_domains
     domain_files = options["domain"] or []
     family = options["family"]
     if domain_files and family:
@@ -630,6 +640,8 @@ def _theorem_instances(options: dict[str, Any]) -> ProductFamily | list[ProductD
 
 
 def _cmd_verify_theorem(options: dict[str, Any]) -> int:
+    from .counting import verify_impossibility
+    from .rules import range_of
     instances = _theorem_instances(options)
     report = verify_impossibility(
         instances,
@@ -680,6 +692,8 @@ def _cmd_verify_theorem(options: dict[str, Any]) -> int:
 
 
 def _cmd_search_two_step(options: dict[str, Any]) -> int:
+    from .counting import decimal_digit_count
+    from .twostep import search_sp_combinations, serialize_assignment
     partition = _load_partition(options)
     result = search_sp_combinations(partition, budget=options["budget"])
     catalogs, total = result.catalogs, result.candidates_total

@@ -30,12 +30,17 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
-def run_spdom(args, **kwargs) -> subprocess.CompletedProcess:
-    """Run ``python -m spdom *args`` in a child process with ``src`` first on
-    its ``PYTHONPATH``, so the child imports this checkout without an install."""
+def run_python(args, **kwargs) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a child process with ``src`` first on its
+    ``PYTHONPATH``, so the child imports this checkout without an install."""
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run([sys.executable, "-m", "spdom", *args], env=env, **kwargs)
+    return subprocess.run([sys.executable, *args], env=env, **kwargs)
+
+
+def run_spdom(args, **kwargs) -> subprocess.CompletedProcess:
+    """Run ``python -m spdom *args`` as :func:`run_python` does."""
+    return run_python(["-m", "spdom", *args], **kwargs)
 
 
 def _load(name: str):

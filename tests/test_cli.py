@@ -299,7 +299,7 @@ def test_count_subrules_oracle_mismatch(cli, monkeypatch):
         catalog = second_step_catalog(pd)
         return catalog[:-1] if pd.profile_count == 9 else catalog
 
-    monkeypatch.setattr("spdom.cli.second_step_catalog", short_on_3x3)
+    monkeypatch.setattr("spdom.counting.second_step_catalog", short_on_3x3)
     code, out, err = cli("count-subrules", "--domain", SP3, "--oracle")
     assert (code, err) == (3, "")
     assert out.splitlines()[-2:] == [

@@ -1,0 +1,90 @@
+"""The package's two import layers, each checked in a fresh interpreter.
+
+The domain layer (``prefcore``, ``classify``, ``domfile``) loads with
+``spdom``; the rule layer (``rules``, ``counting``, ``twostep``) loads only
+in the commands that run it, and the package serves its names on first use.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+from conftest import FIXTURES, run_python
+
+RULE_LAYER = {"spdom.rules", "spdom.counting", "spdom.twostep"}
+
+# Runs the CLI invocation given as arguments (none: only imports the CLI) with
+# its report sent to --out, then prints the spdom modules it loaded.
+LOADED = """
+import json, sys
+import spdom.cli
+if sys.argv[1:]:
+    assert spdom.cli.run_command(sys.argv[1:]) == 0
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("spdom"))))
+"""
+
+
+def _loaded(*argv: str) -> set[str]:
+    done = run_python(["-c", LOADED, *argv], capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    return set(json.loads(done.stdout))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (),
+        ("classify", "--format", "text"),
+        ("classify", "--format", "json", "--scan", "reversed"),
+        ("closure", "--format", "text"),
+        ("closure", "--format", "json"),
+        ("partition", "--format", "text"),
+        ("partition", "--format", "json"),
+    ],
+    ids=" ".join,
+)
+def test_domain_commands_leave_out_the_rule_layer(argv, tmp_path):
+    if argv:
+        argv = (*argv, "--domain", str(FIXTURES / "ex1.spdom"), "--out", str(tmp_path / "r"))
+    loaded = _loaded(*argv)
+    assert {"spdom.cli", "spdom.classify", "spdom.domfile", "spdom.prefcore"} <= loaded
+    assert loaded & RULE_LAYER == set()
+
+
+def test_count_subrules_loads_counting_but_not_twostep(tmp_path):
+    domain = str(FIXTURES / "ex1.spdom")
+    loaded = _loaded("count-subrules", "--domain", domain, "--out", str(tmp_path / "r"))
+    assert loaded & RULE_LAYER == {"spdom.counting", "spdom.rules"}
+
+
+SURFACE = """
+import importlib, sys
+import spdom
+
+assert set(spdom.__all__) <= set(dir(spdom))
+names = {}
+exec("from spdom import " + ", ".join(spdom.__all__), names)
+assert all(names[name] is getattr(spdom, name) for name in spdom.__all__)
+for name, module in spdom._LAZY.items():
+    assert names[name] is getattr(importlib.import_module("spdom." + module), name), name
+
+from spdom.cli import run_command
+
+for command in ("classify", "count-subrules"):
+    assert run_command([command, "--domain", sys.argv[1], "--out", sys.argv[2]]) == 0
+assert spdom.classify is sys.modules["spdom.classify"].classify
+
+try:
+    spdom.no_such_name
+except AttributeError as err:
+    assert str(err) == "module 'spdom' has no attribute 'no_such_name'", err
+else:
+    raise AssertionError("spdom.no_such_name resolved")
+"""
+
+
+def test_package_surface(tmp_path):
+    argv = ["-c", SURFACE, str(FIXTURES / "ex1.spdom"), str(tmp_path / "r")]
+    done = run_python(argv, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
