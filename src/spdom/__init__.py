@@ -24,7 +24,6 @@ from .classify import (
     rebuild,
     relabel_domain,
     relabel_map,
-    satisfied_antecedents,
 )
 from .domfile import (
     AgentSpec,
@@ -133,7 +132,6 @@ __all__ = [
     "rebuild",
     "relabel_domain",
     "relabel_map",
-    "satisfied_antecedents",
     "serialize_product_domain",
     *_LAZY,
     "__version__",

@@ -10,15 +10,14 @@ it, i.e. when it is the closure of its own fixed pairs.
 ``classify`` recovers such a map from an explicit domain with a deterministic
 two-phase scan and ``rebuild`` inverts it, both over sets of rankings held as
 ints (bit i for the i-th ranking of ``all_rankings(m)``).
-``satisfied_antecedents`` and ``partition_by_answers`` slice a domain by which
-condition pairs a member realizes, and ``ResponsePartition`` applies that
-split to every agent of a product domain at once.
+``partition_by_answers`` slices a domain by which condition pairs a member
+realizes, and ``ResponsePartition`` applies that split to every agent of a
+product domain at once.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -30,6 +29,7 @@ from .prefcore import (
     Ranking,
     UnsatisfiableRestrictionError,
     _check_pair,
+    _Value,
     all_rankings,
     pair_sets,
 )
@@ -49,8 +49,7 @@ class MapFault(DomainError):
         self.wording, self.pair, self.conditional = wording, pair, conditional
 
 
-@dataclass(frozen=True)
-class RestrictionMap:
+class RestrictionMap(_Value):
     """Base fixed pairs plus conditionals ``antecedent -> conclusion set``.
 
     Conditionals are merged by antecedent and canonically ordered, so two maps
@@ -59,9 +58,10 @@ class RestrictionMap:
     Build it with :meth:`of`, which validates the pairs once.
     """
 
-    m: int
-    base: frozenset[OrderedPair]
-    conditionals: tuple[tuple[frozenset[OrderedPair], frozenset[OrderedPair]], ...]
+    _compared = ("m", "base", "conditionals")
+
+    def __init__(self, m: int, base: frozenset[OrderedPair], conditionals: tuple) -> None:
+        self.m, self.base, self.conditionals = m, base, conditionals
 
     @classmethod
     def of(
@@ -141,17 +141,8 @@ def rebuild(map_: RestrictionMap) -> PreferenceDomain:
         keep &= ~(_all_of(antecedent, masks, keep) & ~_all_of(conclusions, masks, keep))
     if not keep:
         raise UnsatisfiableRestrictionError("restriction map rebuilds to the empty domain")
-    bits = reversed(bin(keep))  # bit i first; the "b0" prefix comes last
-    return PreferenceDomain(map_.m, tuple(r for r, bit in zip(universe, bits) if bit == "1"))
-
-
-def satisfied_antecedents(r: Ranking, map_: RestrictionMap) -> AnswerSet:
-    """The condition pairs of ``map_`` that ``r`` ranks top-over-bottom."""
-    return frozenset(p for p in map_.conditions if r.prefers(p.top, p.bottom))
-
-
-def _answer_sort_key(answers: AnswerSet) -> tuple:
-    return (len(answers), sorted(answers))
+    bits = map("1".__eq__, reversed(bin(keep)))  # bit i first; the "b0" prefix comes last
+    return PreferenceDomain(map_.m, tuple(itertools.compress(universe, bits)))
 
 
 def partition_by_answers(
@@ -159,19 +150,27 @@ def partition_by_answers(
 ) -> tuple[tuple[AnswerSet, PreferenceDomain], ...]:
     """Split ``d`` into its answer-set blocks, canonically ordered.
 
-    The blocks are disjoint, cover ``d``, and each is non-conditional.
+    The blocks are disjoint, cover ``d``, and each is non-conditional.  A
+    member's answers are its digits in the binary forms of the condition
+    pairs' masks, read for all members at once, one pair at a time.
     """
-    buckets: dict[AnswerSet, list[Ranking]] = {}
-    for r in d.rankings:
-        buckets.setdefault(satisfied_antecedents(r, map_), []).append(r)
-    return tuple(
-        (answers, PreferenceDomain(d.m, tuple(buckets[answers])))
-        for answers in sorted(buckets, key=_answer_sort_key)
-    )
+    n = len(all_rankings(d.m))
+    index, masks = _universe_index(d.m), _pair_masks(d.m)
+    conditions = sorted(map_.conditions)
+    spots = [n - 1 - index[r.order] for r in d.rankings]  # bit i is digit n-1-i
+    columns = [map(format(masks[p], f"0{n}b").__getitem__, spots) for p in conditions]
+    buckets: dict[tuple[str, ...], list[Ranking]] = {}
+    for r, digits in zip(d.rankings, zip(*columns) if columns else itertools.repeat(())):
+        buckets.setdefault(digits, []).append(r)
+    blocks = []  # canonical order: by answer count, then by the sorted answers
+    for digits, members in buckets.items():
+        answers = list(itertools.compress(conditions, map("1".__eq__, digits)))
+        blocks.append(((len(answers), answers), frozenset(answers), tuple(members)))
+    blocks.sort(key=lambda block: block[0])
+    return tuple((answers, PreferenceDomain(d.m, members)) for _, answers, members in blocks)
 
 
-@dataclass(frozen=True)
-class ResponsePartition:
+class ResponsePartition(_Value):
     """A product domain split by every agent's answers to their map's conditions.
 
     Per agent: the realizable answer sets in canonical order, the block of
@@ -183,11 +182,18 @@ class ResponsePartition:
     it with :meth:`of`, which validates the maps once.
     """
 
-    product: ProductDomain
-    maps: tuple[RestrictionMap, ...]
-    answers: tuple[tuple[AnswerSet, ...], ...]
-    blocks: tuple[tuple[PreferenceDomain, ...], ...]
-    answer_of: tuple[tuple[int, ...], ...]  # per agent, per ranking
+    _compared = ("product", "maps", "answers", "blocks", "answer_of")
+
+    def __init__(
+        self,
+        product: ProductDomain,
+        maps: tuple[RestrictionMap, ...],
+        answers: tuple[tuple[AnswerSet, ...], ...],
+        blocks: tuple[tuple[PreferenceDomain, ...], ...],
+        answer_of: tuple[tuple[int, ...], ...],  # per agent, per ranking
+    ) -> None:
+        self.product, self.maps, self.answers = product, maps, answers
+        self.blocks, self.answer_of = blocks, answer_of
 
     @classmethod
     def of(cls, pd: ProductDomain, maps: Sequence[RestrictionMap]) -> "ResponsePartition":
@@ -203,8 +209,8 @@ class ResponsePartition:
             split = partition_by_answers(d, map_)
             answers.append(tuple(a for a, _ in split))
             blocks.append(tuple(block for _, block in split))
-            where = {r: k for k, (_, block) in enumerate(split) for r in block.rankings}
-            answer_of.append(tuple(where[r] for r in d.rankings))
+            where = {r.order: k for k, (_, block) in enumerate(split) for r in block.rankings}
+            answer_of.append(tuple(where[r.order] for r in d.rankings))
         return cls(pd, maps, tuple(answers), tuple(blocks), tuple(answer_of))
 
     @cached_property

@@ -25,7 +25,6 @@ import math
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
@@ -128,6 +127,7 @@ def _json_chunks(value: Any) -> Iterator[str]:
     its pure-Python encoder.  An iterator is written as a list, item by
     item, so a report can stream a list it never holds whole.  Small parts
     are joined into a chunk as containers close."""
+    from json.encoder import encode_basestring_ascii
     parts: list[str] = []
     append = parts.append
 

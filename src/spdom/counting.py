@@ -43,10 +43,8 @@ import bisect
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
-from decimal import ROUND_FLOOR, Decimal, localcontext
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .classify import AnswerSet, ResponsePartition
 from .prefcore import (
@@ -56,6 +54,7 @@ from .prefcore import (
     PreferenceDomain,
     ProductDomain,
     SizeLimitError,
+    _Value,
     consistent_rankings,
     pair_sets,
 )
@@ -313,17 +312,24 @@ def decimal_digit_count(value: int) -> int:
     return digits
 
 
+EXACT_POWER_BITS = 1 << 15  # built in less time than loading ``decimal`` takes
+
+
 def power_digit_count(base: int, exponent: int) -> int:
-    """Number of decimal digits of ``base ** exponent``: ``floor(exponent *
-    log10(base)) + 1``, exact for a power of ten and otherwise taken at a
-    precision (from twice the exponent's digits) that doubles until a slack of
-    ``10 ** (2 - prec)`` of the product, above its three roundings of at most
-    ``10 ** (1 - prec)`` each, cannot move the floor."""
+    """Number of decimal digits of ``base ** exponent``: counted on the power
+    up to ``EXACT_POWER_BITS`` bits, else ``floor(exponent * log10(base)) +
+    1``, exact for a power of ten and otherwise taken at a precision (from
+    twice the exponent's digits) that doubles until a slack of ``10 ** (2 -
+    prec)`` of the product, above its three roundings of at most ``10 ** (1
+    - prec)`` each, cannot move the floor."""
     if base < 1 or exponent < 0:
         raise DomainError("power digit count needs base >= 1 and exponent >= 0")
+    if exponent * base.bit_length() <= EXACT_POWER_BITS:
+        return decimal_digit_count(base**exponent)
     shift = decimal_digit_count(base) - 1
     if base == 10**shift:
         return shift * exponent + 1
+    from decimal import ROUND_FLOOR, Decimal, localcontext
     with localcontext() as ctx:
         ctx.prec = 2 * decimal_digit_count(exponent) + 8
         while True:
@@ -335,8 +341,7 @@ def power_digit_count(base: int, exponent: int) -> int:
             ctx.prec *= 2
 
 
-@dataclass(frozen=True)
-class PairVoteCount:
+class PairVoteCount(NamedTuple):
     """Closed-form count of two-outcome rules for one unordered pair."""
 
     pair: tuple[int, int]
@@ -344,8 +349,7 @@ class PairVoteCount:
     count: int
 
 
-@dataclass(frozen=True)
-class BlockCount:
+class BlockCount(NamedTuple):
     """Subrule counts for one response profile (one block product).
 
     ``index`` is each agent's answer index.  The answers, block sizes and the
@@ -356,9 +360,9 @@ class BlockCount:
     constants: int  # one per alternative
     two_outcome: int
     subtotal: int
-    partition: ResponsePartition = field(repr=False, compare=False)
+    partition: ResponsePartition
     # Per agent and block: (free-pair bitmask, steerable ranges of size 3..m, their total).
-    tallies: tuple = field(repr=False, compare=False)
+    tallies: tuple
 
     @property
     def answers(self) -> tuple[AnswerSet, ...]:
@@ -384,8 +388,7 @@ class BlockCount:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class SubruleCountReport:
+class SubruleCountReport(NamedTuple):
     """Closed-form count of strategy-proof subrule assignments."""
 
     m: int
@@ -482,20 +485,19 @@ def nonconditional_domains(m: int) -> tuple[PreferenceDomain, ...]:
     return tuple(seen[key] for key in sorted(seen, key=lambda k: (len(k), k)))
 
 
-@dataclass(frozen=True)
-class ProductFamily:
+class ProductFamily(_Value):
     """Every product of ``agents`` domains drawn from ``base``, in the order of
     ``itertools.product(base, repeat=agents)``: instance ``k`` gives agent
     ``j`` the base domain at the ``j``-th base-``len(base)`` digit of ``k``,
     agent 0 most significant.  Instances are built on demand."""
 
-    base: tuple[PreferenceDomain, ...]
-    agents: int
+    __slots__ = _compared = ("base", "agents")
 
-    def __post_init__(self) -> None:
-        _check_same_m(self.base)
-        if self.agents < 1:
-            raise DomainError(f"a product family needs at least one agent, got {self.agents}")
+    def __init__(self, base: tuple[PreferenceDomain, ...], agents: int) -> None:
+        self.base, self.agents = base, agents
+        _check_same_m(base)
+        if agents < 1:
+            raise DomainError(f"a product family needs at least one agent, got {agents}")
 
     def __len__(self) -> int:
         return len(self.base) ** self.agents
@@ -569,23 +571,20 @@ class ProductFamily:
         return tuple(tuple(orbit) for orbit in members)
 
 
-@dataclass(frozen=True)
-class TheoremViolation:
+class TheoremViolation(NamedTuple):
     """A strategy-proof, non-dictatorial rule whose range size is not two."""
 
     instance: int
     rule: Rule
 
 
-@dataclass(frozen=True)
-class AuditFault:
+class AuditFault(NamedTuple):
     instance: int
     rule: Rule
     reason: str
 
 
-@dataclass(frozen=True)
-class ImpossibilityReport:
+class ImpossibilityReport(NamedTuple):
     instances: int
     rules_checked: int
     violations: tuple[TheoremViolation, ...]
@@ -598,7 +597,8 @@ class ImpossibilityReport:
 
 
 def _violates_impossibility(rule: Rule) -> bool:
-    return len(range_of(rule)) != 2 and not dictators_of(rule)
+    # A one-outcome rule makes every agent a dictator: only wider ranges are scanned.
+    return len(range_of(rule)) > 2 and not dictators_of(rule)
 
 
 def _audit_rule(rule: Rule) -> Optional[str]:

@@ -20,7 +20,6 @@ decomposition instead of re-deriving one.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .classify import AnswerSet, MapFault, RestrictionMap, classify, rebuild
@@ -133,8 +132,7 @@ class _Cursor:
         return found
 
 
-@dataclass(frozen=True)
-class AgentSpec:
+class AgentSpec(NamedTuple):
     """One parsed agent: its domain plus the map its body declared, if any."""
 
     name: str
@@ -142,8 +140,7 @@ class AgentSpec:
     map_hint: Optional[RestrictionMap]
 
 
-@dataclass(frozen=True)
-class DomainSpec:
+class DomainSpec(NamedTuple):
     """A parsed ``.spdom`` file."""
 
     labels: tuple[str, ...]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -67,8 +66,30 @@ def _check_pair(pair: Sequence[int], m: int) -> OrderedPair:
     return OrderedPair(a, b)
 
 
-@dataclass(frozen=True)
-class Ranking:
+class _Value:
+    """Equality, hash and repr over the attributes ``_compared`` names; only
+    instances of one class compare equal, and the hash is of their tuple."""
+
+    __slots__ = ()
+    _compared: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compared])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Ranking(_Value):
     """A strict total order over alternatives ``0..m-1``.
 
     ``order`` lists the alternatives best first and is the only compared
@@ -76,16 +97,24 @@ class Ranking:
     it and excluded from equality.
     """
 
-    order: tuple[int, ...]
-    position: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    __slots__ = ("order", "position")
+    _compared = ("order",)
 
-    def __post_init__(self) -> None:
-        m = len(self.order)
+    def __init__(self, order: tuple[int, ...]) -> None:
+        self.order = order
+        m = len(order)
         _check_alternative_count(m)
-        if sorted(self.order) != list(range(m)):
-            raise DomainError(f"order {self.order!r} is not a permutation of 0..{m - 1}")
-        position = tuple(sorted(range(m), key=self.order.__getitem__))
-        object.__setattr__(self, "position", position)
+        if sorted(order) != list(range(m)):
+            raise DomainError(f"order {order!r} is not a permutation of 0..{m - 1}")
+        self.position = tuple(sorted(range(m), key=order.__getitem__))
+
+    def __eq__(self, other: object) -> bool:  # ``_Value``'s, unrolled: domains compare often
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.order == other.order
+
+    def __hash__(self) -> int:
+        return hash((self.order,))
 
     @property
     def m(self) -> int:
@@ -133,28 +162,27 @@ class PairSets(NamedTuple):
     free: frozenset[tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class PreferenceDomain:
+class PreferenceDomain(_Value):
     """A nonempty set of rankings over a common alternative set, canonically sorted."""
 
-    m: int
-    rankings: tuple[Ranking, ...]
-    _hash: int = field(init=False, compare=False, repr=False)  # of the orders, taken once
+    __slots__ = ("m", "rankings", "_hash")
+    _compared = ("m", "rankings")
 
-    def __post_init__(self) -> None:
-        _check_alternative_count(self.m)
-        if not self.rankings:
+    def __init__(self, m: int, rankings: tuple[Ranking, ...]) -> None:
+        self.m, self.rankings = m, rankings
+        _check_alternative_count(m)
+        if not rankings:
             raise DomainError("a preference domain must contain at least one ranking")
         previous: tuple[int, ...] = ()  # sorts before every order
-        for r in self.rankings:
-            if r.m != self.m:
+        for r in rankings:
+            if r.m != m:
                 raise DomainError("all rankings in a domain must share the alternative set")
             if r.order <= previous:
                 if r.order == previous:
                     raise DomainError(f"duplicate ranking {r.order!r} in domain")
                 raise DomainError("internal: domain rankings not canonically sorted; use .of()")
             previous = r.order
-        object.__setattr__(self, "_hash", hash((self.m, tuple(r.order for r in self.rankings))))
+        self._hash = hash((m, tuple(r.order for r in rankings)))  # of the orders, taken once
 
     def __hash__(self) -> int:
         return self._hash
@@ -217,27 +245,14 @@ def nonconditional_closure(pairs: Iterable[Sequence[int]], m: int) -> Preference
     return PreferenceDomain(m, survivors)
 
 
-def _is_single_peaked(r: Ranking, axis_pos: Sequence[int]) -> bool:
-    peak = r.top
-    m = r.m
-    for t in range(m):
-        for u in range(m):
-            if t == u:
-                continue
-            between_left = axis_pos[peak] >= axis_pos[t] > axis_pos[u]
-            between_right = axis_pos[u] > axis_pos[t] >= axis_pos[peak]
-            if (between_left or between_right) and not r.prefers(t, u):
-                return False
-    return True
-
-
-def _axis_positions(axis: Sequence[int], m: int) -> tuple[int, ...]:
-    if sorted(axis) != list(range(m)):
-        raise DomainError(f"axis {tuple(axis)!r} is not a permutation of 0..{m - 1}")
-    pos = [0] * m
-    for i, alt in enumerate(axis):
-        pos[alt] = i
-    return tuple(pos)
+def _single_peaked_orders(axis: Sequence[int]) -> list[tuple[int, ...]]:
+    """The 2^(m-1) orders single-peaked along ``axis``: from each peak, every
+    next alternative is the nearest one left or right of those ranked so far."""
+    m = len(axis)
+    grown = [(i,) for i in range(m)]  # axis positions, best first
+    for _ in range(m - 1):
+        grown = [o + (end,) for o in grown for end in (min(o) - 1, max(o) + 1) if 0 <= end < m]
+    return [tuple(axis[i] for i in order) for order in grown]
 
 
 def generate_domain(kind: str, **params) -> PreferenceDomain:
@@ -271,11 +286,10 @@ def generate_domain(kind: str, **params) -> PreferenceDomain:
         (axis,) = _take("axis")
         m = len(axis)
         _check_alternative_count(m)
-        pos = _axis_positions(axis, m)
-        peaked = [r for r in all_rankings(m) if _is_single_peaked(r, pos)]
-        if kind == "single_dipped":  # the reverses of the single-peaked rankings
-            return PreferenceDomain.of(Ranking(r.order[::-1]) for r in peaked)
-        return PreferenceDomain(m, tuple(peaked))
+        if sorted(axis) != list(range(m)):
+            raise DomainError(f"axis {tuple(axis)!r} is not a permutation of 0..{m - 1}")
+        step = -1 if kind == "single_dipped" else 1  # the reverses of the single-peaked
+        return PreferenceDomain.of(Ranking(o[::step]) for o in _single_peaked_orders(axis))
     if kind == "self_preferring":
         m, owner = _take("m", "owner")
         _check_alternative_count(m)
@@ -302,8 +316,7 @@ def default_labels(m: int) -> tuple[str, ...]:
     return tuple("abcdefgh"[:m])
 
 
-@dataclass(frozen=True)
-class ProductDomain:
+class ProductDomain(_Value):
     """Per-agent preference domains over one shared alternative set.
 
     Profile indices are mixed-radix with agent 0 most significant: the profile
@@ -311,23 +324,27 @@ class ProductDomain:
     where the digits are the base-``len(d_i)`` expansion of ``k``.
     """
 
-    labels: tuple[str, ...]
-    agent_names: tuple[str, ...]
-    agents: tuple[PreferenceDomain, ...]
+    _compared = ("labels", "agent_names", "agents")
 
-    def __post_init__(self) -> None:
-        if not self.agents:
+    def __init__(
+        self,
+        labels: tuple[str, ...],
+        agent_names: tuple[str, ...],
+        agents: tuple[PreferenceDomain, ...],
+    ) -> None:
+        self.labels, self.agent_names, self.agents = labels, agent_names, agents
+        if not agents:
             raise DomainError("a product domain needs at least one agent")
-        m = self.agents[0].m
-        if any(d.m != m for d in self.agents):
+        m = agents[0].m
+        if any(d.m != m for d in agents):
             raise DomainError("all agents must rank the same alternative set")
-        if len(self.labels) != m:
-            raise DomainError(f"expected {m} alternative labels, got {len(self.labels)}")
-        if len(set(self.labels)) != m:
+        if len(labels) != m:
+            raise DomainError(f"expected {m} alternative labels, got {len(labels)}")
+        if len(set(labels)) != m:
             raise DomainError("alternative labels must be distinct")
-        if len(self.agent_names) != len(self.agents):
+        if len(agent_names) != len(agents):
             raise DomainError("one name per agent required")
-        if len(set(self.agent_names)) != len(self.agent_names):
+        if len(set(agent_names)) != len(agent_names):
             raise DomainError("agent names must be distinct")
 
     @classmethod

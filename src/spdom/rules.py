@@ -13,8 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .domfile import ParseError, format_profile
 from .prefcore import (
@@ -24,6 +23,7 @@ from .prefcore import (
     PreferenceDomain,
     ProductDomain,
     SizeLimitError,
+    _Value,
     pair_sets,
 )
 
@@ -35,22 +35,21 @@ def _check_table_cap(count: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(_Value):
     """A social choice rule: one outcome per profile, in canonical profile order.
 
     Only the table's length is checked; its builder keeps every outcome in
     ``0..m-1`` (the ``.rule`` parser maps labels to ids).
     """
 
-    domain: ProductDomain
-    table: tuple[int, ...]
+    __slots__ = _compared = ("domain", "table")
 
-    def __post_init__(self) -> None:
-        count = self.domain.profile_count
+    def __init__(self, domain: ProductDomain, table: tuple[int, ...]) -> None:
+        self.domain, self.table = domain, table
+        count = domain.profile_count
         _check_table_cap(count)
-        if len(self.table) != count:
-            raise DomainError(f"outcome table needs {count} cells, got {len(self.table)}")
+        if len(table) != count:
+            raise DomainError(f"outcome table needs {count} cells, got {len(table)}")
 
 
 def constant_rule(pd: ProductDomain, outcome: int) -> Rule:
@@ -65,8 +64,7 @@ def range_of(rule: Rule) -> frozenset[int]:
     return frozenset(rule.table)
 
 
-@dataclass(frozen=True)
-class ManipulationWitness:
+class ManipulationWitness(NamedTuple):
     """One profitable misreport: at ``profile``, ``agent`` deviating to ranking
     index ``deviation`` turns ``sincere_outcome`` into the strictly better
     ``deviating_outcome`` (better under the agent's sincere ranking)."""
@@ -202,8 +200,7 @@ def dictators_of(rule: Rule) -> frozenset[int]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class OptionMaximalityFault:
+class OptionMaximalityFault(NamedTuple):
     """At ``others``, ``agent`` reporting ranking index ``own`` received
     ``outcome`` although ``better`` was in their option set."""
 
@@ -214,8 +211,7 @@ class OptionMaximalityFault:
     better: int
 
 
-@dataclass(frozen=True)
-class OptionFreenessFault:
+class OptionFreenessFault(NamedTuple):
     """Option set at ``others`` for ``agent`` contains alternatives ``a, b``
     that the agent's domain does not leave free."""
 
@@ -225,8 +221,7 @@ class OptionFreenessFault:
     b: int
 
 
-@dataclass(frozen=True)
-class SpAuditReport:
+class SpAuditReport(NamedTuple):
     """Structural audit of a rule against the facts that characterize
     strategy-proofness: every realized outcome is the reporter's best
     option-set member, and option-set members are pairwise free."""

@@ -15,8 +15,7 @@ gain by switching blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .classify import AnswerSet, ResponsePartition
 from .counting import _catalogs_fit, second_step_catalog
@@ -38,8 +37,7 @@ DECOMPOSITION_TWO_OUTCOME = "sp_range_le_2"
 DECOMPOSITION_VIOLATION = "violation"
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(NamedTuple):
     """One response profile's subrule and what kind of rule it is."""
 
     answers: tuple[AnswerSet, ...]
@@ -73,8 +71,7 @@ def decompose(rule: Rule, partition: ResponsePartition) -> tuple[BlockDecomposit
     return tuple(blocks)
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     """Outcome of a catalog-driven search over two-step assignments."""
 
     assignments: tuple[tuple[int, ...], ...]  # catalog indices per found rule

@@ -82,6 +82,24 @@ def reversed_prefix_interval_orders(axis: Sequence[int]) -> list[tuple[int, ...]
     return sorted(tuple(reversed(order)) for order in prefix_interval_orders(axis))
 
 
+def single_peaked_by_filter(axis: Sequence[int]) -> list[tuple[int, ...]]:
+    """Single-peaked orders by the definition, canonical order: every ranking
+    of the m! that prefers t to u whenever t lies between u and the peak."""
+    m = len(axis)
+    pos = {alt: i for i, alt in enumerate(axis)}
+    out = []
+    for r in all_rankings(m):
+        peak = pos[r.top]
+        if all(
+            r.prefers(t, u)
+            for t in range(m)
+            for u in range(m)
+            if t != u and (peak <= pos[t] < pos[u] or pos[u] < pos[t] <= peak)
+        ):
+            out.append(r.order)
+    return out
+
+
 def orders_satisfying_pairs(m: int, pairs: Iterable[tuple[int, int]]) -> list[tuple[int, ...]]:
     """All orders (best first) placing ``a`` before ``b`` for each pair (a, b)."""
     pairs = list(pairs)
@@ -492,6 +510,12 @@ def verify_impossibility_per_instance(
 
 # ---------------------------------------------------------------------------
 # Library routines no command uses, kept as second routes for the tests
+
+
+def satisfied_antecedents(r: Ranking, map_: RestrictionMap) -> AnswerSet:
+    """The condition pairs of ``map_`` that ``r`` ranks top-over-bottom: one
+    ranking at a time, where :func:`partition_by_answers` splits bitmasks."""
+    return frozenset(p for p in map_.conditions if r.prefers(p.top, p.bottom))
 
 
 def _check_answers(map_: RestrictionMap, answers: Iterable[Sequence[int]]) -> frozenset[OrderedPair]:

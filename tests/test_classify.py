@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import answer_block_by_formula, answer_closure_pairs
+from oracles import answer_block_by_formula, answer_closure_pairs, satisfied_antecedents
 from spdom import (
     SCAN_MODES,
     DomainError,
@@ -27,7 +27,6 @@ from spdom import (
     rebuild,
     relabel_domain,
     relabel_map,
-    satisfied_antecedents,
 )
 from spdom.classify import LATTICE_FREE_PAIR_LIMIT
 
@@ -346,6 +345,21 @@ def test_realizable_answer_sets_chain(ex2_spec):
     ]
     assert {satisfied_antecedents(r, hint) for r in d.rankings} == {a for a, _ in blocks}
     assert [len(block) for _, block in blocks] == [5, 6, 4, 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.randoms(use_true_random=False))
+def test_partition_matches_member_by_member_answers(m, rng):
+    # The mask route against asking every member about every condition pair.
+    universe = all_rankings(m)
+    d = PreferenceDomain.of(rng.sample(universe, rng.randint(1, len(universe))))
+    map_ = classify(d)
+    buckets: dict = {}
+    for r in d.rankings:
+        buckets.setdefault(satisfied_antecedents(r, map_), []).append(r)
+    blocks = partition_by_answers(d, map_)
+    assert dict(blocks) == {a: PreferenceDomain(m, tuple(block)) for a, block in buckets.items()}
+    assert [a for a, _ in blocks] == sorted(buckets, key=lambda a: (len(a), sorted(a)))
 
 
 def test_partition_blocks_disjoint_cover_non_conditional(ex1_spec, ex2_spec):

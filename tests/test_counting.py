@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
@@ -455,6 +454,17 @@ def test_power_digit_count():
         power_digit_count(2, -1)
 
 
+def test_power_digit_count_routes_agree(monkeypatch):
+    # Powers of at most EXACT_POWER_BITS bits are built; the logarithm route
+    # must give the same counts on them.
+    cases = [(base, exponent) for base in range(1, 13) for exponent in range(0, 400, 7)]
+    cases += [(5, 6400), (7, 4681), (10, 3000), (1000, 900)]
+    built = [power_digit_count(base, exponent) for base, exponent in cases]
+    assert built == [decimal_digit_count(base**exponent) for base, exponent in cases]
+    monkeypatch.setattr("spdom.counting.EXACT_POWER_BITS", -1)
+    assert [power_digit_count(base, exponent) for base, exponent in cases] == built
+
+
 def test_power_digit_count_near_a_convergent():
     # 4515634950974286551821770101394324536311 * log10(7) is within 1e-40 of
     # an integer from below; an 80-digit logarithm rounds it up to that integer.
@@ -580,7 +590,7 @@ def _family_and_oracle(m, n: int):
 def test_orbit_sweep_matches_per_instance_sweep(m, n, audit_sample, seed):
     family, instances, rules, unaudited = _family_and_oracle(m, n)
     audited, faults = oracles.audit_per_instance(rules, audit_sample, seed)
-    expected = dataclasses.replace(unaudited, audited=audited, audit_faults=faults)
+    expected = unaudited._replace(audited=audited, audit_faults=faults)
     assert verify_impossibility(family, audit_sample=audit_sample, seed=seed) == expected
     if audit_sample == 0:
         assert list(family) == instances

@@ -3,6 +3,8 @@
 The domain layer (``prefcore``, ``classify``, ``domfile``) loads with
 ``spdom``; the rule layer (``rules``, ``counting``, ``twostep``) loads only
 in the commands that run it, and the package serves its names on first use.
+Of the standard library, ``json`` and ``decimal`` load only where they are
+used, and ``dataclasses`` (with ``inspect``) not at all.
 """
 
 from __future__ import annotations
@@ -56,6 +58,37 @@ def test_count_subrules_loads_counting_but_not_twostep(tmp_path):
     domain = str(FIXTURES / "ex1.spdom")
     loaded = _loaded("count-subrules", "--domain", domain, "--out", str(tmp_path / "r"))
     assert loaded & RULE_LAYER == {"spdom.counting", "spdom.rules"}
+
+
+# Runs the CLI invocation given as arguments (none: only imports the CLI),
+# then prints as its last line which of these standard modules it loaded,
+# itself loading none of them.
+STDLIB_LOADED = """
+import sys
+before = set(sys.modules)
+import spdom.cli
+if sys.argv[1:]:
+    assert spdom.cli.run_command(sys.argv[1:]) == 0
+print("loaded:", *sorted({"dataclasses", "inspect", "json", "decimal"} & set(sys.modules) - before))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        ((), "loaded:"),
+        (("classify",), "loaded:"),
+        (("count-subrules",), "loaded:"),
+        (("search-two-step", "--budget", "60"), "loaded:"),
+        (("classify", "--format", "json"), "loaded: json"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else None,
+)
+def test_text_commands_leave_out_json_decimal_and_dataclasses(argv, expected):
+    if argv:
+        argv = (*argv, "--domain", str(FIXTURES / "ex1.spdom"))
+    done = run_python(["-c", STDLIB_LOADED, *argv], capture_output=True, text=True)
+    assert (done.returncode, done.stdout.splitlines()[-1], done.stderr) == (0, expected, "")
 
 
 SURFACE = """

@@ -115,6 +115,22 @@ def test_single_dipped_is_reversed_single_peaked():
         )
 
 
+@pytest.mark.parametrize("m", range(1, 8))
+def test_single_peaked_generation_matches_the_filter(m):
+    # Grown outward from each peak against the definition's filter over all
+    # m! rankings, on the identity axis, its reverse and two shuffles.
+    rng = random.Random(m)
+    axes = {tuple(range(m)), tuple(reversed(range(m)))}
+    axes |= {tuple(rng.sample(range(m), m)) for _ in range(2)}
+    for axis in sorted(axes):
+        peaked = oracles.single_peaked_by_filter(axis)
+        assert len(peaked) == 2 ** (m - 1)
+        d = generate_domain("single_peaked", axis=list(axis))
+        assert [r.order for r in d.rankings] == peaked
+        d = generate_domain("single_dipped", axis=list(axis))
+        assert [r.order for r in d.rankings] == sorted(order[::-1] for order in peaked)
+
+
 def test_universal_domain():
     d = generate_domain("universal", m=3)
     assert len(d) == 6

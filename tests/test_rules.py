@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 
@@ -160,8 +159,8 @@ def test_manipulations_in_canonical_order_against_oracle():
             assert found == oracles.sp_violations(rule)
             report = audit_sp_lemmas(rule)
             faults = (
-                [dataclasses.astuple(f) for f in report.maximality_faults],
-                [dataclasses.astuple(f) for f in report.freeness_faults],
+                [tuple(f) for f in report.maximality_faults],
+                [tuple(f) for f in report.freeness_faults],
             )
             assert faults == oracles.audit_faults(rule)
 

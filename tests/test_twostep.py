@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import importlib
 import random
 
@@ -12,6 +11,7 @@ from oracles import (
     first_step_witnesses,
     is_strategy_proof,
     parse_assignment_file,
+    satisfied_antecedents,
     search_by_assembly,
     single_peaked_sp_count,
 )
@@ -38,7 +38,6 @@ from spdom import (
     nonconditional_domains,
     parse_domain_file,
     range_of,
-    satisfied_antecedents,
     search_sp_combinations,
     second_step_catalog,
     serialize_assignment,
@@ -411,8 +410,7 @@ def test_search_matches_assembly_route(sp3_spec, uni3_spec, ex1_spec, ex2_spec):
         partition = ResponsePartition.of(spec.product, spec.resolved_maps("default"))
         found = search_sp_combinations(partition, budget)
         expected = search_by_assembly(partition, budget)
-        for field in dataclasses.fields(expected):
-            name = field.name
+        for name in expected._fields:
             assert getattr(found, name) == getattr(expected, name), (spec.labels, budget, name)
 
 
