@@ -18,6 +18,7 @@ product domain at once.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -110,13 +111,14 @@ class RestrictionMap(_Value):
 @lru_cache(maxsize=None)
 def _pair_masks(m: int) -> dict[OrderedPair, int]:
     """Per ordered pair, the bitmask of the rankings of ``all_rankings(m)``
-    (bit i for the i-th) that rank ``top`` above ``bottom``."""
-    masks = {OrderedPair(a, b): 0 for a in range(m) for b in range(m) if a != b}
-    for i, r in enumerate(all_rankings(m)):
-        bit = 1 << i
-        for j, top in enumerate(r.order):
-            for bottom in r.order[j + 1 :]:
-                masks[top, bottom] |= bit
+    (bit i for the i-th) that rank ``top`` above ``bottom``: read off one
+    byte per ranking, highest bit first, as a binary numeral."""
+    positions = list(zip(*(r.position for r in reversed(all_rankings(m)))))
+    digits = bytes.maketrans(b"\0\1", b"01")
+    masks = {}
+    for a, b in itertools.permutations(range(m), 2):
+        numeral = bytes(map(operator.lt, positions[a], positions[b])).translate(digits)
+        masks[OrderedPair(a, b)] = int(numeral, 2)
     return masks
 
 

@@ -649,6 +649,28 @@ def _cmd_verify_theorem(options: dict[str, Any]) -> int:
         audit_sample=options["audit_sample"],
         seed=options["seed"],
     )
+    exit_code = 0 if report.ok else 3  # violations have no dictator
+    if options["format"] == "json":
+        payload = {
+            "command": "verify-theorem",
+            "instances": report.instances,
+            "rules_checked": report.rules_checked,
+            "violations": [
+                {
+                    "instance": v.instance,
+                    "range_size": len(range_of(v.rule)),
+                    "dictators": [],
+                    "table": [v.rule.domain.labels[a] for a in v.rule.table],
+                }
+                for v in report.violations
+            ],
+            "audited": report.audited,
+            "audit_faults": [
+                {"instance": f.instance, "reason": f.reason} for f in report.audit_faults
+            ],
+        }
+        _emit(options, payload, ())
+        return exit_code
     lines = [
         f"instances: {report.instances}; rules checked: {report.rules_checked}; "
         f"violations: {len(report.violations)}; audited: {report.audited}; "
@@ -659,36 +681,16 @@ def _cmd_verify_theorem(options: dict[str, Any]) -> int:
             "verified: every strategy-proof rule without a dictator attains "
             "exactly two outcomes"
         )
-    range_sizes = [len(range_of(v.rule)) for v in report.violations]  # violations have no dictator
-    for violation, size in zip(report.violations[:20], range_sizes):
+    for v in report.violations[:20]:
         lines.append(
-            f"violation: instance {violation.instance}, range size {size}, dictators: none"
+            f"violation: instance {v.instance}, range size {len(range_of(v.rule))}, dictators: none"
         )
     if len(report.violations) > 20:
         lines.append(f"... and {len(report.violations) - 20} more violation(s)")
     for fault in report.audit_faults[:20]:
         lines.append(f"audit fault: instance {fault.instance}: {fault.reason}")
-
-    payload = {
-        "command": "verify-theorem",
-        "instances": report.instances,
-        "rules_checked": report.rules_checked,
-        "violations": [
-            {
-                "instance": v.instance,
-                "range_size": size,
-                "dictators": [],
-                "table": [v.rule.domain.labels[a] for a in v.rule.table],
-            }
-            for v, size in zip(report.violations, range_sizes)
-        ],
-        "audited": report.audited,
-        "audit_faults": [
-            {"instance": f.instance, "reason": f.reason} for f in report.audit_faults
-        ],
-    }
-    _emit(options, payload, lines)
-    return 0 if report.ok else 3
+    _emit(options, None, lines)
+    return exit_code
 
 
 def _cmd_search_two_step(options: dict[str, Any]) -> int:

@@ -42,9 +42,11 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 import random
-from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from array import array
+from functools import lru_cache, reduce
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .classify import AnswerSet, ResponsePartition
 from .prefcore import (
@@ -96,6 +98,7 @@ def enumerate_sp_rules(
     if not outcomes:
         raise DomainError("range filter must allow at least one outcome")
     full_mask = sum(1 << alt for alt in outcomes)
+    lowest = [(mask & -mask).bit_length() - 1 for mask in range(full_mask + 1)]
 
     # before[i][t]: the state of agent i's fiber at t over the cells before t
     # (0 at a fiber's first cell).  steps[t]: per agent with such a cell q,
@@ -120,9 +123,9 @@ def enumerate_sp_rules(
             if not masks[t]:
                 t -= 1
                 continue
-            low = masks[t] & -masks[t]
-            table[t] = low.bit_length() - 1
-            masks[t] ^= low
+            mask = masks[t]
+            table[t] = lowest[mask]
+            masks[t] = mask & (mask - 1)
             if t == count - 1:
                 yield Rule(pd, tuple(table))
                 continue
@@ -505,10 +508,17 @@ class ProductFamily(_Value):
     def __getitem__(self, instance: int) -> ProductDomain:
         if not 0 <= instance < len(self.base) ** self.agents:  # len() caps at sys.maxsize
             raise IndexError(f"instance {instance} is outside the family")
+        return ProductDomain.of([self.base[d] for d in self.digits(instance)])
+
+    def digits(self, instance: int) -> list[int]:
+        """The base indices of ``instance``'s agents."""
         digits = [0] * self.agents
         for j in range(self.agents - 1, -1, -1):
             instance, digits[j] = divmod(instance, len(self.base))
-        return ProductDomain.of([self.base[d] for d in digits])
+        return digits
+
+    def index_of(self, digits: Iterable[int]) -> int:
+        return reduce(lambda instance, d: instance * len(self.base) + d, digits, 0)
 
     def first_over(self, max_profiles: int) -> Optional[tuple[int, int]]:
         """The first instance with more than ``max_profiles`` profiles and its
@@ -534,41 +544,151 @@ class ProductFamily(_Value):
             count *= sizes[digit]
         return instance, count
 
-    def orbits(self) -> tuple[tuple[int, ...], ...]:
-        """The instances grouped into orbits under permuting the agents and
-        relabeling the alternatives, members ascending, orbits in order of
-        their first member.
+    def orbits(self) -> "FamilyOrbits":
+        return FamilyOrbits(self)
 
-        Sorting an instance's base indices accounts for the agents; the
-        alternatives act on the sorted tuple through a table of base indices,
-        so the base must be closed under relabeling.  The first member met in
-        instance order opens its orbit and claims every relabeled image.
-        """
-        m = self.base[0].m
-        index = {tuple(r.order for r in d.rankings): i for i, d in enumerate(self.base)}
-        action = []
-        for perm in itertools.permutations(range(m)):
-            row = []
-            for d in self.base:
-                image = tuple(sorted(tuple(perm[alt] for alt in r.order) for r in d.rankings))
-                if image not in index:
-                    raise AssertionError("the base domains are not closed under relabeling")
-                row.append(index[image])
-            action.append(row)
-        orbit_of: dict[tuple[int, ...], int] = {}
-        members: list[list[int]] = []
-        for instance, digits in enumerate(
-            itertools.product(range(len(self.base)), repeat=self.agents)
-        ):
-            key = tuple(sorted(digits))
-            number = orbit_of.get(key)
-            if number is None:
-                number = len(members)
-                members.append([])
-                for row in action:
-                    orbit_of[tuple(sorted(row[d] for d in key))] = number
-            members[number].append(instance)
-        return tuple(tuple(orbit) for orbit in members)
+
+class FamilyOrbits:
+    """A :class:`ProductFamily`'s orbits under permuting the agents and
+    relabeling the alternatives, in order of their first instances.
+
+    An orbit is a set of multisets of base indices (sorted digit tuples),
+    whose orderings are its instances, so no instance is visited.  Met in
+    lexicographic order, the order of their first orderings, a multiset not
+    yet claimed opens an orbit and claims its images under every relabeling
+    (the base must be closed under relabeling).  ``keys[k]`` is orbit k's
+    opening multiset, as it stands its first instance, ``sizes[k]`` counts
+    its instances, and ``number`` holds each multiset's orbit by
+    lexicographic position."""
+
+    def __init__(self, family: ProductFamily) -> None:
+        self.family = family
+        base, n, size = family.base, family.agents, len(family.base)
+        index = {tuple(r.order for r in d.rankings): i for i, d in enumerate(base)}
+        # Per relabeling (perm, row, back): base[k] relabeled is base[row[k]],
+        # whose r-th ranking is the relabeled back[k][r]-th ranking of base[k].
+        self.action = []
+        for perm in itertools.permutations(range(base[0].m)):
+            row, back = [], []
+            for d in base:
+                orders = [tuple(perm[alt] for alt in r.order) for r in d.rankings]
+                back.append(sorted(range(len(orders)), key=orders.__getitem__))
+                row.append(index.get(tuple(orders[j] for j in back[-1]), -1))
+            if -1 in row:
+                raise AssertionError("the base domains are not closed under relabeling")
+            self.action.append((perm, row, back))
+        # A multiset c_0 <= ... <= c_(n-1) sits at lexicographic position
+        # count - 1 less the colex rank of its mirror (size - 1 - c reversed).
+        self.count = math.comb(size + n - 1, n)
+        self.weights = [
+            [math.comb(size - c + n - 2 - j, n - j) for c in range(size)] for j in range(n)
+        ]
+        self.number = array("i", [-1]) * self.count
+        self.keys: list[tuple[int, ...]] = []
+        self.sizes: list[int] = []
+        # Orbit-stabilizer over S_n x S_m: n! m! instances over the
+        # relabelings fixing the multiset times the orderings fixing it.
+        group = math.factorial(n) * len(self.action)
+        columns = list(zip(*(row for _, row, _ in self.action)))  # per base index
+        for rank, key in enumerate(itertools.combinations_with_replacement(range(size), n)):
+            if self.number[rank] < 0:
+                fixed = 0
+                for image in map(sorted, zip(*map(columns.__getitem__, key))):
+                    self.number[self.position(image)] = len(self.keys)
+                    fixed += image == list(key)
+                runs = (len(list(run)) for _, run in itertools.groupby(key))
+                self.keys.append(key)
+                self.sizes.append(group // fixed // math.prod(map(math.factorial, runs)))
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def position(self, key: Sequence[int]) -> int:
+        """The lexicographic position of a sorted multiset."""
+        return self.count - 1 - sum(map(list.__getitem__, self.weights, key))
+
+    def product(self, number: int) -> ProductDomain:
+        """Orbit ``number``'s first instance."""
+        return ProductDomain.of([self.family.base[k] for k in self.keys[number]])
+
+    def members(self, number: int) -> list[int]:
+        """Orbit ``number``'s instances, ascending."""
+        key = self.keys[number]
+        images = {tuple(sorted(map(row.__getitem__, key))) for _, row, _ in self.action}
+        orders = (order for image in images for order in itertools.permutations(image))
+        return sorted(set(map(self.family.index_of, orders)))
+
+    def carry(self, number: int, instance: int, tables: Iterable[bytes]) -> list[bytes]:
+        """Tables of orbit ``number``'s first instance carried to ``instance``,
+        ascending.  A relabeling maps the first instance's multiset to the
+        instance's, and each agent of the instance plays an agent of the
+        first instance whose domain relabels to its own: a table's image reads
+        each profile at the matching profile and relabels the outcome.  So
+        the first instance's strategy-proof rules carry to the instance's."""
+        base, key = self.family.base, self.keys[number]
+        digits = self.family.digits(instance)
+        perm, row, back = next(
+            a for a in self.action if sorted(map(a[1].__getitem__, key)) == sorted(digits)
+        )
+        strides = [math.prod(len(base[k]) for k in key[j + 1 :]) for j in range(len(key))]
+        free = list(range(len(key)))
+        profiles = [0]  # per profile of the instance, the first instance's
+        for d in digits:
+            j = next(j for j in free if row[key[j]] == d)
+            free.remove(j)
+            profiles = [p + strides[j] * r for p in profiles for r in back[key[j]]]
+        relabel = bytes.maketrans(bytes(range(len(perm))), bytes(perm))
+        return sorted(bytes(map(t.translate(relabel).__getitem__, profiles)) for t in tables)
+
+    def locator(self, counts: Sequence[int]) -> Callable[[int], tuple[int, int, int]]:
+        """For a position in the family's rules, listed instance by instance
+        in instance order with ``counts[k]`` rules for each instance of orbit
+        k: its orbit, instance and offset.  The position descends the digits,
+        each taking the first base index whose instances reach past it.  The
+        rules of the instances with a given prefix depend on its digits as a
+        multiset, and are summed once per multiset."""
+        n, size = self.family.agents, len(self.family.base)
+
+        @lru_cache(maxsize=None)
+        def total(prefix: tuple[int, ...]) -> int:
+            if len(prefix) == n:
+                return counts[self.number[self.position(prefix)]]
+            return sum(total(tuple(sorted(prefix + (d,)))) for d in range(size))
+
+        def locate(pick: int) -> tuple[int, int, int]:
+            prefix: tuple[int, ...] = ()
+            digits = []
+            for _ in range(n):
+                for d in range(size):
+                    key = tuple(sorted(prefix + (d,)))
+                    if pick < total(key):
+                        break
+                    pick -= total(key)
+                prefix = key
+                digits.append(d)
+            return self.number[self.position(prefix)], self.family.index_of(digits), pick
+
+        return locate
+
+
+class _Singletons:
+    """A plain list of instances as one-instance orbits, for the sweep."""
+
+    def __init__(self, instances: tuple[ProductDomain, ...]) -> None:
+        self.product, self.sizes = instances.__getitem__, [1] * len(instances)
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def members(self, number: int) -> list[int]:
+        return [number]
+
+    def carry(self, number: int, instance: int, tables: list[bytes]) -> list[bytes]:
+        return tables
+
+    def locator(self, counts: Sequence[int]) -> Callable[[int], tuple[int, int, int]]:
+        ends = list(itertools.accumulate(counts))
+        return lambda pick: ((i := bisect.bisect_right(ends, pick)), i, pick - ends[i] + counts[i])
 
 
 class TheoremViolation(NamedTuple):
@@ -615,6 +735,12 @@ def _audit_rule(rule: Rule) -> Optional[str]:
     )
 
 
+# The sweep keeps its first instances' tables for the audit up to this many
+# cells in all (m=3 with 3 agents needs 66,150, m=4 with 2 agents 384,018);
+# past it, a picked orbit's first instance is enumerated once more.
+KEPT_CELLS = 1 << 20
+
+
 def verify_impossibility(
     family: ProductFamily | Iterable[ProductDomain],
     max_profiles: int = PROFILE_ENUMERATION_LIMIT,
@@ -627,26 +753,23 @@ def verify_impossibility(
     of non-conditional domains none exist, while conditional inputs are
     expected to produce them.
 
-    A :class:`ProductFamily` is swept once per symmetry orbit: the claim, the
-    number of strategy-proof rules and the profile count do not change when
-    agents are permuted or alternatives relabeled, so each orbit's first
-    instance is enumerated and its rules count once per member.  Only an orbit
-    whose first instance has violations is enumerated member by member, so
-    that every violating instance is reported.  Any other family is a list of
-    one-instance orbits.  The profile guard is checked for the whole family
-    before any enumeration; a family's agent count is held to it too.
+    A :class:`ProductFamily` is swept once per symmetry orbit
+    (:class:`FamilyOrbits`): the claim, the number of strategy-proof rules
+    and the profile count do not change when agents are permuted or
+    alternatives relabeled, so each orbit's first instance is enumerated and
+    its rules count once per member.  Any other member's rules are carried
+    from it: those of each member of an orbit with violations, and audited
+    ones.  Any other family is a list of one-instance orbits.  The profile
+    guard is checked for the whole family before any enumeration; a family's
+    agent count is held to it too.
 
     With ``audit_sample > 0``, that many strategy-proof rules are sampled
     (reproducibly, via ``seed``) across the family and audited by
     :func:`~spdom.rules.audit_sp_lemmas`: the manipulation scan plus option-set
     maximality and freeness on every subprofile.  A sample is a position in
-    the family's list of rules (instance order, then enumeration order).  The
-    audit reuses the rules the sweep enumerated for one-instance orbits (every
-    instance of a plain list); only the other sampled instances are
-    enumerated again.
+    the family's list of rules (instance order, then enumeration order).
     """
     if isinstance(family, ProductFamily):
-        instances: Sequence[ProductDomain] = family
         over = family.first_over(max_profiles)
         if over is not None:
             _check_profile_guard(over[1], max_profiles)
@@ -656,37 +779,33 @@ def verify_impossibility(
             raise SizeLimitError(
                 f"{family.agents} agents exceeds the enumeration guard of {max_profiles}"
             )
+        instances: ProductFamily | tuple[ProductDomain, ...] = family
+        orbits: FamilyOrbits | _Singletons = family.orbits()
     else:
         instances = tuple(family)
         for pd in instances:
             _check_profile_guard(pd.profile_count, max_profiles)
-    orbits = (
-        family.orbits()
-        if isinstance(family, ProductFamily)
-        else tuple((i,) for i in range(len(instances)))
-    )
+        orbits = _Singletons(instances)
 
-    def rules_of(instance: int) -> list[Rule]:
-        return list(enumerate_sp_rules(instances[instance], max_profiles=max_profiles))
-
-    counts = [0] * len(instances)
+    counts = []  # rules per orbit
+    kept: dict[int, list[bytes]] = {}  # first instances' tables, for the audit
+    cells = 0
     violations: list[TheoremViolation] = []
-    # Rules by instance for the audit: the sweep's one-instance orbits, then picks.
-    sampled: dict[int, list[Rule]] = {}
-    for orbit in orbits:
-        first = rules_of(orbit[0])
-        for member in orbit:
-            counts[member] = len(first)
-        if audit_sample > 0 and len(orbit) == 1:
-            sampled[orbit[0]] = first
-        if any(_violates_impossibility(r) for r in first):
-            for member in orbit:
-                rules = first if member == orbit[0] else rules_of(member)
-                violations.extend(
-                    TheoremViolation(member, r) for r in rules if _violates_impossibility(r)
-                )
+    for number in range(len(orbits)):
+        pd = orbits.product(number)
+        rules = list(enumerate_sp_rules(pd, max_profiles=max_profiles))
+        counts.append(len(rules))
+        if audit_sample > 0 and cells + len(rules) * pd.profile_count <= KEPT_CELLS:
+            cells += len(rules) * pd.profile_count
+            kept[number] = [bytes(r.table) for r in rules]
+        bad = [bytes(r.table) for r in rules if _violates_impossibility(r)]
+        for member in orbits.members(number) if bad else ():
+            violations.extend(
+                TheoremViolation(member, Rule(instances[member], tuple(table)))
+                for table in orbits.carry(number, member, bad)
+            )
     violations.sort(key=lambda v: v.instance)
-    rules_checked = sum(counts)
+    rules_checked = sum(map(operator.mul, counts, orbits.sizes))
 
     audited = 0
     faults: list[AuditFault] = []
@@ -697,12 +816,16 @@ def verify_impossibility(
             if rules_checked <= audit_sample
             else rng.sample(range(rules_checked), audit_sample)
         )
-        ends = list(itertools.accumulate(counts))
+        locate = orbits.locator(counts)
+        sampled: dict[int, list[bytes]] = {}  # carried tables by instance
         for pick in picks:
-            idx = bisect.bisect_right(ends, pick)
+            number, idx, offset = locate(pick)
             if idx not in sampled:
-                sampled[idx] = rules_of(idx)
-            rule = sampled[idx][pick - ends[idx] + counts[idx]]
+                if number not in kept:
+                    rules = enumerate_sp_rules(orbits.product(number), max_profiles=max_profiles)
+                    kept[number] = [bytes(r.table) for r in rules]
+                sampled[idx] = orbits.carry(number, idx, kept[number])
+            rule = Rule(instances[idx], tuple(sampled[idx][offset]))
             reason = _audit_rule(rule)
             audited += 1
             if reason is not None:

@@ -135,44 +135,56 @@ class OptionSets:
         return functools.reduce(operator.or_, map(list.__getitem__, self.marks, outcomes), 0)
 
 
+def _fiber_outcomes(rule: Rule, agent: int) -> list[tuple[int, ...]]:
+    """The outcomes of each of ``agent``'s fibers in report order, fibers
+    in the order of ``pd.fibers(agent)``."""
+    pd, table = rule.domain, rule.table
+    stride = pd.strides[agent]
+    span = pd.sizes[agent] * stride
+    return [table[base : base + span : stride] for base in pd.fibers(agent)]
+
+
+def _manipulations(rule: Rule, agent: int, states: list[int]) -> Iterator[ManipulationWitness]:
+    """``agent``'s manipulations by profile index, then deviation, given the
+    states of its fibers.  A fiber has a manipulation exactly when its
+    option set O meets U (see :class:`OptionSets`).  Only there are the
+    deviations tried, each by comparing the positions of two cells'
+    outcomes in the sincere ranking."""
+    pd, table, m = rule.domain, rule.table, rule.domain.m
+    stride, size = pd.strides[agent], pd.sizes[agent]
+    suspects = sorted(
+        cell
+        for base, state in zip(pd.fibers(agent), states)
+        if state & state >> m
+        for cell in range(base, base + size * stride, stride)
+    )
+    for index in suspects:
+        digit = index // stride % size
+        base = index - digit * stride
+        pos = pd.agents[agent].rankings[digit].position
+        sincere = table[index]
+        for deviation in range(size):
+            other = table[base + deviation * stride]
+            if pos[other] < pos[sincere]:
+                yield ManipulationWitness(
+                    agent=agent,
+                    profile=pd.profile_at(index),
+                    deviation=deviation,
+                    sincere_outcome=sincere,
+                    deviating_outcome=other,
+                )
+
+
 def iter_manipulations(
     rule: Rule, max_profiles: int = PROFILE_ENUMERATION_LIMIT
 ) -> Iterator[ManipulationWitness]:
     """Every manipulation, scanned agent-ascending, then profile-index, then
-    deviation — so the first yielded witness is the canonical one.  A fiber
-    of an agent (one setting of the other agents) has a manipulation exactly
-    when its option set O meets U (see :class:`OptionSets`).  Only there are
-    the deviations tried, each by comparing the positions of two cells'
-    outcomes in the sincere ranking."""
+    deviation — so the first yielded witness is the canonical one."""
     pd = rule.domain
     _check_profile_guard(pd.profile_count, max_profiles)
-    table = rule.table
-    m = pd.m
     for agent in range(pd.n):
-        stride = pd.strides[agent]
-        size = pd.sizes[agent]
-        span = size * stride
-        options = OptionSets.of(pd.agents[agent])
-        suspects = []  # the cells of the fibers where O meets U
-        for base in pd.fibers(agent):
-            state = options.state(table[base : base + span : stride])
-            if state & state >> m:
-                suspects.extend(range(base, base + span, stride))
-        for index in sorted(suspects):
-            digit = index // stride % size
-            base = index - digit * stride
-            pos = pd.agents[agent].rankings[digit].position
-            sincere = table[index]
-            for deviation in range(size):
-                other = table[base + deviation * stride]
-                if pos[other] < pos[sincere]:
-                    yield ManipulationWitness(
-                        agent=agent,
-                        profile=pd.profile_at(index),
-                        deviation=deviation,
-                        sincere_outcome=sincere,
-                        deviating_outcome=other,
-                    )
+        state = OptionSets.of(pd.agents[agent]).state
+        yield from _manipulations(rule, agent, list(map(state, _fiber_outcomes(rule, agent))))
 
 
 def find_manipulation(
@@ -245,21 +257,22 @@ def audit_sp_lemmas(
     the report pinpoints where the structure breaks.
     """
     pd = rule.domain
-    witness = find_manipulation(rule, max_profiles)  # checks the profile guard first
+    _check_profile_guard(pd.profile_count, max_profiles)
+    witness: Optional[ManipulationWitness] = None
     maximality: list[OptionMaximalityFault] = []
     freeness: list[OptionFreenessFault] = []
-    table = rule.table
     m = pd.m
     for agent in range(pd.n):
-        stride = pd.strides[agent]
-        span = pd.sizes[agent] * stride
         options = OptionSets.of(pd.agents[agent])
+        fibers = _fiber_outcomes(rule, agent)
+        states = list(map(options.state, fibers))
+        if witness is None:  # the canonical first one, as find_manipulation's
+            witness = next(_manipulations(rule, agent, states), None)
         free = pair_sets(pd.agents[agent]).free
         other_ranges = [range(pd.sizes[i]) for i in range(pd.n) if i != agent]
         # The fibers ascend in the order of the other agents' digits.
-        for base, rest in zip(pd.fibers(agent), itertools.product(*other_ranges)):
-            outcomes = table[base : base + span : stride]
-            reach = options.state(outcomes) & (1 << m) - 1
+        for outcomes, state, rest in zip(fibers, states, itertools.product(*other_ranges)):
+            reach = state & (1 << m) - 1
             members = [x for x in range(m) if reach >> x & 1]
             for a, b in itertools.combinations(members, 2):
                 if (a, b) not in free:

@@ -175,6 +175,18 @@ def apply_restriction(d: PreferenceDomain, restriction: DomainRestriction) -> Pr
     return PreferenceDomain(d.m, tuple(survivors))
 
 
+def pair_masks_by_ranking(m: int) -> dict[OrderedPair, int]:
+    """Per ordered pair, the bitmask of the rankings of ``all_rankings(m)``
+    (bit i for the i-th) that rank ``top`` above ``bottom``, set one ranking
+    and one pair at a time."""
+    masks = {OrderedPair(a, b): 0 for a in range(m) for b in range(m) if a != b}
+    for i, r in enumerate(all_rankings(m)):
+        for j, top in enumerate(r.order):
+            for bottom in r.order[j + 1 :]:
+                masks[top, bottom] |= 1 << i
+    return masks
+
+
 def classify_by_scan(d: PreferenceDomain, scan: str = "default") -> RestrictionMap:
     """``classify``'s choice rule on lists of rankings: every antecedent from
     ``itertools.combinations`` of the excluded ranking's own pairs, with its

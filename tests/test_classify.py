@@ -28,7 +28,7 @@ from spdom import (
     relabel_domain,
     relabel_map,
 )
-from spdom.classify import LATTICE_FREE_PAIR_LIMIT
+from spdom.classify import LATTICE_FREE_PAIR_LIMIT, _pair_masks
 
 SP3 = generate_domain("single_peaked", axis=[0, 1, 2])
 
@@ -415,3 +415,11 @@ def test_relabel_involution():
     m = classify(SP3)
     assert relabel_map(relabel_map(m, perm), perm) == m
     assert rebuild(relabel_map(m, perm)) == relabel_domain(SP3, perm)
+
+
+def test_pair_masks_match_the_per_ranking_construction():
+    for m in range(1, 9):
+        masks = _pair_masks(m)
+        expected = oracles.pair_masks_by_ranking(m)
+        assert masks == expected, m
+        assert list(masks) == list(expected)

@@ -802,6 +802,62 @@ def test_verify_theorem_guards_the_agent_count(cli):
     assert out.startswith("instances: 1; rules checked: 1; violations: 0;")
 
 
+# The sha256 prefix of each non-conditional family sweep's stdout, by (m,
+# agents, audit sample, seed, format): the orbit sweep's reports are pinned.
+THEOREM_DIGESTS = {
+    (2, 1, 0, None, "text"): "cc540bcc787daea75cc87b08b3bdebd6",
+    (2, 1, 0, None, "json"): "549c013062c3139af362c0fbba7c9600",
+    (2, 2, 0, None, "text"): "34f49ddeb550dd94d25471141e8c314c",
+    (2, 2, 0, None, "json"): "f840cd1525001406d2d1c597e34e742c",
+    (2, 3, 0, None, "text"): "52899213d73d0da49b7aab3b31eb2486",
+    (2, 3, 0, None, "json"): "160335107c1202532b261f35cf7b9d0d",
+    (2, 4, 0, None, "text"): "b2d8fe31caf9118bc280b98d89794bb8",
+    (2, 4, 0, None, "json"): "21c7645cd13c9eab6f0ca68478e023f6",
+    (3, 1, 0, None, "text"): "66d13eae0f2d51de40e8d25f280ac0b2",
+    (3, 1, 0, None, "json"): "ef6fd3f8d43eaa90918c54edd95af424",
+    (3, 2, 0, None, "text"): "80dd350d32c7830590f968c3ac3bf9b3",
+    (3, 2, 0, None, "json"): "720a5b47c8a9d13ff1221afe00003728",
+    (3, 3, 0, None, "text"): "5dc09c50234ec291a56eed6c07ae9dcc",
+    (3, 3, 0, None, "json"): "34cb77e5f1d8d68eb6484729d77b7ad0",
+    (3, 1, 200, 1, "text"): "7361ce3405d2fd23978805307f5cd999",
+    (3, 1, 200, 1, "json"): "1db2e52b11e03e5150502265db7cf382",
+    (3, 1, 200, 2, "text"): "7361ce3405d2fd23978805307f5cd999",
+    (3, 1, 200, 2, "json"): "1db2e52b11e03e5150502265db7cf382",
+    (3, 1, 200, 3, "text"): "7361ce3405d2fd23978805307f5cd999",
+    (3, 1, 200, 3, "json"): "1db2e52b11e03e5150502265db7cf382",
+    (3, 2, 200, 1, "text"): "dfdb3a51168d7650a299ce289dcaab0d",
+    (3, 2, 200, 1, "json"): "87d1546f4362884334abdac50b91f280",
+    (3, 2, 200, 2, "text"): "dfdb3a51168d7650a299ce289dcaab0d",
+    (3, 2, 200, 2, "json"): "87d1546f4362884334abdac50b91f280",
+    (3, 2, 200, 3, "text"): "dfdb3a51168d7650a299ce289dcaab0d",
+    (3, 2, 200, 3, "json"): "87d1546f4362884334abdac50b91f280",
+    (3, 3, 200, 1, "text"): "5906d7c7e55a7e3141d3016ca7bf4213",
+    (3, 3, 200, 1, "json"): "07e2a4aec16b3f77a7fadab00ac18b47",
+    (3, 3, 200, 2, "text"): "5906d7c7e55a7e3141d3016ca7bf4213",
+    (3, 3, 200, 2, "json"): "07e2a4aec16b3f77a7fadab00ac18b47",
+    (3, 3, 200, 3, "text"): "5906d7c7e55a7e3141d3016ca7bf4213",
+    (3, 3, 200, 3, "json"): "07e2a4aec16b3f77a7fadab00ac18b47",
+    (4, 1, 0, None, "text"): "9892bd9fdc6c1e4a6b8a93913d5dc76b",
+    (4, 1, 0, None, "json"): "2ca4c3d9471e1271e238aa448b3dc0b2",
+    (4, 2, 0, None, "text"): "bd7088b4ac17c5699dc0a8f5ae083fd2",
+    (4, 2, 0, None, "json"): "486d932995282fdb4c233b67662a77c5",
+    (4, 2, 50, 3, "text"): "3618fa74b1b27cda07ab86681822a4c4",
+    (4, 2, 50, 3, "json"): "0bb79a4253d4cca1c75b5ba9c1914517",
+}
+
+
+@pytest.mark.parametrize("m, agents, audit, seed, form", sorted(THEOREM_DIGESTS, key=str))
+def test_verify_theorem_bytes_are_pinned(cli, m, agents, audit, seed, form):
+    argv = ["verify-theorem", "--family", "nonconditional-pairs", "--m", str(m)]
+    argv += ["--agents", str(agents), "--format", form]
+    if audit:
+        argv += ["--audit-sample", str(audit), "--seed", str(seed)]
+    code, out, err = cli(*argv)
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(out.encode()).hexdigest()[:32]
+    assert digest == THEOREM_DIGESTS[m, agents, audit, seed, form]
+
+
 def test_verify_theorem_guard_matches_per_instance_sweep(cli):
     instances = [
         ProductDomain.of(list(combo))

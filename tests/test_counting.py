@@ -605,17 +605,59 @@ def test_orbit_counts_and_members():
     shapes = [(2, n) for n in range(1, 5)] + [(3, n) for n in range(1, 4)] + [(4, 1), (4, 2)]
     for m, n in shapes:
         family = ProductFamily(nonconditional_domains(m), n)
-        found = family.orbits()
+        orbits = family.orbits()
         # Burnside's lemma over S_n x S_m is an independent route to the count.
-        assert len(found) == oracles.burnside_orbit_count(family.base, n), (m, n)
-        assert len(found) == known.get((m, n), len(found))
-        members = sorted(i for orbit in found for i in orbit)
-        assert members == list(range(len(family)))
-        assert [orbit[0] for orbit in found] == sorted(orbit[0] for orbit in found)
-        for orbit in found:
-            assert list(orbit) == sorted(orbit)
-            sizes = {tuple(sorted(family[i].sizes)) for i in orbit}
+        assert len(orbits) == oracles.burnside_orbit_count(family.base, n), (m, n)
+        assert len(orbits) == known.get((m, n), len(orbits))
+        found = [orbits.members(k) for k in range(len(orbits))]
+        assert sorted(i for members in found for i in members) == list(range(len(family)))
+        assert [len(members) for members in found] == orbits.sizes
+        assert [members[0] for members in found] == sorted(members[0] for members in found)
+        for k, members in enumerate(found):
+            assert members == sorted(members)
+            assert family[members[0]] == orbits.product(k)
+            sizes = {tuple(sorted(family[i].sizes)) for i in members}
             assert len(sizes) == 1
+        keys = itertools.combinations_with_replacement(range(len(family.base)), n)
+        assert [orbits.position(key) for key in keys] == list(range(orbits.count))
+
+
+def test_orbit_count_at_m4_with_3_agents():
+    # 219 base domains: 1,774,630 multisets, 10,503,459 instances.
+    family = ProductFamily(nonconditional_domains(4), 3)
+    orbits = family.orbits()
+    assert len(orbits) == oracles.burnside_orbit_count(family.base, 3) == 74882
+    assert sum(orbits.sizes) == len(family) == 219**3
+    assert orbits.count == 1774630 and min(orbits.number) == 0
+
+
+@pytest.mark.parametrize(
+    "m, n", [(2, n) for n in range(1, 5)] + [(3, n) for n in range(1, 4)] + [("sp", 2)]
+)
+def test_carried_rules_match_enumeration(m, n):
+    family, instances, rules, _ = _family_and_oracle(m, n)
+    orbits = family.orbits()
+    for k in range(len(orbits)):
+        tables = [bytes(r.table) for r in enumerate_sp_rules(orbits.product(k))]
+        for member in orbits.members(k):
+            expected = [bytes(r.table) for r in rules[member]]
+            assert orbits.carry(k, member, tables) == expected, (k, member)
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (2, 4), (3, 2), (3, 3), ("sp", 2)])
+def test_locator_follows_instance_order(m, n):
+    family, instances, rules, _ = _family_and_oracle(m, n)
+    orbits = family.orbits()
+    counts = [len(list(enumerate_sp_rules(orbits.product(k)))) for k in range(len(orbits))]
+    locate = orbits.locator(counts)
+    pool = [(i, j) for i, found in enumerate(rules) for j in range(len(found))]
+    picks = range(len(pool))
+    if len(pool) > 3000:
+        picks = random.Random(n).sample(picks, 3000)
+    for pick in picks:
+        number, instance, offset = locate(pick)
+        assert (instance, offset) == pool[pick]
+        assert instance in orbits.members(number)
 
 
 def test_orbits_need_a_relabel_closed_base():
@@ -678,3 +720,25 @@ def test_audit_reuses_the_sweeps_enumeration(monkeypatch):
     report = verify_impossibility(instances, audit_sample=10, seed=1)
     assert (report.rules_checked, report.audited) == (44, 10)
     assert len(calls) == 2  # one per instance: the audit enumerates nothing again
+
+
+def test_audited_sweep_enumerates_each_orbit_once(monkeypatch):
+    import spdom.counting as counting
+
+    calls = []
+    original = counting.enumerate_sp_rules
+
+    def counted(pd, *args, **kwargs):
+        calls.append(pd)
+        return original(pd, *args, **kwargs)
+
+    monkeypatch.setattr(counting, "enumerate_sp_rules", counted)
+    family = ProductFamily(nonconditional_domains(3), 3)
+    report = verify_impossibility(family, audit_sample=200, seed=1)
+    assert (report.rules_checked, report.audited, report.audit_faults) == (70422, 200, ())
+    assert len(calls) == 241
+    # With no tables kept, each picked orbit's first instance is enumerated once more.
+    calls.clear()
+    monkeypatch.setattr(counting, "KEPT_CELLS", 0)
+    assert verify_impossibility(family, audit_sample=200, seed=1) == report
+    assert len(calls) == 241 + len(set(calls[241:])) > 241
