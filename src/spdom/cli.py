@@ -649,7 +649,7 @@ def _cmd_verify_theorem(options: dict[str, Any]) -> int:
         audit_sample=options["audit_sample"],
         seed=options["seed"],
     )
-    exit_code = 0 if report.ok else 3  # violations have no dictator
+    exit_code = 0 if report.ok else 3
     if options["format"] == "json":
         payload = {
             "command": "verify-theorem",
@@ -659,7 +659,7 @@ def _cmd_verify_theorem(options: dict[str, Any]) -> int:
                 {
                     "instance": v.instance,
                     "range_size": len(range_of(v.rule)),
-                    "dictators": [],
+                    "dictators": [],  # violations have no dictator
                     "table": [v.rule.domain.labels[a] for a in v.rule.table],
                 }
                 for v in report.violations

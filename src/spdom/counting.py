@@ -646,27 +646,41 @@ class FamilyOrbits:
         k: its orbit, instance and offset.  The position descends the digits,
         each taking the first base index whose instances reach past it.  The
         rules of the instances with a given prefix depend on its digits as a
-        multiset, and are summed once per multiset."""
+        multiset, so they are summed per multiset, from the full ones down."""
         n, size = self.family.agents, len(self.family.base)
+        totals: list[dict[tuple[int, ...], int]] = [{} for _ in range(n)]
+        level: Iterable[tuple[tuple[int, ...], int]] = zip(
+            itertools.combinations_with_replacement(range(size), n),
+            map(counts.__getitem__, self.number),
+        )
+        for sums in reversed(totals):
+            for key, total in level:
+                for i, d in enumerate(key):
+                    if not i or d != key[i - 1]:  # each distinct last digit
+                        sub = key[:i] + key[i + 1 :]
+                        sums[sub] = sums.get(sub, 0) + total
+            level = sums.items()
 
         @lru_cache(maxsize=None)
-        def total(prefix: tuple[int, ...]) -> int:
-            if len(prefix) == n:
-                return counts[self.number[self.position(prefix)]]
-            return sum(total(tuple(sorted(prefix + (d,)))) for d in range(size))
+        def ends(prefix: tuple[int, ...]) -> list[int]:  # running totals over the next digit
+            keys = (tuple(sorted(prefix + (d,))) for d in range(size))
+            return list(itertools.accumulate(map(totals[len(prefix) + 1].__getitem__, keys)))
 
         def locate(pick: int) -> tuple[int, int, int]:
             prefix: tuple[int, ...] = ()
             digits = []
-            for _ in range(n):
-                for d in range(size):
-                    key = tuple(sorted(prefix + (d,)))
-                    if pick < total(key):
-                        break
-                    pick -= total(key)
-                prefix = key
-                digits.append(d)
-            return self.number[self.position(prefix)], self.family.index_of(digits), pick
+            for _ in range(n - 1):
+                row = ends(prefix)
+                digits.append(bisect.bisect_right(row, pick))
+                pick -= row[digits[-1] - 1] if digits[-1] else 0
+                prefix = tuple(sorted(prefix + (digits[-1],)))
+            for d in range(size):  # the last digit, over full multisets
+                key = tuple(sorted(prefix + (d,)))
+                number = self.number[self.position(key)]
+                if pick < counts[number]:
+                    return number, self.family.index_of(digits + [d]), pick
+                pick -= counts[number]
+            raise IndexError(f"rule position {pick} is outside the family")
 
         return locate
 
@@ -676,9 +690,6 @@ class _Singletons:
 
     def __init__(self, instances: tuple[ProductDomain, ...]) -> None:
         self.product, self.sizes = instances.__getitem__, [1] * len(instances)
-
-    def __len__(self) -> int:
-        return len(self.sizes)
 
     def members(self, number: int) -> list[int]:
         return [number]
@@ -791,7 +802,7 @@ def verify_impossibility(
     kept: dict[int, list[bytes]] = {}  # first instances' tables, for the audit
     cells = 0
     violations: list[TheoremViolation] = []
-    for number in range(len(orbits)):
+    for number in range(len(orbits.sizes)):
         pd = orbits.product(number)
         rules = list(enumerate_sp_rules(pd, max_profiles=max_profiles))
         counts.append(len(rules))

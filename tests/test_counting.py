@@ -700,9 +700,20 @@ def test_orbit_sweep_enumerates_each_orbit_once(monkeypatch):
         return original(pd, *args, **kwargs)
 
     monkeypatch.setattr(counting, "enumerate_sp_rules", counted)
-    report = verify_impossibility(ProductFamily(nonconditional_domains(3), 3))
+    family = ProductFamily(nonconditional_domains(3), 3)
+    report = verify_impossibility(family)
     assert (report.instances, report.rules_checked) == (6859, 70422)
     assert len(calls) == 241
+    # The audit carries its rules from the sweep's enumerations.
+    calls.clear()
+    report = verify_impossibility(family, audit_sample=200, seed=1)
+    assert (report.rules_checked, report.audited, report.audit_faults) == (70422, 200, ())
+    assert len(calls) == 241
+    # With no tables kept, each picked orbit's first instance is enumerated once more.
+    calls.clear()
+    monkeypatch.setattr(counting, "KEPT_CELLS", 0)
+    assert verify_impossibility(family, audit_sample=200, seed=1) == report
+    assert len(calls) == 241 + len(set(calls[241:])) > 241
 
 
 def test_audit_reuses_the_sweeps_enumeration(monkeypatch):
@@ -720,25 +731,3 @@ def test_audit_reuses_the_sweeps_enumeration(monkeypatch):
     report = verify_impossibility(instances, audit_sample=10, seed=1)
     assert (report.rules_checked, report.audited) == (44, 10)
     assert len(calls) == 2  # one per instance: the audit enumerates nothing again
-
-
-def test_audited_sweep_enumerates_each_orbit_once(monkeypatch):
-    import spdom.counting as counting
-
-    calls = []
-    original = counting.enumerate_sp_rules
-
-    def counted(pd, *args, **kwargs):
-        calls.append(pd)
-        return original(pd, *args, **kwargs)
-
-    monkeypatch.setattr(counting, "enumerate_sp_rules", counted)
-    family = ProductFamily(nonconditional_domains(3), 3)
-    report = verify_impossibility(family, audit_sample=200, seed=1)
-    assert (report.rules_checked, report.audited, report.audit_faults) == (70422, 200, ())
-    assert len(calls) == 241
-    # With no tables kept, each picked orbit's first instance is enumerated once more.
-    calls.clear()
-    monkeypatch.setattr(counting, "KEPT_CELLS", 0)
-    assert verify_impossibility(family, audit_sample=200, seed=1) == report
-    assert len(calls) == 241 + len(set(calls[241:])) > 241
