@@ -120,10 +120,10 @@ def enumerate_sp_rules(
         masks[0] = full_mask
         t = 0
         while t >= 0:
-            if not masks[t]:
+            mask = masks[t]
+            if not mask:
                 t -= 1
                 continue
-            mask = masks[t]
             table[t] = lowest[mask]
             masks[t] = mask & (mask - 1)
             if t == count - 1:
@@ -586,9 +586,8 @@ class FamilyOrbits:
         self.number = array("i", [-1]) * self.count
         self.keys: list[tuple[int, ...]] = []
         self.sizes: list[int] = []
-        # Orbit-stabilizer over S_n x S_m: n! m! instances over the
-        # relabelings fixing the multiset times the orderings fixing it.
-        group = math.factorial(n) * len(self.action)
+        # An orbit's multisets are its key's images, m! over the relabelings
+        # fixing the key (orbit-stabilizer), each ordered as many ways as it.
         columns = list(zip(*(row for _, row, _ in self.action)))  # per base index
         for rank, key in enumerate(itertools.combinations_with_replacement(range(size), n)):
             if self.number[rank] < 0:
@@ -597,8 +596,9 @@ class FamilyOrbits:
                     self.number[self.position(image)] = len(self.keys)
                     fixed += image == list(key)
                 runs = (len(list(run)) for _, run in itertools.groupby(key))
+                orderings = math.factorial(n) // math.prod(map(math.factorial, runs))
                 self.keys.append(key)
-                self.sizes.append(group // fixed // math.prod(map(math.factorial, runs)))
+                self.sizes.append(len(self.action) // fixed * orderings)
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -638,7 +638,8 @@ class FamilyOrbits:
             free.remove(j)
             profiles = [p + strides[j] * r for p in profiles for r in back[key[j]]]
         relabel = bytes.maketrans(bytes(range(len(perm))), bytes(perm))
-        return sorted(bytes(map(t.translate(relabel).__getitem__, profiles)) for t in tables)
+        take = operator.itemgetter(*profiles, 0)  # a tuple, even of one profile
+        return sorted(bytes(take(t)[:-1]).translate(relabel) for t in tables)
 
     def locator(self, counts: Sequence[int]) -> Callable[[int], tuple[int, int, int]]:
         """For a position in the family's rules, listed instance by instance
@@ -791,7 +792,10 @@ def verify_impossibility(
                 f"{family.agents} agents exceeds the enumeration guard of {max_profiles}"
             )
         instances: ProductFamily | tuple[ProductDomain, ...] = family
-        orbits: FamilyOrbits | _Singletons = family.orbits()
+        # One base domain makes one instance, whatever the agent count.
+        orbits: FamilyOrbits | _Singletons = (
+            family.orbits() if len(family.base) > 1 else _Singletons((family[0],))
+        )
     else:
         instances = tuple(family)
         for pd in instances:

@@ -271,17 +271,24 @@ def audit_sp_lemmas(
         free = pair_sets(pd.agents[agent]).free
         other_ranges = [range(pd.sizes[i]) for i in range(pd.n) if i != agent]
         # The fibers ascend in the order of the other agents' digits.
+        # Per option set O: each report's best member of O, which is the
+        # one member of O the report admits, and the pairs of O not free.
+        facts: dict[int, tuple[tuple[int, ...], list[tuple[int, int]]]] = {}
         for outcomes, state, rest in zip(fibers, states, itertools.product(*other_ranges)):
             reach = state & (1 << m) - 1
-            members = [x for x in range(m) if reach >> x & 1]
-            for a, b in itertools.combinations(members, 2):
-                if (a, b) not in free:
-                    freeness.append(OptionFreenessFault(agent, rest, a, b))
-            for own, outcome in enumerate(outcomes):
-                fits = options.admissible[own][reach]
-                if not fits >> outcome & 1:
-                    best = (fits & reach).bit_length() - 1  # own's best member of O
-                    maximality.append(OptionMaximalityFault(agent, rest, own, outcome, best))
+            if reach not in facts:
+                best = tuple((fits[reach] & reach).bit_length() - 1 for fits in options.admissible)
+                members = [x for x in range(m) if reach >> x & 1]
+                facts[reach] = best, [p for p in itertools.combinations(members, 2) if p not in free]
+            best, unfree = facts[reach]
+            if unfree:
+                freeness.extend(OptionFreenessFault(agent, rest, a, b) for a, b in unfree)
+            if outcomes != best:
+                maximality.extend(
+                    OptionMaximalityFault(agent, rest, own, outcome, top)
+                    for own, (outcome, top) in enumerate(zip(outcomes, best))
+                    if outcome != top
+                )
     return SpAuditReport(
         strategy_proof=witness is None,
         witness=witness,
