@@ -600,9 +600,6 @@ class FamilyOrbits:
                 self.keys.append(key)
                 self.sizes.append(len(self.action) // fixed * orderings)
 
-    def __len__(self) -> int:
-        return len(self.keys)
-
     def position(self, key: Sequence[int]) -> int:
         """The lexicographic position of a sorted multiset."""
         return self.count - 1 - sum(map(list.__getitem__, self.weights, key))

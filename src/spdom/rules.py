@@ -135,13 +135,14 @@ class OptionSets:
         return functools.reduce(operator.or_, map(list.__getitem__, self.marks, outcomes), 0)
 
 
-def _fiber_outcomes(rule: Rule, agent: int) -> list[tuple[int, ...]]:
+def _fibers(rule: Rule, agent: int) -> tuple[list[tuple[int, ...]], list[int]]:
     """The outcomes of each of ``agent``'s fibers in report order, fibers
-    in the order of ``pd.fibers(agent)``."""
+    in the order of ``pd.fibers(agent)``, and the fibers' states."""
     pd, table = rule.domain, rule.table
     stride = pd.strides[agent]
     span = pd.sizes[agent] * stride
-    return [table[base : base + span : stride] for base in pd.fibers(agent)]
+    fibers = [table[base : base + span : stride] for base in pd.fibers(agent)]
+    return fibers, list(map(OptionSets.of(pd.agents[agent]).state, fibers))
 
 
 def _manipulations(rule: Rule, agent: int, states: list[int]) -> Iterator[ManipulationWitness]:
@@ -183,8 +184,7 @@ def iter_manipulations(
     pd = rule.domain
     _check_profile_guard(pd.profile_count, max_profiles)
     for agent in range(pd.n):
-        state = OptionSets.of(pd.agents[agent]).state
-        yield from _manipulations(rule, agent, list(map(state, _fiber_outcomes(rule, agent))))
+        yield from _manipulations(rule, agent, _fibers(rule, agent)[1])
 
 
 def find_manipulation(
@@ -264,25 +264,25 @@ def audit_sp_lemmas(
     m = pd.m
     for agent in range(pd.n):
         options = OptionSets.of(pd.agents[agent])
-        fibers = _fiber_outcomes(rule, agent)
-        states = list(map(options.state, fibers))
+        fibers, states = _fibers(rule, agent)
         if witness is None:  # the canonical first one, as find_manipulation's
             witness = next(_manipulations(rule, agent, states), None)
         free = pair_sets(pd.agents[agent]).free
-        other_ranges = [range(pd.sizes[i]) for i in range(pd.n) if i != agent]
-        # The fibers ascend in the order of the other agents' digits.
         # Per option set O: each report's best member of O, which is the
         # one member of O the report admits, and the pairs of O not free.
         facts: dict[int, tuple[tuple[int, ...], list[tuple[int, int]]]] = {}
-        for outcomes, state, rest in zip(fibers, states, itertools.product(*other_ranges)):
+        for outcomes, state, base in zip(fibers, states, pd.fibers(agent)):
             reach = state & (1 << m) - 1
             if reach not in facts:
                 best = tuple((fits[reach] & reach).bit_length() - 1 for fits in options.admissible)
-                members = [x for x in range(m) if reach >> x & 1]
-                facts[reach] = best, [p for p in itertools.combinations(members, 2) if p not in free]
+                pairs = itertools.combinations([x for x in range(m) if reach >> x & 1], 2)
+                facts[reach] = best, [p for p in pairs if p not in free]
             best, unfree = facts[reach]
-            if unfree:
-                freeness.extend(OptionFreenessFault(agent, rest, a, b) for a, b in unfree)
+            if not unfree and outcomes == best:
+                continue
+            profile = pd.profile_at(base)
+            rest = profile[:agent] + profile[agent + 1 :]  # the other agents' reports
+            freeness.extend(OptionFreenessFault(agent, rest, a, b) for a, b in unfree)
             if outcomes != best:
                 maximality.extend(
                     OptionMaximalityFault(agent, rest, own, outcome, top)

@@ -553,6 +553,12 @@ def test_verify_impossibility_audit_and_determinism():
     assert first.audit_faults == ()
 
 
+def test_one_domain_family_is_one_instance():
+    # At m = 1 the family has one instance, whatever the agent count.
+    report = verify_impossibility(ProductFamily(nonconditional_domains(1), 500), audit_sample=3)
+    assert report == (1, 1, (), 1, ())
+
+
 # ---------------------------------------------------------------------------
 # The orbit sweep against the per-instance sweep
 
@@ -607,9 +613,9 @@ def test_orbit_counts_and_members():
         family = ProductFamily(nonconditional_domains(m), n)
         orbits = family.orbits()
         # Burnside's lemma over S_n x S_m is an independent route to the count.
-        assert len(orbits) == oracles.burnside_orbit_count(family.base, n), (m, n)
-        assert len(orbits) == known.get((m, n), len(orbits))
-        found = [orbits.members(k) for k in range(len(orbits))]
+        assert len(orbits.keys) == oracles.burnside_orbit_count(family.base, n), (m, n)
+        assert len(orbits.keys) == known.get((m, n), len(orbits.keys))
+        found = [orbits.members(k) for k in range(len(orbits.keys))]
         assert sorted(i for members in found for i in members) == list(range(len(family)))
         assert [len(members) for members in found] == orbits.sizes
         assert [members[0] for members in found] == sorted(members[0] for members in found)
@@ -626,7 +632,7 @@ def test_orbit_count_at_m4_with_3_agents():
     # 219 base domains: 1,774,630 multisets, 10,503,459 instances.
     family = ProductFamily(nonconditional_domains(4), 3)
     orbits = family.orbits()
-    assert len(orbits) == oracles.burnside_orbit_count(family.base, 3) == 74882
+    assert len(orbits.keys) == oracles.burnside_orbit_count(family.base, 3) == 74882
     assert sum(orbits.sizes) == len(family) == 219**3
     assert orbits.count == 1774630 and min(orbits.number) == 0
 
@@ -637,7 +643,7 @@ def test_orbit_count_at_m4_with_3_agents():
 def test_carried_rules_match_enumeration(m, n):
     family, instances, rules, _ = _family_and_oracle(m, n)
     orbits = family.orbits()
-    for k in range(len(orbits)):
+    for k in range(len(orbits.keys)):
         tables = [bytes(r.table) for r in enumerate_sp_rules(orbits.product(k))]
         for member in orbits.members(k):
             expected = [bytes(r.table) for r in rules[member]]
@@ -648,7 +654,7 @@ def test_carried_rules_match_enumeration(m, n):
 def test_locator_follows_instance_order(m, n):
     family, instances, rules, _ = _family_and_oracle(m, n)
     orbits = family.orbits()
-    counts = [len(list(enumerate_sp_rules(orbits.product(k)))) for k in range(len(orbits))]
+    counts = [len(list(enumerate_sp_rules(orbits.product(k)))) for k in range(len(orbits.keys))]
     locate = orbits.locator(counts)
     pool = [(i, j) for i, found in enumerate(rules) for j in range(len(found))]
     picks = range(len(pool))
