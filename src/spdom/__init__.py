@@ -7,9 +7,9 @@ counts two-step rule combinations in closed form, and verifies at small scale
 that strategy-proof rules without dictators attain exactly two outcomes.
 
 The domain layer (``prefcore``, ``classify``, ``domfile``) is imported with
-the package.  The rule layer (``rules``, ``counting``, ``twostep``) is
-imported when one of its names is first used, so that reading domains never
-loads it.
+the package.  The rule layer (``rules``, ``counting``, ``twostep``, and
+``orbits`` for the theorem sweep) is imported when one of its names is first
+used, so that reading domains never loads it.
 """
 
 import importlib

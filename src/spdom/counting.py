@@ -26,27 +26,18 @@ size-k sets of D.
 rules, and :func:`verify_impossibility` sweeps domain families checking that
 no strategy-proof, non-dictatorial rule attains a range of size other than two.
 
-The sweep works once per symmetry orbit, after McKay, "Isomorph-free
-exhaustive generation" (J. Algorithms 26, 1998).  A :class:`ProductFamily`
-holds every product of ``n`` domains drawn from a base closed under
-relabeling.  Permuting the agents (S_n) or relabeling the alternatives (S_m)
-preserves the theorem, the number of strategy-proof rules and the profile
-count.  Sorting an instance's base indices removes S_n, and an S_m action
-table on base indices maps the sorted tuple to its images.  Each orbit's
-smallest instance is enumerated and its rule count weighted by the orbit
-size: 241 enumerations for the 6,859 instances at m=3 with 3 agents.
+The sweep works once per symmetry orbit (:mod:`spdom.orbits`): 241
+enumerations for the 6,859 instances at m=3 with 3 agents.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import operator
 import random
-from array import array
 from functools import lru_cache, reduce
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .classify import AnswerSet, ResponsePartition
 from .prefcore import (
@@ -70,6 +61,9 @@ from .rules import (
     dictators_of,
     range_of,
 )
+
+if TYPE_CHECKING:
+    from .orbits import FamilyOrbits
 
 
 def enumerate_sp_rules(
@@ -545,159 +539,8 @@ class ProductFamily(_Value):
         return instance, count
 
     def orbits(self) -> "FamilyOrbits":
+        from .orbits import FamilyOrbits
         return FamilyOrbits(self)
-
-
-class FamilyOrbits:
-    """A :class:`ProductFamily`'s orbits under permuting the agents and
-    relabeling the alternatives, in order of their first instances.
-
-    An orbit is a set of multisets of base indices (sorted digit tuples),
-    whose orderings are its instances, so no instance is visited.  Met in
-    lexicographic order, the order of their first orderings, a multiset not
-    yet claimed opens an orbit and claims its images under every relabeling
-    (the base must be closed under relabeling).  ``keys[k]`` is orbit k's
-    opening multiset, as it stands its first instance, ``sizes[k]`` counts
-    its instances, and ``number`` holds each multiset's orbit by
-    lexicographic position."""
-
-    def __init__(self, family: ProductFamily) -> None:
-        self.family = family
-        base, n, size = family.base, family.agents, len(family.base)
-        index = {tuple(r.order for r in d.rankings): i for i, d in enumerate(base)}
-        # Per relabeling (perm, row, back): base[k] relabeled is base[row[k]],
-        # whose r-th ranking is the relabeled back[k][r]-th ranking of base[k].
-        self.action = []
-        for perm in itertools.permutations(range(base[0].m)):
-            row, back = [], []
-            for d in base:
-                orders = [tuple(perm[alt] for alt in r.order) for r in d.rankings]
-                back.append(sorted(range(len(orders)), key=orders.__getitem__))
-                row.append(index.get(tuple(orders[j] for j in back[-1]), -1))
-            if -1 in row:
-                raise AssertionError("the base domains are not closed under relabeling")
-            self.action.append((perm, row, back))
-        # A multiset c_0 <= ... <= c_(n-1) sits at lexicographic position
-        # count - 1 less the colex rank of its mirror (size - 1 - c reversed).
-        self.count = math.comb(size + n - 1, n)
-        self.weights = [
-            [math.comb(size - c + n - 2 - j, n - j) for c in range(size)] for j in range(n)
-        ]
-        self.number = array("i", [-1]) * self.count
-        self.keys: list[tuple[int, ...]] = []
-        self.sizes: list[int] = []
-        # An orbit's multisets are its key's images, m! over the relabelings
-        # fixing the key (orbit-stabilizer), each ordered as many ways as it.
-        columns = list(zip(*(row for _, row, _ in self.action)))  # per base index
-        for rank, key in enumerate(itertools.combinations_with_replacement(range(size), n)):
-            if self.number[rank] < 0:
-                fixed = 0
-                for image in map(sorted, zip(*map(columns.__getitem__, key))):
-                    self.number[self.position(image)] = len(self.keys)
-                    fixed += image == list(key)
-                runs = (len(list(run)) for _, run in itertools.groupby(key))
-                orderings = math.factorial(n) // math.prod(map(math.factorial, runs))
-                self.keys.append(key)
-                self.sizes.append(len(self.action) // fixed * orderings)
-
-    def position(self, key: Sequence[int]) -> int:
-        """The lexicographic position of a sorted multiset."""
-        return self.count - 1 - sum(map(list.__getitem__, self.weights, key))
-
-    def product(self, number: int) -> ProductDomain:
-        """Orbit ``number``'s first instance."""
-        return ProductDomain.of([self.family.base[k] for k in self.keys[number]])
-
-    def members(self, number: int) -> list[int]:
-        """Orbit ``number``'s instances, ascending."""
-        key = self.keys[number]
-        images = {tuple(sorted(map(row.__getitem__, key))) for _, row, _ in self.action}
-        orders = (order for image in images for order in itertools.permutations(image))
-        return sorted(set(map(self.family.index_of, orders)))
-
-    def carry(self, number: int, instance: int, tables: Iterable[bytes]) -> list[bytes]:
-        """Tables of orbit ``number``'s first instance carried to ``instance``,
-        ascending.  A relabeling maps the first instance's multiset to the
-        instance's, and each agent of the instance plays an agent of the
-        first instance whose domain relabels to its own: a table's image reads
-        each profile at the matching profile and relabels the outcome.  So
-        the first instance's strategy-proof rules carry to the instance's."""
-        base, key = self.family.base, self.keys[number]
-        digits = self.family.digits(instance)
-        perm, row, back = next(
-            a for a in self.action if sorted(map(a[1].__getitem__, key)) == sorted(digits)
-        )
-        strides = [math.prod(len(base[k]) for k in key[j + 1 :]) for j in range(len(key))]
-        free = list(range(len(key)))
-        profiles = [0]  # per profile of the instance, the first instance's
-        for d in digits:
-            j = next(j for j in free if row[key[j]] == d)
-            free.remove(j)
-            profiles = [p + strides[j] * r for p in profiles for r in back[key[j]]]
-        relabel = bytes.maketrans(bytes(range(len(perm))), bytes(perm))
-        take = operator.itemgetter(*profiles, 0)  # a tuple, even of one profile
-        return sorted(bytes(take(t)[:-1]).translate(relabel) for t in tables)
-
-    def locator(self, counts: Sequence[int]) -> Callable[[int], tuple[int, int, int]]:
-        """For a position in the family's rules, listed instance by instance
-        in instance order with ``counts[k]`` rules for each instance of orbit
-        k: its orbit, instance and offset.  The position descends the digits,
-        each taking the first base index whose instances reach past it.  The
-        rules of the instances with a given prefix depend on its digits as a
-        multiset, so they are summed per multiset, from the full ones down."""
-        n, size = self.family.agents, len(self.family.base)
-        totals: list[dict[tuple[int, ...], int]] = [{} for _ in range(n)]
-        level: Iterable[tuple[tuple[int, ...], int]] = zip(
-            itertools.combinations_with_replacement(range(size), n),
-            map(counts.__getitem__, self.number),
-        )
-        for sums in reversed(totals):
-            for key, total in level:
-                for i, d in enumerate(key):
-                    if not i or d != key[i - 1]:  # each distinct last digit
-                        sub = key[:i] + key[i + 1 :]
-                        sums[sub] = sums.get(sub, 0) + total
-            level = sums.items()
-
-        @lru_cache(maxsize=None)
-        def ends(prefix: tuple[int, ...]) -> list[int]:  # running totals over the next digit
-            keys = (tuple(sorted(prefix + (d,))) for d in range(size))
-            return list(itertools.accumulate(map(totals[len(prefix) + 1].__getitem__, keys)))
-
-        def locate(pick: int) -> tuple[int, int, int]:
-            prefix: tuple[int, ...] = ()
-            digits = []
-            for _ in range(n - 1):
-                row = ends(prefix)
-                digits.append(bisect.bisect_right(row, pick))
-                pick -= row[digits[-1] - 1] if digits[-1] else 0
-                prefix = tuple(sorted(prefix + (digits[-1],)))
-            for d in range(size):  # the last digit, over full multisets
-                key = tuple(sorted(prefix + (d,)))
-                number = self.number[self.position(key)]
-                if pick < counts[number]:
-                    return number, self.family.index_of(digits + [d]), pick
-                pick -= counts[number]
-            raise IndexError(f"rule position {pick} is outside the family")
-
-        return locate
-
-
-class _Singletons:
-    """A plain list of instances as one-instance orbits, for the sweep."""
-
-    def __init__(self, instances: tuple[ProductDomain, ...]) -> None:
-        self.product, self.sizes = instances.__getitem__, [1] * len(instances)
-
-    def members(self, number: int) -> list[int]:
-        return [number]
-
-    def carry(self, number: int, instance: int, tables: list[bytes]) -> list[bytes]:
-        return tables
-
-    def locator(self, counts: Sequence[int]) -> Callable[[int], tuple[int, int, int]]:
-        ends = list(itertools.accumulate(counts))
-        return lambda pick: ((i := bisect.bisect_right(ends, pick)), i, pick - ends[i] + counts[i])
 
 
 class TheoremViolation(NamedTuple):
@@ -763,7 +606,7 @@ def verify_impossibility(
     expected to produce them.
 
     A :class:`ProductFamily` is swept once per symmetry orbit
-    (:class:`FamilyOrbits`): the claim, the number of strategy-proof rules
+    (:class:`~spdom.orbits.FamilyOrbits`): the claim, the number of strategy-proof rules
     and the profile count do not change when agents are permuted or
     alternatives relabeled, so each orbit's first instance is enumerated and
     its rules count once per member.  Any other member's rules are carried
@@ -778,6 +621,7 @@ def verify_impossibility(
     maximality and freeness on every subprofile.  A sample is a position in
     the family's list of rules (instance order, then enumeration order).
     """
+    from .orbits import SingletonOrbits
     if isinstance(family, ProductFamily):
         over = family.first_over(max_profiles)
         if over is not None:
@@ -790,14 +634,14 @@ def verify_impossibility(
             )
         instances: ProductFamily | tuple[ProductDomain, ...] = family
         # One base domain makes one instance, whatever the agent count.
-        orbits: FamilyOrbits | _Singletons = (
-            family.orbits() if len(family.base) > 1 else _Singletons((family[0],))
+        orbits: FamilyOrbits | SingletonOrbits = (
+            family.orbits() if len(family.base) > 1 else SingletonOrbits((family[0],))
         )
     else:
         instances = tuple(family)
         for pd in instances:
             _check_profile_guard(pd.profile_count, max_profiles)
-        orbits = _Singletons(instances)
+        orbits = SingletonOrbits(instances)
 
     counts = []  # rules per orbit
     kept: dict[int, list[bytes]] = {}  # first instances' tables, for the audit

@@ -1,8 +1,9 @@
 """The package's two import layers, each checked in a fresh interpreter.
 
 The domain layer (``prefcore``, ``classify``, ``domfile``) loads with
-``spdom``; the rule layer (``rules``, ``counting``, ``twostep``) loads only
-in the commands that run it, and the package serves its names on first use.
+``spdom``; the rule layer (``rules``, ``counting``, ``orbits``, ``twostep``)
+loads only in the commands that run it, and the package serves its names on
+first use.
 Of the standard library, ``json`` and ``decimal`` load only where they are
 used, and ``dataclasses`` (with ``inspect``) not at all.
 """
@@ -14,7 +15,7 @@ import json
 import pytest
 from conftest import FIXTURES, run_python
 
-RULE_LAYER = {"spdom.rules", "spdom.counting", "spdom.twostep"}
+RULE_LAYER = {"spdom.rules", "spdom.counting", "spdom.orbits", "spdom.twostep"}
 
 # Runs the CLI invocation given as arguments (none: only imports the CLI) with
 # its report sent to --out, then prints the spdom modules it loaded.
