@@ -606,14 +606,14 @@ def verify_impossibility(
     expected to produce them.
 
     A :class:`ProductFamily` is swept once per symmetry orbit
-    (:class:`~spdom.orbits.FamilyOrbits`): the claim, the number of strategy-proof rules
-    and the profile count do not change when agents are permuted or
-    alternatives relabeled, so each orbit's first instance is enumerated and
-    its rules count once per member.  Any other member's rules are carried
-    from it: those of each member of an orbit with violations, and audited
-    ones.  Any other family is a list of one-instance orbits.  The profile
-    guard is checked for the whole family before any enumeration; a family's
-    agent count is held to it too.
+    (:class:`~spdom.orbits.FamilyOrbits`): the claim, the number of
+    strategy-proof rules and the profile count do not change when agents are
+    permuted or alternatives relabeled, so each orbit's first instance is
+    enumerated and its rules count once per member.  Any other member's
+    rules are carried from it: those of each member of an orbit with
+    violations, and audited ones.  Any other family is a list of
+    one-instance orbits.  The profile guard is checked for the whole family
+    before any enumeration; a family's agent count is held to it too.
 
     With ``audit_sample > 0``, that many strategy-proof rules are sampled
     (reproducibly, via ``seed``) across the family and audited by

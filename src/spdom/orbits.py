@@ -64,8 +64,9 @@ class FamilyOrbits:
         self.number = array("i", [-1]) * self.count
         self.keys: list[tuple[int, ...]] = []
         self.sizes: list[int] = []
-        # An orbit's multisets are its key's images, m! over the relabelings
-        # fixing the key (orbit-stabilizer), each ordered as many ways as it.
+        # An orbit's multisets are its key's distinct images, m! over the
+        # relabelings fixing the key (orbit-stabilizer), and each has as
+        # many orderings as the key.
         columns = list(zip(*(row for _, row, _ in self.action)))  # per base index
         for rank, key in enumerate(itertools.combinations_with_replacement(range(size), n)):
             if self.number[rank] < 0:
@@ -132,7 +133,7 @@ class FamilyOrbits:
         for sums in reversed(totals):
             for key, total in level:
                 for i, d in enumerate(key):
-                    if not i or d != key[i - 1]:  # each distinct last digit
+                    if not i or d != key[i - 1]:  # each distinct digit, as the next one
                         sub = key[:i] + key[i + 1 :]
                         sums[sub] = sums.get(sub, 0) + total
             level = sums.items()
