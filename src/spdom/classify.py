@@ -113,7 +113,8 @@ def _pair_masks(m: int) -> dict[OrderedPair, int]:
     """Per ordered pair, the bitmask of the rankings of ``all_rankings(m)``
     (bit i for the i-th) that rank ``top`` above ``bottom``: read off one
     byte per ranking, highest bit first, as a binary numeral."""
-    positions = list(map(bytes, zip(*(r.position for r in reversed(all_rankings(m))))))
+    flat = bytes(itertools.chain.from_iterable(r.position for r in reversed(all_rankings(m))))
+    positions = [flat[alt::m] for alt in range(m)]  # per alternative, its position in each
     digits = bytes.maketrans(b"\0\1", b"01")
     masks = {}
     for a, b in itertools.permutations(range(m), 2):
