@@ -148,9 +148,10 @@ class FamilyOrbits:
             digits = []
             for _ in range(n - 1):
                 row = ends(prefix)
-                digits.append(bisect.bisect_right(row, pick))
-                pick -= row[digits[-1] - 1] if digits[-1] else 0
-                prefix = tuple(sorted(prefix + (digits[-1],)))
+                d = bisect.bisect_right(row, pick)
+                pick -= row[d - 1] if d else 0
+                prefix = tuple(sorted(prefix + (d,)))
+                digits.append(d)
             for d in range(size):  # the last digit, over full multisets
                 key = tuple(sorted(prefix + (d,)))
                 number = self.number[self.position(key)]
