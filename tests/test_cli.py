@@ -1286,3 +1286,34 @@ def test_reports_are_byte_identical_across_runs(cli):
         first = cli(*args)
         second = cli(*args)
         assert first == second
+
+
+# The first 32 hex digits of the sha256 of (exit code, stdout, stderr) of each
+# help and usage-error invocation, with argparse formatting for an 80-column terminal.
+HELP_AND_USAGE_DIGESTS = {
+    ("--help",): "fe1e849e146aae997529b88b98c41a06",
+    ("classify", "--help"): "a4d52311afd4aca4e17464769cd04364",
+    ("closure", "--help"): "755e98259489dfb72f1b5ee0aea821ce",
+    ("partition", "--help"): "5548ce5d2fd5e2fccc2548c950a085cc",
+    ("count-subrules", "--help"): "869ea128dfede74e2832030d7e8fb5c5",
+    ("enumerate-sp", "--help"): "3422d958c2f62f53df5eeb8549fe5051",
+    ("check-rule", "--help"): "1cda6b86e78240b93735c4ed37300a94",
+    ("decompose", "--help"): "8528bfd57cf6bdce54fcf882ba769799",
+    ("verify-theorem", "--help"): "6f04d77e36a563e7f5959e0a7b01b629",
+    ("search-two-step", "--help"): "a5e92325900824e862116ccc5a169950",
+    (): "ca22533a8b1d61f703ce6f50b0400fdb",
+    ("frobnicate", "--domain", "d.spdom"): "cdfcdf9e42d32a82101f125433b2765a",
+    ("classify",): "bec3f55ab493644e35987ec861856c79",
+    ("search-two-step", "--domain", "d.spdom", "--budget", "0"): "87d30ce3e550dddf7e043e54ee274e10",
+    ("closure", "--domain", "d.spdom", "--frob"): "b8d603bf9cd9f25f12775945de87bff4",
+}
+
+
+@pytest.mark.parametrize("argv", list(HELP_AND_USAGE_DIGESTS), ids=" ".join)
+def test_help_and_usage_errors_are_pinned(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        run_command(list(argv))
+    captured = capsys.readouterr()
+    record = f"{exit_info.value.code}\0{captured.out}\0{captured.err}"
+    assert hashlib.sha256(record.encode()).hexdigest()[:32] == HELP_AND_USAGE_DIGESTS[argv]
