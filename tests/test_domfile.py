@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import random
 import re
 from textwrap import dedent
 
@@ -369,3 +370,77 @@ def test_parse_outcomes_are_pinned():
     assert (len(corpus), digest) == (
         5708, "5aaf8f6bece44667392d6198fef7257aa943b52470c4670933e50c279dc2c867"
     )
+
+
+# ---------------------------------------------------------------------------
+# Rankings rows
+
+PLAIN_ROWS = (
+    "alternatives w x y z\nagent 1 {\n  rankings {\n    w x y z\n    z y x w\n    x w z y\n  }\n}\n"
+)
+
+# The plain block's rows written in other ways the format allows.
+ROW_FORMS = {
+    "semicolons": "alternatives w x y z\nagent 1 {\n  rankings {\n"
+    "    w x y z; z y x w;x w z y\n  }\n}\n",
+    "comments": "alternatives w x y z\nagent 1 {\n  rankings {  # best first\n"
+    "    w x y z  # one\n    z y x w# two\n    # none\n    x w z y #\n  }\n}\n",
+    "tabs": "alternatives w x y z\nagent 1 {\n\trankings {\n"
+    "\tw\tx y\t z\n\t\tz y x w\t\n x\tw z y\n\t}\n}\n",
+    "crlf": PLAIN_ROWS.replace("\n", "\r\n"),
+    "blank-lines": "alternatives w x y z\nagent 1 {\n  rankings {\n\n    w x y z\n\n\n"
+    "    z y x w\n    x w z y\n\n  }\n}\n",
+    "closing-brace": "alternatives w x y z\nagent 1 {\n  rankings {\n    w x y z\n    z y x w\n"
+    "    x w z y }\n}\n",
+    "one-line": "alternatives w x y z\nagent 1 { rankings { w x y z; z y x w; x w z y } }\n",
+}
+
+
+@pytest.mark.parametrize("form", list(ROW_FORMS))
+def test_rankings_rows_in_other_forms(form):
+    expected = parse_domain_file(PLAIN_ROWS).agents[0].domain
+    assert parse_domain_file(ROW_FORMS[form]).agents[0].domain == expected
+
+
+# Rows that fail, each put in place of the plain block's second row.
+BAD_ROWS = (
+    "z y x", "z y x w w", "z y y w", "z y x q", "q", "z y x w q", "z > y x w", "z y, x w",
+    "z y x w {", "z { y x w", "z y => x w", "z y x w x y z", "w x y z", "\tz y\tx", "}z y x w",
+    "z y x w }}", "z y x w ; x", "z y x w # w", "z-y x w", "z y x w alternatives",
+)  # fmt: skip
+
+
+def _with_second_row(row: str) -> str:
+    return PLAIN_ROWS.replace("    z y x w\n", f"    {row}\n")
+
+
+def test_rankings_row_errors_are_pinned():
+    outcomes = [_parse_outcome(_with_second_row(row)) for row in BAD_ROWS]
+    assert outcomes[0] == (
+        "ParseError line 5, column 5: a ranking line must list all of w x y z exactly once (5, 5)"
+    )
+    assert outcomes[3] == "ParseError line 5, column 11: unknown alternative 'q' (5, 11)"
+    assert outcomes[6] == (
+        "ParseError line 5, column 7: expected alternative label, found '>' (5, 7)"
+    )
+    assert outcomes[12] == "ParseError line 5, column 5: duplicate ranking line (5, 5)"
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == "11b9377e8bf44b8032773b6a135ed0c9ff4fd3238d2cc59f43722dac5ce4f2d1", outcomes
+
+
+def test_every_ranking_of_eight_alternatives_parses():
+    rows = [" ".join(order) for order in itertools.permutations("abcdefgh")]
+    random.Random(8).shuffle(rows)
+    text = "alternatives a b c d e f g h\nagent 1 {\n  rankings {\n"
+    text += "".join(f"    {row}\n" for row in rows) + "  }\n}\n"
+    domain = parse_domain_file(text).agents[0].domain
+    assert (len(domain), domain.rankings[0].order, domain.rankings[-1].order) == (
+        40320, (0, 1, 2, 3, 4, 5, 6, 7), (7, 6, 5, 4, 3, 2, 1, 0)
+    )
+
+
+def test_rankings_rows_of_symbol_labels():
+    # "@a-b" is two tokens, so its row is read token by token.
+    text = "alternatives @ a-b =\nagent 1 { rankings {\n  @a-b =\n  = a-b @\n  a-b\t= @ } }\n"
+    orders = [r.order for r in parse_domain_file(text).agents[0].domain.rankings]
+    assert orders == [(0, 1, 2), (1, 2, 0), (2, 1, 0)]
