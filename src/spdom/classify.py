@@ -322,18 +322,22 @@ def _lattice_chooser(
         points |= 1 << sum(1 << j for j, (a, b) in enumerate(free_pairs) if pos[b] < pos[a])
     # Per free pair, its orientation with the bit clear, then with it set.
     orientations = [(OrderedPair(a, b), OrderedPair(b, a)) for a, b in free_pairs]
+    flipped = [0, points]  # the last call's flip mask and flipped points
 
     def choose(excluded: Ranking) -> _Choice:
         pos = excluded.position
         bits = [pos[b] < pos[a] for a, b in free_pairs]
         own = [both[bit] for both, bit in zip(orientations, bits)]
         # Flip every coordinate the excluded ranking has clear: each member's
-        # point becomes the set of free pairs on which the two agree.
-        agree = points
-        for j, bit in enumerate(bits):
-            if not bit:
+        # point becomes the set of free pairs on which the two agree.  Flips
+        # undo themselves, so the last call's points need only the changed ones.
+        mask = sum(1 << j for j, bit in enumerate(bits) if not bit)
+        change, agree = mask ^ flipped[0], flipped[1]
+        for j in range(change.bit_length()):
+            if change >> j & 1:
                 high = agree & has[j]
                 agree = (high >> (1 << j)) | ((agree ^ high) << (1 << j))
+        flipped[:] = mask, agree
         down = agree
         for j in range(p):
             down |= (down & has[j]) >> (1 << j)

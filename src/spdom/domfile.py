@@ -63,29 +63,38 @@ class _Token(NamedTuple):
     col: int
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        for match in _TOKEN_RE.finditer(line):
-            tok = match.group(0)
-            tokens.append(_Token(_NEWLINE if tok == ";" else tok, lineno, match.start() + 1))
-        tokens.append(_Token(_NEWLINE, lineno, len(raw) + 1))
+def _line_tokens(raw: str, lineno: int) -> list[_Token]:
+    """One line's tokens, ending in a newline token at the line's end."""
+    tokens = [
+        _Token(_NEWLINE if (tok := match.group(0)) == ";" else tok, lineno, match.start() + 1)
+        for match in _TOKEN_RE.finditer(raw.split("#", 1)[0])
+    ]
+    tokens.append(_Token(_NEWLINE, lineno, len(raw) + 1))
     return tokens
 
 
 class _Cursor:
-    def __init__(self, tokens: list[_Token]):
-        self._tokens = tokens
+    """The tokens of a text, each line tokenized when the cursor reaches it."""
+
+    def __init__(self, text: str):
+        self._lines = text.splitlines()
+        self._read = 0  # lines tokenized or read as rows so far
+        self._tokens: list[_Token] = []  # the tokens of line ``_read``
         self._i = 0
 
     def at_eof(self, message: str) -> ParseError:
-        """``message`` located at the last token (1:1 in an empty file)."""
-        last = self._tokens[-1] if self._tokens else _Token("", 1, 1)
-        return ParseError(message, last.line, last.col)
+        """``message`` located at the last token: the last line's end, or 1:1."""
+        lines = self._lines
+        line, col = (len(lines), len(lines[-1]) + 1) if lines else (1, 1)
+        return ParseError(message, line, col)
 
     def peek(self) -> Optional[_Token]:
-        return self._tokens[self._i] if self._i < len(self._tokens) else None
+        if self._i == len(self._tokens):
+            if self._read == len(self._lines):
+                return None
+            self._read += 1
+            self._tokens, self._i = _line_tokens(self._lines[self._read - 1], self._read), 0
+        return self._tokens[self._i]
 
     def next(self) -> _Token:
         tok = self.peek()
@@ -121,6 +130,7 @@ class _Cursor:
     def labels(self, labels: dict[str, int], what: str, stop: Optional[str] = None) -> list[int]:
         """Read labels up to the end of the line, a ``}`` or ``stop``.  No
         declared label is a symbol, so a token in ``labels`` needs no other check."""
+        self.peek()
         tokens, i, found, ends = self._tokens, self._i, [], (_NEWLINE, "}", stop)
         while i < len(tokens) and (text := tokens[i].text) not in ends:
             if text not in labels:
@@ -130,6 +140,24 @@ class _Cursor:
             i += 1
         self._i = i
         return found
+
+    def rows(self, labels: dict[str, int], orders: dict[tuple[int, ...], None]) -> None:
+        """At a line's end, read the lines that follow into ``orders`` while
+        each, split at blanks, is a new ranking of every label, skipping blank
+        lines.  The first other line is left to the tokens, which locate its error."""
+        if self._i < len(self._tokens) - 1:
+            return
+        self._i = len(self._tokens)  # the line's newline, which the caller skips
+        lines, n, m, get = self._lines, self._read, len(labels), labels.get
+        while n < len(lines):
+            words = lines[n].split("#", 1)[0].split()
+            if words:
+                order = tuple(map(get, words))
+                if len(order) != m or None in order or len(set(order)) != m or order in orders:
+                    break
+                orders[order] = None
+            n += 1
+        self._read = n
 
 
 class AgentSpec(NamedTuple):
@@ -224,12 +252,11 @@ def _parse_generator(cursor: _Cursor, keyword: _Token, labels: dict[str, int]) -
 
 
 def _parse_rankings_block(cursor: _Cursor, labels: dict[str, int]) -> PreferenceDomain:
-    label_list = list(labels)
     cursor.expect("{")
-    cursor.skip_newlines()
-    orders: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
+    orders: dict[tuple[int, ...], None] = {}  # in file order
     while True:
+        cursor.rows(labels, orders)
+        cursor.skip_newlines()
         start = cursor.peek()
         if start is None:
             raise cursor.at_eof("unterminated rankings block")
@@ -239,16 +266,14 @@ def _parse_rankings_block(cursor: _Cursor, labels: dict[str, int]) -> Preference
         row = cursor.labels(labels, "alternative label")
         if sorted(row) != list(range(len(labels))):
             raise ParseError(
-                f"a ranking line must list all of {' '.join(label_list)} exactly once",
+                f"a ranking line must list all of {' '.join(labels)} exactly once",
                 start.line,
                 start.col,
             )
         order = tuple(row)
-        if order in seen:
+        if order in orders:
             raise ParseError("duplicate ranking line", start.line, start.col)
-        seen.add(order)
-        orders.append(order)
-        cursor.skip_newlines()
+        orders[order] = None
     if not orders:
         raise cursor.at_eof("rankings block must list at least one ranking")
     return PreferenceDomain.of(Ranking(o) for o in orders)
@@ -336,7 +361,7 @@ def _parse_agent(cursor: _Cursor, labels: dict[str, int], agent_kw: _Token) -> A
 
 def parse_domain_file(text: str) -> DomainSpec:
     """Parse a ``.spdom`` document into its product domain and map hints."""
-    cursor = _Cursor(_tokenize(text))
+    cursor = _Cursor(text)
     cursor.skip_newlines()
     kw = cursor.expect_word("'alternatives'")
     if kw.text != "alternatives":

@@ -28,7 +28,13 @@ from spdom import (
     relabel_domain,
     relabel_map,
 )
-from spdom.classify import LATTICE_FREE_PAIR_LIMIT, _pair_masks
+from spdom.classify import (
+    LATTICE_FREE_PAIR_LIMIT,
+    _lattice_chooser,
+    _pair_masks,
+    _scan_chooser,
+    _universe_index,
+)
 
 SP3 = generate_domain("single_peaked", axis=[0, 1, 2])
 
@@ -300,6 +306,30 @@ def test_classify_matches_scan_oracle_chain_samples(m, top, count, scan):
 )
 def test_classify_matches_scan_oracle_wide_m7(d, scan):
     assert classify(d, scan=scan) == oracles.classify_by_scan(d, scan=scan)
+
+
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_lattice_chooser_does_not_depend_on_call_order(m):
+    # Phase two asks about rankings that keep every fixed pair but are not
+    # members; one chooser asked about them in any order answers as a fresh
+    # chooser per ranking and as the depth-first scan do.
+    rng = random.Random(100 + m)
+    index, masks = _universe_index(m), _pair_masks(m)
+    for d in _random_domains(m, 8, seed=m):
+        sets = pair_sets(d)
+        members = {r.order for r in d.rankings}
+        excluded = [
+            r for r in nonconditional_closure(sets.fixed, m).rankings if r.order not in members
+        ]
+        excluded = rng.sample(excluded, min(len(excluded), 40))
+        free_pairs = sorted(sets.free)
+        target = sum(1 << index[order] for order in members)
+        scan = _scan_chooser(target, free_pairs, masks)
+        reused = _lattice_chooser(d.rankings, free_pairs)
+        for r in excluded:
+            expected = scan(r)
+            assert _lattice_chooser(d.rankings, free_pairs)(r) == expected
+            assert reused(r) == expected
 
 
 def test_classify_phase_two_path_follows_free_pair_count(monkeypatch):

@@ -25,7 +25,7 @@ import jsonschema
 import pytest
 
 import oracles
-from conftest import FIXTURES, run_spdom
+from conftest import FIXTURES, run_python, run_spdom
 from oracles import assemble, dictatorship, parse_assignment_file
 from spdom import ProductDomain, SizeLimitError, nonconditional_domains, second_step_catalog
 from spdom.cli import _json_chunks, run_command
@@ -315,11 +315,11 @@ def test_count_subrules_oracle_mismatch(cli, monkeypatch):
 def test_count_subrules_digit_caps(cli, monkeypatch):
     # Past the print cap the text report keeps only the digit count; past the
     # JSON cap the product field becomes null (digit count still exact).
-    monkeypatch.setattr("spdom.cli.PRINT_DIGIT_LIMIT", 5)
+    monkeypatch.setattr("spdom.rulecli.PRINT_DIGIT_LIMIT", 5)
     code, out, err = cli("count-subrules", "--domain", EX1)
     assert code == 0
     assert out.splitlines()[-1] == "strategy-proof two-step rules: (7 digits)"
-    monkeypatch.setattr("spdom.cli.JSON_DIGIT_LIMIT", 5)
+    monkeypatch.setattr("spdom.rulecli.JSON_DIGIT_LIMIT", 5)
     code, out, err = cli("count-subrules", "--domain", EX1, "--format", "json")
     assert code == 0
     payload = _json_of("count-subrules", out)
@@ -1163,6 +1163,21 @@ def test_closed_stdout_is_one_error_line(tmp_path, format):
         os.close(write_end)
     assert result.returncode == 1
     assert result.stderr == b"error: cannot write to stdout: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("command", ["classify", "count-subrules"])
+def test_byte_order_mark_is_read_past(cli, tmp_path, command):
+    marked = tmp_path / "ex1.spdom"
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(EX1).read_bytes())
+    assert cli(command, "--domain", str(marked)) == cli(command, "--domain", EX1)
+
+
+def test_files_are_read_and_written_as_utf8(tmp_path):
+    argv = ["enumerate-sp", "--domain", UNI3, "--out", str(tmp_path / "rules")]
+    warn = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+    done = run_python([*warn, "-m", "spdom", *argv], capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert len(list((tmp_path / "rules").iterdir())) == 17
 
 
 def _not_utf8(tmp_path: Path) -> str:

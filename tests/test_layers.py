@@ -15,7 +15,7 @@ import json
 import pytest
 from conftest import FIXTURES, run_python
 
-RULE_LAYER = {"spdom.rules", "spdom.counting", "spdom.orbits", "spdom.twostep"}
+RULE_LAYER = {"spdom.rules", "spdom.counting", "spdom.orbits", "spdom.twostep", "spdom.rulecli"}
 
 # Runs the CLI invocation given as arguments (none: only imports the CLI) with
 # its report sent to --out, then prints the spdom modules it loaded.
@@ -58,7 +58,7 @@ def test_domain_commands_leave_out_the_rule_layer(argv, tmp_path):
 def test_count_subrules_loads_counting_but_not_twostep(tmp_path):
     domain = str(FIXTURES / "ex1.spdom")
     loaded = _loaded("count-subrules", "--domain", domain, "--out", str(tmp_path / "r"))
-    assert loaded & RULE_LAYER == {"spdom.counting", "spdom.rules"}
+    assert loaded & RULE_LAYER == {"spdom.counting", "spdom.rules", "spdom.rulecli"}
 
 
 # Runs the CLI invocation given as arguments (none: only imports the CLI),
