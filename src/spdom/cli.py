@@ -143,7 +143,6 @@ def _write_text(path: Path, chunks: Iterable[str]) -> None:
         raise DomainError(f"cannot write {path}: {err}") from err
 
 
-
 def _load_spec(options: dict[str, Any]) -> DomainSpec:
     return parse_domain_file(_read_text(options["domain"]))
 

@@ -2,8 +2,8 @@
 
 The domain layer (``prefcore``, ``classify``, ``domfile``) loads with
 ``spdom``; the rule layer (``rules``, ``counting``, ``orbits``, ``twostep``)
-loads only in the commands that run it, and the package serves its names on
-first use.
+and the rule commands' handlers (``rulecli``) load only in the commands that
+run them, and the package serves the rule layer's names on first use.
 Of the standard library, ``json`` and ``decimal`` load only where they are
 used, and ``dataclasses`` (with ``inspect``) not at all.
 """
