@@ -858,6 +858,41 @@ def test_verify_theorem_bytes_are_pinned(cli, m, agents, audit, seed, form):
     assert digest == THEOREM_DIGESTS[m, agents, audit, seed, form]
 
 
+# The same pins for sweeps of --domain lists, each file its own instance, by
+# (list, audit sample, format); the audits use seed 1.  Three copies of the
+# single-peaked product have 21 violations, one past the 20 that are listed.
+DOMAIN_LISTS = {"sp3": [SP3], "sp3-uni3": [SP3, UNI3], "sp3-sp3-sp3": [SP3] * 3}
+DOMAIN_LIST_DIGESTS = {
+    ("sp3", 0, "text"): "2972b6c017f340d859071105b9fecd4c",
+    ("sp3", 0, "json"): "e71837edec7264cf4abeb86887530921",
+    ("sp3", 5, "text"): "3037443f116deaca7d4135540235d25c",
+    ("sp3", 5, "json"): "eba0da89b4991d9a113c521b56fc3309",
+    ("sp3-uni3", 0, "text"): "8b363e59bbcc4879924b3efbf3593f6b",
+    ("sp3-uni3", 0, "json"): "960a753fa4b565d91c3b5f9a631f29e9",
+    ("sp3-uni3", 5, "text"): "fb7c2c25e64cc5583d78be3ec622311c",
+    ("sp3-uni3", 5, "json"): "76dee2630194a585faa1ec228facb844",
+    ("sp3-sp3-sp3", 0, "text"): "859bb3c78d04c8294bb545c52240183d",
+    ("sp3-sp3-sp3", 0, "json"): "c1c0a4eb40477a51dac5f8316a4a0dba",
+    ("sp3-sp3-sp3", 5, "text"): "0f04558632a22b6d7b2b0f5f399f6955",
+    ("sp3-sp3-sp3", 5, "json"): "199ff714c0be72898e96accac4119a72",
+}
+
+
+@pytest.mark.parametrize("name, audit, form", sorted(DOMAIN_LIST_DIGESTS, key=str))
+def test_verify_theorem_domain_list_bytes_are_pinned(cli, name, audit, form):
+    argv = ["verify-theorem", "--format", form]
+    for path in DOMAIN_LISTS[name]:
+        argv += ["--domain", path]
+    if audit:
+        argv += ["--audit-sample", str(audit), "--seed", "1"]
+    code, out, err = cli(*argv)
+    assert (code, err) == (3, "")
+    if form == "text" and name == "sp3-sp3-sp3":
+        assert out.splitlines()[-1] == "... and 1 more violation(s)"
+    digest = hashlib.sha256(out.encode()).hexdigest()[:32]
+    assert digest == DOMAIN_LIST_DIGESTS[name, audit, form]
+
+
 def test_verify_theorem_guard_matches_per_instance_sweep(cli):
     instances = [
         ProductDomain.of(list(combo))
