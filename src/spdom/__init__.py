@@ -61,11 +61,11 @@ _LAZY = {
     for module, names in (
         (
             "counting",
-            "BlockCount ImpossibilityReport PairVoteCount ProductFamily SubruleCountReport "
-            "TheoremViolation count_second_step decimal_digit_count dedekind dictatorial_rules "
-            "enumerate_sp_rules nonconditional_domains pair_vote_rules power_digit_count "
-            "second_step_catalog steerable_range_count verify_impossibility",
+            "BlockCount PairVoteCount SubruleCountReport count_second_step decimal_digit_count "
+            "dedekind dictatorial_rules enumerate_sp_rules nonconditional_domains "
+            "pair_vote_rules power_digit_count second_step_catalog steerable_range_count",
         ),
+        ("orbits", "ImpossibilityReport ProductFamily TheoremViolation verify_impossibility"),
         (
             "rules",
             "ManipulationWitness Rule SpAuditReport audit_sp_lemmas constant_rule dictators_of "

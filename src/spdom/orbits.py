@@ -1,13 +1,18 @@
-"""Symmetry orbits of a product family, for the impossibility sweep.
+"""The impossibility sweep: on products of non-conditional domains, every
+strategy-proof rule without a dictator attains exactly two outcomes.
+
+:func:`verify_impossibility` checks that claim on a :class:`ProductFamily`
+(every product of a number of agents over a base of domains) or on a list of
+product domains, and can audit a sample of the rules it enumerates.
 
 Permuting the agents (S_n) or relabeling the alternatives (S_m) changes
 neither the theorem, nor the number of strategy-proof rules, nor the profile
-count, so :func:`~spdom.counting.verify_impossibility` enumerates one
-instance per orbit, after McKay, "Isomorph-free exhaustive generation"
-(J. Algorithms 26, 1998).  :class:`FamilyOrbits` builds the orbits of a
-:class:`~spdom.counting.ProductFamily` without visiting its instances,
-carries the first instance's rules to any member, and finds the instance
-of a position in the family's rules.  Only the sweep loads this module.
+count, so a family is swept once per symmetry orbit, after McKay,
+"Isomorph-free exhaustive generation" (J. Algorithms 26, 1998): 241
+enumerations for the 6,859 instances at m=3 with 3 agents.
+:class:`FamilyOrbits` builds the orbits without visiting the instances,
+carries the first instance's rules to any member, and finds the instance of
+a position in the family's rules.  Only ``verify-theorem`` loads this module.
 """
 
 from __future__ import annotations
@@ -16,14 +21,87 @@ import bisect
 import itertools
 import math
 import operator
+import random
 from array import array
-from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from functools import lru_cache, reduce
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .prefcore import ProductDomain
+from .counting import enumerate_sp_rules
+from .prefcore import (
+    PROFILE_ENUMERATION_LIMIT,
+    DomainError,
+    PreferenceDomain,
+    ProductDomain,
+    SizeLimitError,
+    _Value,
+)
+from .rules import Rule, _check_profile_guard, audit_sp_lemmas, dictators_of, range_of
 
-if TYPE_CHECKING:
-    from .counting import ProductFamily
+
+def _check_same_m(domains: Sequence[PreferenceDomain]) -> int:
+    if not domains:
+        raise DomainError("need at least one agent domain")
+    m = domains[0].m
+    if any(d.m != m for d in domains):
+        raise DomainError("all agent domains must share the alternative set")
+    return m
+
+
+class ProductFamily(_Value):
+    """Every product of ``agents`` domains drawn from ``base``, in the order of
+    ``itertools.product(base, repeat=agents)``: instance ``k`` gives agent
+    ``j`` the base domain at the ``j``-th base-``len(base)`` digit of ``k``,
+    agent 0 most significant.  Instances are built on demand."""
+
+    __slots__ = _compared = ("base", "agents")
+
+    def __init__(self, base: tuple[PreferenceDomain, ...], agents: int) -> None:
+        self.base, self.agents = base, agents
+        _check_same_m(base)
+        if agents < 1:
+            raise DomainError(f"a product family needs at least one agent, got {agents}")
+
+    def __len__(self) -> int:
+        return len(self.base) ** self.agents
+
+    def __getitem__(self, instance: int) -> ProductDomain:
+        if not 0 <= instance < len(self.base) ** self.agents:  # len() caps at sys.maxsize
+            raise IndexError(f"instance {instance} is outside the family")
+        return ProductDomain.of([self.base[d] for d in self.digits(instance)])
+
+    def digits(self, instance: int) -> list[int]:
+        """The base indices of ``instance``'s agents."""
+        digits = [0] * self.agents
+        for j in range(self.agents - 1, -1, -1):
+            instance, digits[j] = divmod(instance, len(self.base))
+        return digits
+
+    def index_of(self, digits: Iterable[int]) -> int:
+        return reduce(lambda instance, d: instance * len(self.base) + d, digits, 0)
+
+    def first_over(self, max_profiles: int) -> Optional[tuple[int, int]]:
+        """The first instance with more than ``max_profiles`` profiles and its
+        profile count, or None.  Greedy over the digits: each takes the
+        smallest base index from which the remaining agents, at the largest
+        base size, still pass the guard.  Only the last ``tail`` digits need
+        the greedy step: before them the remaining agents alone exceed the
+        guard, so every leading digit is base index 0 (a one-ranking domain
+        in :func:`nonconditional_domains`)."""
+        sizes = [len(d) for d in self.base]
+        largest = max(sizes)
+        # With largest >= 2, largest**max_profiles.bit_length() > max_profiles.
+        tail = min(self.agents, max_profiles.bit_length())
+        if largest**tail <= max_profiles:
+            return None
+        instance = 0
+        count = sizes[0] ** (self.agents - tail)
+        for remaining in range(tail - 1, -1, -1):
+            digit = next(
+                i for i, size in enumerate(sizes) if count * size * largest**remaining > max_profiles
+            )
+            instance = instance * len(sizes) + digit
+            count *= sizes[digit]
+        return instance, count
 
 
 class FamilyOrbits:
@@ -39,7 +117,7 @@ class FamilyOrbits:
     its instances, and ``number`` holds each multiset's orbit by
     lexicographic position."""
 
-    def __init__(self, family: "ProductFamily") -> None:
+    def __init__(self, family: ProductFamily) -> None:
         self.family = family
         base, n, size = family.base, family.agents, len(family.base)
         index = {tuple(r.order for r in d.rankings): i for i, d in enumerate(base)}
@@ -179,3 +257,155 @@ class SingletonOrbits:
     def locator(self, counts: Sequence[int]) -> Callable[[int], tuple[int, int, int]]:
         ends = list(itertools.accumulate(counts))
         return lambda pick: ((i := bisect.bisect_right(ends, pick)), i, pick - ends[i] + counts[i])
+
+
+class TheoremViolation(NamedTuple):
+    """A strategy-proof, non-dictatorial rule whose range size is not two."""
+
+    instance: int
+    rule: Rule
+
+
+class AuditFault(NamedTuple):
+    instance: int
+    rule: Rule
+    reason: str
+
+
+class ImpossibilityReport(NamedTuple):
+    instances: int
+    rules_checked: int
+    violations: tuple[TheoremViolation, ...]
+    audited: int
+    audit_faults: tuple[AuditFault, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations and not self.audit_faults
+
+
+def _violates_impossibility(rule: Rule) -> bool:
+    # A one-outcome rule makes every agent a dictator: only wider ranges are scanned.
+    return len(range_of(rule)) > 2 and not dictators_of(rule)
+
+
+def _audit_rule(rule: Rule) -> Optional[str]:
+    """Audit one strategy-proof rule: no manipulation, and the option-set
+    facts (maximality and freeness) hold.  Restrictions to sub-products need
+    no scan of their own: a manipulation inside one is a manipulation of the
+    rule itself."""
+    report = audit_sp_lemmas(rule)
+    if report.clean:
+        return None
+    return (
+        f"audit found {len(report.maximality_faults)} maximality and "
+        f"{len(report.freeness_faults)} freeness fault(s)"
+    )
+
+
+# The sweep keeps its first instances' tables for the audit up to this many
+# cells in all (m=3 with 3 agents needs 66,150, m=4 with 2 agents 384,018);
+# past it, a picked orbit's first instance is enumerated once more.
+KEPT_CELLS = 1 << 20
+
+
+def verify_impossibility(
+    family: ProductFamily | Iterable[ProductDomain],
+    max_profiles: int = PROFILE_ENUMERATION_LIMIT,
+    audit_sample: int = 0,
+    seed: Optional[int] = None,
+) -> ImpossibilityReport:
+    """Check a family of product domains for counterexamples to the
+    impossibility claim: a strategy-proof rule with no dictator must attain
+    exactly two outcomes.  Violations are reported, not raised — on products
+    of non-conditional domains none exist, while conditional inputs are
+    expected to produce them.
+
+    A :class:`ProductFamily` is swept once per symmetry orbit
+    (:class:`FamilyOrbits`): the claim, the number of strategy-proof
+    rules and the profile count do not change when agents are
+    permuted or alternatives relabeled, so each orbit's first instance is
+    enumerated and its rules count once per member.  Any other member's
+    rules are carried from it: those of each member of an orbit with
+    violations, and audited ones.  Any other family is a list of
+    one-instance orbits.  The profile guard is checked for the whole family
+    before any enumeration; a family's agent count is held to it too.
+
+    With ``audit_sample > 0``, that many strategy-proof rules are sampled
+    (reproducibly, via ``seed``) across the family and audited by
+    :func:`~spdom.rules.audit_sp_lemmas`: the manipulation scan plus option-set
+    maximality and freeness on every subprofile.  A sample is a position in
+    the family's list of rules (instance order, then enumeration order).
+    """
+    if isinstance(family, ProductFamily):
+        over = family.first_over(max_profiles)
+        if over is not None:
+            _check_profile_guard(over[1], max_profiles)
+        # Each instance is built agent by agent, even when one-ranking
+        # domains leave it a single profile.
+        if family.agents > max_profiles:
+            raise SizeLimitError(
+                f"{family.agents} agents exceeds the enumeration guard of {max_profiles}"
+            )
+        instances: ProductFamily | tuple[ProductDomain, ...] = family
+        # One base domain makes one instance, whatever the agent count.
+        orbits: FamilyOrbits | SingletonOrbits = (
+            FamilyOrbits(family) if len(family.base) > 1 else SingletonOrbits((family[0],))
+        )
+    else:
+        instances = tuple(family)
+        for pd in instances:
+            _check_profile_guard(pd.profile_count, max_profiles)
+        orbits = SingletonOrbits(instances)
+
+    counts = []  # rules per orbit
+    kept: dict[int, list[bytes]] = {}  # first instances' tables, for the audit
+    cells = 0
+    violations: list[TheoremViolation] = []
+    for number in range(len(orbits.sizes)):
+        pd = orbits.product(number)
+        rules = list(enumerate_sp_rules(pd, max_profiles=max_profiles))
+        counts.append(len(rules))
+        if audit_sample > 0 and cells + len(rules) * pd.profile_count <= KEPT_CELLS:
+            cells += len(rules) * pd.profile_count
+            kept[number] = [bytes(r.table) for r in rules]
+        bad = [bytes(r.table) for r in rules if _violates_impossibility(r)]
+        for member in orbits.members(number) if bad else ():
+            violations.extend(
+                TheoremViolation(member, Rule(instances[member], tuple(table)))
+                for table in orbits.carry(number, member, bad)
+            )
+    violations.sort(key=lambda v: v.instance)
+    rules_checked = sum(map(operator.mul, counts, orbits.sizes))
+
+    audited = 0
+    faults: list[AuditFault] = []
+    if audit_sample > 0 and rules_checked:
+        rng = random.Random(seed)
+        picks = (
+            range(rules_checked)
+            if rules_checked <= audit_sample
+            else rng.sample(range(rules_checked), audit_sample)
+        )
+        locate = orbits.locator(counts)
+        sampled: dict[int, list[bytes]] = {}  # carried tables by instance
+        for pick in picks:
+            number, idx, offset = locate(pick)
+            if idx not in sampled:
+                if number not in kept:
+                    rules = enumerate_sp_rules(orbits.product(number), max_profiles=max_profiles)
+                    kept[number] = [bytes(r.table) for r in rules]
+                sampled[idx] = orbits.carry(number, idx, kept[number])
+            rule = Rule(instances[idx], tuple(sampled[idx][offset]))
+            reason = _audit_rule(rule)
+            audited += 1
+            if reason is not None:
+                faults.append(AuditFault(idx, rule, reason))
+
+    return ImpossibilityReport(
+        instances=len(instances),
+        rules_checked=rules_checked,
+        violations=tuple(violations),
+        audited=audited,
+        audit_faults=tuple(faults),
+    )

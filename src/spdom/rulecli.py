@@ -1,6 +1,6 @@
 """The handlers of the six rule commands, which ``spdom.cli`` loads when one
 of them runs, so that the domain commands neither load nor compile them.
-Each handler imports the rule layer (``rules``, ``counting``, ``twostep``) it runs."""
+Each handler imports the rule-layer modules it runs."""
 
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from .domfile import (
 from .prefcore import DomainError, ProductDomain, SizeLimitError
 
 if TYPE_CHECKING:
-    from .counting import ProductFamily
+    from .orbits import ProductFamily
     from .rules import ManipulationWitness
 
 # Full decimal rendering of big counts is capped; beyond this only the digit
@@ -243,26 +243,30 @@ def _cmd_enumerate_sp(options: dict[str, Any]) -> int:
         if not agrees:
             exit_code = 3
 
-    include_tables = len(rules) * pd.profile_count <= RULE_JSON_CELL_LIMIT
-    payload = {
-        "command": "enumerate-sp",
-        "count": len(rules),
-        "range_filter": (
-            None if range_filter is None else [pd.labels[a] for a in range_filter]
-        ),
-        "rules": (
-            [
-                {"index": i, "table": [pd.labels[v] for v in rule.table]}
-                for i, rule in enumerate(rules)
-            ]
-            if include_tables
-            else []
-        ),
-        "rules_omitted": not include_tables,
-        "oracle": oracle_payload,
-    }
     # --out is the rule-file directory here, so the report always goes to stdout.
-    _emit({**options, "out": None}, payload, lines)
+    report_options = {**options, "out": None}
+    if options["format"] == "json":
+        include_tables = len(rules) * pd.profile_count <= RULE_JSON_CELL_LIMIT
+        payload = {
+            "command": "enumerate-sp",
+            "count": len(rules),
+            "range_filter": (
+                None if range_filter is None else [pd.labels[a] for a in range_filter]
+            ),
+            "rules": (
+                [
+                    {"index": i, "table": [pd.labels[v] for v in rule.table]}
+                    for i, rule in enumerate(rules)
+                ]
+                if include_tables
+                else []
+            ),
+            "rules_omitted": not include_tables,
+            "oracle": oracle_payload,
+        }
+        _emit(report_options, payload, ())
+        return exit_code
+    _emit(report_options, None, lines)
     return exit_code
 
 
@@ -365,7 +369,8 @@ def _cmd_decompose(options: dict[str, Any]) -> int:
 
 
 def _theorem_instances(options: dict[str, Any]) -> ProductFamily | list[ProductDomain]:
-    from .counting import ProductFamily, nonconditional_domains
+    from .counting import nonconditional_domains
+    from .orbits import ProductFamily
     domain_files = options["domain"] or []
     family = options["family"]
     if domain_files and family:
@@ -381,7 +386,7 @@ def _theorem_instances(options: dict[str, Any]) -> ProductFamily | list[ProductD
 
 
 def _cmd_verify_theorem(options: dict[str, Any]) -> int:
-    from .counting import verify_impossibility
+    from .orbits import verify_impossibility
     from .rules import range_of
     instances = _theorem_instances(options)
     report = verify_impossibility(
@@ -461,15 +466,19 @@ def _cmd_search_two_step(options: dict[str, Any]) -> int:
             )
         lines.append(f"wrote {len(result.assignments)} assignment file(s) to {directory}")
 
-    payload = {
-        "command": "search-two-step",
-        "response_profiles": len(catalogs),
-        "candidates_total": total if printable else None,
-        "candidates_tried": result.candidates_tried,
-        "complete": result.complete,
-        "found": len(result.assignments),
-        "assignments": [list(indices) for indices in result.assignments],
-    }
     # --out is the assignment-file directory here; the report goes to stdout.
-    _emit({**options, "out": None}, payload, lines)
+    report_options = {**options, "out": None}
+    if options["format"] == "json":
+        payload = {
+            "command": "search-two-step",
+            "response_profiles": len(catalogs),
+            "candidates_total": total if printable else None,
+            "candidates_tried": result.candidates_tried,
+            "complete": result.complete,
+            "found": len(result.assignments),
+            "assignments": [list(indices) for indices in result.assignments],
+        }
+        _emit(report_options, payload, ())
+        return 0
+    _emit(report_options, None, lines)
     return 0

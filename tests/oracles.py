@@ -49,8 +49,8 @@ from spdom import (
     relabel_map,
     second_step_catalog,
 )
-from spdom.counting import AuditFault, _audit_rule, _check_same_m
 from spdom.domfile import format_response
+from spdom.orbits import AuditFault, _audit_rule, _check_same_m
 from spdom.prefcore import _check_pair
 
 

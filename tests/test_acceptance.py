@@ -23,12 +23,8 @@ from spdom.classify import (
     partition_by_answers,
     rebuild,
 )
-from spdom.counting import (
-    count_second_step,
-    enumerate_sp_rules,
-    nonconditional_domains,
-    verify_impossibility,
-)
+from spdom.counting import count_second_step, enumerate_sp_rules, nonconditional_domains
+from spdom.orbits import verify_impossibility
 from spdom.prefcore import (
     OrderedPair,
     PreferenceDomain,

@@ -44,6 +44,7 @@ from spdom import (
     verify_impossibility,
 )
 from spdom.counting import _monotone_function_masks
+from spdom.orbits import FamilyOrbits
 
 UNI3 = generate_domain("universal", m=3)
 SP3 = generate_domain("single_peaked", axis=[0, 1, 2])
@@ -611,7 +612,7 @@ def test_orbit_counts_and_members():
     shapes = [(2, n) for n in range(1, 5)] + [(3, n) for n in range(1, 4)] + [(4, 1), (4, 2)]
     for m, n in shapes:
         family = ProductFamily(nonconditional_domains(m), n)
-        orbits = family.orbits()
+        orbits = FamilyOrbits(family)
         # Burnside's lemma over S_n x S_m is an independent route to the count.
         assert len(orbits.keys) == oracles.burnside_orbit_count(family.base, n), (m, n)
         assert len(orbits.keys) == known.get((m, n), len(orbits.keys))
@@ -631,7 +632,7 @@ def test_orbit_counts_and_members():
 def test_orbit_count_at_m4_with_3_agents():
     # 219 base domains: 1,774,630 multisets, 10,503,459 instances.
     family = ProductFamily(nonconditional_domains(4), 3)
-    orbits = family.orbits()
+    orbits = FamilyOrbits(family)
     assert len(orbits.keys) == oracles.burnside_orbit_count(family.base, 3) == 74882
     assert sum(orbits.sizes) == len(family) == 219**3
     assert orbits.count == 1774630 and min(orbits.number) == 0
@@ -642,7 +643,7 @@ def test_orbit_count_at_m4_with_3_agents():
 )
 def test_carried_rules_match_enumeration(m, n):
     family, instances, rules, _ = _family_and_oracle(m, n)
-    orbits = family.orbits()
+    orbits = FamilyOrbits(family)
     for k in range(len(orbits.keys)):
         tables = [bytes(r.table) for r in enumerate_sp_rules(orbits.product(k))]
         for member in orbits.members(k):
@@ -653,7 +654,7 @@ def test_carried_rules_match_enumeration(m, n):
 @pytest.mark.parametrize("m, n", [(2, 3), (2, 4), (3, 2), (3, 3), ("sp", 2)])
 def test_locator_follows_instance_order(m, n):
     family, instances, rules, _ = _family_and_oracle(m, n)
-    orbits = family.orbits()
+    orbits = FamilyOrbits(family)
     counts = [len(list(enumerate_sp_rules(orbits.product(k)))) for k in range(len(orbits.keys))]
     locate = orbits.locator(counts)
     pool = [(i, j) for i, found in enumerate(rules) for j in range(len(found))]
@@ -668,7 +669,7 @@ def test_locator_follows_instance_order(m, n):
 
 def test_orbits_need_a_relabel_closed_base():
     with pytest.raises(AssertionError):
-        ProductFamily((SP3,), 2).orbits()
+        FamilyOrbits(ProductFamily((SP3,), 2))
     with pytest.raises(DomainError):
         ProductFamily(nonconditional_domains(2), 0)
     with pytest.raises(DomainError):
@@ -696,16 +697,16 @@ def test_first_over_does_not_build_the_family():
 
 
 def test_orbit_sweep_enumerates_each_orbit_once(monkeypatch):
-    import spdom.counting as counting
+    import spdom.orbits as orbits
 
     calls = []
-    original = counting.enumerate_sp_rules
+    original = orbits.enumerate_sp_rules
 
     def counted(pd, *args, **kwargs):
         calls.append(pd)
         return original(pd, *args, **kwargs)
 
-    monkeypatch.setattr(counting, "enumerate_sp_rules", counted)
+    monkeypatch.setattr(orbits, "enumerate_sp_rules", counted)
     family = ProductFamily(nonconditional_domains(3), 3)
     report = verify_impossibility(family)
     assert (report.instances, report.rules_checked) == (6859, 70422)
@@ -717,22 +718,22 @@ def test_orbit_sweep_enumerates_each_orbit_once(monkeypatch):
     assert len(calls) == 241
     # With no tables kept, each picked orbit's first instance is enumerated once more.
     calls.clear()
-    monkeypatch.setattr(counting, "KEPT_CELLS", 0)
+    monkeypatch.setattr(orbits, "KEPT_CELLS", 0)
     assert verify_impossibility(family, audit_sample=200, seed=1) == report
     assert len(calls) == 241 + len(set(calls[241:])) > 241
 
 
 def test_audit_reuses_the_sweeps_enumeration(monkeypatch):
-    import spdom.counting as counting
+    import spdom.orbits as orbits
 
     calls = []
-    original = counting.enumerate_sp_rules
+    original = orbits.enumerate_sp_rules
 
     def counted(pd, *args, **kwargs):
         calls.append(pd)
         return original(pd, *args, **kwargs)
 
-    monkeypatch.setattr(counting, "enumerate_sp_rules", counted)
+    monkeypatch.setattr(orbits, "enumerate_sp_rules", counted)
     instances = [ProductDomain.of([SP3, SP3]), ProductDomain.of([SP3, UNI3])]
     report = verify_impossibility(instances, audit_sample=10, seed=1)
     assert (report.rules_checked, report.audited) == (44, 10)

@@ -1,6 +1,6 @@
-"""Every name a package or test module imports is used in that module, and
-every function, class and method the package defines is referenced somewhere
-in the package.
+"""Every name a package or test module imports is used in that module, every
+function, class and method the package defines is referenced somewhere in the
+package, and the package's modules import each other without a cycle.
 
 ``__init__.py`` is skipped: its imports are the package's re-exports, and a
 re-export alone does not make a definition used.
@@ -9,6 +9,7 @@ re-export alone does not make a definition used.
 from __future__ import annotations
 
 import ast
+import graphlib
 
 from conftest import REPO_ROOT
 
@@ -108,3 +109,32 @@ def test_cli_imports_only_public_names():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def _relative_imports(tree: ast.Module) -> set[str]:
+    """The sibling modules ``tree`` imports relatively, wherever the import
+    stands: at module level, in a function or under ``TYPE_CHECKING``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:  # from . import x
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_no_import_cycles():
+    # cli loads rulecli when a rule command runs, and rulecli imports cli's helpers.
+    lazy = {("cli", "rulecli")}
+    trees = {name.rsplit("/", 1)[-1][:-3]: tree for name, tree in _modules().items()}
+    graph = {
+        name: {t for t in _relative_imports(tree) & trees.keys() if (name, t) not in lazy}
+        for name, tree in trees.items()
+    }
+    cycle = None
+    try:
+        tuple(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as err:
+        cycle = err.args[1]
+    assert cycle is None

@@ -14,11 +14,14 @@ import json
 
 import pytest
 from conftest import FIXTURES, run_python
+from spdom import constant_rule, parse_domain_file, serialize_rule
 
 RULE_LAYER = {"spdom.rules", "spdom.counting", "spdom.orbits", "spdom.twostep", "spdom.rulecli"}
 
 # Runs the CLI invocation given as arguments (none: only imports the CLI) with
-# its report sent to --out, then prints the spdom modules it loaded.
+# its report sent to --out (enumerate-sp and search-two-step write their files
+# there and print the report), then prints as its last line the spdom modules
+# it loaded.
 LOADED = """
 import json, sys
 import spdom.cli
@@ -31,7 +34,7 @@ print(json.dumps(sorted(name for name in sys.modules if name.startswith("spdom")
 def _loaded(*argv: str) -> set[str]:
     done = run_python(["-c", LOADED, *argv], capture_output=True, text=True)
     assert (done.returncode, done.stderr) == (0, "")
-    return set(json.loads(done.stdout))
+    return set(json.loads(done.stdout.splitlines()[-1]))
 
 
 @pytest.mark.parametrize(
@@ -55,10 +58,31 @@ def test_domain_commands_leave_out_the_rule_layer(argv, tmp_path):
     assert loaded & RULE_LAYER == set()
 
 
-def test_count_subrules_loads_counting_but_not_twostep(tmp_path):
-    domain = str(FIXTURES / "ex1.spdom")
-    loaded = _loaded("count-subrules", "--domain", domain, "--out", str(tmp_path / "r"))
-    assert loaded & RULE_LAYER == {"spdom.counting", "spdom.rules", "spdom.rulecli"}
+# The rule-layer modules each rule command loads besides rulecli.
+RULE_COMMANDS = {
+    "check-rule": "rules",
+    "count-subrules": "rules counting",
+    "enumerate-sp": "rules counting",
+    "verify-theorem": "rules counting orbits",
+    "decompose": "rules counting twostep",
+    "search-two-step": "rules counting twostep",
+}
+
+
+@pytest.mark.parametrize("command", RULE_COMMANDS)
+def test_rule_command_loads_only_its_modules(command, tmp_path):
+    domain = FIXTURES / "single_peaked3.spdom"
+    rule = tmp_path / "constant.rule"
+    pd = parse_domain_file(domain.read_text()).product
+    rule.write_text(serialize_rule(constant_rule(pd, 0)))
+    argv = {
+        "check-rule": ["--domain", str(domain), "--rule", str(rule)],
+        "decompose": ["--domain", str(domain), "--rule", str(rule)],
+        "verify-theorem": ["--family", "nonconditional-pairs", "--m", "2", "--agents", "2"],
+    }.get(command, ["--domain", str(domain)])
+    loaded = _loaded(command, *argv, "--out", str(tmp_path / "r"))
+    expected = {"spdom.rulecli", *(f"spdom.{m}" for m in RULE_COMMANDS[command].split())}
+    assert loaded & RULE_LAYER == expected
 
 
 # Runs the CLI invocation given as arguments (none: only imports the CLI),
