@@ -535,6 +535,47 @@ def test_enumerate_sp_table_cap_trips_before_the_search(cli, tmp_path):
     )
 
 
+# The first 32 hex digits of the sha256 of enumerate-sp's stdout (text, json)
+# or of its --out directory (out: each file's name, a newline and its bytes, in
+# name order), recorded before the enumerator streamed its rules.  ex1 and ex2
+# omit their tables from JSON; single_peaked3 and universal3 inline them.  The
+# --range and --oracle cases run on the one-agent domain ``uni1_path``.
+ENUMERATE_DIGESTS = {
+    ("ex1", "", "text"): "66d813d46ec966c4a87f7448aef0b5b2",
+    ("ex1", "", "json"): "fefd195b7443e53337f83499e00c4b97",
+    ("ex1", "", "out"): "e43c92c19bc1bdd31cb77ce422c23fdd",
+    ("ex2", "", "text"): "d114f05e9babd65dfa0765b04c4e1c1f",
+    ("ex2", "", "json"): "2506b68ea5a44763bb15057438015a81",
+    ("ex2", "", "out"): "d8ddee7eecf43f4d5228e9ea9d56ba7d",
+    ("single_peaked3", "", "text"): "3d247cf2e4ebbd3a272f0493d99e804e",
+    ("single_peaked3", "", "json"): "3c681d473832d74b1ee25b62fb188c3e",
+    ("single_peaked3", "", "out"): "e3165735d7e0a885c1d9adb8ec07c8cc",
+    ("universal3", "", "text"): "0fc7fdb24f0c146b5ec3b407f5ba447e",
+    ("universal3", "", "json"): "ff193912bf27948d598f0a23e22d8e68",
+    ("universal3", "", "out"): "8fef26fcef061415c82ec3896d0ef310",
+    ("uni1", "--range x,y", "text"): "9b0230fbd4e0d03abd7b894e8a7d1da6",
+    ("uni1", "--range x,y", "json"): "4f58773946394f717d050fb7063f4e4a",
+    ("uni1", "--oracle", "text"): "ca3083e9d4664b12e5fd4500491520e0",
+    ("uni1", "--oracle", "json"): "4072cc25acb96a20006df45efc394497",
+}
+
+
+@pytest.mark.parametrize("fixture, flags, form", sorted(ENUMERATE_DIGESTS))
+def test_enumerate_sp_bytes_are_pinned(cli, tmp_path, uni1_path, fixture, flags, form):
+    domain = uni1_path if fixture == "uni1" else str(FIXTURES / f"{fixture}.spdom")
+    argv = ["enumerate-sp", "--domain", domain, *flags.split()]
+    argv += ["--out", str(tmp_path)] if form == "out" else ["--format", form]
+    code, out, err = cli(*argv)
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256()
+    if form == "out":
+        for path in sorted(tmp_path.iterdir()):
+            digest.update(path.name.encode() + b"\n" + path.read_bytes())
+    else:
+        digest.update(out.encode())
+    assert digest.hexdigest()[:32] == ENUMERATE_DIGESTS[fixture, flags, form]
+
+
 # ---------------------------------------------------------------------------
 # check-rule
 
