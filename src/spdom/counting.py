@@ -63,7 +63,8 @@ def enumerate_sp_rules(
     the outcomes admissible for its reports against those states, which is
     the strategy-proofness check against every earlier cell of each fiber,
     both ways.  A cell's states are rewritten whenever the search enters it,
-    so backtracking needs no undo.  Guards and filter are checked at the call."""
+    so backtracking needs no undo.  Guards and filter are checked at the call;
+    the per-cell set-up is built when the first rule is asked for."""
     count = pd.profile_count
     _check_profile_guard(count, max_profiles)
     _check_table_cap(count)
@@ -76,21 +77,20 @@ def enumerate_sp_rules(
     full_mask = sum(1 << alt for alt in outcomes)
     lowest = [(mask & -mask).bit_length() - 1 for mask in range(full_mask + 1)]
 
-    # before[i][t]: the state of agent i's fiber at t over the cells before t
-    # (0 at a fiber's first cell).  steps[t]: per agent with such a cell q,
-    # (before[i], q, q's marks, t's test).
-    before = [[0] * count for _ in pd.agents]
-    options = [OptionSets.of(d) for d in pd.agents]
-    steps = [
-        [
-            (states, t - stride, opts.marks[d - 1], opts.admissible[d])
-            for states, stride, opts, d in zip(before, pd.strides, options, digits)
-            if d
-        ]
-        for t, digits in enumerate(pd.iter_profiles())
-    ]
-
     def search() -> Iterator[Rule]:
+        # before[i][t]: the state of agent i's fiber at t over the cells before t
+        # (0 at a fiber's first cell).  steps[t]: per agent with such a cell q,
+        # (before[i], q, q's marks, t's test).
+        before = [[0] * count for _ in pd.agents]
+        options = [OptionSets.of(d) for d in pd.agents]
+        steps = [
+            [
+                (states, t - stride, opts.marks[d - 1], opts.admissible[d])
+                for states, stride, opts, d in zip(before, pd.strides, options, digits)
+                if d
+            ]
+            for t, digits in enumerate(pd.iter_profiles())
+        ]
         table = [0] * count
         masks = [0] * count
         masks[0] = full_mask

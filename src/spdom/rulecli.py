@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Optional, Sequence
 
@@ -75,13 +75,27 @@ def _str_digit_limit() -> float:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)() or math.inf
 
 
-def _out_dir(path: str) -> Path:
-    directory = Path(path)
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        raise DomainError(f"cannot write {directory}: {err}") from err
-    return directory
+def _take_results(
+    options: dict[str, Any], results: Iterable[Any], keep: float,
+    noun: str, suffix: str, render: Callable[[Any], str],
+) -> tuple[int, list[Any], list[str]]:
+    """Read ``results`` once, one at a time: count them, write each to the
+    ``--out`` directory as ``<noun>_<index>.<suffix>`` as it comes, and keep
+    the first ``keep``.  Returns the count, those kept and the report's lines."""
+    directory = options["out"] and Path(options["out"])
+    if directory:
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise DomainError(f"cannot write {directory}: {err}") from err
+    count, kept = 0, []
+    for count, result in enumerate(results, 1):
+        if directory:
+            _write_text(directory / f"{noun}_{count - 1:04d}.{suffix}", (render(result),))
+        if count <= keep:
+            kept.append(result)
+    return count, kept, [f"wrote {count} {noun} file(s) to {directory}"] if directory else []
+
 
 def _load_partition(options: dict[str, Any]) -> ResponsePartition:
     spec = _load_spec(options)
@@ -217,18 +231,15 @@ def _cmd_enumerate_sp(options: dict[str, Any]) -> int:
     search = enumerate_sp_rules(pd, range_filter, options["max_profiles"])
     outcomes = sorted(range_filter or range(pd.m))
     brute_force = _brute_force_sp_tables(pd, outcomes) if options["oracle"] else None
-    rules = list(search)
+    # The oracle's cap bounds the tables it keeps; JSON inlines them up to a cell limit.
+    json_keep = RULE_JSON_CELL_LIMIT // pd.profile_count if options["format"] == "json" else 0
+    keep = math.inf if brute_force is not None else json_keep
+    count, rules, wrote = _take_results(options, search, keep, "rule", "rule", serialize_rule)
 
-    lines = [f"strategy-proof rules: {len(rules)}"]
+    lines = [f"strategy-proof rules: {count}"]
     if range_filter is not None:
         lines[0] += f" (range within {{{', '.join(pd.labels[a] for a in range_filter)}}})"
-
-    out_dir = options["out"]
-    if out_dir:
-        directory = _out_dir(out_dir)
-        for i, rule in enumerate(rules):
-            _write_text(directory / f"rule_{i:04d}.rule", (serialize_rule(rule),))
-        lines.append(f"wrote {len(rules)} rule file(s) to {directory}")
+    lines += wrote
 
     oracle_payload = None
     exit_code = 0
@@ -243,13 +254,12 @@ def _cmd_enumerate_sp(options: dict[str, Any]) -> int:
         if not agrees:
             exit_code = 3
 
-    # --out is the rule-file directory here, so the report always goes to stdout.
-    report_options = {**options, "out": None}
+    payload = None  # only the printed form is built
     if options["format"] == "json":
-        include_tables = len(rules) * pd.profile_count <= RULE_JSON_CELL_LIMIT
+        include_tables = count * pd.profile_count <= RULE_JSON_CELL_LIMIT
         payload = {
             "command": "enumerate-sp",
-            "count": len(rules),
+            "count": count,
             "range_filter": (
                 None if range_filter is None else [pd.labels[a] for a in range_filter]
             ),
@@ -264,9 +274,8 @@ def _cmd_enumerate_sp(options: dict[str, Any]) -> int:
             "rules_omitted": not include_tables,
             "oracle": oracle_payload,
         }
-        _emit(report_options, payload, ())
-        return exit_code
-    _emit(report_options, None, lines)
+    # --out is the rule-file directory here, so the report always goes to stdout.
+    _emit({**options, "out": None}, payload, lines)
     return exit_code
 
 
@@ -454,20 +463,14 @@ def _cmd_search_two_step(options: dict[str, Any]) -> int:
         f"candidates: {total if printable else f'({digits} digits)'}; "
         f"tried: {result.candidates_tried}; complete: {'yes' if result.complete else 'no'}"
     ]
-    lines.append(f"strategy-proof assignments: {len(result.assignments)}")
+    # The JSON payload lists every assignment, so only JSON keeps them.
+    count, assignments, wrote = _take_results(
+        options, result.assignments, math.inf if options["format"] == "json" else 0,
+        "assignment", "assign", lambda indices: serialize_assignment(partition, indices),
+    )
+    lines += [f"strategy-proof assignments: {count}", *wrote]
 
-    out_dir = options["out"]
-    if out_dir:
-        directory = _out_dir(out_dir)
-        for i, indices in enumerate(result.assignments):
-            _write_text(
-                directory / f"assignment_{i:04d}.assign",
-                (serialize_assignment(partition, indices),),
-            )
-        lines.append(f"wrote {len(result.assignments)} assignment file(s) to {directory}")
-
-    # --out is the assignment-file directory here; the report goes to stdout.
-    report_options = {**options, "out": None}
+    payload = None  # only the printed form is built
     if options["format"] == "json":
         payload = {
             "command": "search-two-step",
@@ -475,10 +478,9 @@ def _cmd_search_two_step(options: dict[str, Any]) -> int:
             "candidates_total": total if printable else None,
             "candidates_tried": result.candidates_tried,
             "complete": result.complete,
-            "found": len(result.assignments),
-            "assignments": [list(indices) for indices in result.assignments],
+            "found": count,
+            "assignments": assignments,  # tuples, written as JSON lists
         }
-        _emit(report_options, payload, ())
-        return 0
-    _emit(report_options, None, lines)
+    # --out is the assignment-file directory here; the report goes to stdout.
+    _emit({**options, "out": None}, payload, lines)
     return 0

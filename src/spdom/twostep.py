@@ -15,7 +15,7 @@ gain by switching blocks.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .classify import AnswerSet, ResponsePartition
 from .counting import _catalogs_fit, second_step_catalog
@@ -74,7 +74,7 @@ def decompose(rule: Rule, partition: ResponsePartition) -> tuple[BlockDecomposit
 class SearchResult(NamedTuple):
     """Outcome of a catalog-driven search over two-step assignments."""
 
-    assignments: tuple[tuple[int, ...], ...]  # catalog indices per found rule
+    assignments: Iterator[tuple[int, ...]]  # catalog indices per found rule, read once
     catalogs: tuple[tuple[Rule, ...], ...]  # one per response profile
     candidates_total: int
     candidates_tried: int
@@ -99,7 +99,8 @@ def search_sp_combinations(
     candidates (an int bitset) by the compatibility row of the assignment,
     dropping a subtree when a bitset empties or its first rank reaches the
     budget.  ``candidates_tried`` is ``min(budget, total)``; when it is the
-    total, the result is exhaustive.
+    total, the result is exhaustive.  The assignments are searched for as
+    they are read; everything else is known when this returns.
     """
     if budget < 1:
         raise DomainError(f"budget must be positive, got {budget}")
@@ -110,8 +111,7 @@ def search_sp_combinations(
         _check_table_cap(count)
         _check_profile_guard(count, PROFILE_ENUMERATION_LIMIT)
     catalogs = tuple(second_step_catalog(block) for block in partition.block_products)
-
-    found = tuple(_search_compatible(partition, catalogs, budget))
+    found = _search_compatible(partition, catalogs, budget)
     total = math.prod(map(len, catalogs))
     tried = min(budget, total)
     return SearchResult(found, catalogs, total, tried, complete=tried == total)
@@ -163,13 +163,13 @@ def _later_neighbours(partition: ResponsePartition) -> list[list[tuple[int, int]
 
 def _search_compatible(
     partition: ResponsePartition, catalogs: Sequence[Sequence[Rule]], budget: int
-) -> list[tuple[int, ...]]:
-    """The catalog-index assignments of rank below ``budget`` whose subrules
-    are pairwise compatible at adjacent response profiles, in lexicographic
-    order: depth-first with forward checking.  Subrule A at response profile
-    v and B at w, where w differs from v only in agent i's answers, are
-    compatible iff ``opt_B & ~low_A == 0`` and ``opt_A & ~low_B == 0`` for
-    agent i's masks (see :func:`_block_masks`)."""
+) -> Iterator[tuple[int, ...]]:
+    """Yield the catalog-index assignments of rank below ``budget`` whose
+    subrules are pairwise compatible at adjacent response profiles, in
+    lexicographic order: depth-first with forward checking.  Subrule A at
+    response profile v and B at w, where w differs from v only in agent i's
+    answers, are compatible iff ``opt_B & ~low_A == 0`` and
+    ``opt_A & ~low_B == 0`` for agent i's masks (see :func:`_block_masks`)."""
     count = len(catalogs)
     sizes = [len(c) for c in catalogs]
     weights = [1] * count  # weights[v]: the rank step of one index at v
@@ -195,7 +195,6 @@ def _search_compatible(
     choice = [-1] * count
     rank = [0] * (count + 1)  # rank[v]: the rank of the assignment to 0..v-1
     undo: list[list[tuple[int, int]]] = [[] for _ in range(count)]
-    found: list[tuple[int, ...]] = []
     v = 0
     while v >= 0:
         for w, previous in undo[v]:
@@ -227,10 +226,9 @@ def _search_compatible(
                     break
         else:
             if v == count - 1:
-                found.append(tuple(choice))
+                yield tuple(choice)
             else:
                 v += 1
-    return found
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +237,7 @@ def _search_compatible(
 
 def serialize_assignment(partition: ResponsePartition, indices: Sequence[int]) -> str:
     """Render an assignment of catalog subrules as text: one catalog index per
-    response profile, canonical order (as in ``SearchResult.assignments``)."""
+    response profile, canonical order (as each of ``SearchResult.assignments``)."""
     responses = partition.responses
     if len(indices) != len(responses):
         raise DomainError(

@@ -740,7 +740,7 @@ def search_by_assembly(partition: ResponsePartition, budget: int = 1_000_000) ->
         if find_manipulation(rule) is None:
             assignments.append(indices)
     return SearchResult(
-        assignments=tuple(assignments),
+        assignments=iter(assignments),
         catalogs=catalogs,
         candidates_total=total,
         candidates_tried=tried,

@@ -344,16 +344,17 @@ def test_search_budget_truncation_on_three_agent_products():
     for partition in itertools.islice(partitions, 12):
         full = search_sp_combinations(partition, budget=count_second_step(partition).product)
         assert full.complete
+        assignments = tuple(full.assignments)
         ranks = []
-        for indices in full.assignments:
+        for indices in assignments:
             rank = 0
             for catalog, index in zip(full.catalogs, indices):
                 rank = rank * len(catalog) + index
             ranks.append(rank)
         total = full.candidates_total
         for budget in (1, total // 2, total - 1):
-            expected = tuple(a for a, rank in zip(full.assignments, ranks) if rank < budget)
-            assert search_sp_combinations(partition, budget).assignments == expected
+            expected = tuple(a for a, rank in zip(assignments, ranks) if rank < budget)
+            assert tuple(search_sp_combinations(partition, budget).assignments) == expected
             cut += 0 < len(expected) < len(ranks)
     assert cut >= 12
 
@@ -376,10 +377,11 @@ def test_acceptance_11_search_finds_every_strategy_proof_rule(
             total = count_second_step(partition).product
             result = search_sp_combinations(partition, budget=total)
             assert result.complete and result.candidates_tried == total
-            assert list(result.assignments) == sorted(result.assignments)
+            assignments = tuple(result.assignments)
+            assert list(assignments) == sorted(assignments)
             found = [
                 assemble(partition, [result.catalogs[v][a] for v, a in enumerate(indices)])
-                for indices in result.assignments
+                for indices in assignments
             ]
             rules = list(enumerate_sp_rules(partition.product))
             assert len(found) == len(rules)

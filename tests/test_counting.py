@@ -273,6 +273,21 @@ def test_enumerate_profile_guard():
         list(enumerate_sp_rules(pd, max_profiles=10))
 
 
+def test_enumerate_sets_up_on_the_first_rule(monkeypatch):
+    # The guards and the filter are checked at the call; the per-cell set-up,
+    # one step list per profile, waits for the first rule, so a caller's own
+    # refusals (enumerate-sp's oracle cap) come before it.
+    pd = ProductDomain.of([UNI3, UNI3])
+
+    def unreachable():
+        raise AssertionError("profiles enumerated")
+
+    monkeypatch.setattr(pd, "iter_profiles", unreachable)
+    search = enumerate_sp_rules(pd)
+    with pytest.raises(AssertionError, match="profiles enumerated"):
+        next(search)
+
+
 # ---------------------------------------------------------------------------
 # Closed-form second-step counting
 

@@ -372,15 +372,16 @@ def test_search_budget_bounds_the_rank():
     partition = _sp3_partition()
     full = search_sp_combinations(partition)
     sizes = [len(c) for c in full.catalogs]
-    for position, indices in enumerate(full.assignments):
+    assignments = tuple(full.assignments)
+    for position, indices in enumerate(assignments):
         rank = 0
         for size, index in zip(sizes, indices):
             rank = rank * size + index
         if rank:
             below = search_sp_combinations(partition, rank)
-            assert below.assignments == full.assignments[:position]
+            assert tuple(below.assignments) == assignments[:position]
         upto = search_sp_combinations(partition, rank + 1)
-        assert upto.assignments == full.assignments[: position + 1]
+        assert tuple(upto.assignments) == assignments[: position + 1]
 
 
 SEARCH_XYZ = """\
@@ -408,8 +409,12 @@ def test_search_matches_assembly_route(sp3_spec, uni3_spec, ex1_spec, ex2_spec):
     cases += [(ex1_spec, budget) for budget in (1, 60)]
     for spec, budget in cases:
         partition = ResponsePartition.of(spec.product, spec.resolved_maps("default"))
-        found = search_sp_combinations(partition, budget)
-        expected = search_by_assembly(partition, budget)
+        found, expected = (
+            result._replace(assignments=tuple(result.assignments))
+            for result in (
+                search_sp_combinations(partition, budget), search_by_assembly(partition, budget)
+            )
+        )
         for name in expected._fields:
             assert getattr(found, name) == getattr(expected, name), (spec.labels, budget, name)
 
@@ -426,7 +431,7 @@ def test_search_count_matches_closed_form(m, n, expected):
     partition = ResponsePartition.of(spec.product, spec.resolved_maps("default"))
     result = search_sp_combinations(partition, budget=10**100)
     assert result.complete
-    assert len(result.assignments) == single_peaked_sp_count(m, n) == expected
+    assert len(tuple(result.assignments)) == single_peaked_sp_count(m, n) == expected
 
 
 def test_catalog_fit_check_is_exact():
@@ -466,7 +471,7 @@ def test_catalog_fit_check_is_exact():
 def test_assignment_roundtrip():
     partition = _sp3_partition()
     result = search_sp_combinations(partition)
-    indices = result.assignments[5]
+    indices = tuple(result.assignments)[5]
     assignment = TwoStepAssignment(
         partition, tuple(result.catalogs[i][j] for i, j in enumerate(indices))
     )
