@@ -81,7 +81,7 @@ def _take_results(
 ) -> tuple[int, list[Any], list[str]]:
     """Read ``results`` once, one at a time: count them, write each to the
     ``--out`` directory as ``<noun>_<index>.<suffix>`` as it comes, and keep
-    the first ``keep``.  Returns the count, those kept and the report's lines."""
+    the first ``keep``.  Returns the count, those kept and any ``wrote`` line."""
     directory = options["out"] and Path(options["out"])
     if directory:
         try:
