@@ -232,8 +232,8 @@ def _cmd_enumerate_sp(options: dict[str, Any]) -> int:
     outcomes = sorted(range_filter or range(pd.m))
     brute_force = _brute_force_sp_tables(pd, outcomes) if options["oracle"] else None
     # The oracle's cap bounds the tables it keeps; JSON inlines them up to a cell limit.
-    json_keep = RULE_JSON_CELL_LIMIT // pd.profile_count if options["format"] == "json" else 0
-    keep = math.inf if brute_force is not None else json_keep
+    json_keep = RULE_JSON_CELL_LIMIT // pd.profile_count
+    keep = math.inf if brute_force is not None else json_keep if options["format"] == "json" else 0
     count, rules, wrote = _take_results(options, search, keep, "rule", "rule", serialize_rule)
 
     lines = [f"strategy-proof rules: {count}"]
@@ -256,7 +256,7 @@ def _cmd_enumerate_sp(options: dict[str, Any]) -> int:
 
     payload = None  # only the printed form is built
     if options["format"] == "json":
-        include_tables = count * pd.profile_count <= RULE_JSON_CELL_LIMIT
+        include_tables = count <= json_keep
         payload = {
             "command": "enumerate-sp",
             "count": count,

@@ -163,6 +163,8 @@ def test_partition_rebuilds_each_map_once(monkeypatch):
     pd = ProductDomain.of([SP3, SP3], labels=["x", "y", "z"])
     result = search_sp_combinations(ResponsePartition.of(pd, (classify(SP3), classify(SP3))))
     assert result.candidates_tried == 825
+    # The search runs as its assignments are read, so they are read in here.
+    assert len(tuple(result.assignments)) == 24
     assert len(calls) == pd.n == 2
 
 
