@@ -293,7 +293,8 @@ def _audit_rule(rule: Rule) -> Optional[str]:
     """Audit one strategy-proof rule: no manipulation, and the option-set
     facts (maximality and freeness) hold.  Restrictions to sub-products need
     no scan of their own: a manipulation inside one is a manipulation of the
-    rule itself."""
+    rule itself.  Nor does the audit check the profile guard: the rule's
+    instance was held to it before the sweep enumerated it."""
     report = audit_sp_lemmas(rule)
     if report.clean:
         return None

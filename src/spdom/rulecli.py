@@ -280,11 +280,12 @@ def _cmd_enumerate_sp(options: dict[str, Any]) -> int:
 
 
 def _cmd_check_rule(options: dict[str, Any]) -> int:
-    from .rules import audit_sp_lemmas, dictators_of, parse_rule_file, range_of
+    from .rules import _check_profile_guard, audit_sp_lemmas, dictators_of, parse_rule_file, range_of
     spec = _load_spec(options)
     pd = spec.product
     rule = parse_rule_file(_read_text(options["rule"]), pd)
-    audit = audit_sp_lemmas(rule, options["max_profiles"])
+    _check_profile_guard(pd.profile_count, options["max_profiles"])
+    audit = audit_sp_lemmas(rule)
     witness = audit.witness
     attained = range_of(rule)
     dictators = _dictator_names(pd, dictators_of(rule))

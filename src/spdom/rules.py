@@ -17,7 +17,6 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .domfile import ParseError, format_profile
 from .prefcore import (
-    PROFILE_ENUMERATION_LIMIT,
     TABLE_CELL_LIMIT,
     DomainError,
     PreferenceDomain,
@@ -176,22 +175,16 @@ def _manipulations(rule: Rule, agent: int, states: list[int]) -> Iterator[Manipu
                 )
 
 
-def iter_manipulations(
-    rule: Rule, max_profiles: int = PROFILE_ENUMERATION_LIMIT
-) -> Iterator[ManipulationWitness]:
+def iter_manipulations(rule: Rule) -> Iterator[ManipulationWitness]:
     """Every manipulation, scanned agent-ascending, then profile-index, then
     deviation — so the first yielded witness is the canonical one."""
-    pd = rule.domain
-    _check_profile_guard(pd.profile_count, max_profiles)
-    for agent in range(pd.n):
+    for agent in range(rule.domain.n):
         yield from _manipulations(rule, agent, _fibers(rule, agent)[1])
 
 
-def find_manipulation(
-    rule: Rule, max_profiles: int = PROFILE_ENUMERATION_LIMIT
-) -> Optional[ManipulationWitness]:
+def find_manipulation(rule: Rule) -> Optional[ManipulationWitness]:
     """The canonical first manipulation, or None when the rule is strategy-proof."""
-    return next(iter_manipulations(rule, max_profiles), None)
+    return next(iter_manipulations(rule), None)
 
 
 def dictators_of(rule: Rule) -> frozenset[int]:
@@ -238,26 +231,24 @@ class SpAuditReport(NamedTuple):
     strategy-proofness: every realized outcome is the reporter's best
     option-set member, and option-set members are pairwise free."""
 
-    strategy_proof: bool
-    witness: Optional[ManipulationWitness]
+    witness: Optional[ManipulationWitness]  # None exactly when strategy-proof
     maximality_faults: tuple[OptionMaximalityFault, ...]
     freeness_faults: tuple[OptionFreenessFault, ...]
 
     @property
     def clean(self) -> bool:
-        return self.strategy_proof and not self.maximality_faults and not self.freeness_faults
+        return self.witness is None and not self.maximality_faults and not self.freeness_faults
 
 
-def audit_sp_lemmas(
-    rule: Rule, max_profiles: int = PROFILE_ENUMERATION_LIMIT
-) -> SpAuditReport:
+def audit_sp_lemmas(rule: Rule) -> SpAuditReport:
     """Audit option-set maximality and option-set freeness on every subprofile.
 
     For strategy-proof rules both fault lists are empty; for manipulable rules
-    the report pinpoints where the structure breaks.
+    the report pinpoints where the structure breaks.  Like the manipulation
+    scan, it reads each cell of a table the caller already holds, so it takes
+    no profile guard: callers check theirs before they build or read the rule.
     """
     pd = rule.domain
-    _check_profile_guard(pd.profile_count, max_profiles)
     witness: Optional[ManipulationWitness] = None
     maximality: list[OptionMaximalityFault] = []
     freeness: list[OptionFreenessFault] = []
@@ -290,7 +281,6 @@ def audit_sp_lemmas(
                     if outcome != top
                 )
     return SpAuditReport(
-        strategy_proof=witness is None,
         witness=witness,
         maximality_faults=tuple(maximality),
         freeness_faults=tuple(freeness),
@@ -316,7 +306,6 @@ def parse_rule_file(text: str, pd: ProductDomain) -> Rule:
     expected = pd.profile_count
     table: list[int] = []
     header_seen = False
-    data_line = 0
     profiles = pd.iter_profiles()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -339,7 +328,7 @@ def parse_rule_file(text: str, pd: ProductDomain) -> Rule:
         left, _, right = line.partition("->")
         left = left.strip()
         right = right.strip()
-        if data_line >= expected:
+        if len(table) >= expected:
             raise ParseError(f"more than {expected} profile lines", lineno, 1)
         canonical = format_profile(pd, next(profiles))
         if left != canonical:
@@ -351,9 +340,8 @@ def parse_rule_file(text: str, pd: ProductDomain) -> Rule:
         if right not in label_to_id:
             raise ParseError(f"unknown outcome label {right!r}", lineno, 1)
         table.append(label_to_id[right])
-        data_line += 1
     if not header_seen:
         raise ParseError("empty rule file", 1, 1)
-    if data_line != expected:
-        raise ParseError(f"expected {expected} profile lines, found {data_line}", 1, 1)
+    if len(table) != expected:
+        raise ParseError(f"expected {expected} profile lines, found {len(table)}", 1, 1)
     return Rule(pd, tuple(table))

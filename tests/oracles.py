@@ -601,8 +601,8 @@ def dictatorship(pd: ProductDomain, agent: int) -> Rule:
     return Rule(pd, tuple(table))
 
 
-def is_strategy_proof(rule: Rule, max_profiles: int = PROFILE_ENUMERATION_LIMIT) -> bool:
-    return find_manipulation(rule, max_profiles) is None
+def is_strategy_proof(rule: Rule) -> bool:
+    return find_manipulation(rule) is None
 
 
 def option_set(rule: Rule, agent: int, others: Sequence[int]) -> frozenset[int]:
@@ -701,9 +701,7 @@ class FirstStepWitness:
 
 
 def first_step_witnesses(
-    rule: Rule,
-    partition: ResponsePartition,
-    max_profiles: int = PROFILE_ENUMERATION_LIMIT,
+    rule: Rule, partition: ResponsePartition
 ) -> tuple[FirstStepWitness, ...]:
     """Every manipulation of ``rule``, each annotated by whether the deviation
     crosses answer-set blocks.  When all block subrules are strategy-proof,
@@ -712,7 +710,7 @@ def first_step_witnesses(
     if rule.domain != partition.product:
         raise DomainError("rule is over a different product than the response partition")
     out = []
-    for witness in iter_manipulations(rule, max_profiles):
+    for witness in iter_manipulations(rule):
         answer_of = partition.answer_of[witness.agent]
         sincere = answer_of[witness.profile[witness.agent]]
         deviating = answer_of[witness.deviation]

@@ -28,7 +28,13 @@ import pytest
 import oracles
 from conftest import FIXTURES, run_python, run_spdom
 from oracles import assemble, dictatorship, parse_assignment_file
-from spdom import ProductDomain, SizeLimitError, nonconditional_domains, second_step_catalog
+from spdom import (
+    ProductDomain,
+    SizeLimitError,
+    nonconditional_domains,
+    pair_vote_rules,
+    second_step_catalog,
+)
 from spdom.cli import _json_chunks, run_command
 from spdom.classify import ResponsePartition, classify
 from spdom.domfile import parse_domain_file
@@ -1097,6 +1103,54 @@ def test_search_two_step_profile_guard(cli, tmp_path):
         2,
         "",
         "size limit: 14400 profiles exceeds the enumeration guard of 10000\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "case, line",
+    [
+        ("audit", "instances: 1; rules checked: 77; violations: 0; audited: 1; audit faults: 0"),
+        ("oracle", "oracle (full table scan): agrees (1 rules)"),
+        ("decompose", "response profiles: 1; dictatorial: 0; two-outcome: 1; violations: 0"),
+    ],
+    ids=["audit", "oracle", "decompose"],
+)
+def test_scans_of_held_rules_pass_the_default_guard(cli, tmp_path, case, line):
+    # Each command holds its 14,400-profile rules before it scans them: the
+    # sweep enumerated the audited instance under --max-profiles, the oracle's
+    # tables are under their own cap, and decompose has parsed the rule file.
+    # The scans add no guard of their own.
+    path = tmp_path / "uu5.spdom"
+    path.write_text("alternatives a b c d e\nagent 1 { universal }\nagent 2 { universal }\n")
+    if case == "audit":
+        argv = ["verify-theorem", "--domain", str(path), "--max-profiles", "20000",
+                "--audit-sample", "1", "--seed", "1"]
+    elif case == "oracle":
+        argv = ["enumerate-sp", "--domain", str(path), "--range", "a", "--oracle",
+                "--max-profiles", "20000"]
+    else:
+        pd = parse_domain_file(path.read_text()).product
+        rule = tmp_path / "vote.rule"
+        rule.write_text(serialize_rule(pair_vote_rules(pd, (0, 1))[0]))
+        argv = ["decompose", "--domain", str(path), "--rule", str(rule)]
+    code, out, err = cli(*argv)
+    assert (code, err) == (0, "")
+    assert line in out.splitlines()
+
+
+def test_check_rule_profile_guard(cli, tmp_path):
+    # The guard is checked once the rule file is read: a valid 36-profile
+    # rule is refused, and a malformed file still reports its parse error.
+    pd = parse_domain_file(Path(UNI3).read_text()).product
+    good, bad = tmp_path / "dictator.rule", tmp_path / "bad.rule"
+    good.write_text(serialize_rule(dictatorship(pd, 0)))
+    bad.write_text("alternatives: x y z\nnot a rule line\n")
+    argv = ("check-rule", "--domain", UNI3, "--max-profiles", "35", "--rule")
+    assert cli(*argv, str(good)) == (
+        2, "", "size limit: 36 profiles exceeds the enumeration guard of 35\n"
+    )
+    assert cli(*argv, str(bad)) == (
+        1, "", "error: line 2, column 1: expected 'profile -> outcome'\n"
     )
 
 

@@ -1,6 +1,7 @@
 """Every name a package or test module imports is used in that module, every
 function, class and method the package defines is referenced somewhere in the
-package, and the package's modules import each other without a cycle.
+package, the package's modules import each other without a cycle, and only
+the functions that start guarded work take the profile guard.
 
 ``__init__.py`` is skipped: its imports are the package's re-exports, and a
 re-export alone does not make a definition used.
@@ -138,3 +139,31 @@ def test_no_import_cycles():
     except graphlib.CycleError as err:
         cycle = err.args[1]
     assert cycle is None
+
+
+def _functions(body, prefix: str):
+    """Qualified name and node of every function in ``body``, nested ones
+    and methods included."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{prefix}.{node.name}"
+            if not isinstance(node, ast.ClassDef):
+                yield name, node
+            yield from _functions(node.body, name)
+
+
+def test_only_guarded_work_takes_max_profiles():
+    # The profile guard is checked where guarded work starts, never as a
+    # defaulted parameter of a scan over a rule the caller already holds.
+    takers = sorted(
+        qualified
+        for name, tree in _modules().items()
+        for qualified, node in _functions(tree.body, name.rsplit("/", 1)[-1][:-3])
+        if "max_profiles" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+    )
+    assert takers == [
+        "counting.enumerate_sp_rules",
+        "orbits.ProductFamily.first_over",
+        "orbits.verify_impossibility",
+        "rules._check_profile_guard",
+    ]
