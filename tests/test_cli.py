@@ -686,6 +686,54 @@ def test_check_rule_dictatorship(cli, tmp_path, sp3_product):
     assert payload["dictators"] == ["1"]
 
 
+# The first 32 hex digits of one sha256 over check-rule's exit code, stdout and
+# stderr (text, json, or --oracle text) on each rule of a group, recorded
+# before the audit counted its faults instead of listing them.  A group is
+# every rule file enumerate-sp --out writes for the domain, in name order,
+# then a dozen seeded random tables, which carry maximality faults.  Every
+# pair is free in both fixtures, so ``fixed_pair`` (agent 2 always ranks x
+# over z) is there for freeness faults.
+CHECK_RULE_DIGESTS = {
+    ("fixed_pair", "text"): "7965cdefbe772bb675f66866fa744d12",
+    ("fixed_pair", "json"): "1df98e810c097c01624bdafa059314e8",
+    ("fixed_pair", "oracle"): "0e72b309d6a014cd2fdedef18974d04d",
+    ("single_peaked3", "text"): "e9f489ae8f111e0da40f18a951feb54c",
+    ("single_peaked3", "json"): "fbb4e80401dc8eb67d2001a6927a8e51",
+    ("single_peaked3", "oracle"): "f1700800177a119cbf9148ebab728b93",
+    ("universal3", "text"): "c309996627af38ae387f21f2fc97499e",
+    ("universal3", "json"): "15278def69204cf83b1bba10f250c71b",
+    ("universal3", "oracle"): "d133bcaab5f8b5231f9c8b84ef93a80f",
+}
+FIXED_PAIR = (
+    "alternatives x y z\n"
+    "agent 1 { single-peaked x y z }\n"
+    "agent 2 { rankings { x y z; x z y; y x z } }\n"
+)
+
+
+@pytest.mark.parametrize("fixture, form", sorted(CHECK_RULE_DIGESTS))
+def test_check_rule_bytes_are_pinned(cli, tmp_path, fixture, form):
+    path = FIXTURES / f"{fixture}.spdom"
+    if fixture == "fixed_pair":
+        path = tmp_path / "fixed_pair.spdom"
+        path.write_text(FIXED_PAIR)
+    domain, rules = str(path), tmp_path / "rules"
+    assert cli("enumerate-sp", "--domain", domain, "--out", str(rules))[0] == 0
+    paths = sorted(rules.iterdir())
+    pd = parse_domain_file(path.read_text()).product
+    rng = random.Random(2028)
+    for i in range(12):
+        table = tuple(rng.randrange(pd.m) for _ in range(pd.profile_count))
+        paths.append(tmp_path / f"random{i}.rule")
+        paths[-1].write_text(serialize_rule(Rule(pd, table)))
+    flags = {"text": [], "json": ["--format", "json"], "oracle": ["--oracle"]}[form]
+    digest = hashlib.sha256()
+    for rule in paths:
+        code, out, err = cli("check-rule", "--domain", domain, "--rule", str(rule), *flags)
+        digest.update(f"{code}\n{out}{err}".encode())
+    assert digest.hexdigest()[:32] == CHECK_RULE_DIGESTS[fixture, form]
+
+
 # ---------------------------------------------------------------------------
 # decompose
 
