@@ -299,8 +299,8 @@ def _audit_rule(rule: Rule) -> Optional[str]:
     if report.clean:
         return None
     return (
-        f"audit found {len(report.maximality_faults)} maximality and "
-        f"{len(report.freeness_faults)} freeness fault(s)"
+        f"audit found {report.maximality_faults} maximality and "
+        f"{report.freeness_faults} freeness fault(s)"
     )
 
 

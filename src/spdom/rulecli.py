@@ -27,8 +27,8 @@ if TYPE_CHECKING:
     from .orbits import ProductFamily
     from .rules import ManipulationWitness
 
-# Full decimal rendering of big counts is capped; beyond this only the digit
-# count is reported (also keeps JSON encoding well clear of int-to-str limits).
+# Full decimal rendering of big counts is capped; beyond this, or beyond
+# Python's int-to-str limit when that is lower, only the digit count is reported.
 PRINT_DIGIT_LIMIT = 1000
 JSON_DIGIT_LIMIT = 4000
 # enumerate-sp --oracle brute-forces every outcome table; cap the table count.
@@ -108,6 +108,7 @@ def _cmd_count_subrules(options: dict[str, Any]) -> int:
     pd = partition.product
     report = count_second_step(partition)
     product_digits = decimal_digit_count(report.product)
+    limit = _str_digit_limit()  # neither cap below may pass Python's own
 
     oracle_payload = None
     mismatches = []
@@ -149,7 +150,7 @@ def _cmd_count_subrules(options: dict[str, Any]) -> int:
                 }
                 for block in report.blocks
             ),
-            "product": report.product if product_digits <= JSON_DIGIT_LIMIT else None,
+            "product": report.product if product_digits <= min(JSON_DIGIT_LIMIT, limit) else None,
             "product_digits": product_digits,
             "oracle": oracle_payload,
         }
@@ -177,7 +178,7 @@ def _cmd_count_subrules(options: dict[str, Any]) -> int:
             )
 
     # The lines after the blocks are built first, so a failure writes nothing.
-    shown = f"{report.product} " if product_digits <= PRINT_DIGIT_LIMIT else ""
+    shown = f"{report.product} " if product_digits <= min(PRINT_DIGIT_LIMIT, limit) else ""
     tail = [f"strategy-proof two-step rules: {shown}({product_digits} digits)"]
     if oracle_payload is not None:
         for block, size in mismatches:
@@ -297,8 +298,8 @@ def _cmd_check_rule(options: dict[str, Any]) -> int:
     if witness is not None:
         lines.append(f"witness: {_witness_text(pd, witness)}")
     lines.append(
-        f"audit: {len(audit.maximality_faults)} maximality fault(s), "
-        f"{len(audit.freeness_faults)} freeness fault(s)"
+        f"audit: {audit.maximality_faults} maximality fault(s), "
+        f"{audit.freeness_faults} freeness fault(s)"
     )
 
     exit_code = 0 if witness is None else 3
@@ -324,8 +325,8 @@ def _cmd_check_rule(options: dict[str, Any]) -> int:
         "dictators": dictators,
         "witness": None if witness is None else _witness_json(pd, witness),
         "audit": {
-            "maximality_faults": len(audit.maximality_faults),
-            "freeness_faults": len(audit.freeness_faults),
+            "maximality_faults": audit.maximality_faults,
+            "freeness_faults": audit.freeness_faults,
             "clean": audit.clean,
         },
         "oracle": oracle_payload,

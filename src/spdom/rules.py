@@ -205,35 +205,14 @@ def dictators_of(rule: Rule) -> frozenset[int]:
     return frozenset(out)
 
 
-class OptionMaximalityFault(NamedTuple):
-    """At ``others``, ``agent`` reporting ranking index ``own`` received
-    ``outcome`` although ``better`` was in their option set."""
-
-    agent: int
-    others: tuple[int, ...]
-    own: int
-    outcome: int
-    better: int
-
-
-class OptionFreenessFault(NamedTuple):
-    """Option set at ``others`` for ``agent`` contains alternatives ``a, b``
-    that the agent's domain does not leave free."""
-
-    agent: int
-    others: tuple[int, ...]
-    a: int
-    b: int
-
-
 class SpAuditReport(NamedTuple):
     """Structural audit of a rule against the facts that characterize
     strategy-proofness: every realized outcome is the reporter's best
     option-set member, and option-set members are pairwise free."""
 
     witness: Optional[ManipulationWitness]  # None exactly when strategy-proof
-    maximality_faults: tuple[OptionMaximalityFault, ...]
-    freeness_faults: tuple[OptionFreenessFault, ...]
+    maximality_faults: int  # cells whose report misses its best member of O
+    freeness_faults: int  # pairs of O not free, over every agent's fibers
 
     @property
     def clean(self) -> bool:
@@ -243,15 +222,15 @@ class SpAuditReport(NamedTuple):
 def audit_sp_lemmas(rule: Rule) -> SpAuditReport:
     """Audit option-set maximality and option-set freeness on every subprofile.
 
-    For strategy-proof rules both fault lists are empty; for manipulable rules
-    the report pinpoints where the structure breaks.  Like the manipulation
-    scan, it reads each cell of a table the caller already holds, so it takes
-    no profile guard: callers check theirs before they build or read the rule.
+    For strategy-proof rules both fault counts are zero; for manipulable
+    rules they count the faults, and the witness shows one manipulation.
+    Like the manipulation scan, it reads each cell of a table the caller
+    already holds, so it takes no profile guard: callers check theirs before
+    they build or read the rule.
     """
     pd = rule.domain
     witness: Optional[ManipulationWitness] = None
-    maximality: list[OptionMaximalityFault] = []
-    freeness: list[OptionFreenessFault] = []
+    maximality = freeness = 0
     m = pd.m
     for agent in range(pd.n):
         options = OptionSets.of(pd.agents[agent])
@@ -259,32 +238,20 @@ def audit_sp_lemmas(rule: Rule) -> SpAuditReport:
         if witness is None:  # the canonical first one, as find_manipulation's
             witness = next(_manipulations(rule, agent, states), None)
         free = pair_sets(pd.agents[agent]).free
-        # Per option set O: each report's best member of O, which is the
-        # one member of O the report admits, and the pairs of O not free.
-        facts: dict[int, tuple[tuple[int, ...], list[tuple[int, int]]]] = {}
-        for outcomes, state, base in zip(fibers, states, pd.fibers(agent)):
+        # Per option set O: each report's best member of O (the one member
+        # of O the report admits) and the number of pairs of O not free.
+        facts: dict[int, tuple[tuple[int, ...], int]] = {}
+        for outcomes, state in zip(fibers, states):
             reach = state & (1 << m) - 1
             if reach not in facts:
                 best = tuple((fits[reach] & reach).bit_length() - 1 for fits in options.admissible)
                 pairs = itertools.combinations([x for x in range(m) if reach >> x & 1], 2)
-                facts[reach] = best, [p for p in pairs if p not in free]
+                facts[reach] = best, sum(p not in free for p in pairs)
             best, unfree = facts[reach]
-            if not unfree and outcomes == best:
-                continue
-            profile = pd.profile_at(base)
-            rest = profile[:agent] + profile[agent + 1 :]  # the other agents' reports
-            freeness.extend(OptionFreenessFault(agent, rest, a, b) for a, b in unfree)
+            freeness += unfree
             if outcomes != best:
-                maximality.extend(
-                    OptionMaximalityFault(agent, rest, own, outcome, top)
-                    for own, (outcome, top) in enumerate(zip(outcomes, best))
-                    if outcome != top
-                )
-    return SpAuditReport(
-        witness=witness,
-        maximality_faults=tuple(maximality),
-        freeness_faults=tuple(freeness),
-    )
+                maximality += sum(map(operator.ne, outcomes, best))
+    return SpAuditReport(witness, maximality, freeness)
 
 
 def serialize_rule(rule: Rule) -> str:

@@ -628,9 +628,9 @@ def option_set(rule: Rule, agent: int, others: Sequence[int]) -> frozenset[int]:
 
 
 def audit_faults(rule: Rule) -> tuple[list[tuple], list[tuple]]:
-    """(maximality, freeness) faults of :func:`spdom.audit_sp_lemmas`, as
-    tuples of their fields, in its order: agent, then the other agents'
-    reports, then the agent's own report (maximality) or the pair
+    """The (maximality, freeness) faults that :func:`spdom.audit_sp_lemmas`
+    counts, as tuples: agent, the other agents' reports, then the agent's
+    own report, outcome and best option (maximality) or the pair
     (freeness).  From :func:`option_set`, :func:`outcome_map` and ranking
     positions; a pair is free when the agent's rankings order it both ways."""
     pd = rule.domain

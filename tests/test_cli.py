@@ -334,6 +334,37 @@ def test_count_subrules_digit_caps(cli, monkeypatch):
     assert payload["product_digits"] == 7
 
 
+def test_count_subrules_past_the_str_digit_limit(cli, tmp_path):
+    # With Python's int-to-str limit lowered to 640 digits, an 862-digit
+    # product (under the text cap) and a 1,430-digit one (under the JSON cap)
+    # are reported by their digit counts, as the caps would past themselves.
+    domains = {}
+    for name, axis, agents in (("sp3x8", "a b c", 8), ("sp4x5", "a b c d", 5)):
+        domains[name] = tmp_path / f"{name}.spdom"
+        domains[name].write_text(
+            f"alternatives {axis}\n"
+            + "".join(f"agent {i} {{ single-peaked {axis} }}\n" for i in range(agents))
+        )
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        text = cli("count-subrules", "--domain", str(domains["sp3x8"]))
+        as_json = {
+            name: cli("count-subrules", "--domain", str(path), "--format", "json")
+            for name, path in domains.items()
+        }
+    finally:
+        sys.set_int_max_str_digits(limit)
+    code, out, err = text
+    assert (code, err) == (0, "")
+    assert out.endswith("\nstrategy-proof two-step rules: (862 digits)\n")
+    for name, digits in (("sp3x8", 862), ("sp4x5", 1430)):
+        code, out, err = as_json[name]
+        assert (code, err) == (0, "")
+        payload = _json_of("count-subrules", out)
+        assert (payload["product"], payload["product_digits"]) == (None, digits)
+
+
 def test_count_subrules_past_the_table_guard(cli, tmp_path):
     # One 5040x5040 block is 25.4M cells, over the 10M table guard: the
     # closed-form count materializes no table, the --oracle catalogs would.

@@ -25,6 +25,7 @@ from spdom import (
     range_of,
     serialize_rule,
 )
+from spdom.orbits import _audit_rule
 
 UNI3 = generate_domain("universal", m=3)
 SP3 = generate_domain("single_peaked", axis=[0, 1, 2])
@@ -133,7 +134,7 @@ def test_witnesses_are_genuine():
 
 def test_manipulations_in_canonical_order_against_oracle():
     # Every witness, in the triple-loop oracle's order (agent, profile index,
-    # deviation), and both audit fault lists in the oracle audit's order, on
+    # deviation), and both audit fault counts against the oracle audit's, on
     # near two-outcome tables over products where all agents but the last
     # have a stride above one.  top4 always puts 0 on top, so an option set
     # holding 0 and others is not free, pair by pair.
@@ -150,11 +151,8 @@ def test_manipulations_in_canonical_order_against_oracle():
             found = [(w.agent, w.profile, w.deviation) for w in iter_manipulations(rule)]
             assert found == oracles.sp_violations(rule)
             report = audit_sp_lemmas(rule)
-            faults = (
-                [tuple(f) for f in report.maximality_faults],
-                [tuple(f) for f in report.freeness_faults],
-            )
-            assert faults == oracles.audit_faults(rule)
+            faults = (report.maximality_faults, report.freeness_faults)
+            assert faults == tuple(map(len, oracles.audit_faults(rule)))
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +183,9 @@ def test_audit_flags_freeness_and_maximality():
     rule = Rule(pd, (0, 1))
     report = audit_sp_lemmas(rule)
     assert report.witness is not None
-    assert report.witness is not None
-    assert [(f.agent, f.others, f.a, f.b) for f in report.freeness_faults] == [(0, (), 0, 1)]
-    assert [(f.own, f.outcome, f.better) for f in report.maximality_faults] == [(1, 1, 0)]
+    assert (report.maximality_faults, report.freeness_faults) == (1, 1)
     assert not report.clean
+    assert _audit_rule(rule) == "audit found 1 maximality and 1 freeness fault(s)"
 
 
 def test_anti_dictatorship_is_manipulable():
