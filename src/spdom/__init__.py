@@ -61,8 +61,8 @@ _LAZY = {
     for module, names in (
         (
             "counting",
-            "BlockCount PairVoteCount SubruleCountReport count_second_step decimal_digit_count "
-            "dedekind dictatorial_rules enumerate_sp_rules nonconditional_domains "
+            "BlockCount Catalog PairVoteCount SubruleCountReport count_second_step dedekind "
+            "decimal_digit_count dictatorial_rules enumerate_sp_rules nonconditional_domains "
             "pair_vote_rules power_digit_count second_step_catalog steerable_range_count",
         ),
         ("orbits", "ImpossibilityReport ProductFamily TheoremViolation verify_impossibility"),

@@ -22,9 +22,10 @@ constant), so on domains D_1..D_n
 where steerable(D, k) (:func:`steerable_range_count`) counts the steerable
 size-k sets of D.
 
-:func:`second_step_catalog` materializes the closed-form families as explicit
-rules, and :func:`nonconditional_domains` lists the domains whose products the
-theorem sweep (:mod:`spdom.orbits`) checks.
+:class:`Catalog` lists the closed-form families as explicit rules, each table
+built when it is read; :func:`second_step_catalog` builds them all, and
+:func:`nonconditional_domains` lists the domains whose products the theorem
+sweep (:mod:`spdom.orbits`) checks.
 """
 
 from __future__ import annotations
@@ -155,6 +156,71 @@ def dedekind(n: int) -> int:
     return _DEDEKIND[n]
 
 
+def _member_table(digits: Sequence[Sequence[int]], outcomes: Sequence[int]) -> tuple[int, ...]:
+    """The table of the catalog member that picks ``outcomes[key]``, ``key``
+    the mixed-radix number of ``digits[i][r]`` at each agent i's ranking r,
+    the last agent lowest.  ``rows[key]`` is the table over the agents done
+    (last first), given the digits of the agents before them."""
+    rows = [[outcome] for outcome in outcomes]
+    step = 1  # what one unit of the current agent's digit adds to the key
+    for agent_digits in reversed(digits):
+        offsets = [digit * step for digit in agent_digits]
+        step *= max(agent_digits) + 1
+        for key in range(0, len(rows), step):
+            row: list[int] = []
+            for offset in offsets:
+                row += rows[key + offset]
+            rows[key] = row
+    return tuple(rows[0])
+
+
+def _pair_members(pd: ProductDomain, lo: int, hi: int) -> list[tuple]:
+    """The non-constant monotone vote rules on ``lo < hi`` as catalog members,
+    ascending truth table; each agent the pair is free for votes for ``lo``
+    with a bit, the first such agent's the highest."""
+    voters = [(lo, hi) in pair_sets(d).free for d in pd.agents]
+    digits = [[v and r.prefers(lo, hi) for r in d.rankings] for v, d in zip(voters, pd.agents)]
+    k = sum(voters)
+    return [
+        (digits, [lo if f >> vote & 1 else hi for vote in range(1 << k)])
+        for f in _monotone_function_masks(k)[1:-1]  # not the constants, first and last
+    ]
+
+
+def _dictator_members(pd: ProductDomain, k: int) -> Iterator[tuple]:
+    """Per agent, then per size-``k`` range the agent can fully steer, the
+    rule that picks the agent's best of the range, as a catalog member."""
+    for agent, domain in enumerate(pd.agents):
+        admissible = OptionSets.of(domain).admissible
+        digits = [range(len(d)) if i == agent else (0,) * len(d) for i, d in enumerate(pd.agents)]
+        for combo in itertools.combinations(range(pd.m), k):
+            chosen = sum(1 << alt for alt in combo)
+            best = [(fits[chosen] & chosen).bit_length() - 1 for fits in admissible]
+            if len(set(best)) == k:  # the agent can steer the whole range
+                yield digits, best
+
+
+class Catalog(Sequence[Rule]):
+    """The members of :func:`second_step_catalog` in its order, each table built
+    when read; they are pairwise distinct (by range, dictator or vote function).
+    Opening one checks the table cap, then each pair's monotone-function cap."""
+
+    def __init__(self, pd: ProductDomain) -> None:
+        _check_table_cap(pd.profile_count)
+        zeros = [(0,) * size for size in pd.sizes]  # a constant reads no agent
+        self.domain, self.members = pd, [(zeros, (alt,)) for alt in range(pd.m)]
+        for lo, hi in itertools.combinations(range(pd.m), 2):
+            self.members += _pair_members(pd, lo, hi)
+        for k in range(3, pd.m + 1):
+            self.members += _dictator_members(pd, k)
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def __getitem__(self, index: int) -> Rule:
+        return Rule(self.domain, _member_table(*self.members[index]))
+
+
 def pair_vote_rules(pd: ProductDomain, pair: Sequence[int]) -> tuple[Rule, ...]:
     """The strategy-proof rules with range inside ``pair`` that are not
     constant, materialized as explicit rules; canonical order (ascending
@@ -164,26 +230,8 @@ def pair_vote_rules(pd: ProductDomain, pair: Sequence[int]) -> tuple[Rule, ...]:
     a, b = pair
     if not (0 <= a < m and 0 <= b < m) or a == b:
         raise DomainError(f"invalid alternative pair {tuple(pair)!r}")
-    lo, hi = min(a, b), max(a, b)
-    free_agents = [i for i, d in enumerate(pd.agents) if (lo, hi) in pair_sets(d).free]
-    k = len(free_agents)
-    points = 1 << k
     _check_table_cap(pd.profile_count)
-    # vote vector index per profile: first free agent is the high bit;
-    # bit set means the agent prefers lo to hi.
-    columns = []
-    for order, agent in enumerate(free_agents):
-        bit = [r.prefers(lo, hi) << (k - 1 - order) for r in pd.agents[agent].rankings]
-        columns.append(map(bit.__getitem__, pd.column(agent)))
-    votes = list(map(sum, zip(*columns)))
-    rules = []
-    constants = (0, (1 << points) - 1)
-    for f in _monotone_function_masks(k):
-        if f in constants:
-            continue
-        outcomes = [lo if f >> vote & 1 else hi for vote in range(points)]
-        rules.append(Rule(pd, tuple(map(outcomes.__getitem__, votes))))
-    return tuple(rules)
+    return tuple(Rule(pd, _member_table(*member)) for member in _pair_members(pd, *sorted(pair)))
 
 
 def dictatorial_rules(pd: ProductDomain, k: int) -> tuple[Rule, ...]:
@@ -194,16 +242,8 @@ def dictatorial_rules(pd: ProductDomain, k: int) -> tuple[Rule, ...]:
     if not 1 <= k <= m:
         raise DomainError(f"range size must be in 1..{m}, got {k}")
     _check_table_cap(pd.profile_count)
-    unique: dict[tuple[int, ...], Rule] = {}  # table -> its first rule
-    for agent, domain in enumerate(pd.agents):
-        admissible = OptionSets.of(domain).admissible
-        for combo in itertools.combinations(range(m), k):
-            chosen = sum(1 << alt for alt in combo)
-            best = [(fits[chosen] & chosen).bit_length() - 1 for fits in admissible]
-            if len(set(best)) == k:  # the agent can steer the whole range
-                table = tuple(map(best.__getitem__, pd.column(agent)))
-                unique.setdefault(table, Rule(pd, table))
-    return tuple(unique.values())
+    tables = dict.fromkeys(_member_table(*member) for member in _dictator_members(pd, k))
+    return tuple(Rule(pd, table) for table in tables)
 
 
 def steerable_range_count(d: PreferenceDomain, k: int) -> int:
@@ -257,11 +297,11 @@ def second_step_catalog(pd: ProductDomain) -> tuple[Rule, ...]:
 
 
 def _catalogs_fit(partition: ResponsePartition) -> bool:
-    """Whether :func:`second_step_catalog` builds every block product's
-    catalog within its caps: the largest block product is within the table
-    cap, and no pair is free for more agents than a pair vote takes.  Each
-    agent's block is chosen independently, so the most agents a pair is free
-    for is the number of agents with some block that leaves it free."""
+    """Whether every block product's :class:`Catalog` opens within its caps:
+    the largest block product is within the table cap, and no pair is free
+    for more agents than a pair vote takes.  Each agent's block is chosen
+    independently, so the most agents a pair is free for is the number of
+    agents with some block that leaves it free."""
     if math.prod(max(map(len, blocks)) for blocks in partition.blocks) > TABLE_CELL_LIMIT:
         return False
     if partition.product.n <= _MONOTONE_LIMIT:

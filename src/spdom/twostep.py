@@ -18,7 +18,7 @@ import math
 from typing import Iterator, NamedTuple, Sequence
 
 from .classify import AnswerSet, ResponsePartition
-from .counting import _catalogs_fit, second_step_catalog
+from .counting import Catalog, _catalogs_fit
 from .domfile import format_response
 from .prefcore import PROFILE_ENUMERATION_LIMIT, DomainError, ProductDomain
 from .rules import (
@@ -75,7 +75,7 @@ class SearchResult(NamedTuple):
     """Outcome of a catalog-driven search over two-step assignments."""
 
     assignments: Iterator[tuple[int, ...]]  # catalog indices per found rule, read once
-    catalogs: tuple[tuple[Rule, ...], ...]  # one per response profile
+    catalogs: tuple[Catalog, ...]  # one per response profile, built when read
     candidates_total: int
     candidates_tried: int
     complete: bool
@@ -99,8 +99,8 @@ def search_sp_combinations(
     candidates (an int bitset) by the compatibility row of the assignment,
     dropping a subtree when a bitset empties or its first rank reaches the
     budget.  ``candidates_tried`` is ``min(budget, total)``; when it is the
-    total, the result is exhaustive.  The assignments are searched for as
-    they are read; everything else is known when this returns.
+    total, the result is exhaustive.  Only the assignments, and each catalog
+    table below its limit (once), are built as they are read.
     """
     if budget < 1:
         raise DomainError(f"budget must be positive, got {budget}")
@@ -110,15 +110,15 @@ def search_sp_combinations(
     if _catalogs_fit(partition):
         _check_table_cap(count)
         _check_profile_guard(count, PROFILE_ENUMERATION_LIMIT)
-    catalogs = tuple(second_step_catalog(block) for block in partition.block_products)
+    catalogs = tuple(map(Catalog, partition.block_products))
     found = _search_compatible(partition, catalogs, budget)
     total = math.prod(map(len, catalogs))
     tried = min(budget, total)
     return SearchResult(found, catalogs, total, tried, complete=tried == total)
 
 
-def _block_masks(block: ProductDomain, agent: int, rules: Sequence[Rule]) -> list[tuple[int, int]]:
-    """Per subrule in ``rules`` (all on ``block``), for each setting s of the
+def _block_masks(block: ProductDomain, agent: int, tables: Sequence[tuple]) -> list[tuple[int, int]]:
+    """Per table in ``tables`` (all on ``block``), for each setting s of the
     other agents (their block profile, last agent fastest): ``opt``, the
     option set O of ``agent`` there, and ``low``, the complement of U: the
     outcomes that every sincere outcome weakly beats (see
@@ -131,8 +131,7 @@ def _block_masks(block: ProductDomain, agent: int, rules: Sequence[Rule]) -> lis
     everything = (1 << m) - 1
     seen: dict[tuple[int, ...], tuple[int, int]] = {}  # a fiber's outcomes -> (O, ~U)
     masks = []
-    for rule in rules:
-        table = rule.table
+    for table in tables:
         opt = low = shift = 0
         for base in bases:
             outcomes = table[base : base + span : stride]
@@ -162,7 +161,7 @@ def _later_neighbours(partition: ResponsePartition) -> list[list[tuple[int, int]
 
 
 def _search_compatible(
-    partition: ResponsePartition, catalogs: Sequence[Sequence[Rule]], budget: int
+    partition: ResponsePartition, catalogs: Sequence[Catalog], budget: int
 ) -> Iterator[tuple[int, ...]]:
     """Yield the catalog-index assignments of rank below ``budget`` whose
     subrules are pairwise compatible at adjacent response profiles, in
@@ -180,10 +179,10 @@ def _search_compatible(
 
     # masks[v][agent]: (opt, low) per index below limits[v] at v, for agents with neighbours.
     movers = [agent for agent, answers in enumerate(partition.answers) if len(answers) > 1]
-    masks = [
-        {agent: _block_masks(block, agent, catalog[:limit]) for agent in movers}
-        for block, catalog, limit in zip(partition.block_products, catalogs, limits)
-    ]
+    masks = []
+    for block, catalog, limit in zip(partition.block_products, catalogs, limits):
+        tables = [catalog[a].table for a in range(limit)] if movers else []
+        masks.append({agent: _block_masks(block, agent, tables) for agent in movers})
     # rows[a] at v: the bitset of indices at w compatible with index a at v,
     # filled the first time the search picks a at v.
     later = [

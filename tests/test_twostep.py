@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib
+import itertools
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from spdom import (
     ParseError,
     PreferenceDomain,
     ProductDomain,
+    Catalog,
     ResponsePartition,
     Rule,
     SizeLimitError,
@@ -43,6 +45,8 @@ from spdom import (
     serialize_assignment,
     serialize_rule,
 )
+from conftest import FIXTURES
+from spdom import counting
 from spdom.counting import _catalogs_fit
 from spdom.twostep import _later_neighbours
 
@@ -346,7 +350,7 @@ def test_search_single_peaked_product_is_exhaustive():
     assert result.candidates_total == 11 * 5 * 5 * 3 == 825
     assert result.candidates_tried == 825
     assert result.complete
-    assert result.catalogs == tuple(
+    assert tuple(map(tuple, result.catalogs)) == tuple(
         second_step_catalog(block) for block in partition.block_products
     )
     rules = _found_rules(partition, result)
@@ -412,7 +416,10 @@ def test_search_matches_assembly_route(sp3_spec, uni3_spec, ex1_spec, ex2_spec):
     for spec, budget in cases:
         partition = ResponsePartition.of(spec.product, spec.resolved_maps("default"))
         found, expected = (
-            result._replace(assignments=tuple(result.assignments))
+            result._replace(
+                assignments=tuple(result.assignments),
+                catalogs=tuple(map(tuple, result.catalogs)),
+            )
             for result in (
                 search_sp_combinations(partition, budget), search_by_assembly(partition, budget)
             )
@@ -464,6 +471,57 @@ def test_catalog_fit_check_is_exact():
         assert _catalogs_fit(partition) == built, domains
         seen.add(built)
     assert seen == {True, False}
+
+
+def test_catalog_members_are_the_explicit_catalog(sp3_spec, uni3_spec, ex1_spec, ex2_spec):
+    # The search sizes a catalog by its member count, without building or
+    # hashing a table: that holds because the members' tables are distinct.
+    # Read in full, each catalog is second_step_catalog, rule for rule: on
+    # every multiset product of non-conditional domains (m = 2 up to four
+    # agents, m = 3 up to three, m = 4 alone) and on every block product of
+    # the fixtures, as the search's own catalogs.
+    catalogs = [
+        (product, Catalog(product))
+        for product in (
+            ProductDomain.of(domains)
+            for m, most in ((2, 4), (3, 3), (4, 1))
+            for n in range(1, most + 1)
+            for domains in itertools.combinations_with_replacement(nonconditional_domains(m), n)
+        )
+    ]
+    assert len(catalogs) == 1792
+    for spec in (sp3_spec, uni3_spec, ex1_spec, ex2_spec):
+        partition = ResponsePartition.of(spec.product, spec.resolved_maps("default"))
+        catalogs += zip(partition.block_products, search_sp_combinations(partition, 1).catalogs)
+    for block, catalog in catalogs:
+        explicit = second_step_catalog(block)
+        assert len(catalog) == len(explicit), block.agents
+        assert tuple(catalog) == explicit, block.agents
+
+
+def test_search_builds_each_reachable_table_once(cli, monkeypatch, tmp_path):
+    # Per response profile, the search builds the tables of the catalog
+    # indices below its budget limit, each once though every agent with a
+    # neighbour reads its masks, and no others.  A member's digits give its
+    # block's sizes, which differ between consecutive response profiles here.
+    built = []
+    member_table = counting._member_table
+
+    def counted(digits, outcomes):
+        built.append(tuple(map(len, digits)))
+        return member_table(digits, outcomes)
+
+    monkeypatch.setattr(counting, "_member_table", counted)
+    xyz = tmp_path / "xyz.spdom"
+    xyz.write_text(SEARCH_XYZ)
+    for argv, expected in (
+        (["--domain", str(FIXTURES / "ex1.spdom"), "--budget", "60"], [1, 1, 2, 37]),
+        (["--domain", str(xyz)], [11, 8, 8, 7]),
+    ):
+        built.clear()
+        code, out, err = cli("search-two-step", *argv)
+        assert (code, err) == (0, "")
+        assert [len(list(run)) for _, run in itertools.groupby(built)] == expected
 
 
 # ---------------------------------------------------------------------------
