@@ -413,6 +413,51 @@ def test_count_subrules_dedekind_guard_spares_counts_that_do_not_occur(cli, tmp_
     ) in out.splitlines()
 
 
+# Domains for the count-subrules --oracle pins past the fixtures: a 3-agent
+# single-peaked product (512 profiles), the table cap's refusal (a 5040x5040
+# block) and the monotone-function cap's (a pair free for six agents).
+ORACLE_DOMAINS = {
+    "sp4x3": ("a b c d", "single-peaked a b c d", 3),
+    "uni7x2": ("a b c d e f g", "universal", 2),
+    "uni3x6": ("a b c", "universal", 6),
+}
+
+# The first 32 hex digits of the sha256 of (exit code, stdout, stderr) of
+# count-subrules --oracle, recorded while the oracle built every table.
+COUNT_ORACLE_DIGESTS = {
+    ("ex1", "text"): "45c267ce08f67ff219b2254f39ac2948",
+    ("ex1", "json"): "94d1cc748196dce8c2f72718cb44d0fe",
+    ("ex2", "text"): "ac342c16bdafb83e3cbb3387bb4b3b8d",
+    ("ex2", "json"): "23c90168655c15f5e1bd76b555187b26",
+    ("single_peaked3", "text"): "5936886b3aad8e434b1d520dfdd590f8",
+    ("single_peaked3", "json"): "107f07e07ae17cf09b45971c1167eef2",
+    ("universal3", "text"): "7f6f15cea83ecac10cfba2c4552975c1",
+    ("universal3", "json"): "a9bb81caf802a089bdd4f8de03ddbc27",
+    ("sp4x3", "text"): "dfdd2f0b01b2e27cf82904b6a616d44a",
+    ("sp4x3", "json"): "de2225bf0f3d3a344e262181fbec9840",
+    ("uni7x2", "text"): "795e479b824b627cab273df2884ae0ec",
+    ("uni7x2", "json"): "795e479b824b627cab273df2884ae0ec",
+    ("uni3x6", "text"): "635523f8120bc1fd3f19d767c3a8bc5b",
+    ("uni3x6", "json"): "635523f8120bc1fd3f19d767c3a8bc5b",
+}
+
+
+@pytest.mark.parametrize("name, form", sorted(COUNT_ORACLE_DIGESTS))
+def test_count_subrules_oracle_bytes_are_pinned(cli, tmp_path, name, form):
+    if name in ORACLE_DOMAINS:
+        axis, statement, agents = ORACLE_DOMAINS[name]
+        domain = tmp_path / f"{name}.spdom"
+        domain.write_text(
+            f"alternatives {axis}\n"
+            + "".join(f"agent {i} {{ {statement} }}\n" for i in range(1, agents + 1))
+        )
+    else:
+        domain = FIXTURES / f"{name}.spdom"
+    code, out, err = cli("count-subrules", "--domain", str(domain), "--oracle", "--format", form)
+    record = f"{code}\0{out}\0{err}"
+    assert hashlib.sha256(record.encode()).hexdigest()[:32] == COUNT_ORACLE_DIGESTS[name, form]
+
+
 # ---------------------------------------------------------------------------
 # enumerate-sp
 
