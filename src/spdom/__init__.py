@@ -62,13 +62,13 @@ _LAZY = {
         (
             "counting",
             "BlockCount Catalog PairVoteCount SubruleCountReport count_second_step dedekind "
-            "decimal_digit_count dictatorial_rules enumerate_sp_rules nonconditional_domains "
-            "pair_vote_rules power_digit_count second_step_catalog steerable_range_count",
+            "decimal_digit_count enumerate_sp_rules nonconditional_domains power_digit_count "
+            "steerable_range_count",
         ),
         ("orbits", "ImpossibilityReport ProductFamily TheoremViolation verify_impossibility"),
         (
             "rules",
-            "ManipulationWitness Rule SpAuditReport audit_sp_lemmas constant_rule dictators_of "
+            "ManipulationWitness Rule SpAuditReport audit_sp_lemmas dictators_of "
             "find_manipulation iter_manipulations parse_rule_file range_of serialize_rule",
         ),
         (

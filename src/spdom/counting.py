@@ -23,15 +23,15 @@ where steerable(D, k) (:func:`steerable_range_count`) counts the steerable
 size-k sets of D.
 
 :class:`Catalog` lists the closed-form families as explicit rules, each table
-built when it is read; :func:`second_step_catalog` builds them all, and
-:func:`nonconditional_domains` lists the domains whose products the theorem
-sweep (:mod:`spdom.orbits`) checks.
+built when it is read, and :func:`nonconditional_domains` lists the domains
+whose products the theorem sweep (:mod:`spdom.orbits`) checks.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -46,7 +46,7 @@ from .prefcore import (
     consistent_rankings,
     pair_sets,
 )
-from .rules import OptionSets, Rule, _check_profile_guard, _check_table_cap, constant_rule
+from .rules import OptionSets, Rule, _check_profile_guard, _check_table_cap
 
 
 def enumerate_sp_rules(
@@ -122,7 +122,7 @@ def enumerate_sp_rules(
 _DEDEKIND = (2, 3, 6, 20, 168, 7581, 7828354, 2414682040998, 56130437228687557907788)
 
 
-# pair_vote_rules enumerates monotone functions of at most this many votes.
+# A Catalog's pair votes are monotone functions of at most this many votes.
 _MONOTONE_LIMIT = 4
 
 
@@ -130,7 +130,7 @@ _MONOTONE_LIMIT = 4
 def _monotone_function_masks(n: int) -> tuple[int, ...]:
     """All monotone boolean functions of ``n`` variables, each encoded as the
     integer whose bit ``x`` is the value at input vector ``x``; ascending.
-    The explicit route behind :func:`pair_vote_rules`.
+    The explicit route behind a :class:`Catalog`'s pair votes.
 
     Split on the last variable: its off half ``lo`` and on half ``hi`` are
     monotone functions of one variable fewer, and the whole is monotone
@@ -201,9 +201,13 @@ def _dictator_members(pd: ProductDomain, k: int) -> Iterator[tuple]:
 
 
 class Catalog(Sequence[Rule]):
-    """The members of :func:`second_step_catalog` in its order, each table built
-    when read; they are pairwise distinct (by range, dictator or vote function).
-    Opening one checks the table cap, then each pair's monotone-function cap."""
+    """Every rule on ``pd`` that is constant, a two-outcome monotone vote rule
+    or a steerable dictatorship, in canonical order: the constants, each pair's
+    vote rules, then each range size's dictatorships.  Each table is built when
+    read; members are pairwise distinct (by range, dictator or vote function).
+    On non-conditional products they are exactly the strategy-proof rules, the
+    explicit cross-check of :func:`count_second_step`'s subtotals.  Opening one
+    checks the table cap, then each pair's monotone-function cap."""
 
     def __init__(self, pd: ProductDomain) -> None:
         _check_table_cap(pd.profile_count)
@@ -218,32 +222,7 @@ class Catalog(Sequence[Rule]):
         return len(self.members)
 
     def __getitem__(self, index: int) -> Rule:
-        return Rule(self.domain, _member_table(*self.members[index]))
-
-
-def pair_vote_rules(pd: ProductDomain, pair: Sequence[int]) -> tuple[Rule, ...]:
-    """The strategy-proof rules with range inside ``pair`` that are not
-    constant, materialized as explicit rules; canonical order (ascending
-    monotone-function truth table): the explicit route to the two-outcome
-    counts of :func:`count_second_step`."""
-    m = pd.m
-    a, b = pair
-    if not (0 <= a < m and 0 <= b < m) or a == b:
-        raise DomainError(f"invalid alternative pair {tuple(pair)!r}")
-    _check_table_cap(pd.profile_count)
-    return tuple(Rule(pd, _member_table(*member)) for member in _pair_members(pd, *sorted(pair)))
-
-
-def dictatorial_rules(pd: ProductDomain, k: int) -> tuple[Rule, ...]:
-    """Strategy-proof rules that pick some agent's best alternative out of a
-    fixed size-``k`` range the agent can fully steer; deduplicated by outcome
-    table, canonical order (agent, then range)."""
-    m = pd.m
-    if not 1 <= k <= m:
-        raise DomainError(f"range size must be in 1..{m}, got {k}")
-    _check_table_cap(pd.profile_count)
-    tables = dict.fromkeys(_member_table(*member) for member in _dictator_members(pd, k))
-    return tuple(Rule(pd, table) for table in tables)
+        return Rule(self.domain, _member_table(*self.members[operator.index(index)]))
 
 
 def steerable_range_count(d: PreferenceDomain, k: int) -> int:
@@ -275,25 +254,6 @@ def steerable_range_count(d: PreferenceDomain, k: int) -> int:
         if all(chosen ^ (1 << c) in reach[c] for c in combo):
             count += 1
     return count
-
-
-def second_step_catalog(pd: ProductDomain) -> tuple[Rule, ...]:
-    """Every rule that is constant, a two-outcome monotone vote rule, or a
-    steerable dictatorship on ``pd``, deduplicated, in canonical order.
-
-    On non-conditional products this is exactly the strategy-proof rules (the
-    impossibility theorem rules out anything else), which makes the catalog the
-    explicit cross-check of :func:`count_second_step`'s closed-form subtotal.
-    """
-    m = pd.m
-    unique: dict[tuple[int, ...], Rule] = {}  # table -> its first rule
-    for rule in itertools.chain(
-        (constant_rule(pd, alt) for alt in range(m)),
-        *(pair_vote_rules(pd, pair) for pair in itertools.combinations(range(m), 2)),
-        *(dictatorial_rules(pd, k) for k in range(3, m + 1)),
-    ):
-        unique.setdefault(rule.table, rule)
-    return tuple(unique.values())
 
 
 def _catalogs_fit(partition: ResponsePartition) -> bool:

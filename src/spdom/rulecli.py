@@ -103,7 +103,7 @@ def _load_partition(options: dict[str, Any]) -> ResponsePartition:
 
 
 def _cmd_count_subrules(options: dict[str, Any]) -> int:
-    from .counting import count_second_step, decimal_digit_count, second_step_catalog
+    from .counting import Catalog, count_second_step, decimal_digit_count
     partition = _load_partition(options)
     pd = partition.product
     report = count_second_step(partition)
@@ -113,7 +113,7 @@ def _cmd_count_subrules(options: dict[str, Any]) -> int:
     oracle_payload = None
     mismatches = []
     if options["oracle"]:
-        catalog_sizes = [len(second_step_catalog(b)) for b in partition.block_products]
+        catalog_sizes = [len({rule.table for rule in Catalog(b)}) for b in partition.block_products]
         mismatches = [
             (block, size)
             for block, size in zip(report.blocks, catalog_sizes)

@@ -51,13 +51,6 @@ class Rule(_Value):
             raise DomainError(f"outcome table needs {count} cells, got {len(table)}")
 
 
-def constant_rule(pd: ProductDomain, outcome: int) -> Rule:
-    if not 0 <= outcome < pd.m:
-        raise DomainError(f"outcome {outcome!r} is outside 0..{pd.m - 1}")
-    _check_table_cap(pd.profile_count)  # before the table is allocated
-    return Rule(pd, (outcome,) * pd.profile_count)
-
-
 def range_of(rule: Rule) -> frozenset[int]:
     """The set of outcomes the rule actually attains."""
     return frozenset(rule.table)

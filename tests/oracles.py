@@ -21,6 +21,7 @@ from typing import Iterable, Optional, Sequence
 from spdom import (
     PROFILE_ENUMERATION_LIMIT,
     AnswerSet,
+    Catalog,
     DomainError,
     ImpossibilityReport,
     ManipulationWitness,
@@ -47,7 +48,6 @@ from spdom import (
     range_of,
     relabel_domain,
     relabel_map,
-    second_step_catalog,
 )
 from spdom.domfile import format_response
 from spdom.orbits import AuditFault, _audit_rule, _check_same_m
@@ -724,7 +724,7 @@ def search_by_assembly(partition: ResponsePartition, budget: int = 1_000_000) ->
     keep those with no manipulation in a full table scan."""
     if budget < 1:
         raise DomainError(f"budget must be positive, got {budget}")
-    catalogs = tuple(second_step_catalog(block) for block in partition.block_products)
+    catalogs = tuple(Catalog(block) for block in partition.block_products)
     total = 1
     for catalog in catalogs:
         total *= len(catalog)
@@ -828,7 +828,7 @@ def parse_assignment_file(
             )
         ref = right.strip()
         if ref.startswith("catalog:"):
-            catalog = second_step_catalog(block_pd)
+            catalog = Catalog(block_pd)
             try:
                 idx = int(ref[len("catalog:") :])
             except ValueError:

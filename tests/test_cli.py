@@ -28,13 +28,7 @@ import pytest
 import oracles
 from conftest import FIXTURES, run_python, run_spdom
 from oracles import assemble, dictatorship, parse_assignment_file
-from spdom import (
-    ProductDomain,
-    SizeLimitError,
-    nonconditional_domains,
-    pair_vote_rules,
-    second_step_catalog,
-)
+from spdom import Catalog, ProductDomain, SizeLimitError, nonconditional_domains
 from spdom.cli import _json_chunks, run_command
 from spdom.classify import ResponsePartition, classify
 from spdom.domfile import parse_domain_file
@@ -300,13 +294,16 @@ def test_count_subrules_oracle_text(cli):
 
 
 def test_count_subrules_oracle_mismatch(cli, monkeypatch):
-    # A catalog one short on the 3x3 block: the text report names the block
-    # and both counts, the JSON report says the oracle disagrees, both exit 3.
-    def short_on_3x3(pd):
-        catalog = second_step_catalog(pd)
-        return catalog[:-1] if pd.profile_count == 9 else catalog
+    # A catalog one table short on the 3x3 block (its last member repeats its
+    # first): the text report names the block and both counts, the JSON report
+    # says the oracle disagrees, both exit 3.
+    class RepeatingOn3x3(Catalog):
+        def __init__(self, pd):
+            super().__init__(pd)
+            if pd.profile_count == 9:
+                self.members[-1] = self.members[0]
 
-    monkeypatch.setattr("spdom.counting.second_step_catalog", short_on_3x3)
+    monkeypatch.setattr("spdom.counting.Catalog", RepeatingOn3x3)
     code, out, err = cli("count-subrules", "--domain", SP3, "--oracle")
     assert (code, err) == (3, "")
     assert out.splitlines()[-2:] == [
@@ -1255,7 +1252,7 @@ def test_scans_of_held_rules_pass_the_default_guard(cli, tmp_path, case, line):
     else:
         pd = parse_domain_file(path.read_text()).product
         rule = tmp_path / "vote.rule"
-        rule.write_text(serialize_rule(pair_vote_rules(pd, (0, 1))[0]))
+        rule.write_text(serialize_rule(Catalog(pd)[pd.m]))  # the first vote on a, b
         argv = ["decompose", "--domain", str(path), "--rule", str(rule)]
     code, out, err = cli(*argv)
     assert (code, err) == (0, "")

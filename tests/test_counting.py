@@ -13,6 +13,7 @@ import oracles
 from conftest import FIXTURES
 from oracles import count_sp_range2, is_strategy_proof
 from spdom import (
+    Catalog,
     DomainError,
     OrderedPair,
     PreferenceDomain,
@@ -27,19 +28,16 @@ from spdom import (
     count_second_step,
     decimal_digit_count,
     dedekind,
-    dictatorial_rules,
     dictators_of,
     enumerate_sp_rules,
     generate_domain,
     nonconditional_closure,
     nonconditional_domains,
     pair_sets,
-    pair_vote_rules,
     parse_domain_file,
     partition_by_answers,
     power_digit_count,
     range_of,
-    second_step_catalog,
     steerable_range_count,
     verify_impossibility,
 )
@@ -94,15 +92,18 @@ def _tiny_two_agent() -> ProductDomain:
     return ProductDomain.of([d0, d1])
 
 
+def _pair_votes(pd: ProductDomain, pair: tuple[int, int]) -> list:
+    """The members of ``pd``'s catalog whose range is ``pair``."""
+    return [r for r in Catalog(pd) if range_of(r) == frozenset(pair)]
+
+
 def test_count_sp_range2_vs_brute_force_single_agent():
     pd = ProductDomain.of([UNI3])
     for pair in ((0, 1), (0, 2), (1, 2)):
         formula = count_sp_range2(pd.agents, pair)
         assert formula == dedekind(1) - 2 == 1
         assert formula == oracles.exactly_pair_sp_count(pd, pair)
-        rules = pair_vote_rules(pd, pair)
-        assert len(rules) == formula
-        assert all(set(r.table) == set(pair) for r in rules)
+        assert len(_pair_votes(pd, pair)) == formula
 
 
 def test_count_sp_range2_vs_brute_force_two_agents():
@@ -113,13 +114,12 @@ def test_count_sp_range2_vs_brute_force_two_agents():
         formula = count_sp_range2(pd.agents, pair)
         brute = oracles.exactly_pair_sp_count(pd, pair)
         assert formula == brute
-        rules = pair_vote_rules(pd, pair)
+        rules = _pair_votes(pd, pair)
         assert len(rules) == formula
-        got = {r.table for r in rules}
         want = {
             t for t in oracles.all_sp_tables(pd, outcomes=pair) if set(t) == set(pair)
         }
-        assert got == want
+        assert {r.table for r in rules} == want
     assert count_sp_range2(pd.agents, (0, 1)) == dedekind(2) - 2 == 4
     assert count_sp_range2(pd.agents, (0, 2)) == dedekind(1) - 2 == 1
 
@@ -127,19 +127,15 @@ def test_count_sp_range2_vs_brute_force_two_agents():
 def test_count_sp_range2_fixed_pair_is_zero():
     chain = PreferenceDomain.of([Ranking((0, 1, 2))])
     assert count_sp_range2([chain], (0, 1)) == dedekind(0) - 2 == 0
-    assert pair_vote_rules(ProductDomain.of([chain]), (0, 1)) == ()
+    assert _pair_votes(ProductDomain.of([chain]), (0, 1)) == []
 
 
 def test_pair_vote_rules_are_strategy_proof():
     pd = ProductDomain.of([UNI3, UNI3])
     for pair in ((0, 1), (0, 2), (1, 2)):
-        rules = pair_vote_rules(pd, pair)
+        rules = _pair_votes(pd, pair)
         assert len(rules) == dedekind(2) - 2 == 4
-        for rule in rules:
-            assert is_strategy_proof(rule)
-            assert range_of(rule) == frozenset(pair)
-    with pytest.raises(DomainError):
-        pair_vote_rules(pd, (0, 0))
+        assert all(is_strategy_proof(rule) for rule in rules)
     with pytest.raises(DomainError):
         count_sp_range2(pd.agents, (0, 5))
 
@@ -150,21 +146,21 @@ def test_pair_vote_rules_are_strategy_proof():
 
 def test_dictatorial_rules_vs_oracle():
     pd = ProductDomain.of([UNI3, UNI3])
-    got = {r.table for r in dictatorial_rules(pd, 3)}
-    assert got == oracles.dictatorial_tables(pd, 3)
-    assert len(got) == 2
-    for rule in dictatorial_rules(pd, 3):
+    rules = [r for r in Catalog(pd) if len(range_of(r)) == 3]
+    assert len(rules) == 2
+    assert {r.table for r in rules} == oracles.dictatorial_tables(pd, 3)
+    for rule in rules:
         assert is_strategy_proof(rule)
         assert len(dictators_of(rule)) == 1
 
 
 def test_dictatorial_rules_need_steerable_range():
-    # A single-ranking agent cannot steer any multi-alternative range.
+    # A single-ranking agent cannot steer any multi-alternative range, nor
+    # vote on a pair: the catalog holds the constants alone.
     chain = PreferenceDomain.of([Ranking((0, 1, 2))])
     pd = ProductDomain.of([chain, chain])
-    assert dictatorial_rules(pd, 3) == ()
-    with pytest.raises(DomainError):
-        dictatorial_rules(pd, 0)
+    assert [r.table for r in Catalog(pd)] == [(0,), (1,), (2,)]
+    assert oracles.dictatorial_tables(pd, 3) == set()
 
 
 def test_steerable_range_count():
@@ -194,7 +190,7 @@ def _fixture_block_products():
 
 def test_count_dictatorial_matches_materialized_tables():
     # count_second_step's constants and dictatorial counts against the
-    # deduplicated tables of dictatorial_rules: every block product of the
+    # oracle's directly built dictatorship tables: every block product of the
     # fixtures, every non-conditional domain alone (m <= 4), and every pair of
     # them (m = 3), each as the one response profile of its classify maps.
     cases = [pd.agents for pd in _fixture_block_products()]
@@ -205,9 +201,9 @@ def test_count_dictatorial_matches_materialized_tables():
         pd = ProductDomain.of(blocks)
         partition = ResponsePartition.of(pd, [classify(d) for d in blocks])
         (block,) = count_second_step(partition).blocks
-        assert block.constants == len(dictatorial_rules(pd, 1)), blocks
+        assert block.constants == len(oracles.dictatorial_tables(pd, 1)), blocks
         for k, count in block.dictatorial:
-            assert count == len(dictatorial_rules(pd, k)), (blocks, k)
+            assert count == len(oracles.dictatorial_tables(pd, k)), (blocks, k)
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +240,14 @@ def test_enumerate_universal3_two_agents():
         by_range_size[len(range_of(rule))] += 1
     assert by_range_size == {1: 3, 2: 12, 3: 2}
     # The explicit catalog is exactly the same set of rules here.
-    assert {r.table for r in rules} == {r.table for r in second_step_catalog(pd)}
+    assert {r.table for r in rules} == {r.table for r in Catalog(pd)}
 
 
 def test_enumerate_single_peaked_two_agents():
     pd = ProductDomain.of([SP3, SP3])
     rules = list(enumerate_sp_rules(pd))
     assert len(rules) == 24
-    catalog = {r.table for r in second_step_catalog(pd)}
+    catalog = {r.table for r in Catalog(pd)}
     assert len(catalog) == 17
     assert catalog <= {r.table for r in rules}
 
@@ -371,7 +367,7 @@ def test_count_second_step_blocks_agree_with_catalog_and_enumeration(ex2_spec):
     for block, combo in zip(report.blocks, itertools.product(*partitions)):
         assert block.answers == tuple(answers for answers, _ in combo)
         block_pd = ProductDomain.of([domain for _, domain in combo])
-        catalog = second_step_catalog(block_pd)
+        catalog = Catalog(block_pd)
         assert len(catalog) == block.subtotal
         assert len({r.table for r in catalog}) == block.subtotal
         enumerated = {r.table for r in enumerate_sp_rules(block_pd)}

@@ -14,7 +14,7 @@ import json
 
 import pytest
 from conftest import FIXTURES, run_python
-from spdom import constant_rule, parse_domain_file, serialize_rule
+from spdom import Rule, parse_domain_file, serialize_rule
 
 RULE_LAYER = {"spdom.rules", "spdom.counting", "spdom.orbits", "spdom.twostep", "spdom.rulecli"}
 
@@ -74,7 +74,7 @@ def test_rule_command_loads_only_its_modules(command, tmp_path):
     domain = FIXTURES / "single_peaked3.spdom"
     rule = tmp_path / "constant.rule"
     pd = parse_domain_file(domain.read_text()).product
-    rule.write_text(serialize_rule(constant_rule(pd, 0)))
+    rule.write_text(serialize_rule(Rule(pd, (0,) * pd.profile_count)))
     argv = {
         "check-rule": ["--domain", str(domain), "--rule", str(rule)],
         "decompose": ["--domain", str(domain), "--rule", str(rule)],

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import pkgutil
 import re
 
 from conftest import REPO_ROOT
@@ -40,3 +42,22 @@ def _classes_based_on(base: str) -> list[str]:
 def test_readme_type_lists_match_the_source():
     assert sorted(_readme_names("records")) == sorted(_classes_based_on("NamedTuple"))
     assert sorted(_readme_names("value types")) == sorted(_classes_based_on("_Value"))
+
+
+def test_library_tour_names_exist():
+    # Every bare name the "Library tour" table puts in backticks is a spdom
+    # module, a command, or an attribute of a spdom module or of a class
+    # defined in one.
+    import spdom
+    from spdom.cli import _COMMANDS
+
+    text = (REPO_ROOT / "README.md").read_text()
+    table = re.search(r"^## Library tour\n\n((?:\|.*\n)+)", text, flags=re.MULTILINE).group(1)
+    names = {info.name for info in pkgutil.iter_modules(spdom.__path__)}
+    known = {*names, *_COMMANDS}
+    for module in (spdom, *(importlib.import_module(f"spdom.{name}") for name in names)):
+        for name, value in vars(module).items():
+            known.add(name)
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                known.update(dir(value))
+    assert sorted(set(re.findall(r"`(\w+)`", table)) - known) == []

@@ -15,7 +15,6 @@ from spdom import (
     Ranking,
     Rule,
     audit_sp_lemmas,
-    constant_rule,
     dictators_of,
     find_manipulation,
     generate_domain,
@@ -45,18 +44,6 @@ def _tiny_two_agent() -> ProductDomain:
 # Basic rule constructors
 
 
-def test_constant_rule():
-    pd = _tiny_two_agent()
-    rule = constant_rule(pd, 2)
-    assert rule.table == (2, 2, 2, 2)
-    assert range_of(rule) == frozenset({2})
-    assert is_strategy_proof(rule)
-    # Degenerate: with a one-point range, every agent is trivially a dictator.
-    assert dictators_of(rule) == frozenset({0, 1})
-    with pytest.raises(DomainError):
-        constant_rule(pd, 3)
-
-
 def test_dictatorship_tables():
     pd = ProductDomain.of([UNI3, UNI3])
     for agent in range(2):
@@ -68,6 +55,11 @@ def test_dictatorship_tables():
         assert range_of(rule) == frozenset({0, 1, 2})
     with pytest.raises(DomainError):
         dictatorship(pd, 2)
+    # Degenerate: with a one-point range, every agent is trivially a dictator.
+    constant = Rule(_tiny_two_agent(), (2, 2, 2, 2))
+    assert range_of(constant) == frozenset({2})
+    assert is_strategy_proof(constant)
+    assert dictators_of(constant) == frozenset({0, 1})
 
 
 def test_rule_validation():

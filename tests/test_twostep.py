@@ -31,7 +31,6 @@ from spdom import (
     SizeLimitError,
     all_rankings,
     classify,
-    constant_rule,
     decompose,
     dictators_of,
     enumerate_sp_rules,
@@ -41,7 +40,6 @@ from spdom import (
     parse_domain_file,
     range_of,
     search_sp_combinations,
-    second_step_catalog,
     serialize_assignment,
     serialize_rule,
 )
@@ -181,7 +179,7 @@ def test_assemble_routes_agree():
     pd = partition.product
     outcomes = (0, 1, 2, 0)
     subrules = tuple(
-        constant_rule(block, outcome)
+        Rule(block, (outcome,) * block.profile_count)
         for block, outcome in zip(partition.block_products, outcomes)
     )
     rule = assemble(partition, subrules)
@@ -201,12 +199,8 @@ def test_assemble_non_constant_subrule():
     blocks = partition.block_products
     # On the (no-answer, no-answer) block, pick the monotone vote rule between
     # the two free-for-both outcomes y and z; constants elsewhere.
-    vote = next(
-        r
-        for r in second_step_catalog(blocks[0])
-        if range_of(r) == frozenset({1, 2})
-    )
-    subrules = (vote, constant_rule(blocks[1], 1), constant_rule(blocks[2], 1), constant_rule(blocks[3], 1))
+    vote = next(r for r in Catalog(blocks[0]) if range_of(r) == frozenset({1, 2}))
+    subrules = (vote, *(Rule(block, (1,) * block.profile_count) for block in blocks[1:]))
     rule = assemble(partition, subrules)
     vote_outcome = dict(zip(blocks[0].iter_profiles(), vote.table))
     for profile, outcome in zip(pd.iter_profiles(), rule.table):
@@ -222,12 +216,12 @@ def test_assemble_non_constant_subrule():
 
 def test_assignment_validation():
     partition = _sp3_partition()
-    good = tuple(constant_rule(b, 0) for b in partition.block_products)
+    good = tuple(Rule(b, (0,) * b.profile_count) for b in partition.block_products)
     with pytest.raises(DomainError, match="one per response profile"):
         TwoStepAssignment(partition, good[:3])
     with pytest.raises(DomainError, match="one per response profile"):
         assemble(partition, good[:3])
-    bad = (constant_rule(partition.product, 0),) + good[1:]
+    bad = (Rule(partition.product, (0,) * partition.product.profile_count),) + good[1:]
     with pytest.raises(DomainError, match="not over its block"):
         TwoStepAssignment(partition, bad)
     with pytest.raises(DomainError, match="not over its block"):
@@ -309,7 +303,7 @@ def test_first_step_witnesses_all_answer_changing(ex1_spec):
     partition = ResponsePartition.of(ex1_spec.product, ex1_spec.resolved_maps())
     xy = frozenset({OrderedPair(2, 3)})
     subrules = tuple(
-        constant_rule(block, 4 if answers == (xy, xy) else 1)
+        Rule(block, (4 if answers == (xy, xy) else 1,) * block.profile_count)
         for answers, block in zip(partition.responses, partition.block_products)
     )
     rule = assemble(partition, subrules)
@@ -351,7 +345,7 @@ def test_search_single_peaked_product_is_exhaustive():
     assert result.candidates_tried == 825
     assert result.complete
     assert tuple(map(tuple, result.catalogs)) == tuple(
-        second_step_catalog(block) for block in partition.block_products
+        tuple(Catalog(block)) for block in partition.block_products
     )
     rules = _found_rules(partition, result)
     assert len(rules) == 24
@@ -464,7 +458,7 @@ def test_catalog_fit_check_is_exact():
         partition = ResponsePartition.of(ProductDomain.of(domains), [classify(d) for d in domains])
         try:
             for block in partition.block_products:
-                second_step_catalog(block)
+                Catalog(block)
             built = True
         except SizeLimitError:
             built = False
@@ -476,10 +470,10 @@ def test_catalog_fit_check_is_exact():
 def test_catalog_members_are_the_explicit_catalog(sp3_spec, uni3_spec, ex1_spec, ex2_spec):
     # The search sizes a catalog by its member count, without building or
     # hashing a table: that holds because the members' tables are distinct.
-    # Read in full, each catalog is second_step_catalog, rule for rule: on
-    # every multiset product of non-conditional domains (m = 2 up to four
-    # agents, m = 3 up to three, m = 4 alone) and on every block product of
-    # the fixtures, as the search's own catalogs.
+    # Read in full, each catalog is the strategy-proof rules the enumerator
+    # finds, the constants first: on every multiset product of non-conditional
+    # domains (m = 2 up to four agents, m = 3 up to three, m = 4 alone) and on
+    # every block product of the fixtures, as the search's own catalogs.
     catalogs = [
         (product, Catalog(product))
         for product in (
@@ -494,9 +488,22 @@ def test_catalog_members_are_the_explicit_catalog(sp3_spec, uni3_spec, ex1_spec,
         partition = ResponsePartition.of(spec.product, spec.resolved_maps("default"))
         catalogs += zip(partition.block_products, search_sp_combinations(partition, 1).catalogs)
     for block, catalog in catalogs:
-        explicit = second_step_catalog(block)
-        assert len(catalog) == len(explicit), block.agents
-        assert tuple(catalog) == explicit, block.agents
+        tables = [rule.table for rule in catalog]
+        assert len(set(tables)) == len(tables), block.agents
+        assert set(tables) == {rule.table for rule in enumerate_sp_rules(block)}, block.agents
+        constants = [(alt,) * block.profile_count for alt in range(block.m)]
+        assert tables[: block.m] == constants, block.agents
+
+
+def test_catalog_takes_integer_indices_only():
+    # A slice is refused at the index, not deep in the table builder; negative
+    # indices and iteration read the same members.
+    catalog = Catalog(ProductDomain.of([SP3, SP3]))
+    with pytest.raises(TypeError, match="'slice' object cannot be interpreted as an integer"):
+        catalog[0:2]
+    assert len(catalog) == 17
+    assert catalog[-1] == catalog[16]
+    assert list(catalog) == [catalog[i] for i in range(17)]
 
 
 def test_search_builds_each_reachable_table_once(cli, monkeypatch, tmp_path):
@@ -548,7 +555,7 @@ def test_assignment_roundtrip():
 def test_assignment_file_reference(tmp_path):
     partition = _sp3_partition()
     blocks = partition.block_products
-    special = second_step_catalog(blocks[0])[4]
+    special = Catalog(blocks[0])[4]
     (tmp_path / "sub.rule").write_text(serialize_rule(special))
     text = (
         "alternatives: x y z\n"
@@ -560,7 +567,7 @@ def test_assignment_file_reference(tmp_path):
     )
     assignment = parse_assignment_file(text, partition, base_dir=str(tmp_path))
     assert assignment.subrules[0] == special
-    assert assignment.subrules[1] == second_step_catalog(blocks[1])[1]
+    assert assignment.subrules[1] == Catalog(blocks[1])[1]
 
 
 def test_assignment_parse_errors(tmp_path):
