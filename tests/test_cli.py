@@ -1051,7 +1051,13 @@ def test_verify_theorem_bytes_are_pinned(cli, m, agents, audit, seed, form):
 # The same pins for sweeps of --domain lists, each file its own instance, by
 # (list, audit sample, format); the audits use seed 1.  Three copies of the
 # single-peaked product have 21 violations, one past the 20 that are listed.
-DOMAIN_LISTS = {"sp3": [SP3], "sp3-uni3": [SP3, UNI3], "sp3-sp3-sp3": [SP3] * 3}
+# In "uni3-ex2" every violation is instance 1's, over its own labels v w x y z.
+DOMAIN_LISTS = {
+    "sp3": [SP3],
+    "sp3-uni3": [SP3, UNI3],
+    "sp3-sp3-sp3": [SP3] * 3,
+    "uni3-ex2": [UNI3, EX2],
+}
 DOMAIN_LIST_DIGESTS = {
     ("sp3", 0, "text"): "2972b6c017f340d859071105b9fecd4c",
     ("sp3", 0, "json"): "e71837edec7264cf4abeb86887530921",
@@ -1065,6 +1071,10 @@ DOMAIN_LIST_DIGESTS = {
     ("sp3-sp3-sp3", 0, "json"): "c1c0a4eb40477a51dac5f8316a4a0dba",
     ("sp3-sp3-sp3", 5, "text"): "0f04558632a22b6d7b2b0f5f399f6955",
     ("sp3-sp3-sp3", 5, "json"): "199ff714c0be72898e96accac4119a72",
+    ("uni3-ex2", 0, "text"): "e149bcac795a64cbecf06e029abb503b",
+    ("uni3-ex2", 0, "json"): "35d4caf10699f4962cda2b7b18ac58b1",
+    ("uni3-ex2", 5, "text"): "97739de836de70653f2e7a90888f5bd1",
+    ("uni3-ex2", 5, "json"): "dd880b83e8e9dbca0a7eb54df895505f",
 }
 
 
@@ -1079,6 +1089,8 @@ def test_verify_theorem_domain_list_bytes_are_pinned(cli, name, audit, form):
     assert (code, err) == (3, "")
     if form == "text" and name == "sp3-sp3-sp3":
         assert out.splitlines()[-1] == "... and 1 more violation(s)"
+    if form == "text" and name == "uni3-ex2":
+        assert out.splitlines()[-1] == "... and 143 more violation(s)"
     digest = hashlib.sha256(out.encode()).hexdigest()[:32]
     assert digest == DOMAIN_LIST_DIGESTS[name, audit, form]
 
