@@ -260,15 +260,15 @@ class SingletonOrbits:
 
 
 class TheoremViolation(NamedTuple):
-    """A strategy-proof, non-dictatorial rule whose range size is not two."""
+    """A strategy-proof, non-dictatorial rule whose range size is not two:
+    its instance and its outcome table, one byte per profile."""
 
     instance: int
-    rule: Rule
+    table: bytes
 
 
 class AuditFault(NamedTuple):
     instance: int
-    rule: Rule
     reason: str
 
 
@@ -282,11 +282,6 @@ class ImpossibilityReport(NamedTuple):
     @property
     def ok(self) -> bool:
         return not self.violations and not self.audit_faults
-
-
-def _violates_impossibility(rule: Rule) -> bool:
-    # A one-outcome rule makes every agent a dictator: only wider ranges are scanned.
-    return len(range_of(rule)) > 2 and not dictators_of(rule)
 
 
 def _audit_rule(rule: Rule) -> Optional[str]:
@@ -304,9 +299,27 @@ def _audit_rule(rule: Rule) -> Optional[str]:
     )
 
 
-# The sweep keeps its first instances' tables for the audit up to this many
-# cells in all (m=3 with 3 agents needs 66,150, m=4 with 2 agents 384,018);
-# past it, a picked orbit's first instance is enumerated once more.
+def _read_rules(rules: Iterable[Rule], room: int) -> tuple[int, list[bytes], list[bytes]]:
+    """Read strategy-proof ``rules`` once, holding one at a time: their count,
+    the tables of the first ``room`` and the violating tables, as bytes."""
+    tables: list[bytes] = []
+    bad: list[bytes] = []
+    count = 0
+    for count, rule in enumerate(rules, 1):
+        # A one-outcome rule makes every agent a dictator: only wider ranges are scanned.
+        violates = len(range_of(rule)) > 2 and not dictators_of(rule)
+        if violates or count <= room:
+            table = bytes(rule.table)
+            if count <= room:
+                tables.append(table)
+            if violates:
+                bad.append(table)
+    return count, tables, bad
+
+
+# The sweep reads each orbit's rules once, keeping its tables for the audit
+# only while they fit in this many cells in all (m=3 with 3 agents needs
+# 66,150, m=4 with 2 agents 384,018); a picked orbit that did not is read again.
 KEPT_CELLS = 1 << 20
 
 
@@ -326,11 +339,12 @@ def verify_impossibility(
     (:class:`FamilyOrbits`): the claim, the number of strategy-proof
     rules and the profile count do not change when agents are
     permuted or alternatives relabeled, so each orbit's first instance is
-    enumerated and its rules count once per member.  Any other member's
-    rules are carried from it: those of each member of an orbit with
-    violations, and audited ones.  Any other family is a list of
-    one-instance orbits.  The profile guard is checked for the whole family
-    before any enumeration; a family's agent count is held to it too.
+    enumerated and its rules count once per member.  Any other family is a
+    list of one-instance orbits.  The profile guard is checked for the whole
+    family before any enumeration; a family's agent count is held to it too.
+    Each orbit's rules are read once, one at a time, and only tables are
+    kept, as ``bytes``: the violating ones, carried to each member, and for
+    the audit the orbit's tables while they fit in :data:`KEPT_CELLS`.
 
     With ``audit_sample > 0``, that many strategy-proof rules are sampled
     (reproducibly, via ``seed``) across the family and audited by
@@ -365,48 +379,39 @@ def verify_impossibility(
     violations: list[TheoremViolation] = []
     for number in range(len(orbits.sizes)):
         pd = orbits.product(number)
-        rules = list(enumerate_sp_rules(pd, max_profiles=max_profiles))
-        counts.append(len(rules))
-        if audit_sample > 0 and cells + len(rules) * pd.profile_count <= KEPT_CELLS:
-            cells += len(rules) * pd.profile_count
-            kept[number] = [bytes(r.table) for r in rules]
-        bad = [bytes(r.table) for r in rules if _violates_impossibility(r)]
+        # The orbit's tables are kept iff all of them fit: at most `room` rules.
+        room = (KEPT_CELLS - cells) // pd.profile_count if audit_sample > 0 else -1
+        count, tables, bad = _read_rules(enumerate_sp_rules(pd, max_profiles=max_profiles), room)
+        counts.append(count)
+        if count <= room:
+            kept[number] = tables
+            cells += count * pd.profile_count
         for member in orbits.members(number) if bad else ():
             violations.extend(
-                TheoremViolation(member, Rule(instances[member], tuple(table)))
-                for table in orbits.carry(number, member, bad)
+                TheoremViolation(member, table) for table in orbits.carry(number, member, bad)
             )
     violations.sort(key=lambda v: v.instance)
     rules_checked = sum(map(operator.mul, counts, orbits.sizes))
 
-    audited = 0
+    picks: Sequence[int] = range(rules_checked) if audit_sample > 0 else ()
+    if rules_checked > audit_sample > 0:
+        picks = random.Random(seed).sample(picks, audit_sample)
+    sampled: dict[int, list[bytes]] = {}  # carried tables by instance
     faults: list[AuditFault] = []
-    if audit_sample > 0 and rules_checked:
-        rng = random.Random(seed)
-        picks = (
-            range(rules_checked)
-            if rules_checked <= audit_sample
-            else rng.sample(range(rules_checked), audit_sample)
-        )
-        locate = orbits.locator(counts)
-        sampled: dict[int, list[bytes]] = {}  # carried tables by instance
-        for pick in picks:
-            number, idx, offset = locate(pick)
-            if idx not in sampled:
-                if number not in kept:
-                    rules = enumerate_sp_rules(orbits.product(number), max_profiles=max_profiles)
-                    kept[number] = [bytes(r.table) for r in rules]
-                sampled[idx] = orbits.carry(number, idx, kept[number])
-            rule = Rule(instances[idx], tuple(sampled[idx][offset]))
-            reason = _audit_rule(rule)
-            audited += 1
-            if reason is not None:
-                faults.append(AuditFault(idx, rule, reason))
+    for number, idx, offset in map(orbits.locator(counts), picks) if picks else ():
+        if idx not in sampled:
+            if number not in kept:
+                rules = enumerate_sp_rules(orbits.product(number), max_profiles=max_profiles)
+                kept[number] = [bytes(r.table) for r in rules]
+            sampled[idx] = orbits.carry(number, idx, kept[number])
+        reason = _audit_rule(Rule(instances[idx], tuple(sampled[idx][offset])))
+        if reason is not None:
+            faults.append(AuditFault(idx, reason))
 
     return ImpossibilityReport(
         instances=len(instances),
         rules_checked=rules_checked,
         violations=tuple(violations),
-        audited=audited,
+        audited=len(picks),
         audit_faults=tuple(faults),
     )

@@ -398,7 +398,6 @@ def _theorem_instances(options: dict[str, Any]) -> ProductFamily | list[ProductD
 
 def _cmd_verify_theorem(options: dict[str, Any]) -> int:
     from .orbits import verify_impossibility
-    from .rules import range_of
     instances = _theorem_instances(options)
     report = verify_impossibility(
         instances,
@@ -412,15 +411,16 @@ def _cmd_verify_theorem(options: dict[str, Any]) -> int:
             "command": "verify-theorem",
             "instances": report.instances,
             "rules_checked": report.rules_checked,
-            "violations": [
+            # Each violation's own instance has the labels: a list may mix label sets.
+            "violations": (
                 {
                     "instance": v.instance,
-                    "range_size": len(range_of(v.rule)),
+                    "range_size": len(set(v.table)),
                     "dictators": [],  # violations have no dictator
-                    "table": [v.rule.domain.labels[a] for a in v.rule.table],
+                    "table": list(map(instances[v.instance].labels.__getitem__, v.table)),
                 }
                 for v in report.violations
-            ],
+            ),
             "audited": report.audited,
             "audit_faults": [
                 {"instance": f.instance, "reason": f.reason} for f in report.audit_faults
@@ -440,7 +440,7 @@ def _cmd_verify_theorem(options: dict[str, Any]) -> int:
         )
     for v in report.violations[:20]:
         lines.append(
-            f"violation: instance {v.instance}, range size {len(range_of(v.rule))}, dictators: none"
+            f"violation: instance {v.instance}, range size {len(set(v.table))}, dictators: none"
         )
     if len(report.violations) > 20:
         lines.append(f"... and {len(report.violations) - 20} more violation(s)")

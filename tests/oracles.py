@@ -488,7 +488,7 @@ def audit_per_instance(
     for idx, rule in chosen:
         reason = _audit_rule(rule)
         if reason is not None:
-            faults.append(AuditFault(idx, rule, reason))
+            faults.append(AuditFault(idx, reason))
     return len(chosen), tuple(faults)
 
 
@@ -505,7 +505,7 @@ def verify_impossibility_per_instance(
     if rules is None:
         rules = sweep_rules(instances, max_profiles)
     violations = tuple(
-        TheoremViolation(idx, rule)
+        TheoremViolation(idx, bytes(rule.table))
         for idx, found in enumerate(rules)
         for rule in found
         if len(range_of(rule)) != 2 and not dictators_of(rule)

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+import weakref
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from spdom import (
     Ranking,
     ResponsePartition,
     RestrictionMap,
+    Rule,
     SizeLimitError,
     all_rankings,
     classify,
@@ -545,15 +547,17 @@ def test_verify_impossibility_single_agent_family():
 
 
 def test_verify_impossibility_flags_conditional_domains():
-    report = verify_impossibility([ProductDomain.of([SP3, SP3])])
+    pd = ProductDomain.of([SP3, SP3])
+    report = verify_impossibility([pd])
     assert report.rules_checked == 24
     assert len(report.violations) == 7
     assert not report.ok
     for violation in report.violations:
         assert violation.instance == 0
-        assert len(range_of(violation.rule)) != 2
-        assert not dictators_of(violation.rule)
-        assert is_strategy_proof(violation.rule)
+        rule = Rule(pd, tuple(violation.table))
+        assert len(range_of(rule)) != 2
+        assert not dictators_of(rule)
+        assert is_strategy_proof(rule)
 
 
 def test_verify_impossibility_audit_and_determinism():
@@ -732,6 +736,44 @@ def test_orbit_sweep_enumerates_each_orbit_once(monkeypatch):
     monkeypatch.setattr(orbits, "KEPT_CELLS", 0)
     assert verify_impossibility(family, audit_sample=200, seed=1) == report
     assert len(calls) == 241 + len(set(calls[241:])) > 241
+
+
+@pytest.mark.parametrize("audit_sample", [0, 10])
+@pytest.mark.parametrize("kept_cells", [None, 0])
+def test_sweep_holds_one_rule_at_a_time(monkeypatch, audit_sample, kept_cells):
+    import spdom.orbits as orbits
+
+    class Tracked(Rule):
+        """A rule that can be weakly referenced, so that its end is seen."""
+
+    alive = [0, 0, 0]  # alive now, most alive at once, made in all
+    original = orbits.enumerate_sp_rules
+
+    def died():
+        alive[0] -= 1
+
+    def track(rule):
+        alive[0] += 1
+        alive[1] = max(alive[1], alive[0])
+        alive[2] += 1
+        weakref.finalize(rule, died)
+        return rule
+
+    def tracked(pd, *args, **kwargs):
+        for rule in original(pd, *args, **kwargs):
+            yield track(Tracked(rule.domain, rule.table))
+
+    monkeypatch.setattr(orbits, "enumerate_sp_rules", tracked)
+    if kept_cells is not None:
+        monkeypatch.setattr(orbits, "KEPT_CELLS", kept_cells)
+    pair = ProductDomain.of([SP3, SP3])
+    for family in ([pair] * 3, ProductFamily(_single_peaked_base(), 2)):
+        alive[:] = [0, 0, 0]
+        report = verify_impossibility(family, audit_sample=audit_sample, seed=1)
+        assert alive[2] >= (72 if isinstance(family, list) else 1)
+        assert alive[1] <= 2, alive
+        assert alive[0] == 0
+        assert len(report.violations) == (21 if isinstance(family, list) else 57)
 
 
 def test_audit_reuses_the_sweeps_enumeration(monkeypatch):
