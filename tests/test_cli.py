@@ -439,17 +439,23 @@ COUNT_ORACLE_DIGESTS = {
 }
 
 
+def _pinned_domain(tmp_path: Path, name: str) -> Path:
+    """The fixture ``name``, or the ``ORACLE_DOMAINS`` product of that name
+    written to ``tmp_path``."""
+    if name not in ORACLE_DOMAINS:
+        return FIXTURES / f"{name}.spdom"
+    axis, statement, agents = ORACLE_DOMAINS[name]
+    domain = tmp_path / f"{name}.spdom"
+    domain.write_text(
+        f"alternatives {axis}\n"
+        + "".join(f"agent {i} {{ {statement} }}\n" for i in range(1, agents + 1))
+    )
+    return domain
+
+
 @pytest.mark.parametrize("name, form", sorted(COUNT_ORACLE_DIGESTS))
 def test_count_subrules_oracle_bytes_are_pinned(cli, tmp_path, name, form):
-    if name in ORACLE_DOMAINS:
-        axis, statement, agents = ORACLE_DOMAINS[name]
-        domain = tmp_path / f"{name}.spdom"
-        domain.write_text(
-            f"alternatives {axis}\n"
-            + "".join(f"agent {i} {{ {statement} }}\n" for i in range(1, agents + 1))
-        )
-    else:
-        domain = FIXTURES / f"{name}.spdom"
+    domain = _pinned_domain(tmp_path, name)
     code, out, err = cli("count-subrules", "--domain", str(domain), "--oracle", "--format", form)
     record = f"{code}\0{out}\0{err}"
     assert hashlib.sha256(record.encode()).hexdigest()[:32] == COUNT_ORACLE_DIGESTS[name, form]
@@ -1171,6 +1177,9 @@ def test_search_two_step_budget(cli):
 # json) or of its --out directory (assign: each file's name, a newline and its
 # bytes, in name order), recorded before the search kept its compatibility
 # rows in per-pair tables.  The budgets are 1, 60, 2000 and the candidate total.
+# sp4x3 (ORACLE_DOMAINS) is the three-agent pin: it fixes the order of three
+# free agents' votes and of three agents' dictatorships.
+SP4X3_TOTAL = 463878713877909406476083367247872000000000000000000000000000
 SEARCH_DIGESTS = {
     ("ex1", 1, "text"): "fbac59e01aa911d66a5c826a2b30f101",
     ("ex1", 1, "json"): "25f8cfbfc486f0e33f90c4814ebcdfd9",
@@ -1208,19 +1217,28 @@ SEARCH_DIGESTS = {
     ("universal3", 2000, "json"): "19b63be2b7114b75da7029dbea2ac3c9",
     ("universal3", 17, "text"): "b6c2cb819506106743a5bbe95732135d",
     ("universal3", 17, "json"): "19b63be2b7114b75da7029dbea2ac3c9",
+    ("sp4x3", 1, "text"): "3fecbc1ecbf1d1a65bca51546dcbeb3b",
+    ("sp4x3", 1, "json"): "bac58f8f79950792c81dbd5dee6f4ba8",
+    ("sp4x3", 60, "text"): "0ae791a17652cbd0516f142b07095735",
+    ("sp4x3", 60, "json"): "6abe6907d9907a7d725b89794d8254a6",
+    ("sp4x3", 60, "assign"): "b46e746ea863c667cc8f59b0d6de51ec",
+    ("sp4x3", 2000, "text"): "91783cdef5dbf4f6a67d088ad40b6fbd",
+    ("sp4x3", 2000, "json"): "b612cfdb57d084bf75d0322181598bfb",
+    ("sp4x3", SP4X3_TOTAL, "text"): "624aa4a9ec3ed0a010b87e4ee8b93aaf",
+    ("sp4x3", SP4X3_TOTAL, "json"): "c5c62e87b14e68d686604b826e086066",
 }
 
 
 @pytest.mark.parametrize("fixture, budget, form", sorted(SEARCH_DIGESTS))
 def test_search_two_step_bytes_are_pinned(cli, tmp_path, fixture, budget, form):
-    argv = ["search-two-step", "--domain", str(FIXTURES / f"{fixture}.spdom")]
+    argv = ["search-two-step", "--domain", str(_pinned_domain(tmp_path, fixture))]
     argv += ["--budget", str(budget)]
-    argv += ["--out", str(tmp_path)] if form == "assign" else ["--format", form]
+    argv += ["--out", str(tmp_path / "out")] if form == "assign" else ["--format", form]
     code, out, err = cli(*argv)
     assert (code, err) == (0, "")
     digest = hashlib.sha256()
     if form == "assign":
-        for path in sorted(tmp_path.iterdir()):
+        for path in sorted((tmp_path / "out").iterdir()):
             digest.update(path.name.encode() + b"\n" + path.read_bytes())
     else:
         digest.update(out.encode())

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import importlib
 import itertools
 import random
@@ -467,25 +468,31 @@ def test_catalog_fit_check_is_exact():
     assert seen == {True, False}
 
 
+def _multiset_products() -> list[ProductDomain]:
+    """Every multiset product of non-conditional domains: m = 2 up to four
+    agents, m = 3 up to three, m = 4 alone."""
+    return [
+        ProductDomain.of(domains)
+        for m, most in ((2, 4), (3, 3), (4, 1))
+        for n in range(1, most + 1)
+        for domains in itertools.combinations_with_replacement(nonconditional_domains(m), n)
+    ]
+
+
+def _default_partition(spec) -> ResponsePartition:
+    return ResponsePartition.of(spec.product, spec.resolved_maps("default"))
+
+
 def test_catalog_members_are_the_explicit_catalog(sp3_spec, uni3_spec, ex1_spec, ex2_spec):
     # The search sizes a catalog by its member count, without building or
     # hashing a table: that holds because the members' tables are distinct.
     # Read in full, each catalog is the strategy-proof rules the enumerator
-    # finds, the constants first: on every multiset product of non-conditional
-    # domains (m = 2 up to four agents, m = 3 up to three, m = 4 alone) and on
-    # every block product of the fixtures, as the search's own catalogs.
-    catalogs = [
-        (product, Catalog(product))
-        for product in (
-            ProductDomain.of(domains)
-            for m, most in ((2, 4), (3, 3), (4, 1))
-            for n in range(1, most + 1)
-            for domains in itertools.combinations_with_replacement(nonconditional_domains(m), n)
-        )
-    ]
+    # finds, the constants first: on every multiset product and on every
+    # block product of the fixtures, as the search's own catalogs.
+    catalogs = [(product, Catalog(product)) for product in _multiset_products()]
     assert len(catalogs) == 1792
     for spec in (sp3_spec, uni3_spec, ex1_spec, ex2_spec):
-        partition = ResponsePartition.of(spec.product, spec.resolved_maps("default"))
+        partition = _default_partition(spec)
         catalogs += zip(partition.block_products, search_sp_combinations(partition, 1).catalogs)
     for block, catalog in catalogs:
         tables = [rule.table for rule in catalog]
@@ -493,6 +500,26 @@ def test_catalog_members_are_the_explicit_catalog(sp3_spec, uni3_spec, ex1_spec,
         assert set(tables) == {rule.table for rule in enumerate_sp_rules(block)}, block.agents
         constants = [(alt,) * block.profile_count for alt in range(block.m)]
         assert tables[: block.m] == constants, block.agents
+
+
+# The first 32 hex digits of the sha256 of every member table's bytes and a
+# newline, in catalog order, with "|" after each catalog, over the products of
+# test_catalog_members_are_the_explicit_catalog: recorded while each catalog
+# derived its members afresh, agent by agent.
+CATALOG_ORDER_DIGEST = "ec02b03a4077e614d3a64562573d5bd2"
+
+
+def test_catalog_member_order_is_pinned(sp3_spec, uni3_spec, ex1_spec, ex2_spec):
+    products = _multiset_products()
+    for spec in (sp3_spec, uni3_spec, ex1_spec, ex2_spec):
+        products += _default_partition(spec).block_products
+    assert len(products) == 1817
+    digest = hashlib.sha256()
+    for product in products:
+        for rule in Catalog(product):
+            digest.update(bytes(rule.table) + b"\n")
+        digest.update(b"|")
+    assert digest.hexdigest()[:32] == CATALOG_ORDER_DIGEST
 
 
 def test_catalog_takes_integer_indices_only():
