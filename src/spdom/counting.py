@@ -22,9 +22,10 @@ constant), so on domains D_1..D_n
 where steerable(D, k) (:func:`steerable_range_count`) counts the steerable
 size-k sets of D.
 
-:class:`Catalog` lists the closed-form families as explicit rules, each table
-built when it is read, and :func:`nonconditional_domains` lists the domains
-whose products the theorem sweep (:mod:`spdom.orbits`) checks.
+:class:`Catalog` lists the closed-form families as explicit rules, read off
+each agent block once as :func:`count_second_step` tallies it, each table built
+when it is read; :func:`nonconditional_domains` lists the domains whose
+products the theorem sweep (:mod:`spdom.orbits`) checks.
 """
 
 from __future__ import annotations
@@ -174,49 +175,47 @@ def _member_table(digits: Sequence[Sequence[int]], outcomes: Sequence[int]) -> t
     return tuple(rows[0])
 
 
-def _pair_members(pd: ProductDomain, lo: int, hi: int) -> list[tuple]:
-    """The non-constant monotone vote rules on ``lo < hi`` as catalog members,
-    ascending truth table; each agent the pair is free for votes for ``lo``
-    with a bit, the first such agent's the highest."""
-    voters = [(lo, hi) in pair_sets(d).free for d in pd.agents]
-    digits = [[v and r.prefers(lo, hi) for r in d.rankings] for v, d in zip(voters, pd.agents)]
-    k = sum(voters)
-    return [
-        (digits, [lo if f >> vote & 1 else hi for vote in range(1 << k)])
-        for f in _monotone_function_masks(k)[1:-1]  # not the constants, first and last
-    ]
-
-
-def _dictator_members(pd: ProductDomain, k: int) -> Iterator[tuple]:
-    """Per agent, then per size-``k`` range the agent can fully steer, the
-    rule that picks the agent's best of the range, as a catalog member."""
-    for agent, domain in enumerate(pd.agents):
-        admissible = OptionSets.of(domain).admissible
-        digits = [range(len(d)) if i == agent else (0,) * len(d) for i, d in enumerate(pd.agents)]
-        for combo in itertools.combinations(range(pd.m), k):
-            chosen = sum(1 << alt for alt in combo)
-            best = [(fits[chosen] & chosen).bit_length() - 1 for fits in admissible]
-            if len(set(best)) == k:  # the agent can steer the whole range
-                yield digits, best
+@lru_cache(maxsize=None)
+def _block_facts(d: PreferenceDomain) -> tuple[dict, dict]:
+    """What a :class:`Catalog` reads of agent block ``d``: each ranking's vote
+    (1 for ``lo``) on each pair ``lo < hi`` that ``d`` leaves free, and per
+    k >= 3 each ranking's best of each size-k range ``d`` can fully steer."""
+    votes = {(lo, hi): tuple(r.prefers(lo, hi) for r in d.rankings) for lo, hi in pair_sets(d).free}
+    admissible = OptionSets.of(d).admissible
+    steered: dict[int, list] = {}
+    for k in range(3, d.m + 1):
+        chosen = (sum(1 << alt for alt in combo) for combo in itertools.combinations(range(d.m), k))
+        bests = ([(fits[c] & c).bit_length() - 1 for fits in admissible] for c in chosen)
+        steered[k] = [tuple(best) for best in bests if len(set(best)) == k]  # the steerable ones
+    return votes, steered
 
 
 class Catalog(Sequence[Rule]):
     """Every rule on ``pd`` that is constant, a two-outcome monotone vote rule
-    or a steerable dictatorship, in canonical order: the constants, each pair's
-    vote rules, then each range size's dictatorships.  Each table is built when
-    read; members are pairwise distinct (by range, dictator or vote function).
-    On non-conditional products they are exactly the strategy-proof rules, the
-    explicit cross-check of :func:`count_second_step`'s subtotals.  Opening one
-    checks the table cap, then each pair's monotone-function cap."""
+    or a steerable dictatorship, in canonical order: the constants; per pair,
+    its vote rules by ascending truth table over the votes of the agents it is
+    free for, the first agent's the highest bit; then per range size, agent and
+    steered range, the dictatorship.  Members are composed from each agent
+    block's :func:`_block_facts`, worked out once per block, and are distinct
+    (by range, dictator or vote function); each table is built when read.  On
+    non-conditional products they are the strategy-proof rules, the explicit
+    cross-check of :func:`count_second_step`.  Opening one checks the table
+    cap, then each pair's monotone-function cap."""
 
     def __init__(self, pd: ProductDomain) -> None:
         _check_table_cap(pd.profile_count)
-        zeros = [(0,) * size for size in pd.sizes]  # a constant reads no agent
+        facts = [_block_facts(d) for d in pd.agents]
+        zeros = [(0,) * size for size in pd.sizes]  # the digits of an agent a member does not read
         self.domain, self.members = pd, [(zeros, (alt,)) for alt in range(pd.m)]
         for lo, hi in itertools.combinations(range(pd.m), 2):
-            self.members += _pair_members(pd, lo, hi)
+            digits = [votes.get((lo, hi), z) for (votes, _), z in zip(facts, zeros)]
+            k = sum((lo, hi) in votes for votes, _ in facts)
+            for f in _monotone_function_masks(k)[1:-1]:  # not the constants, first and last
+                self.members.append((digits, [lo if f >> v & 1 else hi for v in range(1 << k)]))
         for k in range(3, pd.m + 1):
-            self.members += _dictator_members(pd, k)
+            for agent, (_, steered) in enumerate(facts):
+                digits = zeros[:agent] + [range(pd.sizes[agent])] + zeros[agent + 1 :]
+                self.members += [(digits, best) for best in steered[k]]
 
     def __len__(self) -> int:
         return len(self.members)

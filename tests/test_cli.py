@@ -1178,7 +1178,9 @@ def test_search_two_step_budget(cli):
 # bytes, in name order), recorded before the search kept its compatibility
 # rows in per-pair tables.  The budgets are 1, 60, 2000 and the candidate total.
 # sp4x3 (ORACLE_DOMAINS) is the three-agent pin: it fixes the order of three
-# free agents' votes and of three agents' dictatorships.
+# free agents' votes.  None of its catalogs has two agents that steer a range
+# of three or more, so the dictatorships' order across agents is pinned by
+# test_twostep's catalog member-order digest instead.
 SP4X3_TOTAL = 463878713877909406476083367247872000000000000000000000000000
 SEARCH_DIGESTS = {
     ("ex1", 1, "text"): "fbac59e01aa911d66a5c826a2b30f101",

@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -47,6 +48,8 @@ from spdom import (
 from conftest import FIXTURES
 from spdom import counting
 from spdom.counting import _catalogs_fit
+from spdom.prefcore import Ranking, pair_sets
+from spdom.rules import OptionSets
 from spdom.twostep import _later_neighbours
 
 SP3 = generate_domain("single_peaked", axis=[0, 1, 2])
@@ -520,6 +523,30 @@ def test_catalog_member_order_is_pinned(sp3_spec, uni3_spec, ex1_spec, ex2_spec)
             digest.update(bytes(rule.table) + b"\n")
         digest.update(b"|")
     assert digest.hexdigest()[:32] == CATALOG_ORDER_DIGEST
+
+
+def test_catalogs_read_each_agent_block_once(monkeypatch, ex2_spec):
+    # Opening every catalog of ex2 (16 response profiles) and of sp4x3 (64)
+    # reads each distinct agent block once: one option-set read, and one vote
+    # per ranking and pair the block leaves free, however many catalogs share
+    # the block.
+    sp4x3 = parse_domain_file(
+        "alternatives a b c d\n"
+        + "".join(f"agent {i} {{ single-peaked a b c d }}\n" for i in (1, 2, 3))
+    )
+    blocks = [_default_partition(spec).block_products for spec in (ex2_spec, sp4x3)]
+    assert list(map(len, blocks)) == [16, 64]
+    blocks = blocks[0] + blocks[1]
+    counting._block_facts.cache_clear()
+    read, votes = [], []
+    option_sets, prefers = OptionSets.of, Ranking.prefers
+    monkeypatch.setattr(OptionSets, "of", classmethod(lambda cls, d: read.append(d) or option_sets(d)))
+    monkeypatch.setattr(Ranking, "prefers", lambda r, a, b: votes.append(r) or prefers(r, a, b))
+    for block in blocks:
+        Catalog(block)
+    distinct = {d for block in blocks for d in block.agents}
+    assert Counter(read) == Counter(distinct)
+    assert len(votes) == sum(len(d) * len(pair_sets(d).free) for d in distinct)
 
 
 def test_catalog_takes_integer_indices_only():
