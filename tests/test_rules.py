@@ -14,6 +14,8 @@ from spdom import (
     ProductDomain,
     Ranking,
     Rule,
+    SizeLimitError,
+    TABLE_CELL_LIMIT,
     audit_sp_lemmas,
     dictators_of,
     find_manipulation,
@@ -67,6 +69,20 @@ def test_rule_validation():
     with pytest.raises(DomainError):
         Rule(pd, (0, 1, 2))  # wrong length
     assert Rule(pd, (0, 0, 1, 1, 2, 2)).table == (0, 0, 1, 1, 2, 2)
+
+
+def test_rule_checks_the_table_cap_before_reading_the_table():
+    # Three universal agents over six alternatives: 720**3 profiles, over the
+    # cap.  The table is never read, so an unreadable one raises nothing.
+    pd = ProductDomain.of([generate_domain("universal", m=6)] * 3)
+    assert pd.profile_count > TABLE_CELL_LIMIT
+
+    def unreadable():
+        raise AssertionError("the table was read")
+        yield
+
+    with pytest.raises(SizeLimitError):
+        Rule(pd, unreadable())
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 
 from oracles import (
     TwoStepAssignment,
+    all_sp_tables,
     assemble,
     first_step_witnesses,
     is_strategy_proof,
@@ -40,6 +41,7 @@ from spdom import (
     generate_domain,
     nonconditional_domains,
     parse_domain_file,
+    parse_rule_file,
     range_of,
     search_sp_combinations,
     serialize_assignment,
@@ -503,6 +505,32 @@ def test_catalog_members_are_the_explicit_catalog(sp3_spec, uni3_spec, ex1_spec,
         assert set(tables) == {rule.table for rule in enumerate_sp_rules(block)}, block.agents
         constants = [(alt,) * block.profile_count for alt in range(block.m)]
         assert tables[: block.m] == constants, block.agents
+
+
+def test_every_outcome_table_is_bytes():
+    # One representation: each producer hands out its table as bytes, one
+    # byte per profile, with the outcomes the tuple forms held.
+    partition = _sp3_partition()
+    pd = partition.product
+    cells = [
+        min(d.rankings[digit].top for digit, d in zip(profile, pd.agents))
+        for profile in pd.iter_profiles()
+    ]
+    tables = [Rule(pd, tuple(cells)).table, Rule(pd, cells).table]
+    tables.append(parse_rule_file(serialize_rule(Rule(pd, cells)), pd).table)
+    assert [type(table) for table in tables] == [bytes] * 3
+    assert tables == [bytes(cells)] * 3
+    for k, block in enumerate(decompose(Rule(pd, cells), partition)):
+        expected = bytes(c for c, r in zip(cells, partition.response_of) if r == k)
+        assert type(block.subrule.table) is bytes
+        assert block.subrule.table == expected
+    for block in partition.block_products:
+        enumerated = [rule.table for rule in enumerate_sp_rules(block)]
+        members = [rule.table for rule in Catalog(block)]
+        assert {type(table) for table in enumerated + members} == {bytes}
+        assert sorted(members) == enumerated
+        if block.profile_count <= 3:
+            assert enumerated == [bytes(table) for table in all_sp_tables(block)]
 
 
 # The first 32 hex digits of the sha256 of every member table's bytes and a
