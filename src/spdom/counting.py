@@ -93,7 +93,7 @@ def enumerate_sp_rules(
             ]
             for t, digits in enumerate(pd.iter_profiles())
         ]
-        table = [0] * count
+        table = bytearray(count)
         masks = [0] * count
         masks[0] = full_mask
         t = 0
@@ -105,7 +105,7 @@ def enumerate_sp_rules(
             table[t] = lowest[mask]
             masks[t] = mask & (mask - 1)
             if t == count - 1:
-                yield Rule(pd, tuple(table))
+                yield Rule(pd, table)
                 continue
             t += 1
             mask = full_mask
@@ -157,22 +157,19 @@ def dedekind(n: int) -> int:
     return _DEDEKIND[n]
 
 
-def _member_table(digits: Sequence[Sequence[int]], outcomes: Sequence[int]) -> tuple[int, ...]:
+def _member_table(digits: Sequence[Sequence[int]], outcomes: Sequence[int]) -> bytes:
     """The table of the catalog member that picks ``outcomes[key]``, ``key``
     the mixed-radix number of ``digits[i][r]`` at each agent i's ranking r,
-    the last agent lowest.  ``rows[key]`` is the table over the agents done
-    (last first), given the digits of the agents before them."""
-    rows = [[outcome] for outcome in outcomes]
+    the last agent lowest, as ``bytes``.  ``rows[key]`` is the table over the
+    agents done (last first), given the digits of the agents before them."""
+    rows = [bytes((outcome,)) for outcome in outcomes]
     step = 1  # what one unit of the current agent's digit adds to the key
     for agent_digits in reversed(digits):
         offsets = [digit * step for digit in agent_digits]
         step *= max(agent_digits) + 1
         for key in range(0, len(rows), step):
-            row: list[int] = []
-            for offset in offsets:
-                row += rows[key + offset]
-            rows[key] = row
-    return tuple(rows[0])
+            rows[key] = b"".join([rows[key + offset] for offset in offsets])
+    return rows[0]
 
 
 @lru_cache(maxsize=None)

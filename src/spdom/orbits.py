@@ -261,7 +261,7 @@ class SingletonOrbits:
 
 class TheoremViolation(NamedTuple):
     """A strategy-proof, non-dictatorial rule whose range size is not two:
-    its instance and its outcome table, one byte per profile."""
+    its instance and its :class:`Rule`'s ``bytes`` table, carried there."""
 
     instance: int
     table: bytes
@@ -301,19 +301,16 @@ def _audit_rule(rule: Rule) -> Optional[str]:
 
 def _read_rules(rules: Iterable[Rule], room: int) -> tuple[int, list[bytes], list[bytes]]:
     """Read strategy-proof ``rules`` once, holding one at a time: their count,
-    the tables of the first ``room`` and the violating tables, as bytes."""
+    and the rules' own tables, those of the first ``room`` and the violating ones."""
     tables: list[bytes] = []
     bad: list[bytes] = []
     count = 0
     for count, rule in enumerate(rules, 1):
+        if count <= room:
+            tables.append(rule.table)
         # A one-outcome rule makes every agent a dictator: only wider ranges are scanned.
-        violates = len(range_of(rule)) > 2 and not dictators_of(rule)
-        if violates or count <= room:
-            table = bytes(rule.table)
-            if count <= room:
-                tables.append(table)
-            if violates:
-                bad.append(table)
+        if len(range_of(rule)) > 2 and not dictators_of(rule):
+            bad.append(rule.table)
     return count, tables, bad
 
 
@@ -342,8 +339,8 @@ def verify_impossibility(
     enumerated and its rules count once per member.  Any other family is a
     list of one-instance orbits.  The profile guard is checked for the whole
     family before any enumeration; a family's agent count is held to it too.
-    Each orbit's rules are read once, one at a time, and only tables are
-    kept, as ``bytes``: the violating ones, carried to each member, and for
+    Each orbit's rules are read once, one at a time, and only the rules' own
+    tables are kept: the violating ones, carried to each member, and for
     the audit the orbit's tables while they fit in :data:`KEPT_CELLS`.
 
     With ``audit_sample > 0``, that many strategy-proof rules are sampled
@@ -402,9 +399,9 @@ def verify_impossibility(
         if idx not in sampled:
             if number not in kept:
                 rules = enumerate_sp_rules(orbits.product(number), max_profiles=max_profiles)
-                kept[number] = [bytes(r.table) for r in rules]
+                kept[number] = [r.table for r in rules]
             sampled[idx] = orbits.carry(number, idx, kept[number])
-        reason = _audit_rule(Rule(instances[idx], tuple(sampled[idx][offset])))
+        reason = _audit_rule(Rule(instances[idx], sampled[idx][offset]))
         if reason is not None:
             faults.append(AuditFault(idx, reason))
 

@@ -205,7 +205,7 @@ def _parse_range_filter(spec: DomainSpec, text: Optional[str]) -> Optional[tuple
     return tuple(dict.fromkeys(ids))  # repeats dropped, first-seen order kept
 
 
-def _brute_force_sp_tables(pd: ProductDomain, outcomes: list[int]) -> Iterator[tuple[int, ...]]:
+def _brute_force_sp_tables(pd: ProductDomain, outcomes: list[int]) -> Iterator[bytes]:
     """Independent check for enumerate-sp: the tables over ``outcomes`` the
     manipulation scan passes.  The cap is checked at the call."""
     from .counting import power_digit_count
@@ -218,8 +218,8 @@ def _brute_force_sp_tables(pd: ProductDomain, outcomes: list[int]) -> Iterator[t
         raise SizeLimitError(
             f"oracle would scan {shown} tables, over the cap of {ORACLE_TABLE_LIMIT}"
         )
-    tables = itertools.product(outcomes, repeat=count)
-    return (table for table in tables if find_manipulation(Rule(pd, table)) is None)
+    rules = (Rule(pd, table) for table in itertools.product(outcomes, repeat=count))
+    return (rule.table for rule in rules if find_manipulation(rule) is None)
 
 
 def _cmd_enumerate_sp(options: dict[str, Any]) -> int:

@@ -1,11 +1,12 @@
 """Social choice rules on product domains and their strategy-proofness.
 
 A rule is a dense outcome table over the canonical profile order of a product
-domain.  This module checks manipulability (one agent misreporting to obtain
-an outcome they sincerely prefer), identifies dictators, audits the
-structural facts that characterize strategy-proof rules (outcome maximality
-over option sets; pairwise freeness of option-set members), and reads/writes
-the ``.rule`` text format.
+domain, held as ``bytes``: one byte per profile, the outcome's id.  This
+module checks manipulability (one agent misreporting to obtain an outcome
+they sincerely prefer), identifies dictators, audits the structural facts
+that characterize strategy-proof rules (outcome maximality over option sets;
+pairwise freeness of option-set members), and reads/writes the ``.rule``
+text format.
 """
 
 from __future__ import annotations
@@ -37,18 +38,20 @@ def _check_table_cap(count: int) -> None:
 class Rule(_Value):
     """A social choice rule: one outcome per profile, in canonical profile order.
 
+    ``table`` is ``bytes``: a ``bytes`` table is kept as given, any other
+    sequence of outcomes is copied once, after the table cap is checked.
     Only the table's length is checked; its builder keeps every outcome in
     ``0..m-1`` (the ``.rule`` parser maps labels to ids).
     """
 
     __slots__ = _compared = ("domain", "table")
 
-    def __init__(self, domain: ProductDomain, table: tuple[int, ...]) -> None:
-        self.domain, self.table = domain, table
+    def __init__(self, domain: ProductDomain, table: Iterable[int]) -> None:
         count = domain.profile_count
         _check_table_cap(count)
-        if len(table) != count:
-            raise DomainError(f"outcome table needs {count} cells, got {len(table)}")
+        self.domain, self.table = domain, bytes(table)
+        if len(self.table) != count:
+            raise DomainError(f"outcome table needs {count} cells, got {len(self.table)}")
 
 
 def range_of(rule: Rule) -> frozenset[int]:
@@ -127,7 +130,7 @@ class OptionSets:
         return functools.reduce(operator.or_, map(list.__getitem__, self.marks, outcomes), 0)
 
 
-def _fibers(rule: Rule, agent: int) -> tuple[list[tuple[int, ...]], list[int]]:
+def _fibers(rule: Rule, agent: int) -> tuple[list[bytes], list[int]]:
     """The outcomes of each of ``agent``'s fibers in report order, fibers
     in the order of ``pd.fibers(agent)``, and the fibers' states."""
     pd, table = rule.domain, rule.table
@@ -233,11 +236,11 @@ def audit_sp_lemmas(rule: Rule) -> SpAuditReport:
         free = pair_sets(pd.agents[agent]).free
         # Per option set O: each report's best member of O (the one member
         # of O the report admits) and the number of pairs of O not free.
-        facts: dict[int, tuple[tuple[int, ...], int]] = {}
+        facts: dict[int, tuple[bytes, int]] = {}
         for outcomes, state in zip(fibers, states):
             reach = state & (1 << m) - 1
             if reach not in facts:
-                best = tuple((fits[reach] & reach).bit_length() - 1 for fits in options.admissible)
+                best = bytes((fits[reach] & reach).bit_length() - 1 for fits in options.admissible)
                 pairs = itertools.combinations([x for x in range(m) if reach >> x & 1], 2)
                 facts[reach] = best, sum(p not in free for p in pairs)
             best, unfree = facts[reach]
@@ -304,4 +307,4 @@ def parse_rule_file(text: str, pd: ProductDomain) -> Rule:
         raise ParseError("empty rule file", 1, 1)
     if len(table) != expected:
         raise ParseError(f"expected {expected} profile lines, found {len(table)}", 1, 1)
-    return Rule(pd, tuple(table))
+    return Rule(pd, table)

@@ -53,12 +53,12 @@ def decompose(rule: Rule, partition: ResponsePartition) -> tuple[BlockDecomposit
     outcomes, or a violation."""
     if rule.domain != partition.product:
         raise DomainError("rule is over a different product than the response partition")
-    tables: list[list[int]] = [[] for _ in partition.indices]
+    tables = [bytearray() for _ in partition.indices]
     for outcome, r in zip(rule.table, partition.response_of):
         tables[r].append(outcome)
     blocks: list[BlockDecomposition] = []
     for answers, block, table in zip(partition.responses, partition.block_products, tables):
-        subrule = Rule(block, tuple(table))
+        subrule = Rule(block, table)
         dictators = dictators_of(subrule)
         attained = range_of(subrule)
         if dictators:
@@ -117,7 +117,7 @@ def search_sp_combinations(
     return SearchResult(found, catalogs, total, tried, complete=tried == total)
 
 
-def _block_masks(block: ProductDomain, agent: int, tables: Sequence[tuple]) -> list[tuple[int, int]]:
+def _block_masks(block: ProductDomain, agent: int, tables: Sequence[bytes]) -> list[tuple[int, int]]:
     """Per table in ``tables`` (all on ``block``), for each setting s of the
     other agents (their block profile, last agent fastest): ``opt``, the
     option set O of ``agent`` there, and ``low``, the complement of U: the
@@ -129,7 +129,7 @@ def _block_masks(block: ProductDomain, agent: int, tables: Sequence[tuple]) -> l
     span = block.sizes[agent] * stride
     options = OptionSets.of(block.agents[agent])
     everything = (1 << m) - 1
-    seen: dict[tuple[int, ...], tuple[int, int]] = {}  # a fiber's outcomes -> (O, ~U)
+    seen: dict[bytes, tuple[int, int]] = {}  # a fiber's outcomes -> (O, ~U)
     masks = []
     for table in tables:
         opt = low = shift = 0

@@ -296,9 +296,7 @@ def is_sp(rule: Rule) -> bool:
     return not sp_violations(rule)
 
 
-def all_sp_tables(
-    pd: ProductDomain, outcomes: Optional[Sequence[int]] = None
-) -> list[tuple[int, ...]]:
+def all_sp_tables(pd: ProductDomain, outcomes: Optional[Sequence[int]] = None) -> list[bytes]:
     """Brute force every outcome table; keep the strategy-proof ones.
     Only usable when ``len(outcomes) ** profile_count`` is tiny."""
     if outcomes is None:
@@ -306,14 +304,14 @@ def all_sp_tables(
     found = []
     for table in itertools.product(outcomes, repeat=pd.profile_count):
         if is_sp(Rule(pd, table)):
-            found.append(table)
+            found.append(bytes(table))
     return found
 
 
-def dictatorial_tables(pd: ProductDomain, k: int) -> set[tuple[int, ...]]:
+def dictatorial_tables(pd: ProductDomain, k: int) -> set[bytes]:
     """Tables of dictatorships steered to a k-alternative range, directly:
     for each agent and each k-set attaining all k outcomes."""
-    out: set[tuple[int, ...]] = set()
+    out: set[bytes] = set()
     for agent in range(pd.n):
         for combo in itertools.combinations(range(pd.m), k):
             table = []
@@ -321,7 +319,7 @@ def dictatorial_tables(pd: ProductDomain, k: int) -> set[tuple[int, ...]]:
                 ranking = pd.agents[agent].rankings[coords[agent]]
                 table.append(min(combo, key=lambda alt: ranking.position[alt]))
             if len(set(table)) == k:
-                out.add(tuple(table))
+                out.add(bytes(table))
     return out
 
 
@@ -505,7 +503,7 @@ def verify_impossibility_per_instance(
     if rules is None:
         rules = sweep_rules(instances, max_profiles)
     violations = tuple(
-        TheoremViolation(idx, bytes(rule.table))
+        TheoremViolation(idx, rule.table)
         for idx, found in enumerate(rules)
         for rule in found
         if len(range_of(rule)) != 2 and not dictators_of(rule)

@@ -518,7 +518,7 @@ def test_enumerate_sp_out_dir(cli, tmp_path):
     assert [f.name for f in files] == [f"rule_{i:04d}.rule" for i in range(17)]
     pd = parse_domain_file(Path(UNI3).read_text()).product
     first = parse_rule_file(files[0].read_text(), pd)
-    assert first.table == (0,) * 36
+    assert first.table == b"\0" * 36
     for f in files:
         rule = parse_rule_file(f.read_text(), pd)
         assert find_manipulation(rule) is None

@@ -68,7 +68,7 @@ def test_rule_validation():
     pd = _single_agent_uni3()
     with pytest.raises(DomainError):
         Rule(pd, (0, 1, 2))  # wrong length
-    assert Rule(pd, (0, 0, 1, 1, 2, 2)).table == (0, 0, 1, 1, 2, 2)
+    assert Rule(pd, (0, 0, 1, 1, 2, 2)).table == bytes((0, 0, 1, 1, 2, 2))
 
 
 def test_rule_checks_the_table_cap_before_reading_the_table():
@@ -277,14 +277,14 @@ def test_rule_roundtrip():
 def test_rule_parse_accepts_comments_and_blanks():
     pd = ProductDomain.of([PreferenceDomain.of([Ranking((0, 1))])], labels=["x", "y"])
     text = "# a comment\nalternatives: x y\n\nxy -> y  # pick y\n"
-    assert parse_rule_file(text, pd).table == (1,)
+    assert parse_rule_file(text, pd).table == b"\1"
 
 
 def test_rule_parse_errors():
     d = PreferenceDomain.of(Ranking(o) for o in [(0, 1), (1, 0)])
     pd = ProductDomain.of([d], labels=["x", "y"])
     good = "alternatives: x y\nxy -> x\nyx -> y\n"
-    assert parse_rule_file(good, pd).table == (0, 1)
+    assert parse_rule_file(good, pd).table == b"\0\1"
 
     with pytest.raises(ParseError, match="starts with 'alternatives:'"):
         parse_rule_file("xy -> x\n", pd)

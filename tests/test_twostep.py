@@ -503,7 +503,7 @@ def test_catalog_members_are_the_explicit_catalog(sp3_spec, uni3_spec, ex1_spec,
         tables = [rule.table for rule in catalog]
         assert len(set(tables)) == len(tables), block.agents
         assert set(tables) == {rule.table for rule in enumerate_sp_rules(block)}, block.agents
-        constants = [(alt,) * block.profile_count for alt in range(block.m)]
+        constants = [bytes((alt,)) * block.profile_count for alt in range(block.m)]
         assert tables[: block.m] == constants, block.agents
 
 
@@ -530,7 +530,7 @@ def test_every_outcome_table_is_bytes():
         assert {type(table) for table in enumerated + members} == {bytes}
         assert sorted(members) == enumerated
         if block.profile_count <= 3:
-            assert enumerated == [bytes(table) for table in all_sp_tables(block)]
+            assert enumerated == all_sp_tables(block)
 
 
 # The first 32 hex digits of the sha256 of every member table's bytes and a
@@ -548,7 +548,7 @@ def test_catalog_member_order_is_pinned(sp3_spec, uni3_spec, ex1_spec, ex2_spec)
     digest = hashlib.sha256()
     for product in products:
         for rule in Catalog(product):
-            digest.update(bytes(rule.table) + b"\n")
+            digest.update(rule.table + b"\n")
         digest.update(b"|")
     assert digest.hexdigest()[:32] == CATALOG_ORDER_DIGEST
 
